@@ -9,7 +9,8 @@ two_boson or finite), truncation parameters, and an ordered task list.
 Each task writes its findings into report.json; tasks may carry an
 `expect` block whose key/value pairs replace the task's default
 assertion, so contrast scenarios can assert *failure* of a property and
-still exit 0.  Exit codes: 0 all tasks passed, 2 some task failed,
+still exit 0.  A task raising IntegrationError fails with an "error"
+{type, message}.  Exit codes: 0 all tasks passed, 2 some task failed,
 1 input or schema error.  report.json is byte-identical across runs with
 the same config and seed except for the top-level "timestamps" field.
 """
@@ -492,10 +493,17 @@ def run_scenario(config, output_dir, verbose=False):
         params = {k: v for k, v in task.items() if k not in ("name", "expect")}
         tag = f"{idx:02d}_{name}"
         t0 = time.time()
-        report, default_ok = TASKS[name](ctx, params, outdir, tag)
+        try:
+            report, default_ok = TASKS[name](ctx, params, outdir, tag)
+        except evolution.IntegrationError as exc:
+            report = None
+            error = {"type": type(exc).__name__, "message": str(exc)}
         task_seconds[tag] = time.time() - t0
         expect = task.get("expect")
-        if expect is not None:
+        if report is None:
+            passed = False
+            entry = {"name": name, "error": error, "passed": passed}
+        elif expect is not None:
             mismatches = _check_expect(report, expect)
             passed = not mismatches
             entry = {"name": name, "report": report, "passed": passed,

@@ -213,7 +213,7 @@ def support_span(ops, action, psi, t, max_order=2, max_word=None):
             if not f.is_zero():
                 forms.append(f.to_matrix(ops.ladders))
 
-    phi = evolution.evolve_vector(ops, psi, [0.0, t], method="expm").states[-1]
+    phi = evolution.evolve_vector(ops, psi, [0.0, t]).states[-1]
     columns = []
     max_norm = 0.0
     added, max_norm = _orthonormalize(columns, [phi], max_norm)

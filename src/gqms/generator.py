@@ -4,8 +4,8 @@ Assembles sparse matrices for H, the Kraus operators L_l, the drift
 G = -iH - (1/2) sum_l L_l† L_l and its dissipative part G0 on a truncated
 Fock space, together with the vectorized generator in either picture:
 
-    Schrodinger:  rho -> -i[H, rho] + sum_l (L_l rho L_l† - {L_l†L_l, rho}/2)
-    Heisenberg:   x   ->  i[H, x]   + sum_l (L_l† x L_l - {L_l†L_l, x}/2)
+    Schrodinger:  rho -> G rho + rho G† + sum_l L_l rho L_l†
+    Heisenberg:   x   -> G† x + x G + sum_l L_l† x L_l
 
 Vectorization is by column stacking, vec(A X B) = (B^T kron A) vec(X).
 Sparse entries are kept exactly as assembled (no drop thresholding).
@@ -92,27 +92,24 @@ def build_operators(model, space):
 def build_lindbladian(ops, picture="schrodinger"):
     """Vectorized Lindblad generator in the requested picture.
 
-    The Schrodinger form is exactly trace preserving and the Heisenberg
-    form exactly unital at the matrix level; truncation error enters only
+    Assembled from the drift as kron(I, X) + kron(conj X, I)
+    + sum_l kron(conj K_l, K_l), with (X, K_l) = (G, L_l) in the
+    Schrodinger picture and (G†, L_l†) in the Heisenberg picture.  The
+    Schrodinger form is exactly trace preserving and the Heisenberg form
+    exactly unital at the matrix level; truncation error enters only
     through the operators themselves.
     """
     if picture not in PICTURES:
         raise ValueError(f"picture must be one of {PICTURES}")
     D = ops.space.D
     I = sp.identity(D, dtype=complex, format="csr")
-    H = ops.H
-    comm = sp.kron(I, H, format="csr") - sp.kron(H.T, I, format="csr")
-    M = (1j if picture == "heisenberg" else -1j) * comm
-    for Lop in ops.L:
-        Ld = Lop.conj().T.tocsr()
-        LdL = (Ld @ Lop).tocsr()
-        if picture == "schrodinger":
-            M = M + sp.kron(Lop.conj(), Lop, format="csr")
-        else:
-            M = M + sp.kron(Lop.T, Ld, format="csr")
-        M = M - 0.5 * sp.kron(I, LdL, format="csr")
-        M = M - 0.5 * sp.kron(LdL.T, I, format="csr")
-    return Superoperator(matrix=M.tocsr(), picture=picture, dim=D)
+    X, Ks = ops.G, ops.L
+    if picture == "heisenberg":
+        X, Ks = X.conj().T, [Lop.conj().T for Lop in Ks]
+    M = sp.kron(I, X, format="csr") + sp.kron(X.conj(), I, format="csr")
+    for K in Ks:
+        M = M + sp.kron(K.conj(), K, format="csr")
+    return Superoperator(matrix=M, picture=picture, dim=D)
 
 
 def apply_superoperator(superop, X):

@@ -182,3 +182,28 @@ def test_unknown_plot_kind_is_input_error(tmp_path):
     path.write_text(json.dumps(config))
     assert cli.main(["run", "--config", str(path),
                      "--output-dir", str(tmp_path / "out")]) == 1
+
+
+def test_integration_error_is_a_failed_task(tmp_path):
+    # RK4 with h = 0.2 is unstable on the damping rates near N_max = 30
+    config = {
+        "seed": 1,
+        "model": {"kind": "gaussian", "d": 1, "V": [[1]], "U": [[0.5]]},
+        "space": {"N_max": 30},
+        "tasks": [{"name": "kossakowski"},
+                  {"name": "evolve", "times": [0, 1, 2, 4],
+                   "method": "rk4", "h": 0.2},
+                  {"name": "minimality"}],
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code = cli.main(["run", "--config", str(path),
+                     "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["passed"] is False
+    assert [t["passed"] for t in report["tasks"]] == [True, False, True]
+    evolve = report["tasks"][1]
+    assert "report" not in evolve
+    assert evolve["error"]["type"] == "IntegrationError"
+    assert "trace error" in evolve["error"]["message"]

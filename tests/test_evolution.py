@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from gqms import evolution, fock, generator
@@ -156,6 +157,63 @@ def test_expm_dimension_guard():
     rho0[0, 0] = 1.0
     with pytest.raises(evolution.IntegrationError):
         evolution.evolve_density(superop, rho0, [0.0, 0.1], method="expm")
+
+
+def test_expm_guard_counts_bytes():
+    # D = 91 is the smallest density dimension whose dense D^2 x D^2
+    # complex superoperator exceeds the byte budget
+    assert 16 * (90 ** 2) ** 2 <= evolution.EXPM_MAX_BYTES < 16 * (91 ** 2) ** 2
+    superop = generator.Superoperator(
+        matrix=sp.identity(91 ** 2, dtype=complex, format="csr"),
+        picture="schrodinger", dim=91)
+    rho0 = np.zeros((91, 91), dtype=complex)
+    rho0[0, 0] = 1.0
+    with pytest.raises(evolution.IntegrationError, match=f"{16 * 91 ** 4} bytes"):
+        evolution.evolve_density(superop, rho0, [0.0, 0.1], method="expm")
+
+
+def seeded_lindbladian(seed, d, N_max):
+    model = strictly_positive_model(np.random.default_rng(seed), d)
+    space = fock.build_space(d, N_max)
+    ops = generator.build_operators(model, space)
+    return space, ops, generator.build_lindbladian(ops, "schrodinger")
+
+
+def test_auto_matches_rk4_above_former_dense_cap():
+    space, ops, lind = seeded_lindbladian(31, 2, 13)
+    assert space.D ** 2 > 10 ** 4
+    rho0 = evolution.DensityMatrix.pure(space.vacuum())
+    a = evolution.evolve_density(lind, rho0, [0.0, 0.1])
+    b = evolution.evolve_density(lind, rho0, [0.0, 0.1], method="rk4", h=1e-3)
+    assert np.abs(a.states[-1].rho - b.states[-1].rho).max() <= 1e-9
+
+
+def test_auto_matches_expm_small():
+    space, ops, lind = seeded_lindbladian(32, 1, 6)
+    assert space.D == 7
+    rho0 = evolution.DensityMatrix.pure(space.basis_vector((1,)))
+    times = [0.0, 0.1, 0.5, 1.0]
+    a = evolution.evolve_density(lind, rho0, times)
+    b = evolution.evolve_density(lind, rho0, times, method="expm")
+    for sa, sb in zip(a.states, b.states):
+        assert np.abs(sa.rho - sb.rho).max() <= 1e-12
+    va = evolution.evolve_vector(ops, space.vacuum(), times)
+    vb = evolution.evolve_vector(ops, space.vacuum(), times, method="expm")
+    for xa, xb in zip(va.states, vb.states):
+        assert np.abs(xa - xb).max() <= 1e-12
+
+
+def test_auto_never_builds_dense_exponential(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense scipy.linalg.expm called")
+
+    monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    space, ops, lind = seeded_lindbladian(33, 1, 6)
+    rho0 = evolution.DensityMatrix.pure(space.vacuum())
+    evolution.evolve_density(lind, rho0, [0.0, 0.1, 0.2])
+    evolution.evolve_vector(ops, space.vacuum(), [0.0, 0.1, 0.2])
+    with pytest.raises(AssertionError):
+        evolution.evolve_density(lind, rho0, [0.0, 0.1], method="expm")
 
 
 def test_number_semigroup_limit():

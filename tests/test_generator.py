@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from gqms import fock, generator
 from gqms import model as gm
@@ -215,3 +216,32 @@ def test_triplet_round_trip(tmp_path):
     headerless.write_text("0 0 1.0 0.0\n")
     with pytest.raises(ValueError):
         generator.read_triplets(headerless)
+
+
+def commutator_form_lindbladian(ops, picture):
+    """The H / L†L kron assembly, written out term by term."""
+    D = ops.space.D
+    I = sp.identity(D, dtype=complex, format="csr")
+    H = ops.H
+    comm = sp.kron(I, H) - sp.kron(H.T, I)
+    M = (1j if picture == "heisenberg" else -1j) * comm
+    for Lop in ops.L:
+        Ld = Lop.conj().T
+        LdL = Ld @ Lop
+        if picture == "schrodinger":
+            M = M + sp.kron(Lop.conj(), Lop)
+        else:
+            M = M + sp.kron(Lop.T, Ld)
+        M = M - 0.5 * sp.kron(I, LdL) - 0.5 * sp.kron(LdL.T, I)
+    return M.tocsr()
+
+
+def test_drift_assembly_matches_commutator_form():
+    rng = np.random.default_rng(17)
+    model = random_model(rng, 2, 3)
+    space = fock.build_space(2, 5)
+    ops = generator.build_operators(model, space)
+    for picture in generator.PICTURES:
+        new = generator.build_lindbladian(ops, picture).matrix
+        old = commutator_form_lindbladian(ops, picture)
+        assert abs(new - old).max() <= 1e-12

@@ -351,7 +351,6 @@ def task_support(ctx, params, outdir, tag):
         "match": bool(span.rank == probes[0].rank),
         "oracle_error": float(oracle),
         "word_census": list(span.word_census),
-        "contaminated": bool(span.contaminated),
     }
     ok = report["match"] and oracle <= 1e-9
     return report, ok

@@ -153,24 +153,46 @@ def validate_action_oracle(model, space, action):
     return worst
 
 
-def _orthonormalize(columns, candidates, max_norm, drop_rtol=GS_DROP_RTOL):
-    """Gram-Schmidt candidates against existing columns; returns added vectors.
+def krylov_closure(maps, seeds, max_rounds):
+    """Orthonormal basis of the smallest subspace holding the seeds and closed under maps.
 
-    A candidate is kept when its residual norm exceeds drop_rtol times
-    the largest vector norm seen so far.
+    `seeds` is an n x k array of column vectors.  The span is grown
+    breadth-first: each round applies every map to every vector the
+    previous round added (vector-major order), and the closure stops after
+    `max_rounds` rounds or after a round that adds nothing.  Each candidate
+    is projected out of the basis twice with matrix products (classical
+    Gram-Schmidt with reorthogonalisation) and kept when its residual norm
+    exceeds GS_DROP_RTOL times the largest candidate norm seen so far.
+    Returns the n x rank basis and the census: the number of vectors each
+    round added.
     """
-    added = []
-    for w in candidates:
-        nw = np.linalg.norm(w)
-        max_norm = max(max_norm, nw)
-        r = w
-        for _ in range(2):
-            for q in columns + added:
-                r = r - np.vdot(q, r) * q
-        rn = np.linalg.norm(r)
-        if rn > drop_rtol * max(1e-300, max_norm):
-            added.append(r / rn)
-    return added, max_norm
+    seeds = np.asarray(seeds, dtype=complex)
+    n = seeds.shape[0]
+    rows = np.empty((n, n), dtype=complex)  # basis vectors stored as rows
+    rank = 0
+    max_norm = 0.0
+
+    def extend(candidates):
+        nonlocal rank, max_norm
+        start = rank
+        for w in candidates:
+            max_norm = max(max_norm, np.linalg.norm(w))
+            Q = rows[:rank]
+            for _ in range(2):
+                w = w - (Q @ w.conj()).conj() @ Q
+            rn = np.linalg.norm(w)
+            # a full basis leaves only rounding, so rank never exceeds n
+            if rank < n and rn > GS_DROP_RTOL * max(1e-300, max_norm):
+                rows[rank] = w / rn
+                rank += 1
+        return rows[start:rank]
+
+    frontier = extend(seeds.T)
+    census = []
+    while len(frontier) and len(census) < max_rounds:
+        frontier = extend(M @ q for q in frontier for M in maps)
+        census.append(len(frontier))
+    return rows[:rank].T.copy(), census
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,21 +201,18 @@ class SupportSpan:
 
     basis: np.ndarray
     rank: int
-    rounds_used: int
     word_census: list
-    contaminated: bool
 
 
 def support_span(ops, action, psi, t, max_order=2, max_word=None):
     """Span of {P_t psi} and commutator words applied to it, restricted to the interior.
 
     Words are products of iterated commutators of G with the Kraus
-    operators, each of order <= max_order, enumerated breadth-first by
-    word length with exact pruning (a vector already in the span is not
-    expanded).  The closure is computed in the full truncated space and
-    projected onto the interior at the end.  `contaminated` flags runs
-    whose effective word depth exceeds the interior margin, where hard
-    truncation may distort the high-grade content.
+    operators, each of order <= max_order.  The evolved vector P_t psi is
+    closed under these forms by `krylov_closure` in the full truncated
+    space, at most max_word rounds (word lengths); `word_census` counts the
+    vectors each word length added.  The closure is then projected onto
+    the interior and re-orthonormalised by the same kernel with no maps.
     """
     space = ops.space
     if t <= 0:
@@ -214,41 +233,12 @@ def support_span(ops, action, psi, t, max_order=2, max_word=None):
                 forms.append(f.to_matrix(ops.ladders))
 
     phi = evolution.evolve_vector(ops, psi, [0.0, t]).states[-1]
-    columns = []
-    max_norm = 0.0
-    added, max_norm = _orthonormalize(columns, [phi], max_norm)
-    columns += added
-    census = []
-    frontier = list(added)
-    rounds = 0
-    for _ in range(max_word):
-        if not frontier:
-            break
-        candidates = [F @ q for q in frontier for F in forms]
-        added, max_norm = _orthonormalize(columns, candidates, max_norm)
-        columns += added
-        frontier = added
-        rounds += 1
-        census.append(len(added))
-        if not added:
-            break
-
+    closure, census = krylov_closure(forms, phi[:, None], max_word)
     dim = space.interior_dim()
-    projected = [q[:dim] for q in columns]
-    interior_cols = []
-    max_norm_int = 0.0
-    for w in projected:
-        added, max_norm_int = _orthonormalize(interior_cols, [w], max_norm_int)
-        interior_cols += added
-    basis = np.zeros((space.D, len(interior_cols)), dtype=complex)
-    for i, q in enumerate(interior_cols):
-        basis[:dim, i] = q
-    effective_depth = len([c for c in census if c > 0])
-    return SupportSpan(
-        basis=basis, rank=len(interior_cols), rounds_used=rounds,
-        word_census=census,
-        contaminated=bool(effective_depth > space.interior_margin),
-    )
+    interior, _ = krylov_closure([], closure[:dim], 0)
+    basis = np.zeros((space.D, interior.shape[1]), dtype=complex)
+    basis[:dim] = interior
+    return SupportSpan(basis=basis, rank=interior.shape[1], word_census=census)
 
 
 def kraus_coefficient_matrix(model):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import evolution
-from .commutators import _orthonormalize
+from .commutators import krylov_closure
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,12 +182,14 @@ def positivity_improving_probe(superop, psis, times, space, rank_rtol=1e-8,
     return reports
 
 
-def invariant_subspace_search(ops, n_seeds, seed, starts=None, drop_rtol=1e-10):
+def invariant_subspace_search(ops, n_seeds, seed, starts=None):
     """Grow span{v} under the interior compressions of G and every L_l.
 
-    Stops when the dimension is stable for two consecutive rounds (with a
-    hard cap of 4 x dim iterations).  A closure smaller than the interior
-    dimension is returned as a reducibility witness basis.
+    Each seed vector (n_seeds seeded random interior vectors, then the
+    interior parts of `starts`) is closed by one `krylov_closure` call,
+    which stops after the first round that adds nothing; interior_dim
+    rounds always suffice.  A closure smaller than the interior dimension
+    is returned as a reducibility witness basis.
     """
     if n_seeds < 1 and not starts:
         raise ValueError("need n_seeds >= 1 or explicit start vectors")
@@ -209,25 +211,11 @@ def invariant_subspace_search(ops, n_seeds, seed, starts=None, drop_rtol=1e-10):
     closure_dims = []
     witness = None
     for v in vectors:
-        columns = [v]
-        frontier = [v]
-        stable_rounds = 0
-        max_norm = 1.0
-        for _ in range(4 * dim):
-            candidates = [M @ q for q in frontier for M in mats]
-            added, max_norm = _orthonormalize(
-                columns, candidates, max_norm, drop_rtol=drop_rtol)
-            columns += added
-            frontier = added if added else columns
-            stable_rounds = stable_rounds + 1 if not added else 0
-            if stable_rounds >= 2 or len(columns) == dim:
-                break
-        closure_dims.append(len(columns))
-        if len(columns) < dim and witness is None:
-            basis = np.zeros((space.D, len(columns)), dtype=complex)
-            for i, q in enumerate(columns):
-                basis[:dim, i] = q
-            witness = basis
+        closure, _ = krylov_closure(mats, v[:, None], dim)
+        closure_dims.append(closure.shape[1])
+        if closure.shape[1] < dim and witness is None:
+            witness = np.zeros((space.D, closure.shape[1]), dtype=complex)
+            witness[:dim] = closure
     return InvariantSubspaceReport(
         seed_count=len(vectors),
         min_closure_dim=int(min(closure_dims)),

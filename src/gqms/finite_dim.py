@@ -17,10 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse as sp
 
 from . import serialize
-from .generator import Superoperator
+from .generator import gkls_superoperator
 
 MAX_DIM = 6
 ORTHONORMALITY_TOL = 1e-12
@@ -102,26 +101,20 @@ class FiniteGKLSModel:
 
 
 def build_fd_generators(model):
-    """Dense vectorized generators (heisenberg, schrodinger) of the model."""
-    n = model.n
-    I = np.eye(n, dtype=complex)
-    comm = np.kron(I, model.H) - np.kron(model.H.T, I)
-    heis = 1j * comm
-    schr = -1j * comm
-    for k, Fk in enumerate(model.F):
-        for j, Fj in enumerate(model.F):
-            ckj = model.c[k, j]
-            if ckj == 0:
-                continue
-            Fjd = Fj.conj().T
-            FjdFk = Fjd @ Fk
-            anti = 0.5 * (np.kron(I, FjdFk) + np.kron(FjdFk.T, I))
-            heis += ckj * (np.kron(Fk.T, Fjd) - anti)
-            schr += ckj * (np.kron(Fjd.T, Fk) - anti)
-    return (
-        Superoperator(matrix=sp.csr_matrix(heis), picture="heisenberg", dim=n),
-        Superoperator(matrix=sp.csr_matrix(schr), picture="schrodinger", dim=n),
-    )
+    """Vectorized generators (heisenberg, schrodinger) of the model.
+
+    Diagonalises c = W diag(gamma) W† (gamma clipped at 0; c is positive
+    semidefinite within PSD_TOL) to Kraus operators
+    L_l = sqrt(gamma_l) sum_k W_kl F_k with sum_l L_l† x L_l =
+    sum_kj c_kj F_j† x F_k, and assembles the drift
+    G = -iH - (1/2) sum_l L_l†L_l with the shared `gkls_superoperator`.
+    """
+    gamma, W = np.linalg.eigh(model.c)
+    Ls = np.einsum("l,kl,kab->lab", np.sqrt(np.clip(gamma, 0.0, None)), W,
+                   np.asarray(model.F))
+    G = -1j * model.H - 0.5 * sum(L.conj().T @ L for L in Ls)
+    return (gkls_superoperator(G, Ls, "heisenberg"),
+            gkls_superoperator(G, Ls, "schrodinger"))
 
 
 def _heisenberg_expectation(model, T, u, v):

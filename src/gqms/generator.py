@@ -89,27 +89,37 @@ def build_operators(model, space):
     )
 
 
-def build_lindbladian(ops, picture="schrodinger"):
-    """Vectorized Lindblad generator in the requested picture.
+def gkls_superoperator(G, Ls, picture="schrodinger"):
+    """Vectorized GKLS generator of the drift G and Kraus operators Ls.
 
-    Assembled from the drift as kron(I, X) + kron(conj X, I)
-    + sum_l kron(conj K_l, K_l), with (X, K_l) = (G, L_l) in the
-    Schrodinger picture and (G†, L_l†) in the Heisenberg picture.  The
-    Schrodinger form is exactly trace preserving and the Heisenberg form
-    exactly unital at the matrix level; truncation error enters only
-    through the operators themselves.
+    Assembled as kron(I, X) + kron(conj X, I) + sum_l kron(conj K_l, K_l),
+    with (X, K_l) = (G, L_l) in the Schrodinger picture and (G†, L_l†) in
+    the Heisenberg picture.  G and the L_l may be sparse or dense; the
+    result is CSR.  With G = -iH - (1/2) sum_l L_l†L_l the Schrodinger
+    form is exactly trace preserving and the Heisenberg form exactly
+    unital at the matrix level.
     """
     if picture not in PICTURES:
         raise ValueError(f"picture must be one of {PICTURES}")
-    D = ops.space.D
+    D = G.shape[0]
     I = sp.identity(D, dtype=complex, format="csr")
-    X, Ks = ops.G, ops.L
+    X, Ks = G, Ls
     if picture == "heisenberg":
         X, Ks = X.conj().T, [Lop.conj().T for Lop in Ks]
     M = sp.kron(I, X, format="csr") + sp.kron(X.conj(), I, format="csr")
     for K in Ks:
         M = M + sp.kron(K.conj(), K, format="csr")
     return Superoperator(matrix=M, picture=picture, dim=D)
+
+
+def build_lindbladian(ops, picture="schrodinger"):
+    """Vectorized Lindblad generator of a Gaussian model in the requested picture.
+
+    The shared GKLS assembly (`gkls_superoperator`) of the truncated drift
+    G and Kraus operators L_l; truncation error enters only through the
+    operators themselves.
+    """
+    return gkls_superoperator(ops.G, ops.L, picture)
 
 
 def apply_superoperator(superop, X):
@@ -161,34 +171,3 @@ def dissipation_quadratic_identity(ops, K, xi):
             if Km[p, q] != 0:
                 rhs += Km[p, q] * np.vdot(stack[p], stack[q])
     return lhs, float(np.real(rhs))
-
-
-def write_triplets(matrix, path):
-    """Write a sparse matrix as text lines `row col re im`."""
-    coo = sp.coo_matrix(matrix)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"# shape {coo.shape[0]} {coo.shape[1]}\n")
-        for r, c, val in zip(coo.row, coo.col, coo.data):
-            fh.write(f"{r} {c} {val.real:.17g} {val.imag:.17g}\n")
-
-
-def read_triplets(path):
-    """Read a matrix written by write_triplets."""
-    rows, cols, vals = [], [], []
-    shape = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                parts = line.split()
-                shape = (int(parts[2]), int(parts[3]))
-                continue
-            r, c, re_part, im_part = line.split()
-            rows.append(int(r))
-            cols.append(int(c))
-            vals.append(complex(float(re_part), float(im_part)))
-    if shape is None:
-        raise ValueError(f"{path} has no shape header")
-    return sp.csr_matrix((np.asarray(vals, dtype=complex), (rows, cols)), shape=shape)

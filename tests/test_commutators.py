@@ -103,6 +103,41 @@ def test_closure_under_commutation():
     assert commutators.validate_action_oracle(model, space, action) <= 1e-9
 
 
+def test_krylov_closure_contract():
+    # two maps that leave span(U[:, :4]) invariant, a seed inside it
+    rng = np.random.default_rng(36)
+    n, block = 9, 4
+    U = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    maps = []
+    for _ in range(2):
+        T = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        T[block:, :block] = 0.0
+        maps.append(U @ T @ U.conj().T)
+    seed = U[:, :block] @ (rng.standard_normal(block) + 1j * rng.standard_normal(block))
+    words = [seed]  # every word of length <= max_rounds applied to the seed
+    for max_rounds in range(4):
+        basis, census = commutators.krylov_closure(maps, seed[:, None], max_rounds)
+        krylov_rank = np.linalg.matrix_rank(np.column_stack(words), rtol=1e-10)
+        rank = basis.shape[1]
+        assert rank == krylov_rank == min(1 + 2 * max_rounds, block)
+        np.testing.assert_allclose(basis.conj().T @ basis, np.eye(rank), atol=1e-12)
+        assert np.abs(U[:, block:].conj().T @ basis).max() <= 1e-12
+        assert sum(census) == rank - 1
+        words += [M @ w for w in words for M in maps]
+    # the closure stops after the first round that adds nothing
+    _, census = commutators.krylov_closure(maps, seed[:, None], 10)
+    assert census == [2, 1, 0]
+
+    # max_rounds=0 only orthonormalises: a duplicate and a zero seed are dropped
+    other = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    seeds = np.column_stack([seed, 2.0 * seed, np.zeros(n), other])
+    basis, census = commutators.krylov_closure(maps, seeds, 0)
+    assert basis.shape == (n, 2) and census == []
+    np.testing.assert_allclose(basis.conj().T @ basis, np.eye(2), atol=1e-12)
+    residual = seeds - basis @ (basis.conj().T @ seeds)
+    assert np.abs(residual).max() <= 1e-12 * np.abs(seeds).max()
+
+
 def test_support_span_reaches_full_interior():
     model = gm.quadratic_free_model(1, V=[[1.0], [0.0]], U=[[0.0], [1.0]])
     space = fock.build_space(1, 10)
@@ -136,7 +171,6 @@ def test_support_span_zero_word_budget():
     span = commutators.support_span(ops, action, space.vacuum(), 0.1, max_word=0)
     assert span.rank == 1
     assert span.word_census == []
-    assert not span.contaminated
 
 
 def test_support_span_input_validation():

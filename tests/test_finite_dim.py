@@ -80,6 +80,36 @@ def test_generator_unitality_trace_preservation_duality():
             assert abs(np.trace(drho @ x) - np.trace(rho @ dx)) <= 1e-10
 
 
+def double_loop_generators(model):
+    """The c_kj double-loop kron assembly, written out term by term."""
+    n = model.n
+    I = np.eye(n, dtype=complex)
+    comm = np.kron(I, model.H) - np.kron(model.H.T, I)
+    heis = 1j * comm
+    schr = -1j * comm
+    for k, Fk in enumerate(model.F):
+        for j, Fj in enumerate(model.F):
+            ckj = model.c[k, j]
+            Fjd = Fj.conj().T
+            FjdFk = Fjd @ Fk
+            anti = 0.5 * (np.kron(I, FjdFk) + np.kron(FjdFk.T, I))
+            heis += ckj * (np.kron(Fk.T, Fjd) - anti)
+            schr += ckj * (np.kron(Fjd.T, Fk) - anti)
+    return heis, schr
+
+
+def test_generators_match_double_loop_formula():
+    rng = np.random.default_rng(59)
+    models = [random_fd_model(rng, 2), random_fd_model(rng, 3),
+              qubit_model(c=np.diag([1.0, 0.0, 0.0]), H=random_hermitian(rng, 2))]
+    for model in models:
+        heis, schr = fd.build_fd_generators(model)
+        old_heis, old_schr = double_loop_generators(model)
+        assert (heis.picture, schr.picture) == ("heisenberg", "schrodinger")
+        assert np.abs(heis.matrix.toarray() - old_heis).max() <= 1e-12
+        assert np.abs(schr.matrix.toarray() - old_schr).max() <= 1e-12
+
+
 def test_depolarizing_qubit_image():
     model = qubit_model()
     _, schr = fd.build_fd_generators(model)

@@ -205,19 +205,6 @@ def test_dissipation_identity_seeded():
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
 
-def test_triplet_round_trip(tmp_path):
-    model, space, ops = damping_ops()
-    path = tmp_path / "G.txt"
-    generator.write_triplets(ops.G, path)
-    back = generator.read_triplets(path)
-    assert np.abs((back - ops.G).toarray()).max() <= 1e-15
-
-    headerless = tmp_path / "bad.txt"
-    headerless.write_text("0 0 1.0 0.0\n")
-    with pytest.raises(ValueError):
-        generator.read_triplets(headerless)
-
-
 def commutator_form_lindbladian(ops, picture):
     """The H / L†L kron assembly, written out term by term."""
     D = ops.space.D

@@ -70,6 +70,7 @@ from .diagnostics import (
 from .finite_dim import (
     FiniteGKLSModel,
     build_fd_generators,
+    fd_derivative_check,
     fd_positivity_probe,
     gellmann_basis,
     initial_derivative,

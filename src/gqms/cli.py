@@ -9,10 +9,11 @@ two_boson or finite), truncation parameters, and an ordered task list.
 Each task writes its findings into report.json; tasks may carry an
 `expect` block whose key/value pairs replace the task's default
 assertion, so contrast scenarios can assert *failure* of a property and
-still exit 0.  A task raising IntegrationError fails with an "error"
-{type, message}.  Exit codes: 0 all tasks passed, 2 some task failed,
-1 input or schema error.  report.json is byte-identical across runs with
-the same config and seed except for the top-level "timestamps" field.
+still exit 0.  A task raising IntegrationError or numpy's LinAlgError
+fails with an "error" {type, message}.  Exit codes: 0 all tasks passed,
+2 some task failed, 1 input or schema error.  report.json is
+byte-identical across runs with the same config and seed except for the
+top-level "timestamps" field.
 """
 
 from __future__ import annotations
@@ -272,15 +273,15 @@ def task_bogoliubov(ctx, params, outdir, tag):
 
 def task_number_bound(ctx, params, outdir, tag):
     n_samples = int(params.get("n_samples", 1000))
+    seed = params.get("seed", ctx.seed)
     rep = diagnostics.number_operator_bound(
-        ctx.ops, ctx.kossakowski, n_samples, params.get("seed", ctx.seed))
-    rng = np.random.default_rng(params.get("seed", ctx.seed))
-    identity_err = 0.0
-    for _ in range(min(n_samples, 50)):
-        xi = diagnostics.random_interior_vector(ctx.space, rng)
-        lhs, rhs = generator.dissipation_quadratic_identity(
-            ctx.ops, ctx.kossakowski, xi)
-        identity_err = max(identity_err, abs(lhs - rhs) / (1.0 + abs(lhs)))
+        ctx.ops, ctx.kossakowski, n_samples, seed)
+    # the first min(n, 50) samples of the bound's stream (prefix property)
+    xi = np.hstack(list(diagnostics.sample_blocks(
+        np.random.default_rng(seed), min(n_samples, 50),
+        ctx.space.interior_dim(), ctx.space.D)))
+    lhs, rhs = generator.dissipation_quadratic_identity(ctx.ops, ctx.kossakowski, xi)
+    identity_err = float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
     report = {
         "samples": rep.samples,
         "min_slack": rep.min_slack,
@@ -433,17 +434,9 @@ def task_fd_probe(ctx, params, outdir, tag):
 
 
 def task_fd_derivative(ctx, params, outdir, tag):
-    model = ctx.finite_model
-    rng = np.random.default_rng(params.get("seed", ctx.seed))
     n_pairs = int(params.get("n_pairs", 100))
-    worst = 0.0
-    for _ in range(n_pairs):
-        u = fd._random_unit(rng, model.n)
-        v = fd._random_unit(rng, model.n)
-        v = v - np.vdot(u, v) * u
-        v = v / np.linalg.norm(v)
-        analytic, numeric = fd.initial_derivative(model, u, v)
-        worst = max(worst, abs(analytic - numeric) / (1.0 + abs(analytic)))
+    worst = fd.fd_derivative_check(
+        ctx.finite_model, n_pairs, params.get("seed", ctx.seed))
     report = {"pairs": n_pairs, "max_relative_mismatch": worst}
     return report, worst <= 1e-5
 
@@ -494,7 +487,7 @@ def run_scenario(config, output_dir, verbose=False):
         t0 = time.time()
         try:
             report, default_ok = TASKS[name](ctx, params, outdir, tag)
-        except evolution.IntegrationError as exc:
+        except (evolution.IntegrationError, np.linalg.LinAlgError) as exc:
             report = None
             error = {"type": type(exc).__name__, "message": str(exc)}
         task_seconds[tag] = time.time() - t0

@@ -3,7 +3,8 @@
 All spectra, ranks and quadratic forms are evaluated after compression to
 the interior subspace so that hard-truncation artifacts at the cutoff are
 quarantined.  Random probe vectors have complex-Gaussian coefficients on
-the interior block, are normalized, and are deterministic per seed.
+the interior block, are normalized, and are deterministic per seed; every
+sampled certificate draws them from `sample_blocks`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,9 @@ import numpy as np
 
 from . import evolution
 from .commutators import krylov_closure
+
+# Columns per sampled block: bounds the working memory of every sampler.
+SAMPLE_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,41 +82,55 @@ class SectorReport:
     z_samples: np.ndarray
 
 
-def random_interior_vector(space, rng, margin=None):
-    """Normalized complex-Gaussian vector supported on the interior block."""
-    dim = space.interior_dim(margin)
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v = np.zeros(space.D, dtype=complex)
-    v[:dim] = z / np.linalg.norm(z)
-    return v
+def sample_blocks(rng, count, dim, rows=None):
+    """Yield `count` seeded unit vectors as complex rows x b blocks of columns.
+
+    b <= SAMPLE_BLOCK, so memory stays bounded whatever `count` is.  Each
+    column draws `dim` real and then `dim` imaginary standard normals
+    from `rng`, is normalized, and is supported on the first `dim` rows
+    (rows defaults to dim).  The stream is the one `count` successive
+    per-vector draws consume, so the first k columns do not depend on
+    `count`.
+    """
+    rows = dim if rows is None else rows
+    for start in range(0, count, SAMPLE_BLOCK):
+        x = rng.standard_normal((min(SAMPLE_BLOCK, count - start), 2, dim))
+        z = (x[:, 0] + 1j * x[:, 1]).T
+        block = np.zeros((rows, z.shape[1]), dtype=complex)
+        block[:dim] = z / np.linalg.norm(z, axis=0)
+        yield block
+
+
+def _interior_blocks(space, n_samples, seed):
+    """Seeded interior samples of a truncated space, as D x b blocks."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be >= 1")
+    return sample_blocks(np.random.default_rng(seed), n_samples,
+                         space.interior_dim(), space.D)
 
 
 def number_operator_bound(ops, K, n_samples, seed, tol=1e-10):
     """Sample the lower bound <xi, -2 G0 xi> >= eps0 <xi, (2N + d) xi>.
 
     Valid for a positive semidefinite Kossakowski matrix with smallest
-    eigenvalue eps0; slack is recorded per normalized interior sample.
+    eigenvalue eps0; slack is recorded per normalized interior sample,
+    evaluated a block of samples at a time.  The witness is the first
+    sample of least slack, kept only when that slack is a violation.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    rng = np.random.default_rng(seed)
-    space = ops.space
-    d = space.d
+    d = ops.space.d
     eps0 = K.eps0
     min_slack = np.inf
     violations = 0
     witness = None
-    for _ in range(n_samples):
-        xi = random_interior_vector(space, rng)
-        lhs = float(np.real(np.vdot(xi, -2.0 * (ops.G0 @ xi))))
-        rhs = eps0 * float(np.real(np.vdot(xi, 2.0 * (ops.N @ xi) + d * xi)))
+    for X in _interior_blocks(ops.space, n_samples, seed):
+        lhs = np.real(np.einsum("ij,ij->j", X.conj(), -2.0 * (ops.G0 @ X)))
+        rhs = eps0 * np.real(np.einsum("ij,ij->j", X.conj(), 2.0 * (ops.N @ X) + d * X))
         slack = lhs - rhs
-        if slack < min_slack:
-            min_slack = slack
-            if slack < -tol:
-                witness = xi
-        if slack < -tol:
-            violations += 1
+        violations += int(np.count_nonzero(slack < -tol))
+        j = int(np.argmin(slack))
+        if slack[j] < min_slack:
+            min_slack = slack[j]
+            witness = X[:, j].copy() if slack[j] < -tol else None
     return BoundReport(
         samples=n_samples, min_slack=float(min_slack), violations=violations,
         tolerance=tol, witness=witness,
@@ -125,23 +143,18 @@ def domain_comparison_constants(ops, K, n_samples, seed, c_grid=None):
 
     Existence of finite constants is the quantity of interest; the grid
     search reports the empirical values, None when the grid is exhausted.
+    The required constants are column maxima over blocks of samples.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     if c_grid is None:
         c_grid = [0.0] + [float(2 ** k) for k in range(-2, 11)]
     c_grid = sorted(float(c) for c in c_grid)
-    rng = np.random.default_rng(seed)
     eps0 = K.eps0
     req_c0 = -np.inf
     req_c = -np.inf
-    for _ in range(n_samples):
-        xi = random_interior_vector(ops.space, rng)
-        n2 = np.linalg.norm(ops.N @ xi) ** 2
-        g02 = np.linalg.norm(ops.G0 @ xi) ** 2
-        g2 = np.linalg.norm(ops.G @ xi) ** 2
-        req_c0 = max(req_c0, eps0 ** 2 * n2 - 2.0 * g02)
-        req_c = max(req_c, eps0 ** 2 * n2 - 2.0 * g2)
+    for X in _interior_blocks(ops.space, n_samples, seed):
+        n2 = eps0 ** 2 * np.linalg.norm(ops.N @ X, axis=0) ** 2
+        req_c0 = max(req_c0, np.max(n2 - 2.0 * np.linalg.norm(ops.G0 @ X, axis=0) ** 2))
+        req_c = max(req_c, np.max(n2 - 2.0 * np.linalg.norm(ops.G @ X, axis=0) ** 2))
     def pick(required):
         for c in c_grid:
             if c >= required:
@@ -163,6 +176,10 @@ def positivity_improving_probe(superop, psis, times, space, rank_rtol=1e-8,
     positivity-improving semigroup at that (psi, t).
     """
     times = sorted(set(float(t) for t in times))
+    if not times:
+        raise ValueError("times must not be empty")
+    if len(psis) == 0:
+        raise ValueError("psis (initial states) must not be empty")
     if any(t < 0 for t in times):
         raise ValueError("times must be non-negative")
     grid = np.array(sorted({0.0} | set(times)))
@@ -185,8 +202,8 @@ def positivity_improving_probe(superop, psis, times, space, rank_rtol=1e-8,
 def invariant_subspace_search(ops, n_seeds, seed, starts=None):
     """Grow span{v} under the interior compressions of G and every L_l.
 
-    Each seed vector (n_seeds seeded random interior vectors, then the
-    interior parts of `starts`) is closed by one `krylov_closure` call,
+    Each seed vector (n_seeds interior vectors from `sample_blocks`, then
+    the interior parts of `starts`) is closed by one `krylov_closure` call,
     which stops after the first round that adds nothing; interior_dim
     rounds always suffice.  A closure smaller than the interior dimension
     is returned as a reducibility witness basis.
@@ -198,10 +215,7 @@ def invariant_subspace_search(ops, n_seeds, seed, starts=None):
     mats = [np.asarray(ops.G.toarray())[:dim, :dim]]
     mats += [np.asarray(L.toarray())[:dim, :dim] for L in ops.L]
     rng = np.random.default_rng(seed)
-    vectors = []
-    for _ in range(max(0, n_seeds)):
-        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        vectors.append(z / np.linalg.norm(z))
+    vectors = [v for X in sample_blocks(rng, max(0, n_seeds), dim) for v in X.T]
     for v in starts or []:
         v = np.asarray(v, dtype=complex).reshape(space.D)[:dim]
         nv = np.linalg.norm(v)
@@ -228,21 +242,18 @@ def invariant_subspace_search(ops, n_seeds, seed, starts=None):
 def sector_estimate(ops, n_samples, seed, shift_grid=None):
     """Heuristic sector half-angle of the numerical range of G.
 
-    Samples z = <xi, G xi> over normalized interior vectors and, for each
-    shift w in the grid, finds the smallest theta with
+    Samples z = <xi, G xi> over normalized interior vectors, a block at a
+    time, and, for each shift w in the grid, finds the smallest theta with
     |Im z| <= tan(theta) (w - Re z) for every sample; reports the best
     (theta_hat, shift).  A necessary-style indication of sectoriality,
     not a proof of analyticity.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     if shift_grid is None:
         shift_grid = [0.0, 0.5, 1.0, 2.0]
-    rng = np.random.default_rng(seed)
-    zs = np.empty(n_samples, dtype=complex)
-    for i in range(n_samples):
-        xi = random_interior_vector(ops.space, rng)
-        zs[i] = np.vdot(xi, ops.G @ xi)
+    if len(shift_grid) == 0:
+        raise ValueError("shift_grid must not be empty")
+    zs = np.concatenate([np.einsum("ij,ij->j", X.conj(), ops.G @ X)
+                         for X in _interior_blocks(ops.space, n_samples, seed)])
     per_shift = []
     for w in shift_grid:
         angles = np.arctan2(np.abs(zs.imag), float(w) - zs.real)

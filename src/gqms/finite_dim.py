@@ -19,11 +19,14 @@ import numpy as np
 import scipy.linalg
 
 from . import serialize
+from .diagnostics import sample_blocks
 from .generator import gkls_superoperator
 
 MAX_DIM = 6
 ORTHONORMALITY_TOL = 1e-12
 PSD_TOL = 1e-10
+# Step of the finite-difference derivative oracle.
+FD_STEP = 1e-4
 
 
 def gellmann_basis(n):
@@ -100,6 +103,15 @@ class FiniteGKLSModel:
         object.__setattr__(self, "F", F)
 
 
+def _drift_and_kraus(model):
+    """Drift G and Kraus operators L_l of the model (see build_fd_generators)."""
+    gamma, W = np.linalg.eigh(model.c)
+    Ls = np.einsum("l,kl,kab->lab", np.sqrt(np.clip(gamma, 0.0, None)), W,
+                   np.asarray(model.F))
+    G = -1j * model.H - 0.5 * sum(L.conj().T @ L for L in Ls)
+    return G, Ls
+
+
 def build_fd_generators(model):
     """Vectorized generators (heisenberg, schrodinger) of the model.
 
@@ -109,23 +121,47 @@ def build_fd_generators(model):
     sum_kj c_kj F_j† x F_k, and assembles the drift
     G = -iH - (1/2) sum_l L_l†L_l with the shared `gkls_superoperator`.
     """
-    gamma, W = np.linalg.eigh(model.c)
-    Ls = np.einsum("l,kl,kab->lab", np.sqrt(np.clip(gamma, 0.0, None)), W,
-                   np.asarray(model.F))
-    G = -1j * model.H - 0.5 * sum(L.conj().T @ L for L in Ls)
+    G, Ls = _drift_and_kraus(model)
     return (gkls_superoperator(G, Ls, "heisenberg"),
             gkls_superoperator(G, Ls, "schrodinger"))
 
 
-def _heisenberg_expectation(model, T, u, v):
-    """<v, T(|u><u|) v> for a dense Heisenberg propagator T."""
-    n = model.n
-    x = np.outer(u, u.conj()).reshape(n * n, order="F")
-    evolved = (T @ x).reshape(n, n, order="F")
-    return float(np.real(np.vdot(v, evolved @ v)))
+def _heisenberg_propagators(model, times):
+    """Dense e^{tL} of the Heisenberg generator for each t in times."""
+    dense = gkls_superoperator(*_drift_and_kraus(model), "heisenberg").matrix.toarray()
+    return [scipy.linalg.expm(dense * t) for t in times]
 
 
-def initial_derivative(model, u, v, h=1e-4):
+def _heisenberg_expectations(T, U, V):
+    """<v, T(|u><u|) v> for every column pair (u, v) of the blocks U, V."""
+    n, k = U.shape
+    X = np.einsum("ap,bp->abp", U, U.conj()).reshape(n * n, k, order="F")
+    evolved = (T @ X).reshape(n, n, k, order="F")
+    return np.real(np.einsum("ap,abp,bp->p", V.conj(), evolved, V))
+
+
+def _pair_blocks(model, n_pairs, seed):
+    """Seeded unit pairs as (U, V) blocks, drawn as interleaved u, v columns."""
+    if n_pairs < 1:
+        raise ValueError("n_pairs must be >= 1")
+    return ((B[:, 0::2], B[:, 1::2])
+            for B in sample_blocks(np.random.default_rng(seed), 2 * n_pairs, model.n))
+
+
+def _derivatives(model, Ts, U, V):
+    """(analytic, numeric) initial derivatives of orthonormal column pairs.
+
+    analytic_p = sum_kj c_kj <F_j v_p, u_p><u_p, F_k v_p>; numeric_p is the
+    second-order one-sided difference (4 f(h) - f(2h)) / (2h) of
+    f(t) = <v_p, T_t(|u_p><u_p|) v_p> at h = FD_STEP, with Ts = (T_h, T_2h).
+    """
+    z = np.einsum("jab,bp,ap->jp", np.conj(model.F), V.conj(), U)
+    f_h, f_2h = (_heisenberg_expectations(T, U, V) for T in Ts)
+    return (np.real(np.einsum("kp,kj,jp->p", z.conj(), model.c, z)),
+            (4.0 * f_h - f_2h) / (2.0 * FD_STEP))
+
+
+def initial_derivative(model, u, v):
     """Initial growth rate of t -> <v, T_t(|u><u|) v> for orthogonal unit u, v.
 
     Returns (analytic, numeric): the closed form
@@ -139,41 +175,42 @@ def initial_derivative(model, u, v, h=1e-4):
         raise ValueError("u and v must be unit vectors")
     if abs(np.vdot(u, v)) > 1e-10:
         raise ValueError("u and v must be orthogonal")
-    z = np.array([np.vdot(Fj @ v, u) for Fj in model.F])
-    analytic = float(np.real(np.einsum("k,kj,j->", z.conj(), model.c, z)))
-    heis, _ = build_fd_generators(model)
-    dense = heis.matrix.toarray()
-    f_h = _heisenberg_expectation(model, scipy.linalg.expm(dense * h), u, v)
-    f_2h = _heisenberg_expectation(model, scipy.linalg.expm(dense * 2 * h), u, v)
-    numeric = (4.0 * f_h - f_2h) / (2.0 * h)
-    return analytic, numeric
+    Ts = _heisenberg_propagators(model, (FD_STEP, 2 * FD_STEP))
+    analytic, numeric = _derivatives(model, Ts, u[:, None], v[:, None])
+    return float(analytic[0]), float(numeric[0])
 
 
-def _random_unit(rng, n):
-    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return z / np.linalg.norm(z)
+def fd_derivative_check(model, n_pairs, seed):
+    """Largest |analytic - numeric| / (1 + |analytic|) of `initial_derivative`
+    over n_pairs seeded pairs, v made orthogonal to u, a block at a time.
+    """
+    pairs = _pair_blocks(model, n_pairs, seed)
+    Ts = _heisenberg_propagators(model, (FD_STEP, 2 * FD_STEP))
+    worst = 0.0
+    for U, V in pairs:
+        V = V - np.sum(U.conj() * V, axis=0) * U
+        analytic, numeric = _derivatives(model, Ts, U, V / np.linalg.norm(V, axis=0))
+        mismatch = np.abs(analytic - numeric) / (1.0 + np.abs(analytic))
+        worst = max(worst, np.max(mismatch))
+    return float(worst)
 
 
 def fd_positivity_probe(model, t_grid, n_pairs, seed):
     """Minimum of <v, T_t(|u><u|) v> over sampled unit pairs and times.
 
     A strictly positive minimum across the grid is the sampled signature
-    of a positivity-improving semigroup.
+    of a positivity-improving semigroup.  Each e^{tL} is formed once and
+    applied to a whole block of vectorized |u><u|.
     """
     t_grid = [float(t) for t in t_grid]
+    if not t_grid:
+        raise ValueError("t_grid must not be empty")
     if any(t <= 0 for t in t_grid):
         raise ValueError("t_grid entries must be positive")
-    rng = np.random.default_rng(seed)
-    pairs = [(_random_unit(rng, model.n), _random_unit(rng, model.n))
-             for _ in range(n_pairs)]
-    heis, _ = build_fd_generators(model)
-    dense = heis.matrix.toarray()
-    minimum = np.inf
-    for t in t_grid:
-        T = scipy.linalg.expm(dense * t)
-        for u, v in pairs:
-            minimum = min(minimum, _heisenberg_expectation(model, T, u, v))
-    return float(minimum)
+    pairs = _pair_blocks(model, n_pairs, seed)
+    Ts = _heisenberg_propagators(model, t_grid)
+    return float(min(np.min(_heisenberg_expectations(T, U, V))
+                     for U, V in pairs for T in Ts))
 
 
 def fd_model_from_jsonable(obj):

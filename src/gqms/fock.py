@@ -185,14 +185,19 @@ def interior_projector(space, margin=None):
 
 
 def check_interior(space, v, margin=None, tol=1e-12):
-    """Raise BoundaryContaminationError unless v is supported on the interior."""
+    """Raise BoundaryContaminationError unless v is supported on the interior.
+
+    v is a vector, returned with shape (D,), or a 2-D block of D-row
+    columns, each checked on its own.
+    """
     margin = space.interior_margin if margin is None else margin
     dim = space.interior_dim(margin)
-    v = np.asarray(v).reshape(space.D)
-    boundary = np.linalg.norm(v[dim:])
-    if boundary > tol * max(1.0, np.linalg.norm(v)):
+    v = np.asarray(v)
+    v = v.reshape(space.D, -1) if v.ndim == 2 else v.reshape(space.D)
+    boundary = np.linalg.norm(v[dim:], axis=0)
+    if np.any(boundary > tol * np.maximum(1.0, np.linalg.norm(v, axis=0))):
         raise BoundaryContaminationError(
-            f"vector has boundary weight {boundary:.3e} outside grade "
+            f"vector has boundary weight {np.max(boundary):.3e} outside grade "
             f"{space.N_max - margin}"
         )
     return v

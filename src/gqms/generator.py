@@ -157,17 +157,15 @@ def dissipation_quadratic_identity(ops, K, xi):
 
     a# xi stacks (a_1 xi, ..., a_d xi, a_1† xi, ..., a_d† xi); the two
     numbers agree up to rounding for interior xi, where the truncated
-    ladder actions are exact.
+    ladder actions are exact.  xi may also be a D x b block of columns;
+    then lhs and rhs are length-b arrays.
     """
     xi = fock.check_interior(ops.space, xi)
-    lhs = float(np.real(np.vdot(xi, -2.0 * (ops.G0 @ xi))))
-    d = ops.space.d
-    stack = [ops.ladders.a[j] @ xi for j in range(d)]
-    stack += [ops.ladders.adag[j] @ xi for j in range(d)]
+
+    def dot(x, y):
+        return np.einsum("i...,i...->...", x.conj(), y)
+
+    stack = [op @ xi for op in list(ops.ladders.a) + list(ops.ladders.adag)]
     Km = K.matrix if hasattr(K, "matrix") else np.asarray(K, dtype=complex)
-    rhs = 0.0 + 0.0j
-    for p in range(2 * d):
-        for q in range(2 * d):
-            if Km[p, q] != 0:
-                rhs += Km[p, q] * np.vdot(stack[p], stack[q])
-    return lhs, float(np.real(rhs))
+    rhs = sum(Km[p, q] * dot(stack[p], stack[q]) for p, q in zip(*np.nonzero(Km)))
+    return np.real(dot(xi, -2.0 * (ops.G0 @ xi))), np.real(rhs)

@@ -1,9 +1,10 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from gqms import cli
+from gqms import cli, evolution
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -184,16 +185,24 @@ def test_unknown_plot_kind_is_input_error(tmp_path):
                      "--output-dir", str(tmp_path / "out")]) == 1
 
 
-def test_integration_error_is_a_failed_task(tmp_path):
-    # RK4 with h = 0.2 is unstable on the damping rates near N_max = 30
+@pytest.mark.parametrize("error_type", ["IntegrationError", "LinAlgError"])
+def test_integration_error_is_a_failed_task(tmp_path, monkeypatch, error_type):
+    if error_type == "IntegrationError":
+        # RK4 with h = 0.2 is unstable on the damping rates near N_max = 30
+        failing = {"name": "evolve", "times": [0, 1, 2, 4],
+                   "method": "rk4", "h": 0.2}
+        message = "trace error"
+    else:
+        def no_convergence(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        monkeypatch.setattr(evolution, "support_rank", no_convergence)
+        failing = {"name": "improve", "times": [0.1]}
+        message = "did not converge"
     config = {
         "seed": 1,
         "model": {"kind": "gaussian", "d": 1, "V": [[1]], "U": [[0.5]]},
         "space": {"N_max": 30},
-        "tasks": [{"name": "kossakowski"},
-                  {"name": "evolve", "times": [0, 1, 2, 4],
-                   "method": "rk4", "h": 0.2},
-                  {"name": "minimality"}],
+        "tasks": [{"name": "kossakowski"}, failing, {"name": "minimality"}],
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -203,7 +212,30 @@ def test_integration_error_is_a_failed_task(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["passed"] is False
     assert [t["passed"] for t in report["tasks"]] == [True, False, True]
-    evolve = report["tasks"][1]
-    assert "report" not in evolve
-    assert evolve["error"]["type"] == "IntegrationError"
-    assert "trace error" in evolve["error"]["message"]
+    failed = report["tasks"][1]
+    assert "report" not in failed
+    assert failed["error"]["type"] == error_type
+    assert message in failed["error"]["message"]
+
+
+FINITE_QUBIT = {"kind": "finite", "n": 2, "c": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+
+
+@pytest.mark.parametrize("task, model, named", [
+    ({"name": "fd-probe", "t_grid": []}, FINITE_QUBIT, "t_grid"),
+    ({"name": "fd-probe", "n_pairs": 0}, FINITE_QUBIT, "n_pairs"),
+    ({"name": "fd-derivative", "n_pairs": 0}, FINITE_QUBIT, "n_pairs"),
+    ({"name": "improve", "times": []}, None, "times"),
+    ({"name": "improve", "initials": []}, None, "initial states"),
+    ({"name": "sector", "shift_grid": []}, None, "shift_grid"),
+])
+def test_empty_sample_is_input_error(tmp_path, capsys, task, model, named):
+    config = minimal_config(tasks=[task])
+    if model is not None:
+        config["model"] = model
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(path),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()

@@ -190,9 +190,75 @@ def test_minimal_kossakowski_eig():
         diagnostics.minimal_kossakowski_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_random_interior_vector_support():
+def test_sample_blocks_interior_support():
     space = fock.build_space(2, 5)
     rng = np.random.default_rng(10)
-    v = diagnostics.random_interior_vector(space, rng)
+    v = next(diagnostics.sample_blocks(rng, 1, space.interior_dim(), space.D))[:, 0]
     assert np.linalg.norm(v) == pytest.approx(1.0)
     fock.check_interior(space, v)
+
+
+def per_sample_unit(rng, dim, rows):
+    """The per-vector draw the samplers consumed before they were blocked."""
+    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v = np.zeros(rows, dtype=complex)
+    v[:dim] = z / np.linalg.norm(z)
+    return v
+
+
+@pytest.mark.parametrize("count", [1, diagnostics.SAMPLE_BLOCK,
+                                   diagnostics.SAMPLE_BLOCK + 1])
+def test_sample_blocks_draw_contract(count):
+    dim, rows = 7, 10
+    ref_rng = np.random.default_rng(12)
+    reference = np.array([per_sample_unit(ref_rng, dim, rows) for _ in range(count)]).T
+    rng = np.random.default_rng(12)
+    blocks = list(diagnostics.sample_blocks(rng, count, dim, rows))
+    assert all(B.shape[0] == rows and 1 <= B.shape[1] <= diagnostics.SAMPLE_BLOCK
+               for B in blocks)
+    X = np.hstack(blocks)
+    assert X.shape == (rows, count)
+    assert np.abs(X - reference).max() <= 1e-15
+    # the same stream is consumed: the generators leave in the same state
+    assert rng.standard_normal() == ref_rng.standard_normal()
+    # prefix property, across the block boundary for count >= SAMPLE_BLOCK
+    longer = np.hstack(list(diagnostics.sample_blocks(
+        np.random.default_rng(12), count + 3, dim, rows)))
+    assert np.abs(longer[:, :count] - X).max() <= 1e-15
+
+
+def test_samplers_match_per_sample_loops():
+    rng = np.random.default_rng(43)
+    model = strictly_positive_model(rng, 2)
+    space = fock.build_space(2, 6)
+    ops = generator.build_operators(model, space)
+    K = gm.build_kossakowski(model.V, model.U)
+    n, seed = 150, 17  # three blocks, the last one partial
+    ref_rng = np.random.default_rng(seed)
+    xs = [per_sample_unit(ref_rng, space.interior_dim(), space.D) for _ in range(n)]
+
+    slack = np.array([
+        float(np.real(np.vdot(xi, -2.0 * (ops.G0 @ xi))))
+        - K.eps0 * float(np.real(np.vdot(xi, 2.0 * (ops.N @ xi) + space.d * xi)))
+        for xi in xs])
+    tol = -float(np.median(slack))  # makes about half of the samples violations
+    bound = diagnostics.number_operator_bound(ops, K, n, seed, tol=tol)
+    assert bound.samples == n
+    assert bound.min_slack == pytest.approx(slack.min(), rel=1e-12)
+    assert bound.violations == int(np.count_nonzero(slack < -tol))
+    assert np.abs(bound.witness - xs[int(np.argmin(slack))]).max() <= 1e-12
+    assert diagnostics.number_operator_bound(ops, K, n, seed).violations == \
+        int(np.count_nonzero(slack < -1e-10))
+
+    n2 = np.array([np.linalg.norm(ops.N @ xi) ** 2 for xi in xs])
+    req_c0 = max(K.eps0 ** 2 * n2 - 2.0 * np.array(
+        [np.linalg.norm(ops.G0 @ xi) ** 2 for xi in xs]))
+    req_c = max(K.eps0 ** 2 * n2 - 2.0 * np.array(
+        [np.linalg.norm(ops.G @ xi) ** 2 for xi in xs]))
+    dc = diagnostics.domain_comparison_constants(ops, K, n, seed)
+    assert dc.max_required_c0 == pytest.approx(req_c0, rel=1e-12)
+    assert dc.max_required_c == pytest.approx(req_c, rel=1e-12)
+
+    zs = np.array([np.vdot(xi, ops.G @ xi) for xi in xs])
+    sector = diagnostics.sector_estimate(ops, n, seed)
+    assert np.abs(sector.z_samples - zs).max() <= 1e-12 * np.abs(zs).max()

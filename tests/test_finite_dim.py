@@ -239,3 +239,41 @@ def test_fd_model_json_decoding():
     np.testing.assert_allclose(model.c, np.eye(3))
     with pytest.raises(ValueError):
         fd.fd_model_from_jsonable({"n": 2, "c": [[1]], "basis": "pauli"})
+
+
+def per_pair_units(rng, n):
+    """The per-vector draw the pair loops consumed before they were blocked."""
+    z = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return z / np.linalg.norm(z)
+
+
+def heisenberg_value(model, T, u, v):
+    x = np.outer(u, u.conj()).reshape(model.n ** 2, order="F")
+    return float(np.real(np.vdot(v, (T @ x).reshape(model.n, model.n, order="F") @ v)))
+
+
+def test_pair_checks_match_per_pair_loops():
+    model = random_fd_model(np.random.default_rng(59), 3, c_floor=0.1)
+    heis = fd.build_fd_generators(model)[0].matrix.toarray()
+    n_pairs, seed, t_grid = 40, 60, [0.05, 0.5]  # 80 columns: two blocks
+
+    rng = np.random.default_rng(seed)
+    pairs = [(per_pair_units(rng, 3), per_pair_units(rng, 3)) for _ in range(n_pairs)]
+    minimum = min(heisenberg_value(model, scipy.linalg.expm(heis * t), u, v)
+                  for t in t_grid for u, v in pairs)
+    assert fd.fd_positivity_probe(model, t_grid, n_pairs, seed) == \
+        pytest.approx(minimum, rel=1e-12)
+
+    h = fd.FD_STEP
+    T_h, T_2h = scipy.linalg.expm(heis * h), scipy.linalg.expm(heis * 2 * h)
+    worst = 0.0
+    for u, v in pairs:
+        v = v - np.vdot(u, v) * u
+        v = v / np.linalg.norm(v)
+        z = np.array([np.vdot(Fj @ v, u) for Fj in model.F])
+        analytic = float(np.real(z.conj() @ model.c @ z))
+        numeric = (4.0 * heisenberg_value(model, T_h, u, v)
+                   - heisenberg_value(model, T_2h, u, v)) / (2.0 * h)
+        worst = max(worst, abs(analytic - numeric) / (1.0 + abs(analytic)))
+    # the (4 f(h) - f(2h)) / 2h difference amplifies rounding by about 1/h
+    assert abs(fd.fd_derivative_check(model, n_pairs, seed) - worst) <= 1e-12

@@ -343,8 +343,7 @@ def task_support(ctx, params, outdir, tag):
     probes = diagnostics.positivity_improving_probe(
         ctx.lindbladian, [psi], [t], ctx.space,
         rank_rtol=float(params.get("rank_rtol", 1e-8)))
-    oracle = commutators.validate_action_oracle(
-        ctx.gaussian_model, ctx.space, ctx.action)
+    oracle = commutators.validate_action_oracle(ctx.ops, ctx.action)
     report = {
         "t": t,
         "span_rank": span.rank,

@@ -129,14 +129,14 @@ def iterated_commutator(action, ell, order):
     return LinearForm.from_coefficients(vec)
 
 
-def validate_action_oracle(model, space, action):
+def validate_action_oracle(ops, action):
     """Max interior-block deviation between the closed form and matrix commutators.
 
     For each basis form f in (1, a_j, a_j†), compares the matrix of the
-    predicted [G, f] against G F - F G compressed to the interior block.
+    predicted [G, f] against G F - F G compressed to the interior block,
+    using the caller's truncated operators `ops`.
     """
-    from . import generator
-    ops = generator.build_operators(model, space)
+    space = ops.space
     lad = ops.ladders
     dim = space.interior_dim()
     d = space.d

@@ -147,6 +147,8 @@ def domain_comparison_constants(ops, K, n_samples, seed, c_grid=None):
     """
     if c_grid is None:
         c_grid = [0.0] + [float(2 ** k) for k in range(-2, 11)]
+    if len(c_grid) == 0:
+        raise ValueError("c_grid must not be empty")
     c_grid = sorted(float(c) for c in c_grid)
     eps0 = K.eps0
     req_c0 = -np.inf

@@ -104,12 +104,12 @@ class FiniteGKLSModel:
 
 
 def _drift_and_kraus(model):
-    """Drift G and Kraus operators L_l of the model (see build_fd_generators)."""
+    """Drift G and Kraus pairs (L_l, L_l) of the model (see build_fd_generators)."""
     gamma, W = np.linalg.eigh(model.c)
     Ls = np.einsum("l,kl,kab->lab", np.sqrt(np.clip(gamma, 0.0, None)), W,
                    np.asarray(model.F))
     G = -1j * model.H - 0.5 * sum(L.conj().T @ L for L in Ls)
-    return G, Ls
+    return G, [(L, L) for L in Ls]
 
 
 def build_fd_generators(model):
@@ -118,12 +118,13 @@ def build_fd_generators(model):
     Diagonalises c = W diag(gamma) W† (gamma clipped at 0; c is positive
     semidefinite within PSD_TOL) to Kraus operators
     L_l = sqrt(gamma_l) sum_k W_kl F_k with sum_l L_l† x L_l =
-    sum_kj c_kj F_j† x F_k, and assembles the drift
-    G = -iH - (1/2) sum_l L_l†L_l with the shared `gkls_superoperator`.
+    sum_kj c_kj F_j† x F_k, and passes the drift
+    G = -iH - (1/2) sum_l L_l†L_l and the pairs (L_l, L_l) to the shared
+    `gkls_superoperator`.
     """
-    G, Ls = _drift_and_kraus(model)
-    return (gkls_superoperator(G, Ls, "heisenberg"),
-            gkls_superoperator(G, Ls, "schrodinger"))
+    G, pairs = _drift_and_kraus(model)
+    return (gkls_superoperator(G, pairs, "heisenberg"),
+            gkls_superoperator(G, pairs, "schrodinger"))
 
 
 def _heisenberg_propagators(model, times):

@@ -7,8 +7,13 @@ Fock space, together with the vectorized generator in either picture:
     Schrodinger:  rho -> G rho + rho G† + sum_l L_l rho L_l†
     Heisenberg:   x   -> G† x + x G + sum_l L_l† x L_l
 
+The dissipator is assembled in its Kossakowski (GKS) form
+sum_pq K_qp s_p rho s_q† over the ladder operators
+s = (a_1..a_d, a_1†..a_d†), by `gkls_superoperator`, the one GKLS
+assembly of the package (finite_dim passes its Kraus operators to it).
 Vectorization is by column stacking, vec(A X B) = (B^T kron A) vec(X).
-Sparse entries are kept exactly as assembled (no drop thresholding).
+Sparse entries are kept exactly as assembled (no drop thresholding);
+only exact zeros of the summed result are dropped.
 """
 
 from __future__ import annotations
@@ -19,8 +24,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fock
+from . import model as gm
 
 PICTURES = ("schrodinger", "heisenberg")
+ASSEMBLY_MAX_BYTES = 2 ** 31  # peak of the COO triplets and their CSR copy
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,37 +96,93 @@ def build_operators(model, space):
     )
 
 
-def gkls_superoperator(G, Ls, picture="schrodinger"):
-    """Vectorized GKLS generator of the drift G and Kraus operators Ls.
+def _triplets(A):
+    """(rows, cols, values) of the stored entries of a sparse or dense matrix."""
+    A = sp.coo_matrix(A)
+    return A.row, A.col, A.data
 
-    Assembled as kron(I, X) + kron(conj X, I) + sum_l kron(conj K_l, K_l),
-    with (X, K_l) = (G, L_l) in the Schrodinger picture and (G†, L_l†) in
-    the Heisenberg picture.  G and the L_l may be sparse or dense; the
-    result is CSR.  With G = -iH - (1/2) sum_l L_l†L_l the Schrodinger
-    form is exactly trace preserving and the Heisenberg form exactly
-    unital at the matrix level.
+
+def _adjoint(T):
+    rows, cols, vals = T
+    return cols, rows, vals.conj()
+
+
+def _conj(T):
+    rows, cols, vals = T
+    return rows, cols, vals.conj()
+
+
+def gkls_superoperator(G, pairs, picture="schrodinger"):
+    """Vectorized GKLS generator of the drift G and dissipator pairs (A_j, B_j).
+
+    A pair contributes rho -> B_j rho A_j†, so the Schrodinger form is
+    kron(I, G) + kron(conj G, I) + sum_j kron(conj A_j, B_j); Kraus
+    operators enter as pairs (L, L).  The Heisenberg form is the
+    Hilbert-Schmidt adjoint, the same sum with G† and the pairs
+    (A_j†, B_j†).  G and the pair entries may be sparse or dense.
+
+    Every term's COO triplets are written into int32 / complex arrays
+    sized once to E = sum nnz(P) nnz(Q) over the kron factors (P, Q),
+    with no per-term kron, sum or concatenation; the triplets become CSR
+    once (duplicates summed, exact zeros dropped).  When the peak of
+    that conversion, the triplets and the E-long CSR copy with its row
+    pointer live at once, would exceed ASSEMBLY_MAX_BYTES a ValueError
+    naming the bytes is raised before any of them is allocated.
     """
     if picture not in PICTURES:
         raise ValueError(f"picture must be one of {PICTURES}")
     D = G.shape[0]
-    I = sp.identity(D, dtype=complex, format="csr")
-    X, Ks = G, Ls
+    X = _triplets(G)
+    pairs = [(_triplets(A), _triplets(B)) for A, B in pairs]
     if picture == "heisenberg":
-        X, Ks = X.conj().T, [Lop.conj().T for Lop in Ks]
-    M = sp.kron(I, X, format="csr") + sp.kron(X.conj(), I, format="csr")
-    for K in Ks:
-        M = M + sp.kron(K.conj(), K, format="csr")
+        X = _adjoint(X)
+        pairs = [(_adjoint(A), _adjoint(B)) for A, B in pairs]
+    diag = np.arange(D, dtype=np.int32)
+    I = (diag, diag, np.ones(D, dtype=complex))
+    terms = [(I, X), (_conj(X), I)] + [(_conj(A), B) for A, B in pairs]
+    E = sum(P[2].size * Q[2].size for P, Q in terms)
+    # 24 B per triplet (int32 row and column, complex value), which tocsr
+    # holds while it writes 20 B per entry (int32 index, complex value)
+    # and an int32 row pointer
+    nbytes = 44 * E + 4 * (D * D + 1)
+    if nbytes > ASSEMBLY_MAX_BYTES:
+        raise ValueError(
+            f"superoperator assembly needs {nbytes} bytes at its peak for "
+            f"{E} triplets at D = {D} (limit {ASSEMBLY_MAX_BYTES})")
+    # the row pointer alone bounds D^2 below 2^29 for every admitted size
+    assert D * D <= np.iinfo(np.int32).max
+    rows = np.empty(E, dtype=np.int32)
+    cols = np.empty(E, dtype=np.int32)
+    data = np.empty(E, dtype=complex)
+    start = 0
+    for (Pr, Pc, Pv), (Qr, Qc, Qv) in terms:
+        stop = start + Pv.size * Qv.size
+        shape = (Pv.size, Qv.size)
+        np.add.outer(Pr * D, Qr, out=rows[start:stop].reshape(shape))
+        np.add.outer(Pc * D, Qc, out=cols[start:stop].reshape(shape))
+        np.multiply.outer(Pv, Qv, out=data[start:stop].reshape(shape))
+        start = stop
+    M = sp.coo_matrix((data, (rows, cols)), shape=(D * D, D * D)).tocsr()
+    M.eliminate_zeros()
     return Superoperator(matrix=M, picture=picture, dim=D)
 
 
 def build_lindbladian(ops, picture="schrodinger"):
     """Vectorized Lindblad generator of a Gaussian model in the requested picture.
 
-    The shared GKLS assembly (`gkls_superoperator`) of the truncated drift
-    G and Kraus operators L_l; truncation error enters only through the
-    operators themselves.
+    The dissipator is taken in its Kossakowski (GKS) form,
+    sum_l L_l rho L_l† = sum_pq K_qp s_p rho s_q† with
+    s = (a_1..a_d, a_1†..a_d†), so `gkls_superoperator` receives the
+    pairs (s_q, K_qp s_p) for K_qp != 0.  Each ladder operator has at
+    most one entry per row, so the dissipator costs 4d^2 D^2 triplets
+    at most, whatever the number m of Kraus operators.  Truncation
+    error enters only through the operators themselves.
     """
-    return gkls_superoperator(ops.G, ops.L, picture)
+    model = ops.model
+    K = gm.build_kossakowski(model.V, model.U).matrix
+    s = list(ops.ladders.a) + list(ops.ladders.adag)
+    pairs = [(s[q], K[q, p] * s[p]) for q, p in zip(*np.nonzero(K))]
+    return gkls_superoperator(ops.G, pairs, picture)
 
 
 def apply_superoperator(superop, X):

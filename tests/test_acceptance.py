@@ -157,7 +157,7 @@ def test_criterion_6_support_span_oracle_equivalence():
     lind = generator.build_lindbladian(ops, "schrodinger")
     probe = diagnostics.positivity_improving_probe(
         lind, [space.vacuum()], [0.1], space)[0]
-    oracle_err = commutators.validate_action_oracle(model, space, action)
+    oracle_err = commutators.validate_action_oracle(ops, action)
     ok = span.rank == probe.rank and oracle_err <= 1e-9
     _report(6, "commutator-word span matches evolved support rank", ok,
             f"span {span.rank}, evolved {probe.rank}, oracle {oracle_err:.2e}")

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gqms import cli, evolution
+from gqms import cli, evolution, generator
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -176,6 +176,17 @@ def test_dimension_cap_is_input_error(tmp_path):
                      "--output-dir", str(tmp_path / "out")]) == 1
 
 
+def test_assembly_guard_is_input_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(generator, "ASSEMBLY_MAX_BYTES", 2 ** 16)
+    config = minimal_config(space={"N_max": 30}, tasks=[{"name": "evolve"}])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(path),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+    assert "bytes" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_unknown_plot_kind_is_input_error(tmp_path):
     config = minimal_config()
     config["tasks"] = [{"name": "improve", "plots": ["not-a-kind"]}]
@@ -228,6 +239,7 @@ FINITE_QUBIT = {"kind": "finite", "n": 2, "c": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
     ({"name": "improve", "times": []}, None, "times"),
     ({"name": "improve", "initials": []}, None, "initial states"),
     ({"name": "sector", "shift_grid": []}, None, "shift_grid"),
+    ({"name": "domain-comparison", "c_grid": []}, None, "c_grid"),
 ])
 def test_empty_sample_is_input_error(tmp_path, capsys, task, model, named):
     config = minimal_config(tasks=[task])

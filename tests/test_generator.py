@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -232,3 +235,119 @@ def test_drift_assembly_matches_commutator_form():
         new = generator.build_lindbladian(ops, picture).matrix
         old = commutator_form_lindbladian(ops, picture)
         assert abs(new - old).max() <= 1e-12
+
+
+def kraus_form_lindbladian(ops, picture):
+    """The 2 + m kron Kraus-form assembly, written out term by term."""
+    D = ops.space.D
+    I = sp.identity(D, dtype=complex, format="csr")
+    X, Ks = ops.G, list(ops.L)
+    if picture == "heisenberg":
+        X, Ks = X.conj().T, [Lop.conj().T for Lop in Ks]
+    M = sp.kron(I, X, format="csr") + sp.kron(X.conj(), I, format="csr")
+    for K in Ks:
+        M = M + sp.kron(K.conj(), K, format="csr")
+    return M
+
+
+def kossakowski_assembly_models():
+    rng = np.random.default_rng(18)
+    damping = gm.quadratic_free_model(1, V=[[1.0]], U=[[0.0]])
+    return [
+        (strictly_positive_model(rng, 2), 5),
+        (strictly_positive_model(rng, 3), 4),
+        (damping, 8),  # m = 1 < 2d, K of rank 1
+        (random_model(rng, 2, 6), 5),  # non-minimal, m > 2d
+    ]
+
+
+def test_kossakowski_assembly_matches_kraus_form():
+    for model, N_max in kossakowski_assembly_models():
+        space = fock.build_space(model.d, N_max)
+        ops = generator.build_operators(model, space)
+        for picture in generator.PICTURES:
+            new = generator.build_lindbladian(ops, picture).matrix
+            old = kraus_form_lindbladian(ops, picture)
+            assert new.has_canonical_format
+            assert new.nnz == old.nnz
+            np.testing.assert_array_equal(new.indptr, old.indptr)
+            np.testing.assert_array_equal(new.indices, old.indices)
+            assert abs(new - old).max() <= 1e-12 * abs(old).max()
+
+
+def test_gkls_pairs_heisenberg_is_adjoint():
+    rng = np.random.default_rng(19)
+    D = 5
+    G = complex_gaussian(rng, (D, D))
+    # sparse A_j, dense B_j, A_j != B_j
+    pairs = [(sp.random(D, D, density=0.4, random_state=k, format="csr")
+              * complex_gaussian(rng, ()), complex_gaussian(rng, (D, D)))
+             for k in range(3)]
+    schr = generator.gkls_superoperator(G, pairs, "schrodinger")
+    heis = generator.gkls_superoperator(G, pairs, "heisenberg")
+    assert abs(heis.matrix - schr.matrix.conj().T).max() <= 1e-12
+    rho = complex_gaussian(rng, (D, D))
+    x = complex_gaussian(rng, (D, D))
+    expected = G @ rho + rho @ G.conj().T + sum(
+        B @ rho @ A.toarray().conj().T for A, B in pairs)
+    np.testing.assert_allclose(
+        generator.apply_superoperator(schr, rho), expected, atol=1e-12)
+    lhs = np.vdot(x, generator.apply_superoperator(schr, rho))
+    rhs = np.vdot(generator.apply_superoperator(heis, x), rho)
+    assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
+
+
+def test_gkls_drops_exact_zeros():
+    # pairs (L, L) and (L, -L) cancel exactly: only the drift terms remain stored
+    rng = np.random.default_rng(22)
+    G = sp.random(6, 6, density=0.3, random_state=1, format="csr")
+    L = complex_gaussian(rng, (6, 6))
+    drift = generator.gkls_superoperator(G, []).matrix
+    for picture in generator.PICTURES:
+        M = generator.gkls_superoperator(G, [(L, L), (L, -L)], picture).matrix
+        assert M.nnz == drift.nnz
+        assert np.all(M.data != 0)
+
+
+def test_assembly_byte_guard_raises_before_allocating(monkeypatch):
+    rng = np.random.default_rng(20)
+    model = strictly_positive_model(rng, 2)
+    space = fock.build_space(2, 13)
+    ops = generator.build_operators(model, space)
+    monkeypatch.setattr(generator, "ASSEMBLY_MAX_BYTES", 2 ** 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="bytes") as err:
+            generator.build_lindbladian(ops)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    needed = int(re.search(r"needs (\d+) bytes", str(err.value)).group(1))
+    assert needed > 2 ** 20
+    assert peak < needed / 10
+    monkeypatch.setattr(generator, "ASSEMBLY_MAX_BYTES", needed)
+    tracemalloc.start()
+    try:
+        assert generator.build_lindbladian(ops).matrix.nnz == 356461
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the figure the guard names is the peak of the assembly it admits
+    assert 0.9 * needed <= peak <= 1.05 * needed
+
+
+def test_assembly_peak_memory_bound():
+    # D = 105: the transient of one assembly stays within 2.5x the CSR it returns
+    rng = np.random.default_rng(21)
+    model = strictly_positive_model(rng, 2)
+    space = fock.build_space(2, 13)
+    ops = generator.build_operators(model, space)
+    generator.build_lindbladian(ops)
+    tracemalloc.start()
+    try:
+        M = generator.build_lindbladian(ops).matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    csr_bytes = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+    assert peak <= 2.5 * csr_bytes

@@ -6,6 +6,9 @@ Usage:
 
 A scenario is a single JSON object holding a seed, a model (gaussian,
 two_boson or finite), truncation parameters, and an ordered task list.
+A task's settings are the keyword parameters of its `task_*` function
+(a declared `seed` defaults to the run seed); any undeclared key in the
+config is a schema error, reported before a task runs.
 Each task writes its findings into report.json; tasks may carry an
 `expect` block whose key/value pairs replace the task's default
 assertion, so contrast scenarios can assert *failure* of a property and
@@ -20,10 +23,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import platform
 import sys
 import time
+from dataclasses import asdict
+from functools import cached_property
 from pathlib import Path
 
 import jsonschema
@@ -35,64 +41,26 @@ from . import finite_dim as fd
 from . import model as gm
 from . import serialize
 
-TASK_NAMES = [
-    "kossakowski", "minimality", "bogoliubov", "number-bound",
-    "domain-comparison", "evolve", "support", "improve", "invariant",
-    "sector", "fd-probe", "fd-derivative",
-]
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["seed", "model", "tasks"],
-    "properties": {
-        "seed": {"type": "integer"},
-        "output_dir": {"type": "string"},
-        "model": {
-            "type": "object",
-            "required": ["kind"],
-            "properties": {
-                "kind": {"enum": ["gaussian", "two_boson", "finite"]},
-            },
-        },
-        "space": {
-            "type": "object",
-            "required": ["N_max"],
-            "properties": {
-                "N_max": {"type": "integer", "minimum": 1},
-                "interior_margin": {"type": "integer", "minimum": 0},
-                "dimension_cap": {"type": "integer", "minimum": 1},
-            },
-        },
-        "tasks": {
-            "type": "array",
-            "minItems": 1,
-            "items": {
-                "type": "object",
-                "required": ["name"],
-                "properties": {
-                    "name": {"enum": TASK_NAMES},
-                    "expect": {"type": "object"},
-                },
-            },
-        },
-    },
+# model kind -> (required keys, optional keys) besides "kind"
+MODEL_KEYS = {
+    "gaussian": (["d", "V", "U"], ["omega", "kappa", "zeta"]),
+    "two_boson": (["gamma_minus", "gamma_plus"], ["omega"]),
+    "finite": (["n", "c"], ["H", "basis"]),
 }
+
+# t-by-psi plot kind of the `improve` task -> (row key, CSV column prefix, cell format)
+PIVOTS = {
+    "support-rank-vs-t": ("rank", "rank_psi", "{}"),
+    "min-eig-vs-t": ("min_interior_eig", "min_eig_psi", "{:.6e}"),
+}
+PLOTS = {"improve": list(PIVOTS), "sector": ["numerical-range-scatter"]}
+# `additionalProperties` that rejects every extra key, as `false` does, but
+# reports each one at its own JSON pointer
+UNKNOWN_KEY = {"not": {}}
 
 
 class InputError(Exception):
     """Configuration or model input problem (exit code 1)."""
-
-
-def validate_config(config):
-    """Schema-check a config dict; raises InputError listing JSON pointers."""
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(config), key=lambda e: list(e.absolute_path))
-    if errors:
-        lines = []
-        for e in errors:
-            pointer = "/" + "/".join(str(p) for p in e.absolute_path)
-            lines.append(f"  {pointer}: {e.message}")
-        raise InputError("config schema violations:\n" + "\n".join(lines))
 
 
 class RunContext:
@@ -101,76 +69,55 @@ class RunContext:
     def __init__(self, config):
         self.config = config
         self.seed = int(config["seed"])
-        self._cache = {}
+        self.kind = config["model"]["kind"]
 
-    @property
-    def kind(self):
-        return self.config["model"]["kind"]
-
-    def _get(self, key, builder):
-        if key not in self._cache:
-            self._cache[key] = builder()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def gaussian_model(self):
-        def build():
-            entry = self.config["model"]
-            if entry["kind"] == "gaussian":
-                return gm.model_from_jsonable(entry)
-            if entry["kind"] == "two_boson":
-                params = gm.TwoBosonParams(
-                    gamma_minus=serialize.pairs_to_matrix(entry["gamma_minus"]),
-                    gamma_plus=serialize.pairs_to_matrix(entry["gamma_plus"]),
-                    Omega=serialize.pairs_to_matrix(entry["omega"])
-                    if "omega" in entry else np.zeros((2, 2)),
-                )
-                return gm.two_boson_model(params)
-            raise InputError(f"model kind {entry['kind']!r} has no Gaussian form")
-        return self._get("gaussian_model", build)
-
-    @property
-    def finite_model(self):
-        def build():
-            entry = self.config["model"]
-            if entry["kind"] != "finite":
-                raise InputError("this task needs a finite-dimensional model")
-            return fd.fd_model_from_jsonable(entry)
-        return self._get("finite_model", build)
-
-    @property
-    def space(self):
-        def build():
-            if "space" not in self.config:
-                raise InputError("gaussian tasks need a 'space' section")
-            entry = self.config["space"]
-            return fock.build_space(
-                d=self.gaussian_model.d,
-                N_max=int(entry["N_max"]),
-                interior_margin=int(entry.get("interior_margin", 2)),
-                dimension_cap=int(entry.get("dimension_cap", fock.DEFAULT_DIMENSION_CAP)),
+        entry = self.config["model"]
+        if self.kind == "gaussian":
+            return gm.model_from_jsonable(entry)
+        if self.kind == "two_boson":
+            params = gm.TwoBosonParams(
+                gamma_minus=serialize.pairs_to_matrix(entry["gamma_minus"]),
+                gamma_plus=serialize.pairs_to_matrix(entry["gamma_plus"]),
+                Omega=serialize.pairs_to_matrix(entry["omega"])
+                if "omega" in entry else np.zeros((2, 2)),
             )
-        return self._get("space", build)
+            return gm.two_boson_model(params)
+        raise InputError(f"model kind {self.kind!r} has no Gaussian form")
 
-    @property
+    @cached_property
+    def finite_model(self):
+        if self.kind != "finite":
+            raise InputError("this task needs a finite-dimensional model")
+        return fd.fd_model_from_jsonable(self.config["model"])
+
+    @cached_property
+    def space(self):
+        if "space" not in self.config:
+            raise InputError("gaussian tasks need a 'space' section")
+        entry = self.config["space"]
+        return fock.build_space(
+            d=self.gaussian_model.d,
+            N_max=int(entry["N_max"]),
+            interior_margin=int(entry.get("interior_margin", 2)),
+        )
+
+    @cached_property
     def ops(self):
-        return self._get("ops", lambda: generator.build_operators(
-            self.gaussian_model, self.space))
+        return generator.build_operators(self.gaussian_model, self.space)
 
-    @property
+    @cached_property
     def kossakowski(self):
-        return self._get("kossakowski", lambda: gm.build_kossakowski(
-            self.gaussian_model.V, self.gaussian_model.U))
+        return gm.build_kossakowski(self.gaussian_model.V, self.gaussian_model.U)
 
-    @property
+    @cached_property
     def lindbladian(self):
-        return self._get("lindbladian", lambda: generator.build_lindbladian(
-            self.ops, picture="schrodinger"))
+        return generator.build_lindbladian(self.ops, picture="schrodinger")
 
-    @property
+    @cached_property
     def action(self):
-        return self._get("action", lambda: commutators.adjoint_action(
-            self.gaussian_model))
+        return commutators.adjoint_action(self.gaussian_model)
 
     def state_vector(self, label):
         if label == "vacuum":
@@ -187,30 +134,21 @@ def _write_csv(path, header, rows):
         writer.writerows(rows)
 
 
-def emit_plotdata(report, kind, path):
-    """Write plot-ready CSV extracted from a task report dict."""
-    if kind == "support-rank-vs-t":
-        times = sorted({row["t"] for row in report["reports"]})
-        psis = sorted({row["psi_index"] for row in report["reports"]})
-        header = ["t"] + [f"rank_psi{i}" for i in psis]
-        table = {(row["psi_index"], row["t"]): row["rank"] for row in report["reports"]}
-        rows = [[f"{t:.12g}"] + [str(table[(i, t)]) for i in psis] for t in times]
-    elif kind == "min-eig-vs-t":
-        times = sorted({row["t"] for row in report["reports"]})
-        psis = sorted({row["psi_index"] for row in report["reports"]})
-        header = ["t"] + [f"min_eig_psi{i}" for i in psis]
-        table = {(row["psi_index"], row["t"]): row["min_interior_eig"]
-                 for row in report["reports"]}
-        rows = [[f"{t:.12g}"] + [f"{table[(i, t)]:.6e}" for i in psis] for t in times]
-    elif kind == "numerical-range-scatter":
-        header = ["re", "im"]
-        rows = [[f"{z[0]:.12g}", f"{z[1]:.12g}"] for z in report["z_samples"]]
-    else:
-        raise InputError(f"unknown plot kind {kind!r}")
-    _write_csv(path, header, rows)
+def _write_pivot(rows, kind, path):
+    """Write the t-by-psi table of one PIVOTS column of `improve` report rows."""
+    key, prefix, cell = PIVOTS[kind]
+    times = sorted({row["t"] for row in rows})
+    psis = sorted({row["psi_index"] for row in rows})
+    table = {(row["psi_index"], row["t"]): row[key] for row in rows}
+    _write_csv(path, ["t"] + [f"{prefix}{i}" for i in psis],
+               [[f"{t:.12g}"] + [cell.format(table[(i, t)]) for i in psis] for t in times])
 
 
-def task_kossakowski(ctx, params, outdir, tag):
+# Each task_* takes the run context, `out` (CSV suffix -> path in the output
+# directory) and its settings as keyword parameters, and returns
+# (report dict with JSON-native values, default verdict).
+
+def task_kossakowski(ctx, out):
     model = ctx.gaussian_model
     K = ctx.kossakowski
     B = gm.kossakowski_factor(model.V, model.U)
@@ -229,7 +167,7 @@ def task_kossakowski(ctx, params, outdir, tag):
     return report, ok
 
 
-def task_minimality(ctx, params, outdir, tag):
+def task_minimality(ctx, out):
     model = ctx.gaussian_model
     K = ctx.kossakowski
     minimal = gm.check_minimality(model.V, model.U)
@@ -244,14 +182,10 @@ def task_minimality(ctx, params, outdir, tag):
     return report, bool(consistent)
 
 
-def task_bogoliubov(ctx, params, outdir, tag):
+def task_bogoliubov(ctx, out, seed=None, rotation=1.0, squeeze=0.5):
     model = ctx.gaussian_model
     K = ctx.kossakowski
-    pair = gm.generate_bogoliubov(
-        model.d, params.get("seed", ctx.seed),
-        rotation=params.get("rotation", 1.0),
-        squeeze=params.get("squeeze", 0.5),
-    )
+    pair = gm.generate_bogoliubov(model.d, seed, rotation=rotation, squeeze=squeeze)
     E, F = pair.E, pair.F
     res1 = float(np.abs(E.conj().T @ E - F.conj().T @ F - np.eye(model.d)).max())
     res2 = float(np.abs(E.T @ F - F.T @ E).max())
@@ -271,9 +205,8 @@ def task_bogoliubov(ctx, params, outdir, tag):
     return report, ok
 
 
-def task_number_bound(ctx, params, outdir, tag):
-    n_samples = int(params.get("n_samples", 1000))
-    seed = params.get("seed", ctx.seed)
+def task_number_bound(ctx, out, n_samples=1000, seed=None):
+    n_samples = int(n_samples)
     rep = diagnostics.number_operator_bound(
         ctx.ops, ctx.kossakowski, n_samples, seed)
     # the first min(n, 50) samples of the bound's stream (prefix property)
@@ -292,34 +225,23 @@ def task_number_bound(ctx, params, outdir, tag):
     return report, ok
 
 
-def task_domain_comparison(ctx, params, outdir, tag):
+def task_domain_comparison(ctx, out, n_samples=500, seed=None, c_grid=None):
     rep = diagnostics.domain_comparison_constants(
-        ctx.ops, ctx.kossakowski,
-        int(params.get("n_samples", 500)),
-        params.get("seed", ctx.seed),
-        c_grid=params.get("c_grid"),
-    )
-    report = {
-        "samples": rep.samples,
-        "c0_hat": rep.c0_hat,
-        "c_hat": rep.c_hat,
-        "max_required_c0": rep.max_required_c0,
-        "max_required_c": rep.max_required_c,
-        "feasible": bool(rep.feasible),
-    }
-    return report, bool(rep.feasible)
+        ctx.ops, ctx.kossakowski, int(n_samples), seed, c_grid=c_grid)
+    report = {**serialize.jsonable(asdict(rep)), "feasible": bool(rep.feasible)}
+    return report, report["feasible"]
 
 
-def task_evolve(ctx, params, outdir, tag):
-    psi = ctx.state_vector(params.get("initial", "vacuum"))
-    times = params.get("times", [round(0.1 * k, 10) for k in range(11)])
+def task_evolve(ctx, out, initial="vacuum",
+                times=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
+                method="auto", h=1e-3, observables=(), trace_tol=1e-6):
+    psi = ctx.state_vector(initial)
     result = evolution.evolve_density(
         ctx.lindbladian, evolution.DensityMatrix.pure(psi), times,
-        method=params.get("method", "auto"), h=float(params.get("h", 1e-3)))
-    csv_path = outdir / f"{tag}_timeseries.csv"
+        method=method, h=float(h))
+    csv_path = out("timeseries")
     evolution.export_timeseries_csv(
-        result, csv_path, space=ctx.space,
-        observables=params.get("observables", []))
+        result, csv_path, space=ctx.space, observables=observables)
     max_trace = float(result.stats["trace_err"].max())
     min_eig = float(result.stats["min_eig"].min())
     report = {
@@ -328,21 +250,18 @@ def task_evolve(ctx, params, outdir, tag):
         "min_eig": min_eig,
         "csv": csv_path.name,
     }
-    ok = max_trace <= float(params.get("trace_tol", 1e-6))
+    ok = max_trace <= float(trace_tol)
     return report, ok
 
 
-def task_support(ctx, params, outdir, tag):
-    psi = ctx.state_vector(params.get("initial", "vacuum"))
-    t = float(params.get("t", 0.1))
+def task_support(ctx, out, initial="vacuum", t=0.1, max_order=2, max_word=None,
+                 rank_rtol=1e-8):
+    psi = ctx.state_vector(initial)
+    t = float(t)
     span = commutators.support_span(
-        ctx.ops, ctx.action, psi, t,
-        max_order=int(params.get("max_order", 2)),
-        max_word=params.get("max_word"),
-    )
+        ctx.ops, ctx.action, psi, t, max_order=int(max_order), max_word=max_word)
     probes = diagnostics.positivity_improving_probe(
-        ctx.lindbladian, [psi], [t], ctx.space,
-        rank_rtol=float(params.get("rank_rtol", 1e-8)))
+        ctx.lindbladian, [psi], [t], ctx.space, rank_rtol=float(rank_rtol))
     oracle = commutators.validate_action_oracle(ctx.ops, ctx.action)
     report = {
         "t": t,
@@ -356,41 +275,32 @@ def task_support(ctx, params, outdir, tag):
     return report, ok
 
 
-def task_improve(ctx, params, outdir, tag):
-    initials = params.get("initials", ["vacuum"])
+def task_improve(ctx, out, initials=("vacuum",), times=(0.05, 0.1), rank_rtol=1e-8,
+                 plots=()):
     psis = [ctx.state_vector(s) for s in initials]
-    times = params.get("times", [0.05, 0.1])
     reports = diagnostics.positivity_improving_probe(
-        ctx.lindbladian, psis, times, ctx.space,
-        rank_rtol=float(params.get("rank_rtol", 1e-8)))
-    rows = [{
-        "psi_index": r.psi_index,
-        "t": r.t,
-        "rank": r.rank,
-        "min_interior_eig": r.min_interior_eig,
-        "full": bool(r.full),
-    } for r in reports]
+        ctx.lindbladian, psis, times, ctx.space, rank_rtol=float(rank_rtol))
+    rows = [serialize.jsonable(asdict(r)) for r in reports]
     report = {
         "interior_dim": ctx.space.interior_dim(),
         "reports": rows,
         "all_full": bool(all(r.full for r in reports)),
     }
     _write_csv(
-        outdir / f"{tag}_improve.csv",
+        out("improve"),
         ["psi_index", "t", "rank", "min_interior_eig", "full"],
         [[str(r["psi_index"]), f"{r['t']:.12g}", str(r["rank"]),
           f"{r['min_interior_eig']:.6e}", str(r["full"]).lower()] for r in rows],
     )
-    for kind in params.get("plots", []):
-        emit_plotdata(report, kind, outdir / f"{tag}_{kind}.csv")
+    for kind in plots:
+        _write_pivot(rows, kind, out(kind))
     return report, report["all_full"]
 
 
-def task_invariant(ctx, params, outdir, tag):
-    starts = [ctx.state_vector(s) for s in params.get("starts", [])]
+def task_invariant(ctx, out, n_seeds=3, seed=None, starts=()):
+    starts = [ctx.state_vector(s) for s in starts]
     rep = diagnostics.invariant_subspace_search(
-        ctx.ops, int(params.get("n_seeds", 3)),
-        params.get("seed", ctx.seed), starts=starts or None)
+        ctx.ops, int(n_seeds), seed, starts=starts or None)
     report = {
         "seed_count": rep.seed_count,
         "min_closure_dim": rep.min_closure_dim,
@@ -401,59 +311,89 @@ def task_invariant(ctx, params, outdir, tag):
     return report, bool(rep.full_closure)
 
 
-def task_sector(ctx, params, outdir, tag):
+def task_sector(ctx, out, n_samples=200, seed=None, shift_grid=None, plots=(),
+                theta_max=None):
     rep = diagnostics.sector_estimate(
-        ctx.ops, int(params.get("n_samples", 200)),
-        params.get("seed", ctx.seed),
-        shift_grid=params.get("shift_grid"),
-    )
-    report = {
-        "theta_hat": rep.theta_hat,
-        "shift": rep.shift,
-        "per_shift": [[w, th] for w, th in rep.per_shift],
-        "z_samples": [[float(z.real), float(z.imag)] for z in rep.z_samples],
-    }
-    for kind in params.get("plots", []):
-        emit_plotdata(report, kind, outdir / f"{tag}_{kind}.csv")
-    ok = True
-    if "theta_max" in params:
-        ok = rep.theta_hat <= float(params["theta_max"])
+        ctx.ops, int(n_samples), seed, shift_grid=shift_grid)
+    report = serialize.jsonable(asdict(rep))
+    for kind in plots:  # numerical-range-scatter
+        _write_csv(out(kind), ["re", "im"],
+                   [[f"{re:.12g}", f"{im:.12g}"] for re, im in report["z_samples"]])
+    ok = theta_max is None or rep.theta_hat <= float(theta_max)
     return report, ok
 
 
-def task_fd_probe(ctx, params, outdir, tag):
-    minimum = fd.fd_positivity_probe(
-        ctx.finite_model,
-        params.get("t_grid", [0.01, 0.1, 1.0]),
-        int(params.get("n_pairs", 200)),
-        params.get("seed", ctx.seed),
-    )
+def task_fd_probe(ctx, out, t_grid=(0.01, 0.1, 1.0), n_pairs=200, seed=None):
+    minimum = fd.fd_positivity_probe(ctx.finite_model, t_grid, int(n_pairs), seed)
     report = {"min_value": minimum, "positive": bool(minimum > 1e-12)}
     return report, report["positive"]
 
 
-def task_fd_derivative(ctx, params, outdir, tag):
-    n_pairs = int(params.get("n_pairs", 100))
-    worst = fd.fd_derivative_check(
-        ctx.finite_model, n_pairs, params.get("seed", ctx.seed))
+def task_fd_derivative(ctx, out, n_pairs=100, seed=None):
+    n_pairs = int(n_pairs)
+    worst = fd.fd_derivative_check(ctx.finite_model, n_pairs, seed)
     report = {"pairs": n_pairs, "max_relative_mismatch": worst}
     return report, worst <= 1e-5
 
 
-TASKS = {
-    "kossakowski": task_kossakowski,
-    "minimality": task_minimality,
-    "bogoliubov": task_bogoliubov,
-    "number-bound": task_number_bound,
-    "domain-comparison": task_domain_comparison,
-    "evolve": task_evolve,
-    "support": task_support,
-    "improve": task_improve,
-    "invariant": task_invariant,
-    "sector": task_sector,
-    "fd-probe": task_fd_probe,
-    "fd-derivative": task_fd_derivative,
-}
+# A task's config name is its function's name without `task_`, `-` for `_`.
+TASKS = {name[len("task_"):].replace("_", "-"): fn
+         for name, fn in list(globals().items()) if name.startswith("task_")}
+TASK_PARAMS = {name: list(inspect.signature(fn).parameters)[2:]
+               for name, fn in TASKS.items()}
+
+
+def _closed(required, properties):
+    """Schema of an object with the `required` keys and no key beyond `properties`."""
+    return {"type": "object", "required": required, "properties": properties,
+            "additionalProperties": UNKNOWN_KEY}
+
+
+CONFIG_SCHEMA = _closed(["seed", "model", "tasks"], {
+    "seed": {"type": "integer"},
+    "output_dir": {"type": "string"},
+    "model": {"type": "object", "required": ["kind"],
+              "properties": {"kind": {"enum": list(MODEL_KEYS)}}},
+    "space": _closed(["N_max"], {"N_max": {"type": "integer", "minimum": 1},
+                                 "interior_margin": {"type": "integer", "minimum": 0}}),
+    "tasks": {"type": "array", "minItems": 1,
+              "items": {"type": "object", "required": ["name"],
+                        "properties": {"name": {"enum": list(TASKS)}}}},
+})
+VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+# validators of the model by kind and of a task by name, each closed to its own keys
+MODEL_VALIDATORS = {
+    kind: jsonschema.Draft202012Validator(
+        _closed(["kind", *required], dict.fromkeys(["kind", *required, *optional], {})))
+    for kind, (required, optional) in MODEL_KEYS.items()}
+TASK_VALIDATORS = {
+    name: jsonschema.Draft202012Validator(_closed(["name"], {
+        "name": {}, "expect": {"type": "object"},
+        **{key: {"type": "array", "items": {"enum": PLOTS[name]}} if key == "plots" else {}
+           for key in params}}))
+    for name, params in TASK_PARAMS.items()}
+
+
+def validate_config(config):
+    """Schema-check a config dict; raises InputError listing JSON pointers.
+
+    Once the config has the top-level shape, the model and each task are
+    checked against the schema of their kind or name.
+    """
+    errors = [(list(e.absolute_path), e) for e in VALIDATOR.iter_errors(config)]
+    if not errors:
+        parts = [(["model"], MODEL_VALIDATORS[config["model"]["kind"]], config["model"])]
+        parts += [(["tasks", i], TASK_VALIDATORS[task["name"]], task)
+                  for i, task in enumerate(config["tasks"])]
+        errors = [([*at, *e.absolute_path], e)
+                  for at, validator, part in parts for e in validator.iter_errors(part)]
+    if errors:
+        lines = []
+        for path, e in sorted(errors, key=lambda error: error[0]):
+            pointer = "/" + "/".join(str(p) for p in path)
+            message = "unknown key" if e.schema is UNKNOWN_KEY else e.message
+            lines.append(f"  {pointer}: {message}")
+        raise InputError("config schema violations:\n" + "\n".join(lines))
 
 
 def _check_expect(report, expect):
@@ -482,30 +422,30 @@ def run_scenario(config, output_dir, verbose=False):
     for idx, task in enumerate(config["tasks"]):
         name = task["name"]
         params = {k: v for k, v in task.items() if k not in ("name", "expect")}
+        if "seed" in TASK_PARAMS[name]:
+            params.setdefault("seed", ctx.seed)
         tag = f"{idx:02d}_{name}"
         t0 = time.time()
         try:
-            report, default_ok = TASKS[name](ctx, params, outdir, tag)
+            report, default_ok = TASKS[name](
+                ctx, lambda suffix: outdir / f"{tag}_{suffix}.csv", **params)
         except (evolution.IntegrationError, np.linalg.LinAlgError) as exc:
             report = None
             error = {"type": type(exc).__name__, "message": str(exc)}
         task_seconds[tag] = time.time() - t0
         expect = task.get("expect")
         if report is None:
-            passed = False
-            entry = {"name": name, "error": error, "passed": passed}
-        elif expect is not None:
-            mismatches = _check_expect(report, expect)
-            passed = not mismatches
-            entry = {"name": name, "report": report, "passed": passed,
-                     "expect": expect, "expect_mismatches": mismatches}
+            entry = {"name": name, "error": error, "passed": False}
+        elif expect is None:
+            entry = {"name": name, "report": report, "passed": bool(default_ok)}
         else:
-            passed = bool(default_ok)
-            entry = {"name": name, "report": report, "passed": passed}
-        all_passed = all_passed and passed
+            mismatches = _check_expect(report, expect)
+            entry = {"name": name, "report": report, "passed": not mismatches,
+                     "expect": expect, "expect_mismatches": mismatches}
+        all_passed = all_passed and entry["passed"]
         task_entries.append(entry)
         if verbose:
-            print(f"[{idx}] {name}: {'PASS' if passed else 'FAIL'}")
+            print(f"[{idx}] {name}: {'PASS' if entry['passed'] else 'FAIL'}")
     report = {
         "config": config,
         "seed": ctx.seed,
@@ -553,8 +493,8 @@ def main(argv=None):
 
     try:
         config = _load_config(args.config)
+        validate_config(config)
         if args.command == "validate":
-            validate_config(config)
             print("config ok")
             return 0
         output_dir = args.output_dir or config.get("output_dir") \
@@ -564,10 +504,7 @@ def main(argv=None):
             status = "all tasks passed" if code == 0 else "task failures"
             print(f"{status}; report at {Path(output_dir) / 'report.json'}")
         return code
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, fock.DimensionCapError, KeyError) as exc:
+    except (InputError, ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 

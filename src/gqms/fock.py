@@ -25,7 +25,7 @@ DEFAULT_DIMENSION_CAP = 5000
 
 
 class DimensionCapError(ValueError):
-    """The requested truncation exceeds the configured dimension cap."""
+    """The requested truncation exceeds the dimension cap."""
 
 
 class EmptyInteriorError(ValueError):
@@ -98,20 +98,20 @@ class LadderOperators:
     N: sp.spmatrix
 
 
-def build_space(d, N_max, interior_margin=2, dimension_cap=DEFAULT_DIMENSION_CAP):
+def build_space(d, N_max, interior_margin=2):
     """Enumerate the truncated d-mode Fock basis with total excitation <= N_max.
 
-    The dimension is binomial(N_max + d, d); requests above `dimension_cap`
-    are rejected as a resource guard.
+    The dimension is binomial(N_max + d, d); requests above
+    DEFAULT_DIMENSION_CAP are rejected as a resource guard.
     """
     if d < 1 or N_max < 1:
         raise ValueError(f"need d >= 1 and N_max >= 1, got d={d}, N_max={N_max}")
     if interior_margin < 0:
         raise ValueError("interior_margin must be non-negative")
     D = math.comb(N_max + d, d)
-    if D > dimension_cap:
+    if D > DEFAULT_DIMENSION_CAP:
         raise DimensionCapError(
-            f"dimension {D} for (d={d}, N_max={N_max}) exceeds cap {dimension_cap}"
+            f"dimension {D} for (d={d}, N_max={N_max}) exceeds cap {DEFAULT_DIMENSION_CAP}"
         )
     basis = []
     for grade in range(N_max + 1):

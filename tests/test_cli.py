@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +8,11 @@ import pytest
 
 from gqms import cli, evolution, generator
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIOS = ROOT / "scenarios"
+_spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 def minimal_config(**overrides):
@@ -121,6 +127,9 @@ def test_input_error_exit_code(tmp_path):
     path.write_text(json.dumps(config))
     assert cli.main(["run", "--config", str(path),
                      "--output-dir", str(tmp_path / "out")]) == 1
+    # so is a config that is not a JSON object
+    path.write_text("[1, 2]")
+    assert cli.main(["run", "--config", str(path)]) == 1
 
 
 def test_fd_tasks(tmp_path):
@@ -192,8 +201,38 @@ def test_unknown_plot_kind_is_input_error(tmp_path):
     config["tasks"] = [{"name": "improve", "plots": ["not-a-kind"]}]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
+    assert cli.main(["validate", "--config", str(path)]) == 1
     assert cli.main(["run", "--config", str(path),
                      "--output-dir", str(tmp_path / "out")]) == 1
+    assert not list(tmp_path.glob("out/*.csv"))
+
+
+@pytest.mark.parametrize("section, value, pointer", [
+    ("tasks", [{"name": "improve", "timez": [0.1]}], "/tasks/0/timez"),
+    ("tasks", [{"name": "number-bound", "n_sample": 3}], "/tasks/0/n_sample"),
+    ("tasks", [{"name": "sector", "plots": ["min-eig-vs-t"]}], "/tasks/0/plots/0"),
+    ("model", {"kind": "gaussian", "d": 1, "V": [[1.0]]}, "/model"),
+    ("space", {"N_max": 6, "dimension_cap": 100}, "/space/dimension_cap"),
+])
+def test_schema_violation_is_input_error(tmp_path, capsys, section, value, pointer):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(minimal_config(**{section: value})))
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert f"{pointer}:" in capsys.readouterr().err
+    assert cli.main(["run", "--config", str(path),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+    assert f"{pointer}:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("workload", ["shipped", *workloads.BUILDERS])
+def test_shipped_and_benchmark_configs_validate(workload):
+    if workload == "shipped":
+        configs = [json.loads(p.read_text()) for p in sorted(SCENARIOS.glob("*.json"))]
+    else:
+        configs = [config for _, config in workloads.build(workload, 1)]
+    for config in configs:
+        cli.validate_config(config)
 
 
 @pytest.mark.parametrize("error_type", ["IntegrationError", "LinAlgError"])
@@ -251,3 +290,12 @@ def test_empty_sample_is_input_error(tmp_path, capsys, task, model, named):
                      "--output-dir", str(tmp_path / "out")]) == 1
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_readme_task_table_matches_signatures():
+    readme = (ROOT / "README.md").read_text()
+    table = {}
+    for names, params in re.findall(r"^\| (`[a-z-]+`(?:, `[a-z-]+`)*) \| (.*) \|$", readme, re.M):
+        for name in re.findall(r"`([a-z-]+)`", names):
+            table[name] = re.findall(r"`(\w+)`", params)
+    assert table == cli.TASK_PARAMS

@@ -62,7 +62,6 @@ from .diagnostics import (
     SupportReport,
     domain_comparison_constants,
     invariant_subspace_search,
-    minimal_kossakowski_eig,
     number_operator_bound,
     positivity_improving_probe,
     sector_estimate,

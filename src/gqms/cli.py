@@ -6,9 +6,12 @@ Usage:
 
 A scenario is a single JSON object holding a seed, a model (gaussian,
 two_boson or finite), truncation parameters, and an ordered task list.
-A task's settings are the keyword parameters of its `task_*` function
-(a declared `seed` defaults to the run seed); any undeclared key in the
-config is a schema error, reported before a task runs.
+A model's fields are the keyword parameters of its kind's decoder in
+MODELS, a task's settings those of its `task_*` function (a declared
+`seed` is an integer, by default the run seed).  A parameter without a
+default is required, and one with an int, float or tuple default is a
+JSON integer, number or array; any other key or type is a schema error,
+reported before a task runs.
 Each task writes its findings into report.json; tasks may carry an
 `expect` block whose key/value pairs replace the task's default
 assertion, so contrast scenarios can assert *failure* of a property and
@@ -41,11 +44,11 @@ from . import finite_dim as fd
 from . import model as gm
 from . import serialize
 
-# model kind -> (required keys, optional keys) besides "kind"
-MODEL_KEYS = {
-    "gaussian": (["d", "V", "U"], ["omega", "kappa", "zeta"]),
-    "two_boson": (["gamma_minus", "gamma_plus"], ["omega"]),
-    "finite": (["n", "c"], ["H", "basis"]),
+# model kind -> decoder; a kind's fields are its decoder's keyword parameters
+MODELS = {
+    "gaussian": gm.model_from_jsonable,
+    "two_boson": gm.two_boson_from_jsonable,
+    "finite": fd.fd_model_from_jsonable,
 }
 
 # t-by-psi plot kind of the `improve` task -> (row key, CSV column prefix, cell format)
@@ -57,6 +60,8 @@ PLOTS = {"improve": list(PIVOTS), "sector": ["numerical-range-scatter"]}
 # `additionalProperties` that rejects every extra key, as `false` does, but
 # reports each one at its own JSON pointer
 UNKNOWN_KEY = {"not": {}}
+# schema of a parameter by the type of its default; other defaults leave it untyped
+JSON_TYPES = {int: {"type": "integer"}, float: {"type": "number"}, tuple: {"type": "array"}}
 
 
 class InputError(Exception):
@@ -64,33 +69,26 @@ class InputError(Exception):
 
 
 class RunContext:
-    """Lazily built model/space/operator objects shared by the tasks."""
+    """The decoded model and the lazily built space/operator objects shared by the tasks."""
 
     def __init__(self, config):
         self.config = config
         self.seed = int(config["seed"])
-        self.kind = config["model"]["kind"]
+        fields = dict(config["model"])
+        self.kind = fields.pop("kind")
+        self.model = MODELS[self.kind](**fields)
 
-    @cached_property
+    @property
     def gaussian_model(self):
-        entry = self.config["model"]
-        if self.kind == "gaussian":
-            return gm.model_from_jsonable(entry)
-        if self.kind == "two_boson":
-            params = gm.TwoBosonParams(
-                gamma_minus=serialize.pairs_to_matrix(entry["gamma_minus"]),
-                gamma_plus=serialize.pairs_to_matrix(entry["gamma_plus"]),
-                Omega=serialize.pairs_to_matrix(entry["omega"])
-                if "omega" in entry else np.zeros((2, 2)),
-            )
-            return gm.two_boson_model(params)
-        raise InputError(f"model kind {self.kind!r} has no Gaussian form")
+        if self.kind == "finite":
+            raise InputError(f"model kind {self.kind!r} has no Gaussian form")
+        return self.model
 
-    @cached_property
+    @property
     def finite_model(self):
         if self.kind != "finite":
             raise InputError("this task needs a finite-dimensional model")
-        return fd.fd_model_from_jsonable(self.config["model"])
+        return self.model
 
     @cached_property
     def space(self):
@@ -349,11 +347,23 @@ def _closed(required, properties):
             "additionalProperties": UNKNOWN_KEY}
 
 
+def _signature_schema(fn, skip, keys, params):
+    """Closed schema of `keys` and of the parameters of `fn` after its first `skip`.
+
+    A parameter without a default is required; one named in `params` takes
+    that schema, any other the JSON_TYPES entry of its default's type.
+    """
+    signature = list(inspect.signature(fn).parameters.values())[skip:]
+    return _closed([p.name for p in signature if p.default is p.empty], {
+        **keys, **{p.name: params.get(p.name, JSON_TYPES.get(type(p.default), {}))
+                   for p in signature}})
+
+
 CONFIG_SCHEMA = _closed(["seed", "model", "tasks"], {
     "seed": {"type": "integer"},
     "output_dir": {"type": "string"},
     "model": {"type": "object", "required": ["kind"],
-              "properties": {"kind": {"enum": list(MODEL_KEYS)}}},
+              "properties": {"kind": {"enum": list(MODELS)}}},
     "space": _closed(["N_max"], {"N_max": {"type": "integer", "minimum": 1},
                                  "interior_margin": {"type": "integer", "minimum": 0}}),
     "tasks": {"type": "array", "minItems": 1,
@@ -361,17 +371,17 @@ CONFIG_SCHEMA = _closed(["seed", "model", "tasks"], {
                         "properties": {"name": {"enum": list(TASKS)}}}},
 })
 VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-# validators of the model by kind and of a task by name, each closed to its own keys
+# validators of the model by kind and of a task by name, each closed to its
+# function's signature; a task's `seed` is an integer, like the top-level one
 MODEL_VALIDATORS = {
-    kind: jsonschema.Draft202012Validator(
-        _closed(["kind", *required], dict.fromkeys(["kind", *required, *optional], {})))
-    for kind, (required, optional) in MODEL_KEYS.items()}
+    kind: jsonschema.Draft202012Validator(_signature_schema(fn, 0, {"kind": {}}, {}))
+    for kind, fn in MODELS.items()}
 TASK_VALIDATORS = {
-    name: jsonschema.Draft202012Validator(_closed(["name"], {
-        "name": {}, "expect": {"type": "object"},
-        **{key: {"type": "array", "items": {"enum": PLOTS[name]}} if key == "plots" else {}
-           for key in params}}))
-    for name, params in TASK_PARAMS.items()}
+    name: jsonschema.Draft202012Validator(_signature_schema(
+        fn, 2, {"name": {}, "expect": {"type": "object"}},
+        {"seed": {"type": "integer"},
+         "plots": {"type": "array", "items": {"enum": PLOTS.get(name, [])}}}))
+    for name, fn in TASKS.items()}
 
 
 def validate_config(config):
@@ -423,7 +433,7 @@ def run_scenario(config, output_dir, verbose=False):
         name = task["name"]
         params = {k: v for k, v in task.items() if k not in ("name", "expect")}
         if "seed" in TASK_PARAMS[name]:
-            params.setdefault("seed", ctx.seed)
+            params["seed"] = int(params.get("seed", ctx.seed))
         tag = f"{idx:02d}_{name}"
         t0 = time.time()
         try:

@@ -25,6 +25,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import evolution
+from . import model as gm
 
 GS_DROP_RTOL = 1e-10
 
@@ -67,9 +68,11 @@ class LinearForm:
         return bool(np.abs(self.coefficients()).max() <= tol)
 
     def to_matrix(self, ladders):
-        """Realize the form as a sparse matrix on a truncated space."""
+        """Realize the form as a sparse matrix on a truncated space, storing no zero term."""
         D = ladders.space.D
-        M = self.c0 * sp.identity(D, dtype=complex, format="csr")
+        M = sp.csr_matrix((D, D), dtype=complex)
+        if self.c0 != 0:
+            M = M + self.c0 * sp.identity(D, dtype=complex, format="csr")
         for j in range(self.d):
             if self.alpha[j] != 0:
                 M = M + self.alpha[j] * ladders.a[j]
@@ -241,22 +244,16 @@ def support_span(ops, action, psi, t, max_order=2, max_word=None):
     return SupportSpan(basis=basis, rank=interior.shape[1], word_census=census)
 
 
-def kraus_coefficient_matrix(model):
-    """The m x 2d matrix stacking (alpha, beta) rows of the Kraus forms.
-
-    Its Gram matrix is the Kossakowski matrix, so for a strictly positive
-    Kossakowski matrix with m = 2d it is invertible and the ladder
-    operators can be recovered as combinations of the L_l.
-    """
-    rows = [np.concatenate([model.V[ell].conj(), model.U[ell]])
-            for ell in range(model.m)]
-    return np.vstack(rows)
-
-
 def inversion_condition_number(model):
-    """Condition number of the Kraus coefficient matrix (inf when singular)."""
-    C = kraus_coefficient_matrix(model)
-    s = np.linalg.svd(C, compute_uv=False)
+    """Condition number of the m x 2d Kraus coefficient matrix B† (inf when singular).
+
+    B = `model.kossakowski_factor(V, U)`: the rows of B† stack the
+    (alpha, beta) coefficients of the Kraus forms, and its Gram matrix is
+    the Kossakowski matrix B B†, so for a strictly positive Kossakowski
+    matrix with m = 2d it is invertible and the ladder operators can be
+    recovered as combinations of the L_l.
+    """
+    s = np.linalg.svd(gm.kossakowski_factor(model.V, model.U).conj().T, compute_uv=False)
     if s.min() == 0.0:
         return float("inf")
     return float(s.max() / s.min())

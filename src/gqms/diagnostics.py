@@ -18,16 +18,17 @@ from .commutators import krylov_closure
 
 # Columns per sampled block: bounds the working memory of every sampler.
 SAMPLE_BLOCK = 64
+# A slack below -BOUND_TOL is a violation of the number-operator bound.
+BOUND_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
 class BoundReport:
-    """Sampled-inequality outcome: violations = 0 iff min_slack >= -tolerance."""
+    """Sampled-inequality outcome: violations = 0 iff min_slack >= -BOUND_TOL."""
 
     samples: int
     min_slack: float
     violations: int
-    tolerance: float
     witness: np.ndarray | None = None
 
 
@@ -109,7 +110,7 @@ def _interior_blocks(space, n_samples, seed):
                          space.interior_dim(), space.D)
 
 
-def number_operator_bound(ops, K, n_samples, seed, tol=1e-10):
+def number_operator_bound(ops, K, n_samples, seed):
     """Sample the lower bound <xi, -2 G0 xi> >= eps0 <xi, (2N + d) xi>.
 
     Valid for a positive semidefinite Kossakowski matrix with smallest
@@ -126,14 +127,14 @@ def number_operator_bound(ops, K, n_samples, seed, tol=1e-10):
         lhs = np.real(np.einsum("ij,ij->j", X.conj(), -2.0 * (ops.G0 @ X)))
         rhs = eps0 * np.real(np.einsum("ij,ij->j", X.conj(), 2.0 * (ops.N @ X) + d * X))
         slack = lhs - rhs
-        violations += int(np.count_nonzero(slack < -tol))
+        violations += int(np.count_nonzero(slack < -BOUND_TOL))
         j = int(np.argmin(slack))
         if slack[j] < min_slack:
             min_slack = slack[j]
-            witness = X[:, j].copy() if slack[j] < -tol else None
+            witness = X[:, j].copy() if slack[j] < -BOUND_TOL else None
     return BoundReport(
         samples=n_samples, min_slack=float(min_slack), violations=violations,
-        tolerance=tol, witness=witness,
+        witness=witness,
     )
 
 
@@ -169,9 +170,8 @@ def domain_comparison_constants(ops, K, n_samples, seed, c_grid=None):
     )
 
 
-def positivity_improving_probe(superop, psis, times, space, rank_rtol=1e-8,
-                               method="auto"):
-    """Evolve pure states and report the interior eigen-rank at each time.
+def positivity_improving_probe(superop, psis, times, space, rank_rtol=1e-8):
+    """Evolve pure states (`auto` integrator) and report the interior eigen-rank at each time.
 
     full is true when the interior block of the evolved state has full
     eigen-rank at the relative threshold, the numerical signature of a
@@ -189,7 +189,7 @@ def positivity_improving_probe(superop, psis, times, space, rank_rtol=1e-8,
     reports = []
     for idx, psi in enumerate(psis):
         rho0 = evolution.DensityMatrix.pure(psi)
-        result = evolution.evolve_density(superop, rho0, grid, method=method)
+        result = evolution.evolve_density(superop, rho0, grid)
         for t in times:
             i = int(np.searchsorted(grid, t))
             rank, min_eig = evolution.support_rank(
@@ -266,10 +266,3 @@ def sector_estimate(ops, n_samples, seed, shift_grid=None):
         per_shift=tuple(per_shift), z_samples=zs,
     )
 
-
-def minimal_kossakowski_eig(K, herm_tol=1e-10):
-    """Smallest eigenvalue of a Hermitian matrix (Kossakowski or otherwise)."""
-    K = np.asarray(K, dtype=complex)
-    if np.abs(K - K.conj().T).max() > herm_tol:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    return float(np.linalg.eigvalsh(0.5 * (K + K.conj().T)).min())

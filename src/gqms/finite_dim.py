@@ -214,12 +214,10 @@ def fd_positivity_probe(model, t_grid, n_pairs, seed):
                      for U, V in pairs for T in Ts))
 
 
-def fd_model_from_jsonable(obj):
-    """Decode {"n": int, "H": [[..]], "c": [[..]], "basis": "gellmann"}."""
-    n = int(obj["n"])
-    basis = obj.get("basis", "gellmann")
+def fd_model_from_jsonable(n, c, H=None, basis="gellmann"):
+    """Decode the fields of the JSON finite model; H defaults to zero."""
+    n = int(n)
     if basis != "gellmann":
         raise ValueError(f"unknown basis {basis!r}")
-    H = serialize.pairs_to_matrix(obj["H"]) if "H" in obj else np.zeros((n, n))
-    c = serialize.pairs_to_matrix(obj["c"])
-    return FiniteGKLSModel(n=n, H=H, c=c)
+    H = np.zeros((n, n)) if H is None else serialize.pairs_to_matrix(H)
+    return FiniteGKLSModel(n=n, H=H, c=serialize.pairs_to_matrix(c))

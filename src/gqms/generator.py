@@ -25,6 +25,7 @@ import scipy.sparse as sp
 
 from . import fock
 from . import model as gm
+from .commutators import kraus_form
 
 PICTURES = ("schrodinger", "heisenberg")
 ASSEMBLY_MAX_BYTES = 2 ** 31  # peak of the COO triplets and their CSR copy
@@ -56,9 +57,10 @@ class Superoperator:
 def build_operators(model, space):
     """Assemble H, L_l, G0 = -(1/2) sum L_l†L_l and G = -iH + G0.
 
-    The Kraus sum runs over all m rows of (V, U).  On the truncated space
-    H is exactly Hermitian and G0 exactly negative semidefinite; identities
-    involving products of quadratic operators hold on the interior subspace.
+    L_l is the matrix of `commutators.kraus_form(model, l)`, for each of
+    the m rows of (V, U).  On the truncated space H is exactly Hermitian
+    and G0 exactly negative semidefinite; identities involving products
+    of quadratic operators hold on the interior subspace.
     """
     if model.d != space.d:
         raise ValueError(f"model has d={model.d}, space has d={space.d}")
@@ -77,15 +79,7 @@ def build_operators(model, space):
         if model.zeta[j] != 0:
             H = H + 0.5 * model.zeta[j] * lad.adag[j]
             H = H + 0.5 * np.conj(model.zeta[j]) * lad.a[j]
-    L = []
-    for ell in range(model.m):
-        Lop = sp.csr_matrix((D, D), dtype=complex)
-        for k in range(d):
-            if model.V[ell, k] != 0:
-                Lop = Lop + np.conj(model.V[ell, k]) * lad.a[k]
-            if model.U[ell, k] != 0:
-                Lop = Lop + model.U[ell, k] * lad.adag[k]
-        L.append(Lop.tocsr())
+    L = [kraus_form(model, ell).to_matrix(lad) for ell in range(model.m)]
     G0 = sp.csr_matrix((D, D), dtype=complex)
     for Lop in L:
         G0 = G0 - 0.5 * (Lop.conj().T @ Lop)

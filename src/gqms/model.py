@@ -98,19 +98,18 @@ class KossakowskiMatrix:
     eps0: float
     rank: int
     strictly_positive: bool
-    positivity_tol: float = POSITIVITY_TOL
 
     @property
     def dim(self):
         return self.matrix.shape[0]
 
 
-def build_kossakowski(V, U, positivity_tol=POSITIVITY_TOL):
+def build_kossakowski(V, U):
     """Assemble the Kossakowski block matrix of (V, U) with spectral metadata.
 
     eps0 is the smallest eigenvalue; the rank uses a relative threshold of
     RANK_RTOL times the spectral norm; strict positivity means
-    eps0 > positivity_tol.
+    eps0 > POSITIVITY_TOL.
     """
     V = _as_matrix(V, "V")
     U = _as_matrix(U, "U")
@@ -126,8 +125,7 @@ def build_kossakowski(V, U, positivity_tol=POSITIVITY_TOL):
     rank = int(np.sum(w > RANK_RTOL * norm)) if norm > 0 else 0
     return KossakowskiMatrix(
         matrix=K, eps0=eps0, rank=rank,
-        strictly_positive=bool(eps0 > positivity_tol),
-        positivity_tol=positivity_tol,
+        strictly_positive=bool(eps0 > POSITIVITY_TOL),
     )
 
 
@@ -334,13 +332,22 @@ def model_to_jsonable(model):
     }
 
 
-def model_from_jsonable(obj):
-    """Decode the JSON model schema; omega/kappa/zeta default to zero."""
-    d = int(obj["d"])
+def model_from_jsonable(d, V, U, omega=None, kappa=None, zeta=None):
+    """Decode the fields of the JSON gaussian model; omega/kappa/zeta default to zero."""
+    d = int(d)
     zeros = np.zeros((d, d))
-    Omega = serialize.pairs_to_matrix(obj["omega"]) if "omega" in obj else zeros
-    kappa = serialize.pairs_to_matrix(obj["kappa"]) if "kappa" in obj else zeros
-    zeta = serialize.pairs_to_vector(obj["zeta"]) if "zeta" in obj else np.zeros(d)
-    V = serialize.pairs_to_matrix(obj["V"])
-    U = serialize.pairs_to_matrix(obj["U"])
+    Omega = zeros if omega is None else serialize.pairs_to_matrix(omega)
+    kappa = zeros if kappa is None else serialize.pairs_to_matrix(kappa)
+    zeta = np.zeros(d) if zeta is None else serialize.pairs_to_vector(zeta)
+    V = serialize.pairs_to_matrix(V)
+    U = serialize.pairs_to_matrix(U)
     return GaussianModel(d=d, Omega=Omega, kappa=kappa, zeta=zeta, V=V, U=U)
+
+
+def two_boson_from_jsonable(gamma_minus, gamma_plus, omega=None):
+    """Decode the fields of the JSON two_boson model; omega defaults to zero."""
+    return two_boson_model(TwoBosonParams(
+        gamma_minus=serialize.pairs_to_matrix(gamma_minus),
+        gamma_plus=serialize.pairs_to_matrix(gamma_plus),
+        Omega=np.zeros((2, 2)) if omega is None else serialize.pairs_to_matrix(omega),
+    ))

@@ -15,6 +15,9 @@ workloads = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(workloads)
 
 
+FINITE_QUBIT = {"kind": "finite", "n": 2, "c": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
+
+
 def minimal_config(**overrides):
     config = {
         "seed": 1,
@@ -213,6 +216,11 @@ def test_unknown_plot_kind_is_input_error(tmp_path):
     ("tasks", [{"name": "sector", "plots": ["min-eig-vs-t"]}], "/tasks/0/plots/0"),
     ("model", {"kind": "gaussian", "d": 1, "V": [[1.0]]}, "/model"),
     ("space", {"N_max": 6, "dimension_cap": 100}, "/space/dimension_cap"),
+    ("model", {"kind": "two_boson", "gamma_minus": [[1, 0], [0, 1]]}, "/model"),
+    ("model", {**FINITE_QUBIT, "Hamiltonian": [[0, 0], [0, 0]]}, "/model/Hamiltonian"),
+    ("tasks", [{"name": "number-bound", "seed": "x"}], "/tasks/0/seed"),
+    ("tasks", [{"name": "number-bound", "n_samples": "many"}], "/tasks/0/n_samples"),
+    ("tasks", [{"name": "number-bound", "n_samples": 2.7}], "/tasks/0/n_samples"),
 ])
 def test_schema_violation_is_input_error(tmp_path, capsys, section, value, pointer):
     path = tmp_path / "cfg.json"
@@ -266,9 +274,6 @@ def test_integration_error_is_a_failed_task(tmp_path, monkeypatch, error_type):
     assert "report" not in failed
     assert failed["error"]["type"] == error_type
     assert message in failed["error"]["message"]
-
-
-FINITE_QUBIT = {"kind": "finite", "n": 2, "c": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
 
 
 @pytest.mark.parametrize("task, model, named", [

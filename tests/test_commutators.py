@@ -75,6 +75,8 @@ def test_linear_form_matrix_realization():
     expected = (0.5 * np.eye(space.D) + 2.0 * lad.a[0].toarray()
                 + 1j * lad.adag[0].toarray())
     np.testing.assert_allclose(M, expected)
+    # only nonzero terms are stored, so a zero Kraus row gives an empty L_l
+    assert commutators.LinearForm(c0=0.0, alpha=[0.0], beta=[0.0]).to_matrix(lad).nnz == 0
 
 
 def test_validate_action_oracle_damping():
@@ -208,7 +210,7 @@ def test_kraus_coefficient_matrix_inversion_premise():
     model = strictly_positive_model(rng, 2)
     cond = commutators.inversion_condition_number(model)
     assert np.isfinite(cond)
-    C = commutators.kraus_coefficient_matrix(model)
+    C = gm.kossakowski_factor(model.V, model.U).conj().T
     K = gm.build_kossakowski(model.V, model.U)
     np.testing.assert_allclose(C.conj().T @ C, K.matrix, atol=1e-12)
 

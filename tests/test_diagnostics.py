@@ -176,18 +176,27 @@ def test_sector_estimate_shift_grid_selection():
 
 
 def test_minimal_kossakowski_eig():
-    assert diagnostics.minimal_kossakowski_eig(np.eye(4)) == pytest.approx(1.0)
-    assert diagnostics.minimal_kossakowski_eig(
-        np.ones((2, 2))) == pytest.approx(0.0, abs=1e-12)
+    def bath(gamma_minus, gamma_plus):
+        return gm.two_boson_model(gm.TwoBosonParams(
+            gamma_minus=gamma_minus, gamma_plus=gamma_plus, Omega=np.zeros((2, 2))))
+
+    unit = bath(np.eye(2), np.eye(2))
+    K = gm.build_kossakowski(unit.V, unit.U)
+    np.testing.assert_allclose(K.matrix, np.eye(4), atol=1e-12)
+    assert K.eps0 == pytest.approx(1.0)
+    K = gm.build_kossakowski([[1.0]], [[1.0]])
+    np.testing.assert_allclose(K.matrix, np.ones((2, 2)), atol=1e-12)
+    assert K.eps0 == pytest.approx(0.0, abs=1e-12)
     gamma_m = np.diag([2.0, 0.5])
     gamma_p = np.diag([3.0, 1.5])
     block = np.block([
         [gamma_m, np.zeros((2, 2))],
         [np.zeros((2, 2)), gamma_p],
     ])
-    assert diagnostics.minimal_kossakowski_eig(block) == pytest.approx(0.5)
-    with pytest.raises(ValueError):
-        diagnostics.minimal_kossakowski_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    model = bath(gamma_m, gamma_p)
+    K = gm.build_kossakowski(model.V, model.U)
+    np.testing.assert_allclose(K.matrix, block, atol=1e-12)
+    assert K.eps0 == pytest.approx(0.5)
 
 
 def test_sample_blocks_interior_support():
@@ -227,7 +236,7 @@ def test_sample_blocks_draw_contract(count):
     assert np.abs(longer[:, :count] - X).max() <= 1e-15
 
 
-def test_samplers_match_per_sample_loops():
+def test_samplers_match_per_sample_loops(monkeypatch):
     rng = np.random.default_rng(43)
     model = strictly_positive_model(rng, 2)
     space = fock.build_space(2, 6)
@@ -242,7 +251,9 @@ def test_samplers_match_per_sample_loops():
         - K.eps0 * float(np.real(np.vdot(xi, 2.0 * (ops.N @ xi) + space.d * xi)))
         for xi in xs])
     tol = -float(np.median(slack))  # makes about half of the samples violations
-    bound = diagnostics.number_operator_bound(ops, K, n, seed, tol=tol)
+    with monkeypatch.context() as patch:
+        patch.setattr(diagnostics, "BOUND_TOL", tol)
+        bound = diagnostics.number_operator_bound(ops, K, n, seed)
     assert bound.samples == n
     assert bound.min_slack == pytest.approx(slack.min(), rel=1e-12)
     assert bound.violations == int(np.count_nonzero(slack < -tol))

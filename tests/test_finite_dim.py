@@ -234,11 +234,11 @@ def test_probe_degenerate_kossakowski_not_negative():
 def test_fd_model_json_decoding():
     obj = {"n": 2, "H": [[0, 0], [0, 0]],
            "c": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "basis": "gellmann"}
-    model = fd.fd_model_from_jsonable(obj)
+    model = fd.fd_model_from_jsonable(**obj)
     assert model.n == 2
     np.testing.assert_allclose(model.c, np.eye(3))
     with pytest.raises(ValueError):
-        fd.fd_model_from_jsonable({"n": 2, "c": [[1]], "basis": "pauli"})
+        fd.fd_model_from_jsonable(**{"n": 2, "c": [[1]], "basis": "pauli"})
 
 
 def per_pair_units(rng, n):

@@ -280,7 +280,7 @@ def test_strict_positivity_requires_full_kraus_count():
 def test_json_round_trip():
     rng = np.random.default_rng(8)
     model = random_model(rng, 2, 3)
-    decoded = gm.model_from_jsonable(gm.model_to_jsonable(model))
+    decoded = gm.model_from_jsonable(**gm.model_to_jsonable(model))
     np.testing.assert_allclose(decoded.Omega, model.Omega, atol=1e-15)
     np.testing.assert_allclose(decoded.kappa, model.kappa, atol=1e-15)
     np.testing.assert_allclose(decoded.zeta, model.zeta, atol=1e-15)

@@ -10,8 +10,9 @@ A model's fields are the keyword parameters of its kind's decoder in
 MODELS, a task's settings those of its `task_*` function (a declared
 `seed` is an integer, by default the run seed).  A parameter without a
 default is required, and one with an int, float or tuple default is a
-JSON integer, number or array; any other key or type is a schema error,
-reported before a task runs.
+JSON integer, number or array (a `None` default admits null beside its
+declared type); any other key or type is a schema error, reported before
+a task runs.
 Each task writes its findings into report.json; tasks may carry an
 `expect` block whose key/value pairs replace the task's default
 assertion, so contrast scenarios can assert *failure* of a property and
@@ -372,7 +373,9 @@ CONFIG_SCHEMA = _closed(["seed", "model", "tasks"], {
 })
 VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 # validators of the model by kind and of a task by name, each closed to its
-# function's signature; a task's `seed` is an integer, like the top-level one
+# function's signature; a task's `seed` is an integer, like the top-level one,
+# and a parameter whose default is None takes its type or null
+NUMBERS_OR_NULL = {"type": ["array", "null"], "items": {"type": "number"}}
 MODEL_VALIDATORS = {
     kind: jsonschema.Draft202012Validator(_signature_schema(fn, 0, {"kind": {}}, {}))
     for kind, fn in MODELS.items()}
@@ -380,7 +383,10 @@ TASK_VALIDATORS = {
     name: jsonschema.Draft202012Validator(_signature_schema(
         fn, 2, {"name": {}, "expect": {"type": "object"}},
         {"seed": {"type": "integer"},
-         "plots": {"type": "array", "items": {"enum": PLOTS.get(name, [])}}}))
+         "plots": {"type": "array", "items": {"enum": PLOTS.get(name, [])}},
+         "c_grid": NUMBERS_OR_NULL, "shift_grid": NUMBERS_OR_NULL,
+         "max_word": {"type": ["integer", "null"]},
+         "theta_max": {"type": ["number", "null"]}}))
     for name, fn in TASKS.items()}
 
 

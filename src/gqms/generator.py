@@ -166,16 +166,18 @@ def build_lindbladian(ops, picture="schrodinger"):
 
     The dissipator is taken in its Kossakowski (GKS) form,
     sum_l L_l rho L_l† = sum_pq K_qp s_p rho s_q† with
-    s = (a_1..a_d, a_1†..a_d†), so `gkls_superoperator` receives the
-    pairs (s_q, K_qp s_p) for K_qp != 0.  Each ladder operator has at
-    most one entry per row, so the dissipator costs 4d^2 D^2 triplets
-    at most, whatever the number m of Kraus operators.  Truncation
-    error enters only through the operators themselves.
+    s = (a_1..a_d, a_1†..a_d†), so `gkls_superoperator` receives one
+    pair (s_q, sum_p K_qp s_p) per nonzero row q of K.  The 2d ladder
+    operators have disjoint supports, so the grouped pairs give the same
+    triplets as the pairs (s_q, K_qp s_p): at most 4d^2 D^2, whatever
+    the number m of Kraus operators, in 2d terms.  Truncation error
+    enters only through the operators themselves.
     """
     model = ops.model
     K = gm.build_kossakowski(model.V, model.U).matrix
     s = list(ops.ladders.a) + list(ops.ladders.adag)
-    pairs = [(s[q], K[q, p] * s[p]) for q, p in zip(*np.nonzero(K))]
+    pairs = [(s[q], sum(K[q, p] * s[p] for p in np.flatnonzero(K[q])))
+             for q in range(len(s)) if K[q].any()]
     return gkls_superoperator(ops.G, pairs, picture)
 
 

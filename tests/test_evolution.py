@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from gqms import evolution, fock, generator
 from gqms import model as gm
@@ -203,11 +206,57 @@ def test_auto_matches_expm_small():
         assert np.abs(xa - xb).max() <= 1e-12
 
 
+def test_auto_scaling_steps_match_expm():
+    space, ops, lind = seeded_lindbladian(32, 1, 6)
+    theta_max = max(evolution.TAYLOR_THETA.values())
+    # every Taylor degree needs s >= 2 steps on the intervals of length 1 and 4
+    assert 1.0 * evolution._shift_and_norm(lind.matrix)[1] > theta_max
+    assert 4.0 * evolution._shift_and_norm(ops.G)[1] > theta_max
+    times = [0.0, 1.0, 5.0]
+    rho0 = evolution.DensityMatrix.pure(space.basis_vector((1,)))
+    a = evolution.evolve_density(lind, rho0, times)
+    b = evolution.evolve_density(lind, rho0, times, method="expm")
+    for sa, sb in zip(a.states, b.states):
+        assert np.abs(sa.rho - sb.rho).max() <= 1e-12
+    va = evolution.evolve_vector(ops, space.basis_vector((2,)), times)
+    vb = evolution.evolve_vector(ops, space.basis_vector((2,)), times, method="expm")
+    for xa, xb in zip(va.states, vb.states):
+        assert np.abs(xa - xb).max() <= 1e-12
+
+
+def test_auto_matches_scipy_expm_multiply():
+    space, ops, lind = seeded_lindbladian(31, 2, 13)
+    rho0 = evolution.DensityMatrix.pure(space.vacuum())
+    times = [0.0, 0.05, 0.1, 0.3]
+    res = evolution.evolve_density(lind, rho0, times)
+    v = rho0.rho.reshape(-1, order="F")
+    for dt, state in zip(np.diff(times), res.states[1:]):
+        v = scipy.sparse.linalg.expm_multiply(lind.matrix, v, start=0.0, stop=dt,
+                                              num=2, endpoint=True)[-1]
+        ours = state.rho.reshape(-1, order="F")
+        assert np.abs(ours - v).max() <= 1e-13 * np.abs(v).max()
+
+
+def test_auto_peak_memory_below_superoperator():
+    space, ops, lind = seeded_lindbladian(31, 2, 13)
+    M = lind.matrix
+    csr_bytes = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+    rho0 = evolution.DensityMatrix.pure(space.vacuum())
+    tracemalloc.start()
+    try:
+        evolution.evolve_density(lind, rho0, [0.0, 0.05, 0.1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0 * csr_bytes
+
+
 def test_auto_never_builds_dense_exponential(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("dense scipy.linalg.expm called")
+        raise AssertionError("dense scipy.linalg.expm or expm_multiply called")
 
     monkeypatch.setattr(scipy.linalg, "expm", refuse)
+    monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", refuse)
     space, ops, lind = seeded_lindbladian(33, 1, 6)
     rho0 = evolution.DensityMatrix.pure(space.vacuum())
     evolution.evolve_density(lind, rho0, [0.0, 0.1, 0.2])

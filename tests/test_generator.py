@@ -275,6 +275,23 @@ def test_kossakowski_assembly_matches_kraus_form():
             assert abs(new - old).max() <= 1e-12 * abs(old).max()
 
 
+def test_grouped_ladder_pairs_match_per_entry_pairs():
+    # one pair (s_q, sum_p K_qp s_p) per ladder gives exactly the CSR of the
+    # per-entry pairs (s_q, K_qp s_p)
+    model = strictly_positive_model(np.random.default_rng(41), 2)
+    ops = generator.build_operators(model, fock.build_space(2, 7))
+    K = gm.build_kossakowski(model.V, model.U).matrix
+    s = list(ops.ladders.a) + list(ops.ladders.adag)
+    pairs = [(s[q], K[q, p] * s[p]) for q, p in zip(*np.nonzero(K))]
+    assert len(pairs) == 16
+    for picture in generator.PICTURES:
+        grouped = generator.build_lindbladian(ops, picture).matrix
+        per_entry = generator.gkls_superoperator(ops.G, pairs, picture).matrix
+        np.testing.assert_array_equal(grouped.indptr, per_entry.indptr)
+        np.testing.assert_array_equal(grouped.indices, per_entry.indices)
+        np.testing.assert_array_equal(grouped.data, per_entry.data)
+
+
 def test_gkls_pairs_heisenberg_is_adjoint():
     rng = np.random.default_rng(19)
     D = 5

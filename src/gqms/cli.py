@@ -374,7 +374,8 @@ CONFIG_SCHEMA = _closed(["seed", "model", "tasks"], {
 VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 # validators of the model by kind and of a task by name, each closed to its
 # function's signature; a task's `seed` is an integer, like the top-level one,
-# and a parameter whose default is None takes its type or null
+# a parameter whose default is None takes its type or null, and `rank_rtol`,
+# a threshold relative to the largest eigenvalue, lies in (0, 1)
 NUMBERS_OR_NULL = {"type": ["array", "null"], "items": {"type": "number"}}
 MODEL_VALIDATORS = {
     kind: jsonschema.Draft202012Validator(_signature_schema(fn, 0, {"kind": {}}, {}))
@@ -386,7 +387,8 @@ TASK_VALIDATORS = {
          "plots": {"type": "array", "items": {"enum": PLOTS.get(name, [])}},
          "c_grid": NUMBERS_OR_NULL, "shift_grid": NUMBERS_OR_NULL,
          "max_word": {"type": ["integer", "null"]},
-         "theta_max": {"type": ["number", "null"]}}))
+         "theta_max": {"type": ["number", "null"]},
+         "rank_rtol": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}}))
     for name, fn in TASKS.items()}
 
 

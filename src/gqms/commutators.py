@@ -166,6 +166,9 @@ def krylov_closure(maps, seeds, max_rounds):
     is projected out of the basis twice with matrix products (classical
     Gram-Schmidt with reorthogonalisation) and kept when its residual norm
     exceeds GS_DROP_RTOL times the largest candidate norm seen so far.
+    A full basis (rank n) can keep no candidate, so the keep that fills it
+    ends its round, and a later round (within `max_rounds`) is recorded as
+    adding nothing without applying any map.
     Returns the n x rank basis and the census: the number of vectors each
     round added.
     """
@@ -184,15 +187,19 @@ def krylov_closure(maps, seeds, max_rounds):
             for _ in range(2):
                 w = w - (Q @ w.conj()).conj() @ Q
             rn = np.linalg.norm(w)
-            # a full basis leaves only rounding, so rank never exceeds n
-            if rank < n and rn > GS_DROP_RTOL * max(1e-300, max_norm):
+            if rn > GS_DROP_RTOL * max(1e-300, max_norm):
                 rows[rank] = w / rn
                 rank += 1
+                if rank == n:
+                    break
         return rows[start:rank]
 
     frontier = extend(seeds.T)
     census = []
     while len(frontier) and len(census) < max_rounds:
+        if rank == n:
+            census.append(0)
+            break
         frontier = extend(M @ q for q in frontier for M in maps)
         census.append(len(frontier))
     return rows[:rank].T.copy(), census

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse as sp
 
 EXPM_MAX_BYTES = 2 ** 30  # dense complex input of method="expm"
 # theta_m: the largest dt ||A||_1 at which m Taylor terms of e^{dt A} meet
@@ -102,12 +103,15 @@ def _rk4_segment(matvec, v, dt, h):
 def _shift_and_norm(A):
     """mu = tr(A)/n and the exact 1-norm of A - mu I for a CSR matrix A.
 
-    The column sums of |A| are corrected on the diagonal by
-    |a_jj - mu| - |a_jj|, so the shifted matrix is never formed.
+    The column sums of |A| are |A|^T times ones, with |A|^T the CSR's own
+    arrays read as CSC (no index array is copied or widened), corrected on
+    the diagonal by |a_jj - mu| - |a_jj|, so the shifted matrix is never
+    formed.
     """
     diag = A.diagonal()
     mu = diag.sum() / A.shape[0]
-    colsums = np.bincount(A.indices, weights=np.abs(A.data), minlength=A.shape[1])
+    abs_t = sp.csc_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape[::-1])
+    colsums = abs_t @ np.ones(A.shape[0])
     colsums += np.abs(diag - mu) - np.abs(diag)
     return mu, float(colsums.max())
 

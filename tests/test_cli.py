@@ -222,6 +222,8 @@ def test_unknown_plot_kind_is_input_error(tmp_path):
     ("tasks", [{"name": "number-bound", "n_samples": "many"}], "/tasks/0/n_samples"),
     ("tasks", [{"name": "number-bound", "n_samples": 2.7}], "/tasks/0/n_samples"),
     ("tasks", [{"name": "sector", "shift_grid": 5}], "/tasks/0/shift_grid"),
+    ("tasks", [{"name": "support", "rank_rtol": -1.0}], "/tasks/0/rank_rtol"),
+    ("tasks", [{"name": "improve", "rank_rtol": 0}], "/tasks/0/rank_rtol"),
 ])
 def test_schema_violation_is_input_error(tmp_path, capsys, section, value, pointer):
     path = tmp_path / "cfg.json"

@@ -3,7 +3,7 @@ import pytest
 
 from gqms import commutators, fock, generator
 from gqms import model as gm
-from helpers import random_model, strictly_positive_model
+from helpers import complex_gaussian, haar_unitary, random_model, strictly_positive_model
 
 
 def test_adjoint_action_pure_damping():
@@ -141,6 +141,115 @@ def test_krylov_closure_contract():
     np.testing.assert_allclose(basis.conj().T @ basis, np.eye(2), atol=1e-12)
     residual = seeds - basis @ (basis.conj().T @ seeds)
     assert np.abs(residual).max() <= 1e-12 * np.abs(seeds).max()
+
+
+def exhaustive_closure(maps, seeds, max_rounds):
+    """`krylov_closure` as it was before a full basis ended the closure.
+
+    Every candidate of every round is projected and judged, also after the
+    basis spans the space.  Also returns the number of map products
+    evaluated up to the keep that filled the basis (None if it never
+    filled) and the number evaluated in all.
+    """
+    seeds = np.asarray(seeds, dtype=complex)
+    n = seeds.shape[0]
+    rows = np.empty((n, n), dtype=complex)
+    rank, max_norm, products, products_at_fill = 0, 0.0, 0, None
+
+    def extend(candidates, from_maps):
+        nonlocal rank, max_norm, products, products_at_fill
+        start = rank
+        for w in candidates:
+            products += from_maps
+            max_norm = max(max_norm, np.linalg.norm(w))
+            Q = rows[:rank]
+            for _ in range(2):
+                w = w - (Q @ w.conj()).conj() @ Q
+            rn = np.linalg.norm(w)
+            if rank < n and rn > commutators.GS_DROP_RTOL * max(1e-300, max_norm):
+                rows[rank] = w / rn
+                rank += 1
+                if rank == n:
+                    products_at_fill = products
+        return rows[start:rank]
+
+    frontier = extend(seeds.T, False)
+    census = []
+    while len(frontier) and len(census) < max_rounds:
+        frontier = extend((M @ q for q in frontier for M in maps), True)
+        census.append(len(frontier))
+    return rows[:rank].T.copy(), census, products_at_fill, products
+
+
+class CountingMap:
+    """A matrix whose products `M @ q` are appended to a shared log."""
+
+    def __init__(self, M, log):
+        self.M, self.log = M, log
+
+    def __matmul__(self, q):
+        self.log.append(self)
+        return self.M @ q
+
+
+def closure_case(case):
+    """(maps, seeds, max_rounds) of one seeded full-rank or invariant-block case."""
+    rng = np.random.default_rng(37)
+    n = 8
+    maps = [complex_gaussian(rng, (n, n)) for _ in range(2)]
+    seed = complex_gaussian(rng, (n, 1))
+    if case == "fills-mid-round":
+        return maps, seed, 10
+    if case == "fills-from-seeds":
+        return maps, complex_gaussian(rng, (n, n)), 3
+    if case == "extra-and-zero-seeds":
+        seeds = complex_gaussian(rng, (n, n + 3))
+        seeds[:, 2] = 0.0
+        return maps, seeds, 2
+    if case == "cut-before-full":
+        return maps, seed, 2
+    if case == "cut-at-full":
+        return maps, seed, 3
+    if case == "cut-after-full":
+        return maps, seed, 4
+    # maps that leave span(U[:, :block]) invariant and a seed inside it
+    block = 5
+    U = haar_unitary(rng, n)
+    for M in maps:
+        M[:] = U.conj().T @ M @ U
+        M[block:, :block] = 0.0
+        M[:] = U @ M @ U.conj().T
+    return maps, U[:, :block] @ complex_gaussian(rng, (block, 1)), 10
+
+
+@pytest.mark.parametrize("case, census", [
+    ("fills-mid-round", [2, 4, 1, 0]),
+    ("fills-from-seeds", [0]),
+    ("extra-and-zero-seeds", [0]),
+    ("cut-before-full", [2, 4]),
+    ("cut-at-full", [2, 4, 1]),
+    ("cut-after-full", [2, 4, 1, 0]),
+    ("invariant-block", [2, 2, 0]),
+])
+def test_krylov_closure_stops_at_full_rank(case, census):
+    maps, seeds, max_rounds = closure_case(case)
+    ref_basis, ref_census, at_fill, products = exhaustive_closure(maps, seeds, max_rounds)
+    assert ref_census == census
+    log = []
+    basis, got_census = commutators.krylov_closure(
+        [CountingMap(M, log) for M in maps], seeds, max_rounds)
+    assert np.array_equal(basis, ref_basis)
+    assert got_census == ref_census
+    # no map product is evaluated after the keep that fills the basis
+    assert len(log) == (products if at_fill is None else at_fill)
+    if case == "invariant-block":
+        assert at_fill is None and basis.shape[1] == 5
+    elif case != "cut-before-full":
+        assert at_fill is not None and basis.shape[1] == seeds.shape[0]
+        if case == "extra-and-zero-seeds":
+            assert at_fill == 0  # seeds past the filling keep are not projected
+        else:
+            assert at_fill < products
 
 
 def test_support_span_reaches_full_interior():

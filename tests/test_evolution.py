@@ -251,6 +251,25 @@ def test_auto_peak_memory_below_superoperator():
     assert peak <= 1.0 * csr_bytes
 
 
+def test_shift_and_norm_matches_bincount_and_stays_below_half_the_csr():
+    space, ops, lind = seeded_lindbladian(31, 2, 13)
+    A = lind.matrix.tocsr()
+    diag = A.diagonal()
+    mu_ref = diag.sum() / A.shape[0]
+    colsums = np.bincount(A.indices, weights=np.abs(A.data), minlength=A.shape[1])
+    colsums += np.abs(diag - mu_ref) - np.abs(diag)
+    csr_bytes = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
+    tracemalloc.start()
+    try:
+        mu, norm = evolution._shift_and_norm(A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mu == mu_ref and norm == float(colsums.max())
+    # |A.data| and the column sums only: the int32 indices are never widened
+    assert peak <= 0.5 * csr_bytes
+
+
 def test_auto_never_builds_dense_exponential(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dense scipy.linalg.expm or expm_multiply called")

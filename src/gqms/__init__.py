@@ -57,13 +57,16 @@ from .commutators import (
 )
 from .diagnostics import (
     BoundReport,
+    DomainComparisonReport,
     InvariantSubspaceReport,
+    SampleStatistics,
     SectorReport,
     SupportReport,
     domain_comparison_constants,
     invariant_subspace_search,
     number_operator_bound,
     positivity_improving_probe,
+    sample_statistics,
     sector_estimate,
 )
 from .finite_dim import (

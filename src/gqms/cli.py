@@ -8,11 +8,12 @@ A scenario is a single JSON object holding a seed, a model (gaussian,
 two_boson or finite), truncation parameters, and an ordered task list.
 A model's fields are the keyword parameters of its kind's decoder in
 MODELS, a task's settings those of its `task_*` function (a declared
-`seed` is an integer, by default the run seed).  A parameter without a
-default is required, and one with an int, float or tuple default is a
-JSON integer, number or array (a `None` default admits null beside its
-declared type); any other key or type is a schema error, reported before
-a task runs.
+`seed` is a non-negative integer, by default the run seed).  A parameter
+without a default is required, and one with an int, float or tuple
+default is a JSON integer, number or array (a `None` default admits null
+beside its declared type); any other key or type, or a value outside the
+bounds TASK_VALIDATORS declares, is a schema error, reported before a
+task runs.  The sampled tasks on one seed share one sample pass.
 Each task writes its findings into report.json; tasks may carry an
 `expect` block whose key/value pairs replace the task's default
 assertion, so contrast scenarios can assert *failure* of a property and
@@ -69,6 +70,11 @@ class InputError(Exception):
     """Configuration or model input problem (exit code 1)."""
 
 
+# sampled task -> the operators its certificate reads from the seed's sample pass
+SAMPLED = {"number-bound": ("G0", "N"), "domain-comparison": ("G0", "N", "G"),
+           "sector": ("G",)}
+
+
 class RunContext:
     """The decoded model and the lazily built space/operator objects shared by the tasks."""
 
@@ -78,6 +84,33 @@ class RunContext:
         fields = dict(config["model"])
         self.kind = fields.pop("kind")
         self.model = MODELS[self.kind](**fields)
+        self._samples = {}
+
+    def params(self, task):
+        """A task's settings, with its declared `seed` defaulting to the run seed."""
+        params = {k: v for k, v in task.items() if k not in ("name", "expect")}
+        if "seed" in TASK_PARAMS[task["name"]]:
+            params["seed"] = int(params.get("seed", self.seed))
+        return params
+
+    def samples(self, seed):
+        """The one sample pass of `seed`, shared by the sampled tasks of that seed.
+
+        Each operator is applied to as many samples as the largest
+        `n_samples` among the tasks on this seed that read it.
+        """
+        if seed not in self._samples:
+            counts = {}
+            for task in self.config["tasks"]:
+                params = self.params(task)
+                if task["name"] not in SAMPLED or params["seed"] != seed:
+                    continue
+                n = int(params.get("n_samples", inspect.signature(
+                    TASKS[task["name"]]).parameters["n_samples"].default))
+                for name in SAMPLED[task["name"]]:
+                    counts[name] = max(counts.get(name, 0), n)
+            self._samples[seed] = diagnostics.sample_statistics(self.ops, seed, counts)
+        return self._samples[seed]
 
     @property
     def gaussian_model(self):
@@ -206,8 +239,7 @@ def task_bogoliubov(ctx, out, seed=None, rotation=1.0, squeeze=0.5):
 
 def task_number_bound(ctx, out, n_samples=1000, seed=None):
     n_samples = int(n_samples)
-    rep = diagnostics.number_operator_bound(
-        ctx.ops, ctx.kossakowski, n_samples, seed)
+    rep = diagnostics.number_operator_bound(ctx.samples(seed), ctx.kossakowski, n_samples)
     # the first min(n, 50) samples of the bound's stream (prefix property)
     xi = np.hstack(list(diagnostics.sample_blocks(
         np.random.default_rng(seed), min(n_samples, 50),
@@ -226,7 +258,7 @@ def task_number_bound(ctx, out, n_samples=1000, seed=None):
 
 def task_domain_comparison(ctx, out, n_samples=500, seed=None, c_grid=None):
     rep = diagnostics.domain_comparison_constants(
-        ctx.ops, ctx.kossakowski, int(n_samples), seed, c_grid=c_grid)
+        ctx.samples(seed), ctx.kossakowski, int(n_samples), c_grid=c_grid)
     report = {**serialize.jsonable(asdict(rep)), "feasible": bool(rep.feasible)}
     return report, report["feasible"]
 
@@ -313,7 +345,7 @@ def task_invariant(ctx, out, n_seeds=3, seed=None, starts=()):
 def task_sector(ctx, out, n_samples=200, seed=None, shift_grid=None, plots=(),
                 theta_max=None):
     rep = diagnostics.sector_estimate(
-        ctx.ops, int(n_samples), seed, shift_grid=shift_grid)
+        ctx.samples(seed), int(n_samples), shift_grid=shift_grid)
     report = serialize.jsonable(asdict(rep))
     for kind in plots:  # numerical-range-scatter
         _write_csv(out(kind), ["re", "im"],
@@ -360,8 +392,9 @@ def _signature_schema(fn, skip, keys, params):
                    for p in signature}})
 
 
+SEED = {"type": "integer", "minimum": 0}
 CONFIG_SCHEMA = _closed(["seed", "model", "tasks"], {
-    "seed": {"type": "integer"},
+    "seed": SEED,
     "output_dir": {"type": "string"},
     "model": {"type": "object", "required": ["kind"],
               "properties": {"kind": {"enum": list(MODELS)}}},
@@ -373,17 +406,20 @@ CONFIG_SCHEMA = _closed(["seed", "model", "tasks"], {
 })
 VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 # validators of the model by kind and of a task by name, each closed to its
-# function's signature; a task's `seed` is an integer, like the top-level one,
-# a parameter whose default is None takes its type or null, and `rank_rtol`,
-# a threshold relative to the largest eigenvalue, lies in (0, 1)
+# function's signature; a task's `seed` is a non-negative integer, like the
+# top-level one, sample and pair counts are at least 1, the rk4 step `h` is
+# positive, a parameter whose default is None takes its type or null, and
+# `rank_rtol`, a threshold relative to the largest eigenvalue, lies in (0, 1)
 NUMBERS_OR_NULL = {"type": ["array", "null"], "items": {"type": "number"}}
+COUNT = {"type": "integer", "minimum": 1}
 MODEL_VALIDATORS = {
     kind: jsonschema.Draft202012Validator(_signature_schema(fn, 0, {"kind": {}}, {}))
     for kind, fn in MODELS.items()}
 TASK_VALIDATORS = {
     name: jsonschema.Draft202012Validator(_signature_schema(
         fn, 2, {"name": {}, "expect": {"type": "object"}},
-        {"seed": {"type": "integer"},
+        {"seed": SEED, "n_samples": COUNT, "n_pairs": COUNT,
+         "h": {"type": "number", "exclusiveMinimum": 0},
          "plots": {"type": "array", "items": {"enum": PLOTS.get(name, [])}},
          "c_grid": NUMBERS_OR_NULL, "shift_grid": NUMBERS_OR_NULL,
          "max_word": {"type": ["integer", "null"]},
@@ -439,9 +475,7 @@ def run_scenario(config, output_dir, verbose=False):
     task_seconds = {}
     for idx, task in enumerate(config["tasks"]):
         name = task["name"]
-        params = {k: v for k, v in task.items() if k not in ("name", "expect")}
-        if "seed" in TASK_PARAMS[name]:
-            params["seed"] = int(params.get("seed", ctx.seed))
+        params = ctx.params(task)
         tag = f"{idx:02d}_{name}"
         t0 = time.time()
         try:

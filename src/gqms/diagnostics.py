@@ -3,8 +3,9 @@
 All spectra, ranks and quadratic forms are evaluated after compression to
 the interior subspace so that hard-truncation artifacts at the cutoff are
 quarantined.  Random probe vectors have complex-Gaussian coefficients on
-the interior block, are normalized, and are deterministic per seed; every
-sampled certificate draws them from `sample_blocks`.
+the interior block, are normalized, and are deterministic per seed
+(`sample_blocks`).  The three sampled certificates reduce one pass over
+a seed's samples, `sample_statistics`, instead of drawing their own.
 """
 
 from __future__ import annotations
@@ -110,54 +111,109 @@ def _interior_blocks(space, n_samples, seed):
                          space.interior_dim(), space.D)
 
 
-def number_operator_bound(ops, K, n_samples, seed):
+@dataclass(frozen=True, eq=False)
+class SampleStatistics:
+    """Per-sample statistics of one seeded pass, keyed by operator.
+
+    For the first len(norm2[op]) interior unit vectors xi of the seed's
+    stream, norm2[op] holds ||op xi||^2 and form[op] holds
+    Re<xi, -2 G0 xi> (op "G0"), Re<xi, (2N + d) xi> ("N") or <xi, G xi> ("G").
+    """
+
+    space: object
+    seed: int
+    form: dict
+    norm2: dict
+
+    def head(self, operators, n_samples):
+        """The slice of the first n_samples, which the pass must hold for each operator."""
+        if n_samples < 1:
+            raise ValueError("n_samples must be >= 1")
+        for name in operators:
+            have = len(self.norm2.get(name, ()))
+            if have < n_samples:
+                raise ValueError(f"the sample pass applied {name} to {have} < "
+                                 f"{n_samples} samples")
+        return slice(0, n_samples)
+
+
+def sample_statistics(ops, seed, counts):
+    """One pass over the seed's interior samples for every sampled certificate.
+
+    `counts` maps some of "G0", "N" and "G" to the number of leading
+    samples that operator is applied to.  The pass draws max(counts)
+    samples, a block at a time, and applies each operator once per block
+    to the columns below its count, so an operator sees the same block
+    widths as a pass of its own count.  One image block is live at a time.
+    """
+    if not counts or set(counts) - {"G0", "N", "G"}:
+        raise ValueError(f"counts must map some of G0, N, G to sizes, got {counts!r}")
+    if min(counts.values()) < 1:
+        raise ValueError("n_samples must be >= 1")
+    d = ops.space.d
+    norm2 = {name: np.empty(n) for name, n in counts.items()}
+    form = {name: np.empty(n, dtype=complex if name == "G" else float)
+            for name, n in counts.items()}
+    start = 0
+    for X in _interior_blocks(ops.space, max(counts.values()), seed):
+        for name, n in counts.items():
+            b = min(n - start, X.shape[1])
+            if b <= 0:
+                continue
+            Xb = X[:, :b] if b < X.shape[1] else X
+            Y = getattr(ops, name) @ Xb
+            norm2[name][start:start + b] = np.linalg.norm(Y, axis=0) ** 2
+            if name == "G0":  # -2 G0 xi
+                Y *= -2.0
+            elif name == "N":  # (2N + d) xi
+                Y *= 2.0
+                Y += d * Xb
+            z = np.einsum("ij,ij->j", Xb.conj(), Y)
+            del Y  # before the next operator's image is allocated
+            form[name][start:start + b] = z if name == "G" else np.real(z)
+        start += X.shape[1]
+    return SampleStatistics(space=ops.space, seed=seed, form=form, norm2=norm2)
+
+
+def number_operator_bound(stats, K, n_samples):
     """Sample the lower bound <xi, -2 G0 xi> >= eps0 <xi, (2N + d) xi>.
 
     Valid for a positive semidefinite Kossakowski matrix with smallest
     eigenvalue eps0; slack is recorded per normalized interior sample,
-    evaluated a block of samples at a time.  The witness is the first
-    sample of least slack, kept only when that slack is a violation.
+    over the first n_samples of the pass `stats`.  The witness is the
+    first sample of least slack, redrawn from the seed's stream, kept
+    only when that slack is a violation.
     """
-    d = ops.space.d
-    eps0 = K.eps0
-    min_slack = np.inf
-    violations = 0
+    head = stats.head(("G0", "N"), n_samples)
+    slack = stats.form["G0"][head] - K.eps0 * stats.form["N"][head]
+    j = int(np.argmin(slack))
     witness = None
-    for X in _interior_blocks(ops.space, n_samples, seed):
-        lhs = np.real(np.einsum("ij,ij->j", X.conj(), -2.0 * (ops.G0 @ X)))
-        rhs = eps0 * np.real(np.einsum("ij,ij->j", X.conj(), 2.0 * (ops.N @ X) + d * X))
-        slack = lhs - rhs
-        violations += int(np.count_nonzero(slack < -BOUND_TOL))
-        j = int(np.argmin(slack))
-        if slack[j] < min_slack:
-            min_slack = slack[j]
-            witness = X[:, j].copy() if slack[j] < -BOUND_TOL else None
+    if slack[j] < -BOUND_TOL:
+        *_, last = _interior_blocks(stats.space, j + 1, stats.seed)
+        witness = last[:, -1].copy()
     return BoundReport(
-        samples=n_samples, min_slack=float(min_slack), violations=violations,
-        witness=witness,
+        samples=n_samples, min_slack=float(slack[j]),
+        violations=int(np.count_nonzero(slack < -BOUND_TOL)), witness=witness,
     )
 
 
-def domain_comparison_constants(ops, K, n_samples, seed, c_grid=None):
+def domain_comparison_constants(stats, K, n_samples, c_grid=None):
     """Smallest grid constants c0, c with eps0^2 ||N xi||^2 <= 2 ||G0 xi||^2 + c0
-    and eps0^2 ||N xi||^2 <= 2 ||G xi||^2 + c over the sampled interior vectors.
+    and eps0^2 ||N xi||^2 <= 2 ||G xi||^2 + c over the first n_samples of
+    the pass `stats`.
 
     Existence of finite constants is the quantity of interest; the grid
     search reports the empirical values, None when the grid is exhausted.
-    The required constants are column maxima over blocks of samples.
     """
     if c_grid is None:
         c_grid = [0.0] + [float(2 ** k) for k in range(-2, 11)]
     if len(c_grid) == 0:
         raise ValueError("c_grid must not be empty")
     c_grid = sorted(float(c) for c in c_grid)
-    eps0 = K.eps0
-    req_c0 = -np.inf
-    req_c = -np.inf
-    for X in _interior_blocks(ops.space, n_samples, seed):
-        n2 = eps0 ** 2 * np.linalg.norm(ops.N @ X, axis=0) ** 2
-        req_c0 = max(req_c0, np.max(n2 - 2.0 * np.linalg.norm(ops.G0 @ X, axis=0) ** 2))
-        req_c = max(req_c, np.max(n2 - 2.0 * np.linalg.norm(ops.G @ X, axis=0) ** 2))
+    head = stats.head(("G0", "N", "G"), n_samples)
+    n2 = K.eps0 ** 2 * stats.norm2["N"][head]
+    req_c0 = float(np.max(n2 - 2.0 * stats.norm2["G0"][head]))
+    req_c = float(np.max(n2 - 2.0 * stats.norm2["G"][head]))
     def pick(required):
         for c in c_grid:
             if c >= required:
@@ -166,7 +222,7 @@ def domain_comparison_constants(ops, K, n_samples, seed, c_grid=None):
     return DomainComparisonReport(
         samples=n_samples,
         c0_hat=pick(req_c0), c_hat=pick(req_c),
-        max_required_c0=float(req_c0), max_required_c=float(req_c),
+        max_required_c0=req_c0, max_required_c=req_c,
     )
 
 
@@ -241,11 +297,11 @@ def invariant_subspace_search(ops, n_seeds, seed, starts=None):
     )
 
 
-def sector_estimate(ops, n_samples, seed, shift_grid=None):
+def sector_estimate(stats, n_samples, shift_grid=None):
     """Heuristic sector half-angle of the numerical range of G.
 
-    Samples z = <xi, G xi> over normalized interior vectors, a block at a
-    time, and, for each shift w in the grid, finds the smallest theta with
+    Takes z = <xi, G xi> over the first n_samples of the pass `stats`
+    and, for each shift w in the grid, finds the smallest theta with
     |Im z| <= tan(theta) (w - Re z) for every sample; reports the best
     (theta_hat, shift).  A necessary-style indication of sectoriality,
     not a proof of analyticity.
@@ -254,8 +310,8 @@ def sector_estimate(ops, n_samples, seed, shift_grid=None):
         shift_grid = [0.0, 0.5, 1.0, 2.0]
     if len(shift_grid) == 0:
         raise ValueError("shift_grid must not be empty")
-    zs = np.concatenate([np.einsum("ij,ij->j", X.conj(), ops.G @ X)
-                         for X in _interior_blocks(ops.space, n_samples, seed)])
+    head = stats.head(("G",), n_samples)
+    zs = stats.form["G"][head]
     per_shift = []
     for w in shift_grid:
         angles = np.arctan2(np.abs(zs.imag), float(w) - zs.real)
@@ -265,4 +321,3 @@ def sector_estimate(ops, n_samples, seed, shift_grid=None):
         theta_hat=best_theta, shift=best_shift,
         per_shift=tuple(per_shift), z_samples=zs,
     )
-

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.util
 import json
 import re
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gqms import cli, evolution, generator
+from gqms import cli, diagnostics, evolution, generator
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -224,6 +225,11 @@ def test_unknown_plot_kind_is_input_error(tmp_path):
     ("tasks", [{"name": "sector", "shift_grid": 5}], "/tasks/0/shift_grid"),
     ("tasks", [{"name": "support", "rank_rtol": -1.0}], "/tasks/0/rank_rtol"),
     ("tasks", [{"name": "improve", "rank_rtol": 0}], "/tasks/0/rank_rtol"),
+    ("tasks", [{"name": "evolve", "method": "rk4", "h": 0.0}], "/tasks/0/h"),
+    ("tasks", [{"name": "evolve", "method": "rk4", "h": -1.0}], "/tasks/0/h"),
+    ("tasks", [{"name": "number-bound", "n_samples": 0}], "/tasks/0/n_samples"),
+    ("seed", -1, "/seed"),
+    ("tasks", [{"name": "sector", "seed": -1}], "/tasks/0/seed"),
 ])
 def test_schema_violation_is_input_error(tmp_path, capsys, section, value, pointer):
     path = tmp_path / "cfg.json"
@@ -234,6 +240,67 @@ def test_schema_violation_is_input_error(tmp_path, capsys, section, value, point
                      "--output-dir", str(tmp_path / "out")]) == 1
     assert f"{pointer}:" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def counting_calls(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that appends each call's positional args."""
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_sampled_tasks_draw_the_stream_once(tmp_path, monkeypatch):
+    blocks, streams = [], []
+    counting_calls(monkeypatch, diagnostics, "_interior_blocks", streams)
+    counting_calls(monkeypatch, diagnostics, "sample_blocks", blocks)
+    config = minimal_config(tasks=[
+        {"name": "number-bound", "n_samples": 120},
+        {"name": "domain-comparison", "n_samples": 70},
+        {"name": "sector", "n_samples": 150}])
+    code, report = cli.run_scenario(config, tmp_path)
+    assert code == 0
+    assert [(n, seed) for _, n, seed in streams] == [(150, 1)]
+    # the number-bound identity check redraws its first 50 samples
+    assert [args[1] for args in blocks] == [150, 50]
+
+
+class CountingOperator:
+    """A sparse matrix that adds the columns of every block it is applied to."""
+
+    def __init__(self, matrix, name, applied):
+        self.matrix, self.name, self.applied = matrix, name, applied
+
+    def __matmul__(self, X):
+        self.applied[self.name] = self.applied.get(self.name, 0) + X.shape[1]
+        return self.matrix @ X
+
+
+@pytest.mark.parametrize("tasks, columns", [
+    ([{"name": "sector"}], {1: {"G": 200}}),
+    ([{"name": "number-bound", "n_samples": 100},
+      {"name": "domain-comparison", "n_samples": 70},
+      {"name": "sector", "n_samples": 130, "seed": 5},
+      {"name": "sector", "n_samples": 40}],
+     {1: {"G0": 100, "N": 100, "G": 70}, 5: {"G": 130}}),
+])
+def test_sample_pass_applies_each_operator_to_its_readers_samples(
+        tmp_path, monkeypatch, tasks, columns):
+    real = diagnostics.sample_statistics
+    applied = {}
+
+    def counting(ops, seed, counts):
+        seen = applied.setdefault(seed, {})
+        ops = dataclasses.replace(ops, **{
+            name: CountingOperator(getattr(ops, name), name, seen)
+            for name in ("G0", "N", "G")})
+        return real(ops, seed, counts)
+    monkeypatch.setattr(diagnostics, "sample_statistics", counting)
+    code, _ = cli.run_scenario(minimal_config(tasks=tasks), tmp_path)
+    assert code == 0
+    assert applied == columns
 
 
 @pytest.mark.parametrize("workload", ["shipped", *workloads.BUILDERS])

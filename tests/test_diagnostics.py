@@ -1,9 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gqms import diagnostics, fock, generator
 from gqms import model as gm
 from helpers import strictly_positive_model
+
+
+def bound_pass(ops, seed, n):
+    return diagnostics.sample_statistics(ops, seed, {"G0": n, "N": n})
+
+
+def sector_pass(ops, seed, n):
+    return diagnostics.sample_statistics(ops, seed, {"G": n})
+
+
+def full_pass(ops, seed, n):
+    return diagnostics.sample_statistics(ops, seed, {"G0": n, "N": n, "G": n})
 
 
 def heated_mode_setup(N_max=8):
@@ -17,7 +31,7 @@ def heated_mode_setup(N_max=8):
 def test_number_bound_equality_case():
     # K = I makes -2 G0 = 2N + 1 exactly, so the slack vanishes sample by sample
     model, space, ops, K = heated_mode_setup()
-    rep = diagnostics.number_operator_bound(ops, K, 200, seed=1)
+    rep = diagnostics.number_operator_bound(bound_pass(ops, 1, 200), K, 200)
     assert rep.violations == 0
     assert abs(rep.min_slack) <= 1e-12
     assert rep.witness is None
@@ -43,7 +57,7 @@ def test_number_bound_seeded_models():
         space = fock.build_space(d, 7 if d == 1 else 5)
         ops = generator.build_operators(model, space)
         K = gm.build_kossakowski(model.V, model.U)
-        rep = diagnostics.number_operator_bound(ops, K, 200, seed=7)
+        rep = diagnostics.number_operator_bound(bound_pass(ops, 7, 200), K, 200)
         assert rep.violations == 0
 
 
@@ -55,7 +69,7 @@ def test_number_bound_boundary_sampling_violates():
     space = fock.build_space(1, 1, interior_margin=0)
     ops = generator.build_operators(model, space)
     K = gm.build_kossakowski(model.V, model.U)
-    rep = diagnostics.number_operator_bound(ops, K, 50, seed=40)
+    rep = diagnostics.number_operator_bound(bound_pass(ops, 40, 50), K, 50)
     assert rep.violations > 0
     assert rep.min_slack < -1e-10
     assert rep.witness is not None
@@ -63,7 +77,7 @@ def test_number_bound_boundary_sampling_violates():
 
 def test_domain_comparison_identity_case():
     model, space, ops, K = heated_mode_setup()
-    rep = diagnostics.domain_comparison_constants(ops, K, 200, seed=2,
+    rep = diagnostics.domain_comparison_constants(full_pass(ops, 2, 200), K, 200,
                                                   c_grid=[0.0, 1.0, 4.0])
     assert rep.feasible
     assert rep.c0_hat == 0.0
@@ -78,7 +92,7 @@ def test_domain_comparison_two_boson():
     space = fock.build_space(2, 6)
     ops = generator.build_operators(model, space)
     K = gm.build_kossakowski(model.V, model.U)
-    rep = diagnostics.domain_comparison_constants(ops, K, 300, seed=3)
+    rep = diagnostics.domain_comparison_constants(full_pass(ops, 3, 300), K, 300)
     assert rep.feasible
     assert np.isfinite(rep.max_required_c)
 
@@ -148,7 +162,7 @@ def test_invariant_search_trivial_two_level_space():
 def test_sector_estimate_self_adjoint():
     model, space, ops, K = heated_mode_setup()
     # Omega = 0 so G = G0 is self-adjoint: degenerate sector
-    rep = diagnostics.sector_estimate(ops, 200, seed=7, shift_grid=[0.0])
+    rep = diagnostics.sector_estimate(sector_pass(ops, 7, 200), 200, shift_grid=[0.0])
     assert rep.theta_hat <= 1e-6
 
 
@@ -158,19 +172,19 @@ def test_sector_estimate_rotating_mode():
                              V=[[1.0]], U=[[0.0]])
     space = fock.build_space(1, 8)
     ops = generator.build_operators(model, space)
-    rep = diagnostics.sector_estimate(ops, 200, seed=8, shift_grid=[0.0])
+    rep = diagnostics.sector_estimate(sector_pass(ops, 8, 200), 200, shift_grid=[0.0])
     assert rep.theta_hat == pytest.approx(np.arctan(2 * omega), abs=1e-10)
     assert rep.z_samples.shape == (200,)
 
 
 def test_sector_estimate_shift_grid_selection():
     model, space, ops, K = heated_mode_setup()
-    rep = diagnostics.sector_estimate(ops, 100, seed=9,
+    rep = diagnostics.sector_estimate(sector_pass(ops, 9, 100), 100,
                                       shift_grid=[0.0, 1.0])
     assert rep.shift in (0.0, 1.0)
     assert len(rep.per_shift) == 2
 
-    default = diagnostics.sector_estimate(ops, 50, seed=9)
+    default = diagnostics.sector_estimate(sector_pass(ops, 9, 50), 50)
     assert len(default.per_shift) == 4
     assert default.theta_hat <= min(th for _, th in default.per_shift) + 1e-15
 
@@ -251,14 +265,15 @@ def test_samplers_match_per_sample_loops(monkeypatch):
         - K.eps0 * float(np.real(np.vdot(xi, 2.0 * (ops.N @ xi) + space.d * xi)))
         for xi in xs])
     tol = -float(np.median(slack))  # makes about half of the samples violations
+    stats = full_pass(ops, seed, n)
     with monkeypatch.context() as patch:
         patch.setattr(diagnostics, "BOUND_TOL", tol)
-        bound = diagnostics.number_operator_bound(ops, K, n, seed)
+        bound = diagnostics.number_operator_bound(stats, K, n)
     assert bound.samples == n
     assert bound.min_slack == pytest.approx(slack.min(), rel=1e-12)
     assert bound.violations == int(np.count_nonzero(slack < -tol))
     assert np.abs(bound.witness - xs[int(np.argmin(slack))]).max() <= 1e-12
-    assert diagnostics.number_operator_bound(ops, K, n, seed).violations == \
+    assert diagnostics.number_operator_bound(stats, K, n).violations == \
         int(np.count_nonzero(slack < -1e-10))
 
     n2 = np.array([np.linalg.norm(ops.N @ xi) ** 2 for xi in xs])
@@ -266,10 +281,69 @@ def test_samplers_match_per_sample_loops(monkeypatch):
         [np.linalg.norm(ops.G0 @ xi) ** 2 for xi in xs]))
     req_c = max(K.eps0 ** 2 * n2 - 2.0 * np.array(
         [np.linalg.norm(ops.G @ xi) ** 2 for xi in xs]))
-    dc = diagnostics.domain_comparison_constants(ops, K, n, seed)
+    dc = diagnostics.domain_comparison_constants(stats, K, n)
     assert dc.max_required_c0 == pytest.approx(req_c0, rel=1e-12)
     assert dc.max_required_c == pytest.approx(req_c, rel=1e-12)
 
     zs = np.array([np.vdot(xi, ops.G @ xi) for xi in xs])
-    sector = diagnostics.sector_estimate(ops, n, seed)
+    sector = diagnostics.sector_estimate(stats, n)
     assert np.abs(sector.z_samples - zs).max() <= 1e-12 * np.abs(zs).max()
+
+
+def statistics(stats):
+    """{(kind, operator): per-sample array} of a sample pass."""
+    return {**{("form", op): v for op, v in stats.form.items()},
+            **{("norm2", op): v for op, v in stats.norm2.items()}}
+
+
+def seeded_ops(seed, d, N_max):
+    model = strictly_positive_model(np.random.default_rng(seed), d)
+    return generator.build_operators(model, fock.build_space(d, N_max))
+
+
+# n = 1 (mod SAMPLE_BLOCK) is left out: a one-column block's squared norm is
+# a contiguous, pairwise sum, so its last bit may differ from the same
+# column's in a wider block
+@pytest.mark.parametrize("n", [50, 64, 150, 200])
+def test_sample_statistics_prefix_is_bit_equal(n):
+    ops = seeded_ops(44, 2, 6)
+    longer = statistics(full_pass(ops, 19, 1000))
+    short = statistics(full_pass(ops, 19, n))
+    assert len(short) == 6
+    for key, values in short.items():
+        assert values.shape == (n,)
+        assert np.array_equal(values, longer[key][:n]), key
+
+
+@pytest.mark.parametrize("n", [1, 50, 65, 150])
+def test_shared_pass_equals_each_operators_own_pass(n):
+    # each operator sees the block widths of a pass of its own count
+    ops = seeded_ops(45, 2, 6)
+    counts = {"G0": n, "N": 200, "G": 129}
+    shared = statistics(diagnostics.sample_statistics(ops, 21, counts))
+    for (kind, op), values in shared.items():
+        own = statistics(diagnostics.sample_statistics(ops, 21, {op: counts[op]}))
+        assert np.array_equal(values, own[(kind, op)]), (kind, op)
+
+
+def test_sample_statistics_rejects_bad_counts():
+    ops = seeded_ops(46, 1, 6)
+    for counts in ({}, {"G0": 0}, {"L": 5}):
+        with pytest.raises(ValueError):
+            diagnostics.sample_statistics(ops, 1, counts)
+    with pytest.raises(ValueError, match="G"):
+        diagnostics.sector_estimate(bound_pass(ops, 1, 10), 10)
+    with pytest.raises(ValueError):
+        diagnostics.number_operator_bound(bound_pass(ops, 1, 10), None, 11)
+
+
+def test_sample_pass_peak_memory_is_a_few_blocks():
+    ops = seeded_ops(47, 3, 12)
+    block = ops.space.D * diagnostics.SAMPLE_BLOCK * 16
+    tracemalloc.start()
+    try:
+        full_pass(ops, 23, 200)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * block

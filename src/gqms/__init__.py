@@ -37,7 +37,6 @@ from .generator import (
     build_lindbladian,
     build_operators,
     dissipation_quadratic_identity,
-    quadratic_form_apply,
 )
 from .evolution import (
     DensityMatrix,
@@ -45,7 +44,6 @@ from .evolution import (
     IntegrationError,
     evolve_density,
     evolve_vector,
-    number_semigroup_limit,
 )
 from .commutators import (
     AdjointActionMatrix,

@@ -244,7 +244,7 @@ def task_number_bound(ctx, out, n_samples=1000, seed=None):
     xi = np.hstack(list(diagnostics.sample_blocks(
         np.random.default_rng(seed), min(n_samples, 50),
         ctx.space.interior_dim(), ctx.space.D)))
-    lhs, rhs = generator.dissipation_quadratic_identity(ctx.ops, ctx.kossakowski, xi)
+    lhs, rhs = generator.dissipation_quadratic_identity(ctx.ops, xi)
     identity_err = float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
     report = {
         "samples": rep.samples,

@@ -98,8 +98,10 @@ def sample_blocks(rng, count, dim, rows=None):
     for start in range(0, count, SAMPLE_BLOCK):
         x = rng.standard_normal((min(SAMPLE_BLOCK, count - start), 2, dim))
         z = (x[:, 0] + 1j * x[:, 1]).T
+        del x  # each draw temporary is freed before the next is allocated
         block = np.zeros((rows, z.shape[1]), dtype=complex)
         block[:dim] = z / np.linalg.norm(z, axis=0)
+        del z
         yield block
 
 
@@ -154,6 +156,7 @@ def sample_statistics(ops, seed, counts):
     norm2 = {name: np.empty(n) for name, n in counts.items()}
     form = {name: np.empty(n, dtype=complex if name == "G" else float)
             for name, n in counts.items()}
+    work = np.empty(ops.space.D * SAMPLE_BLOCK, dtype=complex)  # one reused temporary block
     start = 0
     for X in _interior_blocks(ops.space, max(counts.values()), seed):
         for name, n in counts.items():
@@ -162,13 +165,15 @@ def sample_statistics(ops, seed, counts):
                 continue
             Xb = X[:, :b] if b < X.shape[1] else X
             Y = getattr(ops, name) @ Xb
-            norm2[name][start:start + b] = np.linalg.norm(Y, axis=0) ** 2
+            T = work[:Y.size].reshape(Y.shape)
+            np.multiply(np.conjugate(Y, out=T), Y, out=T)
+            norm2[name][start:start + b] = np.sqrt(np.add.reduce(T.real, axis=0)) ** 2
             if name == "G0":  # -2 G0 xi
                 Y *= -2.0
             elif name == "N":  # (2N + d) xi
                 Y *= 2.0
-                Y += d * Xb
-            z = np.einsum("ij,ij->j", Xb.conj(), Y)
+                Y += np.multiply(d, Xb, out=T)
+            z = np.einsum("ij,ij->j", np.conjugate(Xb, out=T), Y)
             del Y  # before the next operator's image is allocated
             form[name][start:start + b] = z if name == "G" else np.real(z)
         start += X.shape[1]

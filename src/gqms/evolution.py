@@ -2,14 +2,15 @@
 
 The default integrator (`method="auto"`) applies the exponential to the
 state once per output interval by `_expm_action`, the truncated-Taylor
-method of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011, Alg. 3.2)
-on the sparse matrix itself.  The shift mu = tr(A)/n and the exact
-1-norm of A - mu I are computed once per evolution, without forming the
-shifted matrix (the shift enters each product as A v - mu v); each
-interval then takes its step count and Taylor degree from the theta
-table.  Dense `expm` and fixed-step RK4 remain as explicit cross-checks.
-Trace is never renormalized by default: trace drift, loss of Hermiticity
-and negative eigenvalues are recorded per output time as
+method of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011, Alg. 3.2),
+by products with the sparse matrix itself; a density evolution's
+product is the folded one of its Superoperator followed by the mirror
+of the lower triangle.  The shift mu = tr(A)/n and the exact 1-norm of
+A - mu I are computed once per evolution, without forming the shifted
+matrix; each interval then takes its step count and Taylor degree from
+the theta table.  Dense `expm` and fixed-step RK4 remain as explicit
+cross-checks.  Trace is never renormalized: trace drift, loss of
+Hermiticity and negative eigenvalues are recorded per output time as
 truncation/integration diagnostics.
 """
 
@@ -37,6 +38,7 @@ TAYLOR_THETA = {
 }
 TAYLOR_TOL = 2.0 ** -53
 TRACE_ABORT = 1e-4
+MAX_PRODUCTS = 10 ** 5  # matrix products one evolution may plan
 CONTRACTION_SLACK = 1e-8
 
 
@@ -100,43 +102,51 @@ def _rk4_segment(matvec, v, dt, h):
     return v
 
 
-def _shift_and_norm(A):
-    """mu = tr(A)/n and the exact 1-norm of A - mu I for a CSR matrix A.
+def _shift_and_norm(A, superop=None):
+    """mu = tr/n and the exact 1-norm of the shifted generator of a CSR A.
 
-    The column sums of |A| are |A|^T times ones, with |A|^T the CSR's own
-    arrays read as CSC (no index array is copied or widened), corrected on
-    the diagonal by |a_jj - mu| - |a_jj|, so the shifted matrix is never
-    formed.
+    A is square, or the folded CSR of `superop`, whose column c = k D + j
+    sums column c of the stored rows and column j D + k of the stored rows
+    j < k, and whose mu is real.  |A| reads the CSR's own arrays as CSC (no
+    index array is copied or widened); the column sums are corrected by
+    |a_cc - mu| - |a_cc|, so the shifted matrix is never formed.
     """
-    diag = A.diagonal()
-    mu = diag.sum() / A.shape[0]
-    abs_t = sp.csc_matrix((np.abs(A.data), A.indices, A.indptr), shape=A.shape[::-1])
-    colsums = abs_t @ np.ones(A.shape[0])
-    colsums += np.abs(diag - mu) - np.abs(diag)
+    n_rows, n = A.shape
+    rows, mirrors = superop.fold if superop else (np.arange(n),) * 2
+    strict = rows != mirrors
+    diag = np.asarray(A[np.arange(n_rows), rows]).ravel() if superop else A.diagonal()
+    mu = (diag.real.sum() + diag.real[strict].sum()) / n if superop else diag.sum() / n
+    sums = (sp.csc_matrix((np.abs(A.data), A.indices, A.indptr), shape=(n, n_rows))
+            @ np.column_stack([np.ones(n_rows), strict]))
+    colsums = sums[:, 0] + (sums[:, 1].reshape(superop.dim, -1).T.ravel() if superop else 0.0)
+    shift = np.abs(diag - mu) - np.abs(diag)
+    colsums[mirrors] += shift
+    colsums[rows[strict]] += shift[strict]
     return mu, float(colsums.max())
 
 
-def _expm_action(A, v, dt, mu, norm):
-    """e^{dt A} v, given mu = tr(A)/n and norm = ||A - mu I||_1.
-
-    s steps of the degree-m Taylor polynomial of e^{(dt/s)(A - mu I)},
-    each scaled by e^{dt mu/s}; (m, s) minimises m s with
-    s = ceil(dt norm / theta_m).  A step stops adding terms once the
-    infinity norms of the last two are at most TAYLOR_TOL times that of
-    the partial sum.
-    """
+def _taylor_plan(dt, norm):
+    """Degree m and step count s (a float) minimising m s, s = ceil(dt norm / theta_m)."""
     if dt * norm == 0:
-        m, s = 0, 1
-    else:
-        m, s = min(((deg, int(np.ceil(dt * norm / theta)))
-                    for deg, theta in TAYLOR_THETA.items()),
-                   key=lambda pair: pair[0] * pair[1])
+        return 0, 1.0
+    return min(((deg, float(np.ceil(dt * norm / theta))) for deg, theta in TAYLOR_THETA.items()),
+               key=lambda pair: pair[0] * pair[1])
+
+
+def _expm_action(matvec, v, dt, mu, norm):
+    """e^{dt A} v, given matvec(v) = A v, mu = tr(A)/n and norm = ||A - mu I||_1.
+
+    s steps of the degree-m Taylor polynomial of e^{(dt/s)(A - mu I)}, each
+    scaled by e^{dt mu/s}.  A step stops adding terms once the infinity
+    norms of the last two are at most TAYLOR_TOL times that of the sum.
+    """
+    m, s = _taylor_plan(dt, norm)
     eta = np.exp(dt * mu / s)
     F = v
-    for _ in range(s):
+    for _ in range(int(s)):
         c1 = np.abs(v).max()
         for j in range(m):
-            v = (dt / (s * (j + 1))) * (A @ v - mu * v)
+            v = (dt / (s * (j + 1))) * (matvec(v) - mu * v)
             c2 = np.abs(v).max()
             F = F + v
             if c1 + c2 <= TAYLOR_TOL * np.abs(F).max():
@@ -147,61 +157,70 @@ def _expm_action(A, v, dt, mu, norm):
     return F
 
 
-def _propagate(matrix, v0, times, method, h):
-    """Yield the state vector at each output time under dv/dt = matrix v."""
+def _propagate(A, v0, times, method, h, superop=None):
+    """Yield the state vector at each output time under dv/dt = A v, for a
+    square CSR A or the folded CSR of `superop` (products by its matvec).
+
+    An evolution that plans more than MAX_PRODUCTS products (sum m s for
+    `auto`, 4 ceil(dt/h) for `rk4`) is refused before the first one.
+    """
     if method not in ("auto", "expm", "rk4"):
         raise ValueError(f"unknown method {method!r}")
+    matvec = superop.matvec if superop else A.__matmul__
+    steps = np.diff(times).tolist()  # Python floats: a huge dt overflows to inf silently
+    planned = 0.0
     if method == "auto":
-        matrix = matrix.tocsr()
-        mu, norm = _shift_and_norm(matrix)
-    elif method == "expm":
-        nbytes = 16 * matrix.shape[0] ** 2
+        mu, norm = _shift_and_norm(A, superop)
+        planned = sum(m * s for m, s in (_taylor_plan(dt, norm) for dt in steps))
+    elif method == "rk4":
+        planned = sum(4.0 * max(1.0, float(np.ceil(dt / h))) for dt in steps)
+    else:
+        nbytes = 16 * v0.size ** 2
         if nbytes > EXPM_MAX_BYTES:
             raise IntegrationError(
                 f"dense expm needs {nbytes} bytes per copy (limit {EXPM_MAX_BYTES})")
-        dense = matrix.toarray() if hasattr(matrix, "toarray") else np.asarray(matrix)
+        dense = (superop or A).toarray()
+    if planned > MAX_PRODUCTS:
+        raise IntegrationError(
+            f"evolution plans {planned:.3g} matrix products (limit {MAX_PRODUCTS})")
     v = v0
     yield v
-    for dt in np.diff(times):
+    for dt in steps:
         if method == "auto":
-            v = _expm_action(matrix, v, dt, mu, norm)
+            v = _expm_action(matvec, v, dt, mu, norm)
         elif method == "expm":
             v = scipy.linalg.expm(dense * dt) @ v
         else:
-            v = _rk4_segment(matrix.__matmul__, v, dt, h)
+            v = _rk4_segment(matvec, v, dt, h)
         yield v
 
 
-def evolve_density(superop, rho0, times, method="auto", h=1e-3, renormalize=False):
+def evolve_density(superop, rho0, times, method="auto", h=1e-3):
     """Integrate rho' = L*(rho) from a valid initial state.
 
-    Aborts with IntegrationError when the trace drifts by more than 1e-4.
-    Stats arrays: trace_err, herm_err, min_eig per output time.
+    rho0 is Hermitized once, and each product mirrors the folded rows
+    (`Superoperator.matvec`).  Aborts with IntegrationError when the trace
+    drifts by more than 1e-4.  Stats arrays: trace_err, herm_err (rounding
+    level by construction), min_eig per output time.
     """
     if superop.picture != "schrodinger":
         raise ValueError("evolve_density needs a schrodinger-picture superoperator")
     times = _check_times(times)
     D = superop.dim
-    if isinstance(rho0, DensityMatrix):
-        rho0 = rho0.rho
-    rho0 = np.asarray(rho0, dtype=complex).reshape(D, D)
+    rho0 = np.asarray(getattr(rho0, "rho", rho0), dtype=complex).reshape(D, D)
     DensityMatrix(rho=rho0, t=0.0).validate()
+    rho0 = 0.5 * (rho0 + rho0.conj().T)
     states = []
-    trace_err = np.zeros(times.size)
-    herm_err = np.zeros(times.size)
-    min_eig = np.zeros(times.size)
+    trace_err, herm_err, min_eig = (np.zeros(times.size) for _ in range(3))
     v0 = rho0.reshape(D * D, order="F")
-    for i, v in enumerate(_propagate(superop.matrix, v0, times, method, h)):
+    for i, v in enumerate(_propagate(superop.matrix, v0, times, method, h, superop)):
         rho = v.reshape(D, D, order="F")
-        tr = np.trace(rho)
-        trace_err[i] = abs(tr - 1.0)
+        trace_err[i] = abs(np.trace(rho) - 1.0)
         if trace_err[i] > TRACE_ABORT:
             raise IntegrationError(
                 f"trace error {trace_err[i]:.3e} at t={times[i]:g} exceeds "
                 f"{TRACE_ABORT:g}; integration unstable"
             )
-        if renormalize and tr != 0:
-            rho = rho / tr
         herm_err[i] = np.abs(rho - rho.conj().T).max()
         min_eig[i] = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
         states.append(DensityMatrix(rho=rho, t=float(times[i])))
@@ -221,31 +240,13 @@ def evolve_vector(ops, psi0, times, method="auto", h=1e-3):
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
         raise ValueError("psi0 must be a unit vector")
-    states = list(_propagate(ops.G, psi0, times, method, h))
+    states = list(_propagate(ops.G.tocsr(), psi0, times, method, h))
     norms = np.array([np.linalg.norm(v) for v in states])
     contraction_ok = bool(np.all(np.diff(norms) <= CONTRACTION_SLACK))
     return EvolutionResult(
         times=times, states=states,
         stats={"norms": norms, "contraction_ok": contraction_ok},
     )
-
-
-def number_semigroup_limit(space, v, rtol=1e-12):
-    """Project v onto its lowest non-vanishing grade.
-
-    This is the limit of e^{n0 t} e^{-tN} v as t grows, computed exactly
-    from the graded basis ordering.
-    """
-    v = np.asarray(v, dtype=complex).reshape(space.D)
-    mags = np.abs(v)
-    top = mags.max()
-    if top == 0.0:
-        raise ValueError("v must be non-zero")
-    grades = space.grades
-    support = grades[mags > rtol * top]
-    n0 = int(support.min())
-    out = np.where(grades == n0, v, 0.0)
-    return out
 
 
 def support_rank(rho, interior_dim, rtol=1e-8):
@@ -257,32 +258,22 @@ def support_rank(rho, interior_dim, rtol=1e-8):
     return rank, float(w.min())
 
 
-def export_timeseries_csv(result, path, space=None, observables=None):
+def export_timeseries_csv(result, path, space, observables=()):
     """Write a density-evolution time series as CSV.
 
-    Columns: t, trace_err, min_eig, support_rank, then one diagonal
-    expectation column per requested occupation multi-index.
+    Columns: t, trace_err, min_eig, support_rank (on the interior block),
+    then one diagonal expectation column per requested occupation multi-index.
     """
-    observables = observables or []
-    cols = ["t", "trace_err", "min_eig", "support_rank"]
-    obs_idx = []
-    for n in observables:
-        n = tuple(int(k) for k in n)
-        cols.append("p" + "".join(str(k) for k in n))
-        obs_idx.append(space.index_of[n])
-    interior = space.interior_dim() if space is not None else None
+    observables = [tuple(int(k) for k in n) for n in observables]
+    obs_idx = [space.index_of[n] for n in observables]
+    dim = space.interior_dim()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(cols)
-        for i, state in enumerate(result.states):
-            rho = state.rho
-            dim = interior if interior is not None else rho.shape[0]
-            rank, _ = support_rank(rho, dim)
-            row = [
-                f"{result.times[i]:.12g}",
-                f"{result.stats['trace_err'][i]:.6e}",
-                f"{result.stats['min_eig'][i]:.6e}",
-                str(rank),
-            ]
-            row += [f"{rho[k, k].real:.12g}" for k in obs_idx]
-            writer.writerow(row)
+        writer.writerow(["t", "trace_err", "min_eig", "support_rank"]
+                        + ["p" + "".join(str(k) for k in n) for n in observables])
+        for t, state, trace_err, min_eig in zip(result.times, result.states,
+                                                result.stats["trace_err"],
+                                                result.stats["min_eig"]):
+            writer.writerow([f"{t:.12g}", f"{trace_err:.6e}", f"{min_eig:.6e}",
+                             str(support_rank(state.rho, dim)[0])]
+                            + [f"{state.rho[k, k].real:.12g}" for k in obs_idx])

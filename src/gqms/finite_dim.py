@@ -129,7 +129,7 @@ def build_fd_generators(model):
 
 def _heisenberg_propagators(model, times):
     """Dense e^{tL} of the Heisenberg generator for each t in times."""
-    dense = gkls_superoperator(*_drift_and_kraus(model), "heisenberg").matrix.toarray()
+    dense = gkls_superoperator(*_drift_and_kraus(model), "heisenberg").toarray()
     return [scipy.linalg.expm(dense * t) for t in times]
 
 

@@ -12,13 +12,16 @@ sum_pq K_qp s_p rho s_q† over the ladder operators
 s = (a_1..a_d, a_1†..a_d†), by `gkls_superoperator`, the one GKLS
 assembly of the package (finite_dim passes its Kraus operators to it).
 Vectorization is by column stacking, vec(A X B) = (B^T kron A) vec(X).
-Sparse entries are kept exactly as assembled (no drop thresholding);
-only exact zeros of the summed result are dropped.
+Both generators are *-maps, L(X†) = L(X)†, so only the D(D+1)/2 rows
+of the upper-triangle entries are assembled and stored; `Superoperator`
+unfolds the rest.  Sparse entries are kept exactly as assembled (no drop
+thresholding); only exact zeros of the summed result are dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,14 +47,59 @@ class TruncatedOperators:
     L: tuple
     model: object
 
+    @cached_property
+    def pairs(self):
+        """The Kossakowski pairs (s_q, B_q = sum_p K_qp s_p), one per nonzero row q
+        of K, over the ladders s = (a_1..a_d, a_1†..a_d†)."""
+        K = gm.build_kossakowski(self.model.V, self.model.U).matrix
+        s = list(self.ladders.a) + list(self.ladders.adag)
+        return [(s[q], sum(K[q, p] * s[p] for p in np.flatnonzero(K[q])))
+                for q in range(len(s)) if K[q].any()]
+
 
 @dataclass(frozen=True, eq=False)
 class Superoperator:
-    """Vectorized generator acting on column-stacked D x D matrices."""
+    """Vectorized Hermiticity-preserving generator on D x D matrices, folded.
+
+    L(X†) = L(X)†: the row of entry (k, j) is that of (j, k) conjugated,
+    with the columns b D + a and a D + b swapped.  So `matrix` holds only
+    the D(D+1)/2 rows (j, k), j <= k, in increasing vec index k D + j.
+    """
 
     matrix: sp.spmatrix
     picture: str
     dim: int
+
+    @cached_property
+    def fold(self):
+        """(vec index k D + j of each stored row, vec index j D + k of its mirror)."""
+        k, j = np.tril_indices(self.dim)
+        return k * self.dim + j, j * self.dim + k
+
+    def matvec(self, v):
+        """vec L(X) of a Hermitian X = unvec(v): the stored rows, conjugated into their mirrors."""
+        rows, mirrors = self.fold
+        y = self.matrix @ v
+        out = np.empty(self.dim ** 2, dtype=complex)
+        out[mirrors] = y.conj()
+        out[rows] = y
+        return out
+
+    def apply(self, X):
+        """L(X) for any D x D matrix X, as L(H1) + i L(H2) with X = H1 + i H2."""
+        D, X = self.dim, np.asarray(X, dtype=complex)
+        re, im = (self.matvec(H.reshape(D * D, order="F"))
+                  for H in (0.5 * (X + X.conj().T), -0.5j * (X - X.conj().T)))
+        return (re + 1j * im).reshape(D, D, order="F")
+
+    def toarray(self):
+        """The dense D^2 x D^2 generator, the mirrored rows unfolded."""
+        (rows, mirrors), D = self.fold, self.dim
+        stored = self.matrix.toarray()
+        dense = np.empty((D * D, D * D), dtype=complex)
+        dense[mirrors] = stored.reshape(-1, D, D).transpose(0, 2, 1).reshape(-1, D * D).conj()
+        dense[rows] = stored
+        return dense
 
 
 def build_operators(model, space):
@@ -90,141 +138,99 @@ def build_operators(model, space):
     )
 
 
-def _triplets(A):
-    """(rows, cols, values) of the stored entries of a sparse or dense matrix."""
-    A = sp.coo_matrix(A)
-    return A.row, A.col, A.data
-
-
-def _adjoint(T):
-    rows, cols, vals = T
-    return cols, rows, vals.conj()
-
-
-def _conj(T):
-    rows, cols, vals = T
-    return rows, cols, vals.conj()
+def _triplets(A, adjoint):
+    """(rows, cols, values) of the stored entries of a sparse or dense A, or of A†."""
+    if sp.issparse(A):
+        A = A.tocsr()
+        rows, cols, vals = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)), A.indices, A.data
+    else:
+        rows, cols = np.nonzero(A)
+        vals = A[rows, cols]
+    return (cols, rows, vals.conj()) if adjoint else (rows, cols, vals)
 
 
 def gkls_superoperator(G, pairs, picture="schrodinger"):
-    """Vectorized GKLS generator of the drift G and dissipator pairs (A_j, B_j).
+    """Folded vectorized GKLS generator of the drift G and dissipator pairs (A_j, B_j).
 
     A pair contributes rho -> B_j rho A_j†, so the Schrodinger form is
     kron(I, G) + kron(conj G, I) + sum_j kron(conj A_j, B_j); Kraus
     operators enter as pairs (L, L).  The Heisenberg form is the
     Hilbert-Schmidt adjoint, the same sum with G† and the pairs
-    (A_j†, B_j†).  G and the pair entries may be sparse or dense.
+    (A_j†, B_j†).  G and the pair entries may be sparse or dense; the
+    pairs must give a Hermiticity-preserving map (Kraus pairs, a Hermitian
+    Kossakowski matrix, or a set closed under A_j <-> B_j).
 
-    Every term's COO triplets are written into int32 / complex arrays
-    sized once to E = sum nnz(P) nnz(Q) over the kron factors (P, Q),
-    with no per-term kron, sum or concatenation; the triplets become CSR
-    once (duplicates summed, exact zeros dropped).  When the peak of
-    that conversion, the triplets and the E-long CSR copy with its row
-    pointer live at once, would exceed ASSEMBLY_MAX_BYTES a ValueError
-    naming the bytes is raised before any of them is allocated.
+    kron(P, Q) puts P_ab Q_ij in vec row a D + i, stored as row
+    a (a + 1) / 2 + i when i <= a.  The stored triplets are counted, written
+    into int32 / complex arrays sized once and made CSR once (duplicates
+    summed, exact zeros dropped); a ValueError naming the bytes is raised
+    before any is allocated when the peak of that conversion (triplets, CSR
+    copy and row pointer) would exceed ASSEMBLY_MAX_BYTES.
     """
     if picture not in PICTURES:
         raise ValueError(f"picture must be one of {PICTURES}")
     D = G.shape[0]
-    X = _triplets(G)
-    pairs = [(_triplets(A), _triplets(B)) for A, B in pairs]
-    if picture == "heisenberg":
-        X = _adjoint(X)
-        pairs = [(_adjoint(A), _adjoint(B)) for A, B in pairs]
+    adjoint = picture == "heisenberg"
+    X = _triplets(G, adjoint)
     diag = np.arange(D, dtype=np.int32)
     I = (diag, diag, np.ones(D, dtype=complex))
-    terms = [(I, X), (_conj(X), I)] + [(_conj(A), B) for A, B in pairs]
-    E = sum(P[2].size * Q[2].size for P, Q in terms)
+    terms = []  # (P, Q) of kron(conj P, Q)
+    for P, Q in [(I, X), (X, I)] + [(_triplets(A, adjoint), _triplets(B, adjoint))
+                                    for A, B in pairs]:
+        order = np.argsort(Q[0], kind="stable")
+        Q = tuple(part[order] for part in Q)
+        terms.append((P, Q, np.searchsorted(Q[0], P[0], side="right")))
+    E = sum(int(counts.sum()) for _, _, counts in terms)
+    n = D * (D + 1) // 2
     # 24 B per triplet (int32 row and column, complex value), which tocsr
     # holds while it writes 20 B per entry (int32 index, complex value)
-    # and an int32 row pointer
-    nbytes = 44 * E + 4 * (D * D + 1)
+    # and an int32 row pointer over the n stored rows
+    nbytes = 44 * E + 4 * (n + 1)
     if nbytes > ASSEMBLY_MAX_BYTES:
         raise ValueError(
             f"superoperator assembly needs {nbytes} bytes at its peak for "
             f"{E} triplets at D = {D} (limit {ASSEMBLY_MAX_BYTES})")
-    # the row pointer alone bounds D^2 below 2^29 for every admitted size
+    # the row pointer alone bounds D^2 below 2^30 for every admitted size
     assert D * D <= np.iinfo(np.int32).max
-    rows = np.empty(E, dtype=np.int32)
-    cols = np.empty(E, dtype=np.int32)
-    data = np.empty(E, dtype=complex)
+    rows, cols, data = np.empty(E, np.int32), np.empty(E, np.int32), np.empty(E, complex)
     start = 0
-    for (Pr, Pc, Pv), (Qr, Qc, Qv) in terms:
-        stop = start + Pv.size * Qv.size
-        shape = (Pv.size, Qv.size)
-        np.add.outer(Pr * D, Qr, out=rows[start:stop].reshape(shape))
-        np.add.outer(Pc * D, Qc, out=cols[start:stop].reshape(shape))
-        np.multiply.outer(Pv, Qv, out=data[start:stop].reshape(shape))
-        start = stop
-    M = sp.coo_matrix((data, (rows, cols)), shape=(D * D, D * D)).tocsr()
+    for (Pr, Pc, Pv), (Qr, Qc, Qv), counts in terms:
+        part = slice(start, start + int(counts.sum()))
+        mask = np.arange(Qv.size) < counts[:, None]
+        for out, p_part, q_part, op in ((rows, Pr * (Pr + 1) // 2, Qr, np.add),
+                                        (cols, Pc * D, Qc, np.add),
+                                        (data, Pv.conj(), Qv, np.multiply)):
+            op(np.repeat(p_part, counts), np.broadcast_to(q_part, mask.shape)[mask],
+               out=out[part])
+        start = part.stop
+    M = sp.coo_matrix((data, (rows, cols)), shape=(n, D * D)).tocsr()
     M.eliminate_zeros()
     return Superoperator(matrix=M, picture=picture, dim=D)
 
 
 def build_lindbladian(ops, picture="schrodinger"):
-    """Vectorized Lindblad generator of a Gaussian model in the requested picture.
+    """Folded vectorized Lindblad generator of a Gaussian model in the requested picture.
 
     The dissipator is taken in its Kossakowski (GKS) form,
     sum_l L_l rho L_l† = sum_pq K_qp s_p rho s_q† with
     s = (a_1..a_d, a_1†..a_d†), so `gkls_superoperator` receives one
-    pair (s_q, sum_p K_qp s_p) per nonzero row q of K.  The 2d ladder
-    operators have disjoint supports, so the grouped pairs give the same
-    triplets as the pairs (s_q, K_qp s_p): at most 4d^2 D^2, whatever
-    the number m of Kraus operators, in 2d terms.  Truncation error
-    enters only through the operators themselves.
+    pair (s_q, sum_p K_qp s_p) per nonzero row q of K.  The 2d ladders
+    have disjoint supports, so these give the triplets of the pairs
+    (s_q, K_qp s_p): at most 4d^2 D^2 before the fold, whatever m is.
     """
-    model = ops.model
-    K = gm.build_kossakowski(model.V, model.U).matrix
-    s = list(ops.ladders.a) + list(ops.ladders.adag)
-    pairs = [(s[q], sum(K[q, p] * s[p] for p in np.flatnonzero(K[q])))
-             for q in range(len(s)) if K[q].any()]
-    return gkls_superoperator(ops.G, pairs, picture)
+    return gkls_superoperator(ops.G, ops.pairs, picture)
 
 
-def apply_superoperator(superop, X):
-    """Apply a vectorized generator to a D x D matrix, returning a matrix."""
-    D = superop.dim
-    v = superop.matrix @ np.asarray(X, dtype=complex).reshape(D * D, order="F")
-    return v.reshape(D, D, order="F")
+def dissipation_quadratic_identity(ops, xi):
+    """Evaluate <xi, -2 G0 xi> and the Kossakowski quadratic form <a# xi, K a# xi>.
 
-
-def quadratic_form_apply(ops, x, v, u):
-    """Sesquilinear form of the Heisenberg generator at (v, u), both interior.
-
-    Returns i<Hv, xu> - i<v, xHu>
-            - (1/2) sum_l (<v, x L†L u> - 2 <Lv, x Lu> + <L†L v, x u>),
-    which agrees with <v, L(x) u> computed from the vectorized generator.
-    """
-    v = fock.check_interior(ops.space, v)
-    u = fock.check_interior(ops.space, u)
-    x = np.asarray(x, dtype=complex)
-    Hv = ops.H @ v
-    Hu = ops.H @ u
-    total = 1j * np.vdot(Hv, x @ u) - 1j * np.vdot(v, x @ Hu)
-    for Lop in ops.L:
-        Lu = Lop @ u
-        Lv = Lop @ v
-        LdLu = Lop.conj().T @ Lu
-        LdLv = Lop.conj().T @ Lv
-        total -= 0.5 * (np.vdot(v, x @ LdLu) - 2.0 * np.vdot(Lv, x @ Lu)
-                        + np.vdot(LdLv, x @ u))
-    return complex(total)
-
-
-def dissipation_quadratic_identity(ops, K, xi):
-    """Evaluate <xi, -2 G0 xi> and the Kossakowski quadratic form on a# xi.
-
-    a# xi stacks (a_1 xi, ..., a_d xi, a_1† xi, ..., a_d† xi); the two
-    numbers agree up to rounding for interior xi, where the truncated
+    The form is sum_q <s_q xi, B_q xi> over `ops.pairs`, the pairs that
+    `build_lindbladian` assembles, so two ladder images are live at a time;
+    the two numbers agree up to rounding for interior xi, where the truncated
     ladder actions are exact.  xi may also be a D x b block of columns;
     then lhs and rhs are length-b arrays.
     """
     xi = fock.check_interior(ops.space, xi)
-
-    def dot(x, y):
-        return np.einsum("i...,i...->...", x.conj(), y)
-
-    stack = [op @ xi for op in list(ops.ladders.a) + list(ops.ladders.adag)]
-    Km = K.matrix if hasattr(K, "matrix") else np.asarray(K, dtype=complex)
-    rhs = sum(Km[p, q] * dot(stack[p], stack[q]) for p, q in zip(*np.nonzero(Km)))
-    return np.real(dot(xi, -2.0 * (ops.G0 @ xi))), np.real(rhs)
+    dot = "i...,i...->..."
+    rhs = sum(np.einsum(dot, (s @ xi).conj(), B @ xi) for s, B in ops.pairs)
+    return np.real(np.einsum(dot, xi.conj(), -2.0 * (ops.G0 @ xi))), np.real(rhs)

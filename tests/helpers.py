@@ -1,6 +1,7 @@
 """Shared seeded samplers for the test suite."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from gqms import model as gm
 
@@ -61,3 +62,23 @@ def strictly_positive_model(rng, d, sv_range=(0.7, 1.3), quad_scale=0.2):
         zeta=quad_scale * complex_gaussian(rng, d),
         V=V, U=U,
     )
+
+
+def kraus_form_lindbladian(ops, picture):
+    """The whole (unfolded) 2 + m kron Kraus-form generator, term by term."""
+    D = ops.space.D
+    I = sp.identity(D, dtype=complex, format="csr")
+    X, Ks = ops.G, list(ops.L)
+    if picture == "heisenberg":
+        X, Ks = X.conj().T, [Lop.conj().T for Lop in Ks]
+    M = sp.kron(I, X, format="csr") + sp.kron(X.conj(), I, format="csr")
+    for K in Ks:
+        M = M + sp.kron(K.conj(), K, format="csr")
+    return M
+
+
+def folded_identity(D):
+    """The folded CSR (rows (j, k), j <= k, of vec index k D + j) of the identity."""
+    k, j = np.tril_indices(D)
+    return sp.csr_matrix((np.ones(k.size), (np.arange(k.size), k * D + j)),
+                         shape=(k.size, D * D))

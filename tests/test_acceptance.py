@@ -86,7 +86,7 @@ def test_criterion_3_number_bound_two_boson():
         rng, 1000, space.interior_dim(), space.D)))
     worst_identity = 0.0
     for xi in samples.T:
-        lhs, rhs = generator.dissipation_quadratic_identity(ops, K, xi)
+        lhs, rhs = generator.dissipation_quadratic_identity(ops, xi)
         worst_identity = max(worst_identity, abs(lhs - rhs) / (1.0 + abs(lhs)))
     ok = bound.violations == 0 and worst_identity <= 1e-10
     _report(3, "number-operator lower bound and quadratic identity", ok,

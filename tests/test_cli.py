@@ -2,6 +2,7 @@ import dataclasses
 import importlib.util
 import json
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -190,7 +191,7 @@ def test_dimension_cap_is_input_error(tmp_path):
 
 
 def test_assembly_guard_is_input_error(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(generator, "ASSEMBLY_MAX_BYTES", 2 ** 16)
+    monkeypatch.setattr(generator, "ASSEMBLY_MAX_BYTES", 2 ** 15)
     config = minimal_config(space={"N_max": 30}, tasks=[{"name": "evolve"}])
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(config))
@@ -344,6 +345,27 @@ def test_integration_error_is_a_failed_task(tmp_path, monkeypatch, error_type):
     assert "report" not in failed
     assert failed["error"]["type"] == error_type
     assert message in failed["error"]["message"]
+
+
+def test_unbounded_evolution_is_a_failed_task(tmp_path):
+    # D = 28: at t = 1e6 the support closure's e^{tG} and the density
+    # evolution would plan 1.7e7 and 8.9e7 products; both are refused up front
+    config = json.loads((SCENARIOS / "two_boson.json").read_text())
+    config["tasks"] = [{"name": "support", "t": 1e6},
+                       {"name": "evolve", "times": [0.0, 1e6]},
+                       {"name": "kossakowski"}]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    start = time.perf_counter()
+    code = cli.main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+    elapsed = time.perf_counter() - start
+    assert code == 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [t["passed"] for t in report["tasks"]] == [False, False, True]
+    for failed in report["tasks"][:2]:
+        assert failed["error"]["type"] == "IntegrationError"
+        assert "matrix products" in failed["error"]["message"]
+    assert elapsed < 1.0
 
 
 @pytest.mark.parametrize("task, model, named", [

@@ -3,12 +3,11 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from gqms import evolution, fock, generator
 from gqms import model as gm
-from helpers import strictly_positive_model
+from helpers import folded_identity, kraus_form_lindbladian, strictly_positive_model
 
 
 def damping_setup(N_max=6):
@@ -76,15 +75,6 @@ def test_semigroup_property():
     assert np.abs(direct.states[-1].rho - stepped.states[-1].rho).max() <= 1e-6
 
 
-def test_renormalize_flag_keeps_unit_trace():
-    space, ops, lind = damping_setup()
-    rho0 = evolution.DensityMatrix.pure(space.basis_vector((1,)))
-    res = evolution.evolve_density(lind, rho0, [0.0, 0.5, 1.0],
-                                   method="rk4", h=1e-2, renormalize=True)
-    for state in res.states:
-        assert abs(np.trace(state.rho) - 1.0) <= 1e-12
-
-
 def test_rk4_matches_expm():
     rng = np.random.default_rng(23)
     model = strictly_positive_model(rng, 1)
@@ -144,7 +134,7 @@ def test_trace_instability_aborts():
     space, ops, lind = damping_setup()
     # trace-violating generator: add a multiple of the identity superoperator
     broken = generator.Superoperator(
-        matrix=(lind.matrix + 0.5 * sp.identity(space.D ** 2, format="csr")).tocsr(),
+        matrix=(lind.matrix + 0.5 * folded_identity(space.D)).tocsr(),
         picture="schrodinger", dim=space.D)
     rho0 = evolution.DensityMatrix.pure(space.vacuum())
     with pytest.raises(evolution.IntegrationError):
@@ -154,7 +144,7 @@ def test_trace_instability_aborts():
 def test_expm_dimension_guard():
     big = 101 ** 2
     superop = generator.Superoperator(
-        matrix=sp.identity(big, dtype=complex, format="csr"),
+        matrix=folded_identity(101),
         picture="schrodinger", dim=101)
     rho0 = np.zeros((101, 101), dtype=complex)
     rho0[0, 0] = 1.0
@@ -167,7 +157,7 @@ def test_expm_guard_counts_bytes():
     # complex superoperator exceeds the byte budget
     assert 16 * (90 ** 2) ** 2 <= evolution.EXPM_MAX_BYTES < 16 * (91 ** 2) ** 2
     superop = generator.Superoperator(
-        matrix=sp.identity(91 ** 2, dtype=complex, format="csr"),
+        matrix=folded_identity(91),
         picture="schrodinger", dim=91)
     rho0 = np.zeros((91, 91), dtype=complex)
     rho0[0, 0] = 1.0
@@ -206,11 +196,51 @@ def test_auto_matches_expm_small():
         assert np.abs(xa - xb).max() <= 1e-12
 
 
+def test_auto_matches_expm_and_rk4_on_a_mixed_state():
+    # a full-rank rho0 with complex coherences exercises every mirrored entry
+    space, ops, lind = seeded_lindbladian(34, 2, 3)
+    rng = np.random.default_rng(35)
+    z = rng.standard_normal((space.D, space.D)) + 1j * rng.standard_normal((space.D, space.D))
+    rho0 = z @ z.conj().T
+    rho0 /= np.trace(rho0)
+    times = [0.0, 0.1, 0.3]
+    a = evolution.evolve_density(lind, rho0, times)
+    b = evolution.evolve_density(lind, rho0, times, method="expm")
+    c = evolution.evolve_density(lind, rho0, times, method="rk4", h=1e-3)
+    for sa, sb, sc in zip(a.states, b.states, c.states):
+        assert np.abs(sa.rho - sb.rho).max() <= 1e-12
+        assert np.abs(sa.rho - sc.rho).max() <= 1e-9
+    assert a.stats["herm_err"].max() <= 1e-15
+
+
+def test_evolution_cost_is_refused_before_the_first_product(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product was taken")
+
+    monkeypatch.setattr(evolution, "_expm_action", refuse)
+    monkeypatch.setattr(evolution, "_rk4_segment", refuse)
+    space, ops, lind = damping_setup()
+    rho0 = evolution.DensityMatrix.pure(space.vacuum())
+    for t in (1e6, 1e308):
+        with pytest.raises(evolution.IntegrationError, match="products"):
+            evolution.evolve_density(lind, rho0, [0.0, t])
+        with pytest.raises(evolution.IntegrationError, match="products"):
+            evolution.evolve_vector(ops, space.vacuum(), [0.0, t])
+        with pytest.raises(evolution.IntegrationError, match="products"):
+            evolution.evolve_density(lind, rho0, [0.0, t], method="rk4", h=0.5)
+    # rk4 plans 4 ceil(dt / h) products: exactly MAX_PRODUCTS is admitted
+    t = evolution.MAX_PRODUCTS / 4 * 0.5
+    with pytest.raises(AssertionError):
+        evolution.evolve_density(lind, rho0, [0.0, t], method="rk4", h=0.5)
+    with pytest.raises(evolution.IntegrationError, match="products"):
+        evolution.evolve_density(lind, rho0, [0.0, t + 0.5], method="rk4", h=0.5)
+
+
 def test_auto_scaling_steps_match_expm():
     space, ops, lind = seeded_lindbladian(32, 1, 6)
     theta_max = max(evolution.TAYLOR_THETA.values())
     # every Taylor degree needs s >= 2 steps on the intervals of length 1 and 4
-    assert 1.0 * evolution._shift_and_norm(lind.matrix)[1] > theta_max
+    assert 1.0 * evolution._shift_and_norm(lind.matrix, lind)[1] > theta_max
     assert 4.0 * evolution._shift_and_norm(ops.G)[1] > theta_max
     times = [0.0, 1.0, 5.0]
     rho0 = evolution.DensityMatrix.pure(space.basis_vector((1,)))
@@ -229,9 +259,10 @@ def test_auto_matches_scipy_expm_multiply():
     rho0 = evolution.DensityMatrix.pure(space.vacuum())
     times = [0.0, 0.05, 0.1, 0.3]
     res = evolution.evolve_density(lind, rho0, times)
+    whole = kraus_form_lindbladian(ops, "schrodinger")
     v = rho0.rho.reshape(-1, order="F")
     for dt, state in zip(np.diff(times), res.states[1:]):
-        v = scipy.sparse.linalg.expm_multiply(lind.matrix, v, start=0.0, stop=dt,
+        v = scipy.sparse.linalg.expm_multiply(whole, v, start=0.0, stop=dt,
                                               num=2, endpoint=True)[-1]
         ours = state.rho.reshape(-1, order="F")
         assert np.abs(ours - v).max() <= 1e-13 * np.abs(v).max()
@@ -253,21 +284,36 @@ def test_auto_peak_memory_below_superoperator():
 
 def test_shift_and_norm_matches_bincount_and_stays_below_half_the_csr():
     space, ops, lind = seeded_lindbladian(31, 2, 13)
-    A = lind.matrix.tocsr()
-    diag = A.diagonal()
-    mu_ref = diag.sum() / A.shape[0]
-    colsums = np.bincount(A.indices, weights=np.abs(A.data), minlength=A.shape[1])
-    colsums += np.abs(diag - mu_ref) - np.abs(diag)
+    A, D = lind.matrix, space.D
+    rows, mirrors = lind.fold
+    strict = rows != mirrors
+    diag = np.array([A[r, c] for r, c in enumerate(rows)])
+    mu_ref = (diag.real.sum() + diag.real[strict].sum()) / D ** 2
+    entry_rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    stored = np.bincount(A.indices, weights=np.abs(A.data), minlength=D * D)
+    mirrored = np.bincount(A.indices, weights=np.abs(A.data) * strict[entry_rows],
+                           minlength=D * D)
+    colsums = stored + mirrored.reshape(D, D).T.ravel()
+    colsums[mirrors] += np.abs(diag - mu_ref) - np.abs(diag)
+    colsums[rows[strict]] += (np.abs(diag - mu_ref) - np.abs(diag))[strict]
     csr_bytes = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
     tracemalloc.start()
     try:
-        mu, norm = evolution._shift_and_norm(A)
+        mu, norm = evolution._shift_and_norm(lind.matrix, lind)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert mu == mu_ref and norm == float(colsums.max())
     # |A.data| and the column sums only: the int32 indices are never widened
     assert peak <= 0.5 * csr_bytes
+    # the square-CSR form evolve_vector uses, on G
+    G = ops.G
+    mu_G, norm_G = evolution._shift_and_norm(G)
+    dG = G.diagonal()
+    sums_G = np.bincount(G.indices, weights=np.abs(G.data), minlength=space.D)
+    assert mu_G == dG.sum() / space.D
+    sums_G += np.abs(dG - mu_G) - np.abs(dG)
+    assert norm_G == float(sums_G.max())
 
 
 def test_auto_never_builds_dense_exponential(monkeypatch):
@@ -282,22 +328,6 @@ def test_auto_never_builds_dense_exponential(monkeypatch):
     evolution.evolve_vector(ops, space.vacuum(), [0.0, 0.1, 0.2])
     with pytest.raises(AssertionError):
         evolution.evolve_density(lind, rho0, [0.0, 0.1], method="expm")
-
-
-def test_number_semigroup_limit():
-    space = fock.build_space(2, 3)
-    v = space.basis_vector((0, 0)) + space.basis_vector((1, 1))
-    np.testing.assert_allclose(
-        evolution.number_semigroup_limit(space, v), space.basis_vector((0, 0)))
-
-    w = space.basis_vector((2, 0)) + 0.5 * space.basis_vector((1, 1))
-    np.testing.assert_allclose(evolution.number_semigroup_limit(space, w), w)
-
-    single = 0.3 * space.basis_vector((1, 0))
-    np.testing.assert_allclose(evolution.number_semigroup_limit(space, single), single)
-
-    with pytest.raises(ValueError):
-        evolution.number_semigroup_limit(space, np.zeros(space.D))
 
 
 def test_timeseries_csv_export(tmp_path):

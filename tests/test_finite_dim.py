@@ -58,8 +58,8 @@ def test_model_guards():
 def test_zero_model_gives_zero_generators():
     model = qubit_model(c=np.zeros((3, 3)))
     heis, schr = fd.build_fd_generators(model)
-    assert np.abs(heis.matrix.toarray()).max() == 0.0
-    assert np.abs(schr.matrix.toarray()).max() == 0.0
+    assert np.abs(heis.toarray()).max() == 0.0
+    assert np.abs(schr.toarray()).max() == 0.0
 
 
 def test_generator_unitality_trace_preservation_duality():
@@ -67,8 +67,8 @@ def test_generator_unitality_trace_preservation_duality():
     for n in (2, 3):
         model = random_fd_model(rng, n)
         heis, schr = fd.build_fd_generators(model)
-        Lh = heis.matrix.toarray()
-        Ls = schr.matrix.toarray()
+        Lh = heis.toarray()
+        Ls = schr.toarray()
         vec_id = np.eye(n).reshape(n * n, order="F")
         assert np.abs(Lh @ vec_id).max() <= 1e-12
         assert np.abs(vec_id.conj() @ Ls).max() <= 1e-12
@@ -106,15 +106,15 @@ def test_generators_match_double_loop_formula():
         heis, schr = fd.build_fd_generators(model)
         old_heis, old_schr = double_loop_generators(model)
         assert (heis.picture, schr.picture) == ("heisenberg", "schrodinger")
-        assert np.abs(heis.matrix.toarray() - old_heis).max() <= 1e-12
-        assert np.abs(schr.matrix.toarray() - old_schr).max() <= 1e-12
+        assert np.abs(heis.toarray() - old_heis).max() <= 1e-12
+        assert np.abs(schr.toarray() - old_schr).max() <= 1e-12
 
 
 def test_depolarizing_qubit_image():
     model = qubit_model()
     _, schr = fd.build_fd_generators(model)
     rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    out = (schr.matrix.toarray() @ rho.reshape(-1, order="F")).reshape(2, 2, order="F")
+    out = (schr.toarray() @ rho.reshape(-1, order="F")).reshape(2, 2, order="F")
     assert abs(np.trace(out)) <= 1e-14
     np.testing.assert_allclose(out, out.conj().T, atol=1e-14)
 
@@ -124,7 +124,7 @@ def test_complete_positivity_shadow():
     for _ in range(5):
         model = random_fd_model(rng, 3)
         _, schr = fd.build_fd_generators(model)
-        T = scipy.linalg.expm(schr.matrix.toarray() * 0.3)
+        T = scipy.linalg.expm(schr.toarray() * 0.3)
         psi = complex_gaussian(rng, 3)
         psi /= np.linalg.norm(psi)
         rho = np.outer(psi, psi.conj())
@@ -140,8 +140,8 @@ def test_diagonalizing_rotation_leaves_generator_invariant():
     rotated = fd.FiniteGKLSModel(n=2, H=model.H, c=np.diag(w), F=rotated_F)
     h1, s1 = fd.build_fd_generators(model)
     h2, s2 = fd.build_fd_generators(rotated)
-    assert np.abs(h1.matrix.toarray() - h2.matrix.toarray()).max() <= 1e-10
-    assert np.abs(s1.matrix.toarray() - s2.matrix.toarray()).max() <= 1e-10
+    assert np.abs(h1.toarray() - h2.toarray()).max() <= 1e-10
+    assert np.abs(s1.toarray() - s2.toarray()).max() <= 1e-10
 
 
 def test_initial_derivative_qubit_identity_kossakowski():
@@ -254,7 +254,7 @@ def heisenberg_value(model, T, u, v):
 
 def test_pair_checks_match_per_pair_loops():
     model = random_fd_model(np.random.default_rng(59), 3, c_floor=0.1)
-    heis = fd.build_fd_generators(model)[0].matrix.toarray()
+    heis = fd.build_fd_generators(model)[0].toarray()
     n_pairs, seed, t_grid = 40, 60, [0.05, 0.5]  # 80 columns: two blocks
 
     rng = np.random.default_rng(seed)

@@ -5,9 +5,10 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gqms import fock, generator
+from gqms import evolution, fock, generator
 from gqms import model as gm
-from helpers import complex_gaussian, random_model, strictly_positive_model
+from helpers import (complex_gaussian, kraus_form_lindbladian, random_model,
+                     strictly_positive_model)
 
 
 def damping_ops(N_max=6):
@@ -70,7 +71,7 @@ def test_amplitude_damping_lindbladian():
     model, space, ops = damping_ops()
     lind = generator.build_lindbladian(ops, "schrodinger")
     rho = np.outer(space.basis_vector((1,)), space.basis_vector((1,)))
-    out = generator.apply_superoperator(lind, rho)
+    out = lind.apply(rho)
     expected = (np.outer(space.vacuum(), space.vacuum()) - rho)
     np.testing.assert_allclose(out, expected, atol=1e-13)
 
@@ -81,7 +82,7 @@ def test_unitality_and_trace_preservation():
     space = fock.build_space(2, 4)
     ops = generator.build_operators(model, space)
     heis = generator.build_lindbladian(ops, "heisenberg")
-    out = generator.apply_superoperator(heis, np.eye(space.D))
+    out = heis.apply(np.eye(space.D))
     assert np.abs(out).max() <= 1e-10
 
     schr = generator.build_lindbladian(ops, "schrodinger")
@@ -89,7 +90,7 @@ def test_unitality_and_trace_preservation():
         z = complex_gaussian(rng, (space.D, space.D))
         rho = z @ z.conj().T
         rho = rho / np.trace(rho)
-        drho = generator.apply_superoperator(schr, rho)
+        drho = schr.apply(rho)
         assert abs(np.trace(drho)) <= 1e-10
         assert np.abs(drho - drho.conj().T).max() <= 1e-10
 
@@ -107,8 +108,8 @@ def test_duality_of_pictures():
         x = np.zeros((space.D, space.D), dtype=complex)
         rho[:dim, :dim] = complex_gaussian(rng, (dim, dim))
         x[:dim, :dim] = complex_gaussian(rng, (dim, dim))
-        lhs = np.trace(generator.apply_superoperator(schr, rho) @ x)
-        rhs = np.trace(rho @ generator.apply_superoperator(heis, x))
+        lhs = np.trace(schr.apply(rho) @ x)
+        rhs = np.trace(rho @ heis.apply(x))
         assert abs(lhs - rhs) <= 1e-9 * (1 + abs(lhs))
 
 
@@ -118,8 +119,14 @@ def test_bad_picture_rejected():
         generator.build_lindbladian(ops, "both")
 
 
+def heisenberg_form(heis, x, v, u):
+    """<v, L(x) u> from the Heisenberg superoperator."""
+    return np.vdot(v, heis.apply(x) @ u)
+
+
 def test_quadratic_form_unitality():
     model, space, ops = damping_ops()
+    heis = generator.build_lindbladian(ops, "heisenberg")
     rng = np.random.default_rng(13)
     dim = space.interior_dim()
     for _ in range(5):
@@ -127,18 +134,20 @@ def test_quadratic_form_unitality():
         u = np.zeros(space.D, dtype=complex)
         v[:dim] = complex_gaussian(rng, dim)
         u[:dim] = complex_gaussian(rng, dim)
-        val = generator.quadratic_form_apply(ops, np.eye(space.D), v, u)
+        val = heisenberg_form(heis, np.eye(space.D), v, u)
         assert abs(val) <= 1e-12 * (1 + np.linalg.norm(v) * np.linalg.norm(u))
 
 
 def test_quadratic_form_damping_number_observable():
     model, space, ops = damping_ops()
+    heis = generator.build_lindbladian(ops, "heisenberg")
     e1 = space.basis_vector((1,))
-    val = generator.quadratic_form_apply(ops, ops.N.toarray(), e1, e1)
+    val = heisenberg_form(heis, ops.N.toarray(), e1, e1)
     assert val == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_quadratic_form_matches_heisenberg_generator():
+    # i<Hv, xu> - i<v, xHu> - (1/2) sum_l (<v, x L†L u> - 2 <Lv, x Lu> + <L†L v, x u>)
     rng = np.random.default_rng(14)
     model = random_model(rng, 1, 2)
     space = fock.build_space(1, 8)
@@ -151,45 +160,43 @@ def test_quadratic_form_matches_heisenberg_generator():
         u = np.zeros(space.D, dtype=complex)
         v[:dim] = complex_gaussian(rng, dim)
         u[:dim] = complex_gaussian(rng, dim)
-        form = generator.quadratic_form_apply(ops, x, v, u)
-        direct = np.vdot(v, generator.apply_superoperator(heis, x) @ u)
+        form = 1j * np.vdot(ops.H @ v, x @ u) - 1j * np.vdot(v, x @ (ops.H @ u))
+        for Lop in ops.L:
+            LdL = Lop.conj().T @ Lop
+            form -= 0.5 * (np.vdot(v, x @ (LdL @ u)) - 2.0 * np.vdot(Lop @ v, x @ (Lop @ u))
+                           + np.vdot(LdL @ v, x @ u))
+        direct = heisenberg_form(heis, x, v, u)
         assert abs(form - direct) <= 1e-9 * (1 + abs(direct))
 
 
 def test_quadratic_form_conjugate_symmetry():
+    # the *-map property L(x†) = L(x)† that the fold rests on, for non-Hermitian x
     rng = np.random.default_rng(15)
     model = random_model(rng, 1, 2)
     space = fock.build_space(1, 6)
     ops = generator.build_operators(model, space)
+    heis = generator.build_lindbladian(ops, "heisenberg")
     dim = space.interior_dim()
     x = complex_gaussian(rng, (space.D, space.D))
     v = np.zeros(space.D, dtype=complex)
     u = np.zeros(space.D, dtype=complex)
     v[:dim] = complex_gaussian(rng, dim)
     u[:dim] = complex_gaussian(rng, dim)
-    a = generator.quadratic_form_apply(ops, x, v, u)
-    b = generator.quadratic_form_apply(ops, x.conj().T, u, v)
+    a = heisenberg_form(heis, x, v, u)
+    b = heisenberg_form(heis, x.conj().T, u, v)
     assert abs(a - np.conj(b)) <= 1e-10 * (1 + abs(a))
-
-
-def test_quadratic_form_rejects_boundary_vectors():
-    model, space, ops = damping_ops()
-    top = space.basis_vector((space.N_max,))
-    with pytest.raises(fock.BoundaryContaminationError):
-        generator.quadratic_form_apply(ops, np.eye(space.D), top, top)
 
 
 def test_dissipation_identity_vacuum():
     model = gm.quadratic_free_model(1, V=[[1.0], [0.0]], U=[[0.0], [1.0]])
     space = fock.build_space(1, 6)
     ops = generator.build_operators(model, space)
-    K = gm.build_kossakowski(model.V, model.U)
-    lhs, rhs = generator.dissipation_quadratic_identity(ops, K, space.vacuum())
+    lhs, rhs = generator.dissipation_quadratic_identity(ops, space.vacuum())
     assert lhs == pytest.approx(1.0, abs=1e-12)
     assert rhs == pytest.approx(1.0, abs=1e-12)
 
     zero = np.zeros(space.D, dtype=complex)
-    assert generator.dissipation_quadratic_identity(ops, K, zero) == (0.0, 0.0)
+    assert generator.dissipation_quadratic_identity(ops, zero) == (0.0, 0.0)
 
 
 def test_dissipation_identity_seeded():
@@ -199,12 +206,11 @@ def test_dissipation_identity_seeded():
         model = strictly_positive_model(rng, d)
         space = fock.build_space(d, 6 if d == 1 else 4)
         ops = generator.build_operators(model, space)
-        K = gm.build_kossakowski(model.V, model.U)
         dim = space.interior_dim()
         xi = np.zeros(space.D, dtype=complex)
         xi[:dim] = complex_gaussian(rng, dim)
         xi /= np.linalg.norm(xi)
-        lhs, rhs = generator.dissipation_quadratic_identity(ops, K, xi)
+        lhs, rhs = generator.dissipation_quadratic_identity(ops, xi)
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
 
@@ -232,22 +238,10 @@ def test_drift_assembly_matches_commutator_form():
     space = fock.build_space(2, 5)
     ops = generator.build_operators(model, space)
     for picture in generator.PICTURES:
-        new = generator.build_lindbladian(ops, picture).matrix
+        new = generator.build_lindbladian(ops, picture)
         old = commutator_form_lindbladian(ops, picture)
-        assert abs(new - old).max() <= 1e-12
-
-
-def kraus_form_lindbladian(ops, picture):
-    """The 2 + m kron Kraus-form assembly, written out term by term."""
-    D = ops.space.D
-    I = sp.identity(D, dtype=complex, format="csr")
-    X, Ks = ops.G, list(ops.L)
-    if picture == "heisenberg":
-        X, Ks = X.conj().T, [Lop.conj().T for Lop in Ks]
-    M = sp.kron(I, X, format="csr") + sp.kron(X.conj(), I, format="csr")
-    for K in Ks:
-        M = M + sp.kron(K.conj(), K, format="csr")
-    return M
+        assert abs(new.matrix - old[new.fold[0]]).max() <= 1e-12
+        assert np.abs(new.toarray() - old.toarray()).max() <= 1e-12
 
 
 def kossakowski_assembly_models():
@@ -262,17 +256,58 @@ def kossakowski_assembly_models():
 
 
 def test_kossakowski_assembly_matches_kraus_form():
+    # the folded CSR is the j <= k rows of the Kraus-form kron sum, and unfolds to all of it
     for model, N_max in kossakowski_assembly_models():
         space = fock.build_space(model.d, N_max)
         ops = generator.build_operators(model, space)
+        D = space.D
         for picture in generator.PICTURES:
-            new = generator.build_lindbladian(ops, picture).matrix
+            superop = generator.build_lindbladian(ops, picture)
+            rows = superop.fold[0]
+            np.testing.assert_array_equal(
+                rows, [k * D + j for k in range(D) for j in range(k + 1)])
+            new = superop.matrix
             old = kraus_form_lindbladian(ops, picture)
+            upper = old[rows]
+            assert new.shape == (D * (D + 1) // 2, D * D)
             assert new.has_canonical_format
-            assert new.nnz == old.nnz
-            np.testing.assert_array_equal(new.indptr, old.indptr)
-            np.testing.assert_array_equal(new.indices, old.indices)
-            assert abs(new - old).max() <= 1e-12 * abs(old).max()
+            assert new.nnz == upper.nnz
+            np.testing.assert_array_equal(new.indptr, upper.indptr)
+            np.testing.assert_array_equal(new.indices, upper.indices)
+            assert abs(new - upper).max() <= 1e-12 * abs(old).max()
+            assert np.abs(superop.toarray() - old.toarray()).max() <= 1e-12 * abs(old).max()
+
+
+def test_apply_non_hermitian_matches_dense_product():
+    rng = np.random.default_rng(24)
+    model = random_model(rng, 2, 3)
+    space = fock.build_space(2, 4)
+    ops = generator.build_operators(model, space)
+    D = space.D
+    for picture in generator.PICTURES:
+        superop = generator.build_lindbladian(ops, picture)
+        X = complex_gaussian(rng, (D, D))
+        assert np.abs(X - X.conj().T).max() > 1.0
+        expected = (kraus_form_lindbladian(ops, picture) @ X.reshape(D * D, order="F")
+                    ).reshape(D, D, order="F")
+        assert np.abs(superop.apply(X) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_folded_shift_and_norm_match_dense():
+    # mu = tr(A)/n and ||A - mu I||_1 of the whole generator, from the folded rows
+    rng = np.random.default_rng(25)
+    for model, N_max in [(strictly_positive_model(rng, 1), 6),
+                         (random_model(rng, 2, 3), 4)]:
+        ops = generator.build_operators(model, fock.build_space(model.d, N_max))
+        superop = generator.build_lindbladian(ops)
+        A = kraus_form_lindbladian(ops, "schrodinger").toarray()
+        n = A.shape[0]
+        mu_ref = np.trace(A) / n
+        norm_ref = np.abs(A - mu_ref * np.eye(n)).sum(axis=0).max()
+        mu, norm = evolution._shift_and_norm(superop.matrix, superop)
+        assert np.isrealobj(mu)
+        assert abs(mu - mu_ref) <= 1e-14 * abs(mu_ref)
+        assert abs(norm - norm_ref) <= 1e-14 * norm_ref
 
 
 def test_grouped_ladder_pairs_match_per_entry_pairs():
@@ -296,21 +331,22 @@ def test_gkls_pairs_heisenberg_is_adjoint():
     rng = np.random.default_rng(19)
     D = 5
     G = complex_gaussian(rng, (D, D))
-    # sparse A_j, dense B_j, A_j != B_j
-    pairs = [(sp.random(D, D, density=0.4, random_state=k, format="csr")
-              * complex_gaussian(rng, ()), complex_gaussian(rng, (D, D)))
-             for k in range(3)]
+    # sparse A_j, dense B_j, A_j != B_j; closed under A_j <-> B_j, so the map
+    # preserves Hermiticity
+    half = [(sp.random(D, D, density=0.4, random_state=k, format="csr")
+             * complex_gaussian(rng, ()), complex_gaussian(rng, (D, D)))
+            for k in range(3)]
+    pairs = half + [(B, A) for A, B in half]
     schr = generator.gkls_superoperator(G, pairs, "schrodinger")
     heis = generator.gkls_superoperator(G, pairs, "heisenberg")
-    assert abs(heis.matrix - schr.matrix.conj().T).max() <= 1e-12
+    assert np.abs(heis.toarray() - schr.toarray().conj().T).max() <= 1e-12
     rho = complex_gaussian(rng, (D, D))
     x = complex_gaussian(rng, (D, D))
-    expected = G @ rho + rho @ G.conj().T + sum(
-        B @ rho @ A.toarray().conj().T for A, B in pairs)
-    np.testing.assert_allclose(
-        generator.apply_superoperator(schr, rho), expected, atol=1e-12)
-    lhs = np.vdot(x, generator.apply_superoperator(schr, rho))
-    rhs = np.vdot(generator.apply_superoperator(heis, x), rho)
+    dense = [(sp.csr_matrix(A).toarray(), sp.csr_matrix(B).toarray()) for A, B in pairs]
+    expected = G @ rho + rho @ G.conj().T + sum(B @ rho @ A.conj().T for A, B in dense)
+    np.testing.assert_allclose(schr.apply(rho), expected, atol=1e-12)
+    lhs = np.vdot(x, schr.apply(rho))
+    rhs = np.vdot(heis.apply(x), rho)
     assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
 
 
@@ -345,7 +381,8 @@ def test_assembly_byte_guard_raises_before_allocating(monkeypatch):
     monkeypatch.setattr(generator, "ASSEMBLY_MAX_BYTES", needed)
     tracemalloc.start()
     try:
-        assert generator.build_lindbladian(ops).matrix.nnz == 356461
+        # the 5565 stored rows of the 11025-row generator, which holds 356461 entries
+        assert generator.build_lindbladian(ops).matrix.nnz == 179960
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

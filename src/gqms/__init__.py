@@ -15,8 +15,6 @@ from .fock import (
     TruncatedFockSpace,
     build_ladders,
     build_space,
-    coherent_vector,
-    interior_projector,
 )
 from .model import (
     BogoliubovPair,

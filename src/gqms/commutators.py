@@ -64,8 +64,8 @@ class LinearForm:
         d = (vec.size - 1) // 2
         return cls(c0=vec[0], alpha=vec[1:1 + d], beta=vec[1 + d:])
 
-    def is_zero(self, tol=1e-14):
-        return bool(np.abs(self.coefficients()).max() <= tol)
+    def is_zero(self):
+        return bool(np.abs(self.coefficients()).max() <= 1e-14)
 
     def to_matrix(self, ladders):
         """Realize the form as a sparse matrix on a truncated space, storing no zero term."""
@@ -86,7 +86,6 @@ class AdjointActionMatrix:
     """Matrix of form -> [G, form] on (c0, alpha, beta) coefficients."""
 
     M: np.ndarray
-    d: int
     kraus: tuple
 
 
@@ -114,7 +113,7 @@ def adjoint_action(model):
     M[1 + d:, 1:1 + d] = B.T
     M[1 + d:, 1 + d:] = Dm.T
     kraus = tuple(kraus_form(model, ell) for ell in range(model.m))
-    return AdjointActionMatrix(M=M, d=d, kraus=kraus)
+    return AdjointActionMatrix(M=M, kraus=kraus)
 
 
 def iterated_commutator(action, ell, order):
@@ -148,11 +147,10 @@ def validate_action_oracle(ops, action):
     for col in range(2 * d + 1):
         f = LinearForm.from_coefficients(basis_vecs[col])
         F = f.to_matrix(lad)
-        commutator = (ops.G @ F - F @ ops.G).toarray()
-        predicted = LinearForm.from_coefficients(action.M @ basis_vecs[col]).to_matrix(lad).toarray()
-        diff = np.abs(commutator[:dim, :dim] - predicted[:dim, :dim])
-        if diff.size:
-            worst = max(worst, float(diff.max()))
+        commutator = (ops.G @ F - F @ ops.G)[:dim, :dim].toarray()
+        predicted = LinearForm.from_coefficients(action.M @ basis_vecs[col]).to_matrix(lad)
+        diff = np.abs(commutator - predicted[:dim, :dim].toarray())
+        worst = max(worst, float(diff.max()))
     return worst
 
 

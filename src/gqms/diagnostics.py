@@ -275,8 +275,7 @@ def invariant_subspace_search(ops, n_seeds, seed, starts=None):
         raise ValueError("need n_seeds >= 1 or explicit start vectors")
     space = ops.space
     dim = space.interior_dim()
-    mats = [np.asarray(ops.G.toarray())[:dim, :dim]]
-    mats += [np.asarray(L.toarray())[:dim, :dim] for L in ops.L]
+    mats = [M[:dim, :dim].toarray() for M in (ops.G, *ops.L)]
     rng = np.random.default_rng(seed)
     vectors = [v for X in sample_blocks(rng, max(0, n_seeds), dim) for v in X.T]
     for v in starts or []:

@@ -53,21 +53,22 @@ class DensityMatrix:
     rho: np.ndarray
     t: float
 
-    def validate(self, herm_tol=1e-10, trace_tol=1e-8, eig_tol=1e-8):
+    def validate(self):
+        """Raise unless rho is Hermitian within 1e-10, of trace 1 and PSD within 1e-8."""
         rho = self.rho
-        if np.abs(rho - rho.conj().T).max() > herm_tol:
+        if np.abs(rho - rho.conj().T).max() > 1e-10:
             raise ValueError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(rho) - 1.0) > trace_tol:
+        if abs(np.trace(rho) - 1.0) > 1e-8:
             raise ValueError("density matrix trace differs from 1")
-        if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -eig_tol:
+        if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -1e-8:
             raise ValueError("density matrix has a negative eigenvalue")
         return self
 
     @classmethod
-    def pure(cls, psi, t=0.0):
+    def pure(cls, psi):
         psi = np.asarray(psi, dtype=complex).reshape(-1)
         psi = psi / np.linalg.norm(psi)
-        return cls(rho=np.outer(psi, psi.conj()), t=t)
+        return cls(rho=np.outer(psi, psi.conj()), t=0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,17 +108,19 @@ def _shift_and_norm(A, superop=None):
 
     A is square, or the folded CSR of `superop`, whose column c = k D + j
     sums column c of the stored rows and column j D + k of the stored rows
-    j < k, and whose mu is real.  |A| reads the CSR's own arrays as CSC (no
-    index array is copied or widened); the column sums are corrected by
-    |a_cc - mu| - |a_cc|, so the shifted matrix is never formed.
+    j < k, and whose mu is real.  a_cc is read from the CSR arrays and |A| reads
+    them as CSC (no index array is copied or widened); the column sums are
+    corrected by |a_cc - mu| - |a_cc|, so the shifted matrix is never formed.
     """
     n_rows, n = A.shape
     rows, mirrors = superop.fold if superop else (np.arange(n),) * 2
     strict = rows != mirrors
-    diag = np.asarray(A[np.arange(n_rows), rows]).ravel() if superop else A.diagonal()
-    mu = (diag.real.sum() + diag.real[strict].sum()) / n if superop else diag.sum() / n
     sums = (sp.csc_matrix((np.abs(A.data), A.indices, A.indptr), shape=(n, n_rows))
             @ np.column_stack([np.ones(n_rows), strict]))
+    diag = np.zeros(n_rows, dtype=complex)
+    hits = np.flatnonzero(A.indices == np.repeat(rows.astype(np.int32), np.diff(A.indptr)))
+    diag[np.searchsorted(A.indptr, hits, side="right") - 1] = A.data[hits]
+    mu = (diag.real.sum() + diag.real[strict].sum()) / n if superop else diag.sum() / n
     colsums = sums[:, 0] + (sums[:, 1].reshape(superop.dim, -1).T.ravel() if superop else 0.0)
     shift = np.abs(diag - mu) - np.abs(diag)
     colsums[mirrors] += shift
@@ -133,14 +136,13 @@ def _taylor_plan(dt, norm):
                key=lambda pair: pair[0] * pair[1])
 
 
-def _expm_action(matvec, v, dt, mu, norm):
-    """e^{dt A} v, given matvec(v) = A v, mu = tr(A)/n and norm = ||A - mu I||_1.
+def _expm_action(matvec, v, dt, mu, m, s):
+    """e^{dt A} v, given matvec(v) = A v, mu = tr(A)/n and the `_taylor_plan` (m, s).
 
     s steps of the degree-m Taylor polynomial of e^{(dt/s)(A - mu I)}, each
     scaled by e^{dt mu/s}.  A step stops adding terms once the infinity
     norms of the last two are at most TAYLOR_TOL times that of the sum.
     """
-    m, s = _taylor_plan(dt, norm)
     eta = np.exp(dt * mu / s)
     F = v
     for _ in range(int(s)):
@@ -171,7 +173,8 @@ def _propagate(A, v0, times, method, h, superop=None):
     planned = 0.0
     if method == "auto":
         mu, norm = _shift_and_norm(A, superop)
-        planned = sum(m * s for m, s in (_taylor_plan(dt, norm) for dt in steps))
+        plans = [_taylor_plan(dt, norm) for dt in steps]
+        planned = sum(m * s for m, s in plans)
     elif method == "rk4":
         planned = sum(4.0 * max(1.0, float(np.ceil(dt / h))) for dt in steps)
     else:
@@ -185,9 +188,9 @@ def _propagate(A, v0, times, method, h, superop=None):
             f"evolution plans {planned:.3g} matrix products (limit {MAX_PRODUCTS})")
     v = v0
     yield v
-    for dt in steps:
+    for i, dt in enumerate(steps):
         if method == "auto":
-            v = _expm_action(matvec, v, dt, mu, norm)
+            v = _expm_action(matvec, v, dt, mu, *plans[i])
         elif method == "expm":
             v = scipy.linalg.expm(dense * dt) @ v
         else:

@@ -103,33 +103,28 @@ class FiniteGKLSModel:
         object.__setattr__(self, "F", F)
 
 
-def _drift_and_kraus(model):
-    """Drift G and Kraus pairs (L_l, L_l) of the model (see build_fd_generators)."""
-    gamma, W = np.linalg.eigh(model.c)
-    Ls = np.einsum("l,kl,kab->lab", np.sqrt(np.clip(gamma, 0.0, None)), W,
-                   np.asarray(model.F))
-    G = -1j * model.H - 0.5 * sum(L.conj().T @ L for L in Ls)
-    return G, [(L, L) for L in Ls]
+def _drift_and_pairs(model):
+    """Drift G and Kossakowski pairs (F_j, B_j) of the model (see build_fd_generators)."""
+    pairs = list(zip(model.F, np.einsum("kj,kab->jab", model.c, np.asarray(model.F))))
+    return -1j * model.H - 0.5 * sum(F.conj().T @ B for F, B in pairs), pairs
 
 
 def build_fd_generators(model):
     """Vectorized generators (heisenberg, schrodinger) of the model.
 
-    Diagonalises c = W diag(gamma) W† (gamma clipped at 0; c is positive
-    semidefinite within PSD_TOL) to Kraus operators
-    L_l = sqrt(gamma_l) sum_k W_kl F_k with sum_l L_l† x L_l =
-    sum_kj c_kj F_j† x F_k, and passes the drift
-    G = -iH - (1/2) sum_l L_l†L_l and the pairs (L_l, L_l) to the shared
-    `gkls_superoperator`.
+    Passes the drift G = -iH - (1/2) sum_j F_j† B_j and the Kossakowski
+    pairs (F_j, B_j = sum_k c_kj F_k), whose dissipator
+    sum_j B_j rho F_j† = sum_kj c_kj F_k rho F_j†, to the shared
+    `gkls_superoperator`, the GKS form `build_lindbladian` uses too.
     """
-    G, pairs = _drift_and_kraus(model)
+    G, pairs = _drift_and_pairs(model)
     return (gkls_superoperator(G, pairs, "heisenberg"),
             gkls_superoperator(G, pairs, "schrodinger"))
 
 
 def _heisenberg_propagators(model, times):
     """Dense e^{tL} of the Heisenberg generator for each t in times."""
-    dense = gkls_superoperator(*_drift_and_kraus(model), "heisenberg").toarray()
+    dense = gkls_superoperator(*_drift_and_pairs(model), "heisenberg").toarray()
     return [scipy.linalg.expm(dense * t) for t in times]
 
 

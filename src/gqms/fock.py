@@ -65,15 +65,13 @@ class TruncatedFockSpace:
         """Integer array of total excitation |n| per basis index."""
         return np.array([sum(n) for n in self.basis], dtype=int)
 
-    def interior_dim(self, margin=None):
-        """Dimension of the span of basis vectors with |n| <= N_max - margin."""
-        margin = self.interior_margin if margin is None else margin
-        if margin > self.N_max:
+    def interior_dim(self):
+        """Count binomial(N_max - margin + d, d) of basis vectors with |n| <= N_max - margin."""
+        if self.interior_margin > self.N_max:
             raise EmptyInteriorError(
-                f"interior_margin={margin} exceeds N_max={self.N_max}"
+                f"interior_margin={self.interior_margin} exceeds N_max={self.N_max}"
             )
-        cut = self.N_max - margin
-        return sum(1 for n in self.basis if sum(n) <= cut)
+        return math.comb(self.N_max - self.interior_margin + self.d, self.d)
 
     def basis_vector(self, n):
         """Unit coordinate vector for the occupation tuple n."""
@@ -132,72 +130,35 @@ def build_ladders(space):
     """
     D = space.D
     a_ops = []
-    adag_ops = []
     for j in range(space.d):
-        rows_a, cols_a, vals_a = [], [], []
-        rows_c, cols_c, vals_c = [], [], []
+        rows, cols, vals = [], [], []
         for i, n in enumerate(space.basis):
             if n[j] > 0:
                 lower = n[:j] + (n[j] - 1,) + n[j + 1:]
-                rows_a.append(space.index_of[lower])
-                cols_a.append(i)
-                vals_a.append(math.sqrt(n[j]))
-            if sum(n) + 1 <= space.N_max:
-                upper = n[:j] + (n[j] + 1,) + n[j + 1:]
-                rows_c.append(space.index_of[upper])
-                cols_c.append(i)
-                vals_c.append(math.sqrt(n[j] + 1))
+                rows.append(space.index_of[lower])
+                cols.append(i)
+                vals.append(math.sqrt(n[j]))
         a_ops.append(sp.csr_matrix(
-            (np.asarray(vals_a, dtype=complex), (rows_a, cols_a)), shape=(D, D)))
-        adag_ops.append(sp.csr_matrix(
-            (np.asarray(vals_c, dtype=complex), (rows_c, cols_c)), shape=(D, D)))
+            (np.asarray(vals, dtype=complex), (rows, cols)), shape=(D, D)))
     N = sp.diags(space.grades.astype(complex), format="csr")
-    return LadderOperators(space=space, a=tuple(a_ops), adag=tuple(adag_ops), N=N)
+    return LadderOperators(space=space, a=tuple(a_ops),
+                           adag=tuple(a.T.tocsr() for a in a_ops), N=N)
 
 
-def coherent_vector(space, g):
-    """Truncated (unnormalized) coherent vector with amplitudes g.
-
-    Component at n is prod_j g_j^{n_j} / sqrt(n_j!) for |n| <= N_max.
-    """
-    g = np.asarray(g, dtype=complex).reshape(space.d)
-    v = np.zeros(space.D, dtype=complex)
-    for i, n in enumerate(space.basis):
-        num = 1.0 + 0.0j
-        fact = 1.0
-        for j in range(space.d):
-            num *= g[j] ** n[j]
-            fact *= math.factorial(n[j])
-        v[i] = num / math.sqrt(fact)
-    return v
-
-
-def interior_projector(space, margin=None):
-    """Orthogonal projection onto span{e(n) : |n| <= N_max - margin}."""
-    margin = space.interior_margin if margin is None else margin
-    if margin > space.N_max:
-        raise EmptyInteriorError(
-            f"interior_margin={margin} exceeds N_max={space.N_max}"
-        )
-    cut = space.N_max - margin
-    diag = np.array([1.0 if sum(n) <= cut else 0.0 for n in space.basis])
-    return sp.diags(diag.astype(complex), format="csr")
-
-
-def check_interior(space, v, margin=None, tol=1e-12):
+def check_interior(space, v):
     """Raise BoundaryContaminationError unless v is supported on the interior.
 
     v is a vector, returned with shape (D,), or a 2-D block of D-row
-    columns, each checked on its own.
+    columns, each checked on its own; a column's boundary weight may be
+    at most 1e-12 times max(1, its norm).
     """
-    margin = space.interior_margin if margin is None else margin
-    dim = space.interior_dim(margin)
+    dim = space.interior_dim()
     v = np.asarray(v)
     v = v.reshape(space.D, -1) if v.ndim == 2 else v.reshape(space.D)
     boundary = np.linalg.norm(v[dim:], axis=0)
-    if np.any(boundary > tol * np.maximum(1.0, np.linalg.norm(v, axis=0))):
+    if np.any(boundary > 1e-12 * np.maximum(1.0, np.linalg.norm(v, axis=0))):
         raise BoundaryContaminationError(
             f"vector has boundary weight {np.max(boundary):.3e} outside grade "
-            f"{space.N_max - margin}"
+            f"{space.N_max - space.interior_margin}"
         )
     return v

@@ -10,7 +10,7 @@ Fock space, together with the vectorized generator in either picture:
 The dissipator is assembled in its Kossakowski (GKS) form
 sum_pq K_qp s_p rho s_q† over the ladder operators
 s = (a_1..a_d, a_1†..a_d†), by `gkls_superoperator`, the one GKLS
-assembly of the package (finite_dim passes its Kraus operators to it).
+assembly of the package (finite_dim passes its Kossakowski pairs to it).
 Vectorization is by column stacking, vec(A X B) = (B^T kron A) vec(X).
 Both generators are *-maps, L(X†) = L(X)†, so only the D(D+1)/2 rows
 of the upper-triangle entries are assembled and stored; `Superoperator`

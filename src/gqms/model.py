@@ -99,10 +99,6 @@ class KossakowskiMatrix:
     rank: int
     strictly_positive: bool
 
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
 
 def build_kossakowski(V, U):
     """Assemble the Kossakowski block matrix of (V, U) with spectral metadata.
@@ -168,17 +164,26 @@ def mix_kraus(model, r):
     )
 
 
+class BogoliubovError(ValueError):
+    """Matrices (E, F) violate the Bogoliubov constraints by `residuals`."""
+
+    def __init__(self, residuals):
+        super().__init__("Bogoliubov constraints violated: residuals "
+                         f"{residuals[0]:.3e}, {residuals[1]:.3e}")
+        self.residuals = residuals
+
+
 @dataclass(frozen=True, eq=False)
 class BogoliubovPair:
     """Matrices (E, F) of a Bogoliubov transformation.
 
     Constraints: E†E - F†F = 1 and E^T F - F^T E = 0, which preserve the
-    canonical commutation relations of the transformed modes.
+    canonical commutation relations of the transformed modes; a residual
+    above BOGOLIUBOV_TOL raises BogoliubovError.
     """
 
     E: np.ndarray
     F: np.ndarray
-    tol: float = BOGOLIUBOV_TOL
 
     def __post_init__(self):
         E = _as_matrix(self.E, "E")
@@ -188,12 +193,15 @@ class BogoliubovPair:
             raise ValueError("E and F must be square with equal shape")
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "F", F)
-        res1 = np.abs(E.conj().T @ E - F.conj().T @ F - np.eye(d)).max()
-        res2 = np.abs(E.T @ F - F.T @ E).max()
-        if max(res1, res2) > self.tol:
-            raise ValueError(
-                f"Bogoliubov constraints violated: residuals {res1:.3e}, {res2:.3e}"
-            )
+        if max(self.residuals) > BOGOLIUBOV_TOL:
+            raise BogoliubovError(self.residuals)
+
+    @property
+    def residuals(self):
+        """(max |E†E - F†F - 1|, max |E^T F - F^T E|) of the two constraints."""
+        E, F = self.E, self.F
+        return (float(np.abs(E.conj().T @ E - F.conj().T @ F - np.eye(self.d)).max()),
+                float(np.abs(E.T @ F - F.T @ E).max()))
 
     @property
     def d(self):
@@ -283,11 +291,6 @@ class TwoBosonParams:
         object.__setattr__(self, "gamma_plus", gp)
         object.__setattr__(self, "Omega", Om)
 
-    def h_matrix(self):
-        """Block matrix [[Omega, 0], [0, Omega^T]] of the quadratic Hamiltonian part."""
-        z = np.zeros((2, 2), dtype=complex)
-        return np.block([[self.Omega, z], [z, self.Omega.T]])
-
 
 def _descending_eigh(g):
     w, vecs = np.linalg.eigh(g)
@@ -318,18 +321,6 @@ def two_boson_model(params):
         d=d, Omega=params.Omega, kappa=np.zeros((d, d)), zeta=np.zeros(d),
         V=V, U=U,
     )
-
-
-def model_to_jsonable(model):
-    """Encode a GaussianModel using [re, im] pairs for complex entries."""
-    return {
-        "d": model.d,
-        "omega": serialize.complex_to_pairs(model.Omega),
-        "kappa": serialize.complex_to_pairs(model.kappa),
-        "zeta": serialize.complex_to_pairs(model.zeta),
-        "V": serialize.complex_to_pairs(model.V),
-        "U": serialize.complex_to_pairs(model.U),
-    }
 
 
 def model_from_jsonable(d, V, U, omega=None, kappa=None, zeta=None):

@@ -368,6 +368,30 @@ def test_unbounded_evolution_is_a_failed_task(tmp_path):
     assert elapsed < 1.0
 
 
+def test_bogoliubov_violation_is_a_failed_task(tmp_path):
+    # squeeze 20 overflows the constraints far beyond BOGOLIUBOV_TOL
+    config = json.loads((SCENARIOS / "two_boson.json").read_text())
+    config["tasks"] = [{"name": "bogoliubov", "squeeze": 20},
+                       {"name": "bogoliubov", "squeeze": 0.3},
+                       {"name": "kossakowski"}]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    code = cli.main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")])
+    assert code == 2
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [t["passed"] for t in report["tasks"]] == [False, True, True]
+    violated = report["tasks"][0]["report"]["constraint_residuals"]
+    assert max(violated) > 1.0
+    assert max(report["tasks"][1]["report"]["constraint_residuals"]) <= 1e-10
+
+
+def test_readme_library_example(capsys):
+    readme = (ROOT / "README.md").read_text()
+    example = re.search(r"^## Library example\n\n```python\n(.*?)^```", readme, re.M | re.S)
+    exec(example.group(1), {})
+    assert capsys.readouterr().out == "1.0 True\n"
+
+
 @pytest.mark.parametrize("task, model, named", [
     ({"name": "fd-probe", "t_grid": []}, FINITE_QUBIT, "t_grid"),
     ({"name": "fd-probe", "n_pairs": 0}, FINITE_QUBIT, "n_pairs"),

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gqms import diagnostics, fock, generator
+from gqms import commutators, diagnostics, fock, generator
 from gqms import model as gm
 from helpers import strictly_positive_model
 
@@ -135,6 +135,27 @@ def test_invariant_search_full_closure():
     assert rep.full_closure
     assert rep.min_closure_dim == space.interior_dim()
     assert rep.reducible_witness is None
+
+
+def test_interior_compressions_densify_only_the_interior_block():
+    # D = 220, interior dimension 120: a dense D x D copy is 3.4 interior blocks
+    model = strictly_positive_model(np.random.default_rng(5), 3)
+    space = fock.build_space(3, 9)
+    ops = generator.build_operators(model, space)
+    action = commutators.adjoint_action(model)
+    block = 16 * space.interior_dim() ** 2
+    # the interior blocks of G and the L_l (live together) or of the two
+    # commutator matrices, plus three blocks of closure or difference work
+    for run, live in ((lambda: diagnostics.invariant_subspace_search(ops, 1, seed=0),
+                       1 + len(ops.L)),
+                      (lambda: commutators.validate_action_oracle(ops, action), 2)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (live + 3) * block
 
 
 def test_invariant_search_damping_vacuum_witness():

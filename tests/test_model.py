@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gqms import model as gm
+from gqms import serialize
 from helpers import haar_unitary, random_hermitian, random_model, random_vu
 
 
@@ -243,15 +244,6 @@ def test_two_boson_block_diagonal_for_complex_gammas():
         assert np.abs(K.matrix - expected).max() <= 1e-10
 
 
-def test_two_boson_h_matrix():
-    Om = np.array([[1.0, 0.5j], [-0.5j, 2.0]])
-    params = gm.TwoBosonParams(gamma_minus=np.eye(2), gamma_plus=np.eye(2), Omega=Om)
-    H = params.h_matrix()
-    np.testing.assert_allclose(H[:2, :2], Om)
-    np.testing.assert_allclose(H[2:, 2:], Om.T)
-    np.testing.assert_allclose(H[:2, 2:], np.zeros((2, 2)))
-
-
 def test_two_boson_rejects_non_psd():
     with pytest.raises(ValueError):
         gm.TwoBosonParams(gamma_minus=np.diag([1.0, -0.5]),
@@ -280,7 +272,10 @@ def test_strict_positivity_requires_full_kraus_count():
 def test_json_round_trip():
     rng = np.random.default_rng(8)
     model = random_model(rng, 2, 3)
-    decoded = gm.model_from_jsonable(**gm.model_to_jsonable(model))
+    fields = {"omega": model.Omega, "kappa": model.kappa, "zeta": model.zeta,
+              "V": model.V, "U": model.U}
+    decoded = gm.model_from_jsonable(
+        d=model.d, **{k: serialize.complex_to_pairs(v) for k, v in fields.items()})
     np.testing.assert_allclose(decoded.Omega, model.Omega, atol=1e-15)
     np.testing.assert_allclose(decoded.kappa, model.kappa, atol=1e-15)
     np.testing.assert_allclose(decoded.zeta, model.zeta, atol=1e-15)

@@ -7,13 +7,13 @@ Usage:
 A scenario is a single JSON object holding a seed, a model (gaussian,
 two_boson or finite), truncation parameters, and an ordered task list.
 A model's fields are the keyword parameters of its kind's decoder in
-MODELS, a task's settings those of its `task_*` function (a declared
-`seed` is a non-negative integer, by default the run seed).  A parameter
-without a default is required, and one with an int, float or tuple
-default is a JSON integer, number or array (a `None` default admits null
-beside its declared type); any other key or type, or a value outside the
-bounds TASK_VALIDATORS declares, is a schema error, reported before a
-task runs.  The sampled tasks on one seed share one sample pass.
+MODELS, a task's settings those of its `task_*` function; seeded tasks
+draw from the run seed.  A parameter without a default is required, and
+one with an int, float or tuple default is a JSON integer, number or
+array (a `None` default admits null beside its declared type); any other
+key or type, or a value outside the bounds TASK_VALIDATORS declares, is
+a schema error, reported before a task runs.  The sampled tasks share
+the run seed's one sample pass.
 Each task writes its findings into report.json; tasks may carry an
 `expect` block whose key/value pairs replace the task's default
 assertion, so contrast scenarios can assert *failure* of a property and
@@ -70,7 +70,7 @@ class InputError(Exception):
     """Configuration or model input problem (exit code 1)."""
 
 
-# sampled task -> the operators its certificate reads from the seed's sample pass
+# sampled task -> the operators its certificate reads from the run's sample pass
 SAMPLED = {"number-bound": ("G0", "N"), "domain-comparison": ("G0", "N", "G"),
            "sector": ("G",)}
 
@@ -84,33 +84,23 @@ class RunContext:
         fields = dict(config["model"])
         self.kind = fields.pop("kind")
         self.model = MODELS[self.kind](**fields)
-        self._samples = {}
 
-    def params(self, task):
-        """A task's settings, with its declared `seed` defaulting to the run seed."""
-        params = {k: v for k, v in task.items() if k not in ("name", "expect")}
-        if "seed" in TASK_PARAMS[task["name"]]:
-            params["seed"] = int(params.get("seed", self.seed))
-        return params
-
-    def samples(self, seed):
-        """The one sample pass of `seed`, shared by the sampled tasks of that seed.
+    @cached_property
+    def samples(self):
+        """The run seed's one sample pass, shared by the sampled tasks.
 
         Each operator is applied to as many samples as the largest
-        `n_samples` among the tasks on this seed that read it.
+        `n_samples` among the tasks that read it.
         """
-        if seed not in self._samples:
-            counts = {}
-            for task in self.config["tasks"]:
-                params = self.params(task)
-                if task["name"] not in SAMPLED or params["seed"] != seed:
-                    continue
-                n = int(params.get("n_samples", inspect.signature(
-                    TASKS[task["name"]]).parameters["n_samples"].default))
-                for name in SAMPLED[task["name"]]:
-                    counts[name] = max(counts.get(name, 0), n)
-            self._samples[seed] = diagnostics.sample_statistics(self.ops, seed, counts)
-        return self._samples[seed]
+        counts = {}
+        for task in self.config["tasks"]:
+            if task["name"] not in SAMPLED:
+                continue
+            n = int(task.get("n_samples", inspect.signature(
+                TASKS[task["name"]]).parameters["n_samples"].default))
+            for name in SAMPLED[task["name"]]:
+                counts[name] = max(counts.get(name, 0), n)
+        return diagnostics.sample_statistics(self.ops, self.seed, counts)
 
     @property
     def gaussian_model(self):
@@ -214,11 +204,11 @@ def task_minimality(ctx, out):
     return report, bool(consistent)
 
 
-def task_bogoliubov(ctx, out, seed=None, rotation=1.0, squeeze=0.5):
+def task_bogoliubov(ctx, out, squeeze=0.5):
     model = ctx.gaussian_model
     K = ctx.kossakowski
     try:
-        pair = gm.generate_bogoliubov(model.d, seed, rotation=rotation, squeeze=squeeze)
+        pair = gm.generate_bogoliubov(model.d, ctx.seed, squeeze=squeeze)
     except gm.BogoliubovError as exc:
         return {"constraint_residuals": list(exc.residuals)}, False
     transformed = gm.bogoliubov_transform(model, pair)
@@ -236,12 +226,12 @@ def task_bogoliubov(ctx, out, seed=None, rotation=1.0, squeeze=0.5):
     return report, congruence_err <= 1e-10 and preserved
 
 
-def task_number_bound(ctx, out, n_samples=1000, seed=None):
+def task_number_bound(ctx, out, n_samples=1000):
     n_samples = int(n_samples)
-    rep = diagnostics.number_operator_bound(ctx.samples(seed), ctx.kossakowski, n_samples)
+    rep = diagnostics.number_operator_bound(ctx.samples, ctx.kossakowski, n_samples)
     # the first min(n, 50) samples of the bound's stream (prefix property)
     xi = np.hstack(list(diagnostics.sample_blocks(
-        np.random.default_rng(seed), min(n_samples, 50),
+        np.random.default_rng(ctx.seed), min(n_samples, 50),
         ctx.space.interior_dim(), ctx.space.D)))
     lhs, rhs = generator.dissipation_quadratic_identity(ctx.ops, xi)
     identity_err = float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
@@ -255,20 +245,20 @@ def task_number_bound(ctx, out, n_samples=1000, seed=None):
     return report, ok
 
 
-def task_domain_comparison(ctx, out, n_samples=500, seed=None, c_grid=None):
-    rep = diagnostics.domain_comparison_constants(
-        ctx.samples(seed), ctx.kossakowski, int(n_samples), c_grid=c_grid)
+def task_domain_comparison(ctx, out, n_samples=500):
+    rep = diagnostics.domain_comparison_constants(ctx.samples, ctx.kossakowski, int(n_samples))
     report = {**serialize.jsonable(asdict(rep)), "feasible": bool(rep.feasible)}
     return report, report["feasible"]
 
 
 def task_evolve(ctx, out, initial="vacuum",
                 times=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
-                method="auto", h=1e-3, observables=(), trace_tol=1e-6):
+                observables=()):
     psi = ctx.state_vector(initial)
+    for n in observables:  # an occupation outside the basis fails before the evolution
+        ctx.space.basis_vector(n)
     result = evolution.evolve_density(
-        ctx.lindbladian, evolution.DensityMatrix.pure(psi), times,
-        method=method, h=float(h))
+        ctx.lindbladian, evolution.DensityMatrix.pure(psi), times)
     csv_path = out("timeseries")
     evolution.export_timeseries_csv(
         result, csv_path, space=ctx.space, observables=observables)
@@ -280,18 +270,14 @@ def task_evolve(ctx, out, initial="vacuum",
         "min_eig": min_eig,
         "csv": csv_path.name,
     }
-    ok = max_trace <= float(trace_tol)
-    return report, ok
+    return report, max_trace <= 1e-6
 
 
-def task_support(ctx, out, initial="vacuum", t=0.1, max_order=2, max_word=None,
-                 rank_rtol=1e-8):
+def task_support(ctx, out, initial="vacuum", t=0.1):
     psi = ctx.state_vector(initial)
     t = float(t)
-    span = commutators.support_span(
-        ctx.ops, ctx.action, psi, t, max_order=int(max_order), max_word=max_word)
-    probes = diagnostics.positivity_improving_probe(
-        ctx.lindbladian, [psi], [t], ctx.space, rank_rtol=float(rank_rtol))
+    span = commutators.support_span(ctx.ops, ctx.action, psi, t)
+    probes = diagnostics.positivity_improving_probe(ctx.lindbladian, [psi], [t], ctx.space)
     oracle = commutators.validate_action_oracle(ctx.ops, ctx.action)
     report = {
         "t": t,
@@ -305,11 +291,9 @@ def task_support(ctx, out, initial="vacuum", t=0.1, max_order=2, max_word=None,
     return report, ok
 
 
-def task_improve(ctx, out, initials=("vacuum",), times=(0.05, 0.1), rank_rtol=1e-8,
-                 plots=()):
+def task_improve(ctx, out, initials=("vacuum",), times=(0.05, 0.1), plots=()):
     psis = [ctx.state_vector(s) for s in initials]
-    reports = diagnostics.positivity_improving_probe(
-        ctx.lindbladian, psis, times, ctx.space, rank_rtol=float(rank_rtol))
+    reports = diagnostics.positivity_improving_probe(ctx.lindbladian, psis, times, ctx.space)
     rows = [serialize.jsonable(asdict(r)) for r in reports]
     report = {
         "interior_dim": ctx.space.interior_dim(),
@@ -327,10 +311,10 @@ def task_improve(ctx, out, initials=("vacuum",), times=(0.05, 0.1), rank_rtol=1e
     return report, report["all_full"]
 
 
-def task_invariant(ctx, out, n_seeds=3, seed=None, starts=()):
+def task_invariant(ctx, out, n_seeds=3, starts=()):
     starts = [ctx.state_vector(s) for s in starts]
     rep = diagnostics.invariant_subspace_search(
-        ctx.ops, int(n_seeds), seed, starts=starts or None)
+        ctx.ops, int(n_seeds), ctx.seed, starts=starts or None)
     report = {
         "seed_count": rep.seed_count,
         "min_closure_dim": rep.min_closure_dim,
@@ -341,27 +325,25 @@ def task_invariant(ctx, out, n_seeds=3, seed=None, starts=()):
     return report, bool(rep.full_closure)
 
 
-def task_sector(ctx, out, n_samples=200, seed=None, shift_grid=None, plots=(),
-                theta_max=None):
-    rep = diagnostics.sector_estimate(
-        ctx.samples(seed), int(n_samples), shift_grid=shift_grid)
+def task_sector(ctx, out, n_samples=200, shift_grid=None, plots=()):
+    rep = diagnostics.sector_estimate(ctx.samples, int(n_samples), shift_grid=shift_grid)
     report = serialize.jsonable(asdict(rep))
     for kind in plots:  # numerical-range-scatter
         _write_csv(out(kind), ["re", "im"],
                    [[f"{re:.12g}", f"{im:.12g}"] for re, im in report["z_samples"]])
-    ok = theta_max is None or rep.theta_hat <= float(theta_max)
-    return report, ok
+    return report, True
 
 
-def task_fd_probe(ctx, out, t_grid=(0.01, 0.1, 1.0), n_pairs=200, seed=None):
-    minimum = fd.fd_positivity_probe(ctx.finite_model, t_grid, int(n_pairs), seed)
+def task_fd_probe(ctx, out, n_pairs=200):
+    minimum = fd.fd_positivity_probe(
+        ctx.finite_model, (0.01, 0.1, 1.0), int(n_pairs), ctx.seed)
     report = {"min_value": minimum, "positive": bool(minimum > 1e-12)}
     return report, report["positive"]
 
 
-def task_fd_derivative(ctx, out, n_pairs=100, seed=None):
+def task_fd_derivative(ctx, out, n_pairs=100):
     n_pairs = int(n_pairs)
-    worst = fd.fd_derivative_check(ctx.finite_model, n_pairs, seed)
+    worst = fd.fd_derivative_check(ctx.finite_model, n_pairs, ctx.seed)
     report = {"pairs": n_pairs, "max_relative_mismatch": worst}
     return report, worst <= 1e-5
 
@@ -405,11 +387,8 @@ CONFIG_SCHEMA = _closed(["seed", "model", "tasks"], {
 })
 VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 # validators of the model by kind and of a task by name, each closed to its
-# function's signature; a task's `seed` is a non-negative integer, like the
-# top-level one, sample and pair counts are at least 1, the rk4 step `h` is
-# positive, a parameter whose default is None takes its type or null, and
-# `rank_rtol`, a threshold relative to the largest eigenvalue, lies in (0, 1)
-NUMBERS_OR_NULL = {"type": ["array", "null"], "items": {"type": "number"}}
+# function's signature; sample and pair counts are at least 1, the count of
+# seeded start vectors at least 0, and `shift_grid` is null or numbers
 COUNT = {"type": "integer", "minimum": 1}
 MODEL_VALIDATORS = {
     kind: jsonschema.Draft202012Validator(_signature_schema(fn, 0, {"kind": {}}, {}))
@@ -417,13 +396,9 @@ MODEL_VALIDATORS = {
 TASK_VALIDATORS = {
     name: jsonschema.Draft202012Validator(_signature_schema(
         fn, 2, {"name": {}, "expect": {"type": "object"}},
-        {"seed": SEED, "n_samples": COUNT, "n_pairs": COUNT,
-         "h": {"type": "number", "exclusiveMinimum": 0},
+        {"n_samples": COUNT, "n_pairs": COUNT, "n_seeds": {"type": "integer", "minimum": 0},
          "plots": {"type": "array", "items": {"enum": PLOTS.get(name, [])}},
-         "c_grid": NUMBERS_OR_NULL, "shift_grid": NUMBERS_OR_NULL,
-         "max_word": {"type": ["integer", "null"]},
-         "theta_max": {"type": ["number", "null"]},
-         "rank_rtol": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1}}))
+         "shift_grid": {"type": ["array", "null"], "items": {"type": "number"}}}))
     for name, fn in TASKS.items()}
 
 
@@ -474,7 +449,7 @@ def run_scenario(config, output_dir, verbose=False):
     task_seconds = {}
     for idx, task in enumerate(config["tasks"]):
         name = task["name"]
-        params = ctx.params(task)
+        params = {k: v for k, v in task.items() if k not in ("name", "expect")}
         tag = f"{idx:02d}_{name}"
         t0 = time.time()
         try:

@@ -28,6 +28,8 @@ from . import evolution
 from . import model as gm
 
 GS_DROP_RTOL = 1e-10
+# Largest order of the iterated commutators of G with a Kraus operator in a word.
+MAX_ORDER = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,22 +207,22 @@ def krylov_closure(maps, seeds, max_rounds):
 
 @dataclass(frozen=True, eq=False)
 class SupportSpan:
-    """Orthonormal interior basis spanned by commutator words applied to P_t psi."""
+    """Interior rank of the span of commutator words applied to P_t psi."""
 
-    basis: np.ndarray
     rank: int
     word_census: list
 
 
-def support_span(ops, action, psi, t, max_order=2, max_word=None):
+def support_span(ops, action, psi, t):
     """Span of {P_t psi} and commutator words applied to it, restricted to the interior.
 
     Words are products of iterated commutators of G with the Kraus
-    operators, each of order <= max_order.  The evolved vector P_t psi is
+    operators, each of order <= MAX_ORDER.  The evolved vector P_t psi is
     closed under these forms by `krylov_closure` in the full truncated
-    space, at most max_word rounds (word lengths); `word_census` counts the
-    vectors each word length added.  The closure is then projected onto
-    the interior and re-orthonormalised by the same kernel with no maps.
+    space, at most 2 (N_max - interior_margin + 1) rounds (word lengths);
+    `word_census` counts the vectors each word length added.  The closure
+    is then projected onto the interior and its rank taken by the same
+    kernel with no maps.
     """
     space = ops.space
     if t <= 0:
@@ -228,25 +230,18 @@ def support_span(ops, action, psi, t, max_order=2, max_word=None):
     psi = np.asarray(psi, dtype=complex).reshape(space.D)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("psi must be a unit vector")
-    if max_word is None:
-        max_word = 2 * (space.N_max - space.interior_margin + 1)
-    if max_order < 0 or max_word < 0:
-        raise ValueError("budgets must be non-negative")
-
     forms = []
     for ell in range(len(action.kraus)):
-        for order in range(max_order + 1):
+        for order in range(MAX_ORDER + 1):
             f = iterated_commutator(action, ell, order)
             if not f.is_zero():
                 forms.append(f.to_matrix(ops.ladders))
 
     phi = evolution.evolve_vector(ops, psi, [0.0, t]).states[-1]
-    closure, census = krylov_closure(forms, phi[:, None], max_word)
-    dim = space.interior_dim()
-    interior, _ = krylov_closure([], closure[:dim], 0)
-    basis = np.zeros((space.D, interior.shape[1]), dtype=complex)
-    basis[:dim] = interior
-    return SupportSpan(basis=basis, rank=interior.shape[1], word_census=census)
+    closure, census = krylov_closure(
+        forms, phi[:, None], 2 * (space.N_max - space.interior_margin + 1))
+    interior, _ = krylov_closure([], closure[:space.interior_dim()], 0)
+    return SupportSpan(rank=interior.shape[1], word_census=census)
 
 
 def inversion_condition_number(model):

@@ -21,6 +21,8 @@ from .commutators import krylov_closure
 SAMPLE_BLOCK = 64
 # A slack below -BOUND_TOL is a violation of the number-operator bound.
 BOUND_TOL = 1e-10
+# Candidate graph-norm constants, in increasing order.
+C_GRID = (0.0,) + tuple(2.0 ** k for k in range(-2, 11))
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,25 +204,20 @@ def number_operator_bound(stats, K, n_samples):
     )
 
 
-def domain_comparison_constants(stats, K, n_samples, c_grid=None):
+def domain_comparison_constants(stats, K, n_samples):
     """Smallest grid constants c0, c with eps0^2 ||N xi||^2 <= 2 ||G0 xi||^2 + c0
     and eps0^2 ||N xi||^2 <= 2 ||G xi||^2 + c over the first n_samples of
     the pass `stats`.
 
-    Existence of finite constants is the quantity of interest; the grid
-    search reports the empirical values, None when the grid is exhausted.
+    Existence of finite constants is the quantity of interest; the search
+    over C_GRID reports the empirical values, None when the grid is exhausted.
     """
-    if c_grid is None:
-        c_grid = [0.0] + [float(2 ** k) for k in range(-2, 11)]
-    if len(c_grid) == 0:
-        raise ValueError("c_grid must not be empty")
-    c_grid = sorted(float(c) for c in c_grid)
     head = stats.head(("G0", "N", "G"), n_samples)
     n2 = K.eps0 ** 2 * stats.norm2["N"][head]
     req_c0 = float(np.max(n2 - 2.0 * stats.norm2["G0"][head]))
     req_c = float(np.max(n2 - 2.0 * stats.norm2["G"][head]))
     def pick(required):
-        for c in c_grid:
+        for c in C_GRID:
             if c >= required:
                 return c
         return None
@@ -231,11 +228,11 @@ def domain_comparison_constants(stats, K, n_samples, c_grid=None):
     )
 
 
-def positivity_improving_probe(superop, psis, times, space, rank_rtol=1e-8):
+def positivity_improving_probe(superop, psis, times, space):
     """Evolve pure states (`auto` integrator) and report the interior eigen-rank at each time.
 
     full is true when the interior block of the evolved state has full
-    eigen-rank at the relative threshold, the numerical signature of a
+    eigen-rank at evolution.RANK_RTOL, the numerical signature of a
     positivity-improving semigroup at that (psi, t).
     """
     times = sorted(set(float(t) for t in times))
@@ -253,8 +250,7 @@ def positivity_improving_probe(superop, psis, times, space, rank_rtol=1e-8):
         result = evolution.evolve_density(superop, rho0, grid)
         for t in times:
             i = int(np.searchsorted(grid, t))
-            rank, min_eig = evolution.support_rank(
-                result.states[i].rho, dim, rtol=rank_rtol)
+            rank, min_eig = evolution.support_rank(result.states[i].rho, dim)
             reports.append(SupportReport(
                 t=t, rank=rank, min_interior_eig=min_eig,
                 full=bool(rank == dim), psi_index=idx,

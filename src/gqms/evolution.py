@@ -40,6 +40,8 @@ TAYLOR_TOL = 2.0 ** -53
 TRACE_ABORT = 1e-4
 MAX_PRODUCTS = 10 ** 5  # matrix products one evolution may plan
 CONTRACTION_SLACK = 1e-8
+# An interior eigenvalue counts towards the support rank above RANK_RTOL times the largest.
+RANK_RTOL = 1e-8
 
 
 class IntegrationError(RuntimeError):
@@ -252,12 +254,12 @@ def evolve_vector(ops, psi0, times, method="auto", h=1e-3):
     )
 
 
-def support_rank(rho, interior_dim, rtol=1e-8):
-    """Eigen-rank and smallest eigenvalue of the interior block of rho."""
+def support_rank(rho, interior_dim):
+    """Eigen-rank (at RANK_RTOL) and smallest eigenvalue of the interior block of rho."""
     sub = np.asarray(rho)[:interior_dim, :interior_dim]
     w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
     top = w.max()
-    rank = int(np.sum(w > rtol * top)) if top > 0 else 0
+    rank = int(np.sum(w > RANK_RTOL * top)) if top > 0 else 0
     return rank, float(w.min())
 
 

@@ -1,6 +1,6 @@
 """Truncated operators and Lindblad superoperators of a Gaussian model.
 
-Assembles sparse matrices for H, the Kraus operators L_l, the drift
+Assembles sparse matrices for the Kraus operators L_l, the drift
 G = -iH - (1/2) sum_l L_l† L_l and its dissipative part G0 on a truncated
 Fock space, together with the vectorized generator in either picture:
 
@@ -36,11 +36,10 @@ ASSEMBLY_MAX_BYTES = 2 ** 31  # peak of the COO triplets and their CSR copy
 
 @dataclass(frozen=True, eq=False)
 class TruncatedOperators:
-    """Sparse H, G, G0, N and Kraus list L on a truncated Fock space."""
+    """Sparse G, G0, N and Kraus list L on a truncated Fock space."""
 
     space: fock.TruncatedFockSpace
     ladders: fock.LadderOperators
-    H: sp.spmatrix
     G: sp.spmatrix
     G0: sp.spmatrix
     N: sp.spmatrix
@@ -103,7 +102,7 @@ class Superoperator:
 
 
 def build_operators(model, space):
-    """Assemble H, L_l, G0 = -(1/2) sum L_l†L_l and G = -iH + G0.
+    """Assemble L_l, G0 = -(1/2) sum L_l†L_l and G = -iH + G0 (H = i (G - G0) is not kept).
 
     L_l is the matrix of `commutators.kraus_form(model, l)`, for each of
     the m rows of (V, U).  On the truncated space H is exactly Hermitian
@@ -133,7 +132,7 @@ def build_operators(model, space):
         G0 = G0 - 0.5 * (Lop.conj().T @ Lop)
     G = (-1j) * H + G0
     return TruncatedOperators(
-        space=space, ladders=lad, H=H.tocsr(), G=G.tocsr(), G0=G0.tocsr(),
+        space=space, ladders=lad, G=G.tocsr(), G0=G0.tocsr(),
         N=lad.N, L=tuple(L), model=model,
     )
 

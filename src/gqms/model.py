@@ -245,16 +245,16 @@ def bogoliubov_transform(model, pair):
     )
 
 
-def generate_bogoliubov(d, seed, rotation=1.0, squeeze=0.5):
+def generate_bogoliubov(d, seed, squeeze=0.5):
     """Seeded Bogoliubov pair from the exponential of a quadratic-Hamiltonian generator.
 
-    A random Hermitian `rot` (scaled by `rotation`) and symmetric `sq`
-    (scaled by `squeeze`) are drawn and the mode transformation is
+    A random Hermitian `rot` and symmetric `sq` (scaled by `squeeze`) are
+    drawn and the mode transformation is
     exp(i [[-rot, -sq], [conj(sq), rot^T]]); squeeze=0 yields F = 0.
     """
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-    rot = rotation * 0.5 * (A + A.conj().T)
+    rot = 0.5 * (A + A.conj().T)
     B = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     sq = squeeze * 0.5 * (B + B.T)
     gen = np.block([

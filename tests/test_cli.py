@@ -143,7 +143,7 @@ def test_fd_tasks(tmp_path):
         "model": {"kind": "finite", "n": 2, "H": [[0, 0], [0, 0]],
                   "c": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
         "tasks": [
-            {"name": "fd-probe", "t_grid": [0.01, 0.1], "n_pairs": 50},
+            {"name": "fd-probe", "n_pairs": 50},
             {"name": "fd-derivative", "n_pairs": 20},
         ],
     }
@@ -231,6 +231,16 @@ def test_unknown_plot_kind_is_input_error(tmp_path):
     ("tasks", [{"name": "number-bound", "n_samples": 0}], "/tasks/0/n_samples"),
     ("seed", -1, "/seed"),
     ("tasks", [{"name": "sector", "seed": -1}], "/tasks/0/seed"),
+    ("tasks", [{"name": "invariant", "n_seeds": -2, "starts": ["vacuum"]}], "/tasks/0/n_seeds"),
+    # keys no shipped or benchmark config set, removed with their valid values
+    *[("tasks", [{"name": task, key: value}], f"/tasks/0/{key}") for task, key, value in [
+        *[(task, "seed", 1) for task in ("bogoliubov", "number-bound", "domain-comparison",
+                                         "invariant", "sector", "fd-probe", "fd-derivative")],
+        ("bogoliubov", "rotation", 1.0), ("domain-comparison", "c_grid", [0.0, 1.0]),
+        ("evolve", "method", "auto"), ("evolve", "h", 1e-3), ("evolve", "trace_tol", 1e-6),
+        ("support", "max_order", 2), ("support", "max_word", 4),
+        ("support", "rank_rtol", 1e-8), ("improve", "rank_rtol", 1e-8),
+        ("sector", "theta_max", 1.0), ("fd-probe", "t_grid", [0.01, 0.1, 1.0])]],
 ])
 def test_schema_violation_is_input_error(tmp_path, capsys, section, value, pointer):
     path = tmp_path / "cfg.json"
@@ -240,6 +250,18 @@ def test_schema_violation_is_input_error(tmp_path, capsys, section, value, point
     assert cli.main(["run", "--config", str(path),
                      "--output-dir", str(tmp_path / "out")]) == 1
     assert f"{pointer}:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_observable_outside_the_basis_is_named_before_evolving(tmp_path, capsys, monkeypatch):
+    def no_evolution(*args, **kwargs):
+        raise AssertionError("the evolution ran")
+    monkeypatch.setattr(evolution, "evolve_density", no_evolution)
+    config = minimal_config(tasks=[{"name": "evolve", "observables": [[1], [9]]}])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    assert "occupation (9,) not in the truncated basis" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
 
 
@@ -283,9 +305,8 @@ class CountingOperator:
     ([{"name": "sector"}], {1: {"G": 200}}),
     ([{"name": "number-bound", "n_samples": 100},
       {"name": "domain-comparison", "n_samples": 70},
-      {"name": "sector", "n_samples": 130, "seed": 5},
       {"name": "sector", "n_samples": 40}],
-     {1: {"G0": 100, "N": 100, "G": 70}, 5: {"G": 130}}),
+     {1: {"G0": 100, "N": 100, "G": 70}}),
 ])
 def test_sample_pass_applies_each_operator_to_its_readers_samples(
         tmp_path, monkeypatch, tasks, columns):
@@ -317,10 +338,9 @@ def test_shipped_and_benchmark_configs_validate(workload):
 @pytest.mark.parametrize("error_type", ["IntegrationError", "LinAlgError"])
 def test_integration_error_is_a_failed_task(tmp_path, monkeypatch, error_type):
     if error_type == "IntegrationError":
-        # RK4 with h = 0.2 is unstable on the damping rates near N_max = 30
-        failing = {"name": "evolve", "times": [0, 1, 2, 4],
-                   "method": "rk4", "h": 0.2}
-        message = "trace error"
+        # at t = 1e6 the evolution would plan more than MAX_PRODUCTS products
+        failing = {"name": "evolve", "times": [0, 1e6]}
+        message = "matrix products"
     else:
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")

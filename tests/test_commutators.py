@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gqms import commutators, fock, generator
+from gqms import commutators, evolution, fock, generator
 from gqms import model as gm
 from helpers import complex_gaussian, haar_unitary, random_model, strictly_positive_model
 
@@ -257,13 +257,17 @@ def test_support_span_reaches_full_interior():
     space = fock.build_space(1, 10)
     ops = generator.build_operators(model, space)
     action = commutators.adjoint_action(model)
-    span = commutators.support_span(ops, action, space.vacuum(), 0.1,
-                                    max_order=1)
-    assert span.rank == space.interior_dim()
-    # basis columns are orthonormal and interior supported
-    gram = span.basis.conj().T @ span.basis
-    np.testing.assert_allclose(gram, np.eye(span.rank), atol=1e-10)
-    assert np.abs(span.basis[space.interior_dim():, :]).max() == 0.0
+    span = commutators.support_span(ops, action, space.vacuum(), 0.1)
+    assert span.rank == space.interior_dim() == 9
+    # the Kraus operators a and a† span every commutator form of this model, so
+    # their closure of P_t psi, projected onto the interior, has the span's rank
+    # and an orthonormal basis
+    dim = space.interior_dim()
+    phi = evolution.evolve_vector(ops, space.vacuum(), [0.0, 0.1]).states[-1]
+    closure, _ = commutators.krylov_closure(list(ops.L), phi[:, None], space.D)
+    interior, _ = commutators.krylov_closure([], closure[:dim], 0)
+    assert interior.shape == (dim, span.rank)
+    np.testing.assert_allclose(interior.conj().T @ interior, np.eye(span.rank), atol=1e-10)
 
 
 def test_support_span_damping_vacuum_is_fixed():
@@ -273,18 +277,11 @@ def test_support_span_damping_vacuum_is_fixed():
     action = commutators.adjoint_action(model)
     span = commutators.support_span(ops, action, space.vacuum(), 0.5)
     assert span.rank == 1
-    overlap = abs(np.vdot(span.basis[:, 0], space.vacuum()))
+    # the one basis vector is the vacuum, which the damping Kraus operator annihilates
+    basis, census = commutators.krylov_closure(list(ops.L), space.vacuum()[:, None], space.D)
+    assert census == [0]
+    overlap = abs(np.vdot(basis[:, 0], space.vacuum()))
     assert overlap == pytest.approx(1.0, abs=1e-10)
-
-
-def test_support_span_zero_word_budget():
-    model = gm.quadratic_free_model(1, V=[[1.0], [0.0]], U=[[0.0], [1.0]])
-    space = fock.build_space(1, 8)
-    ops = generator.build_operators(model, space)
-    action = commutators.adjoint_action(model)
-    span = commutators.support_span(ops, action, space.vacuum(), 0.1, max_word=0)
-    assert span.rank == 1
-    assert span.word_census == []
 
 
 def test_support_span_input_validation():

@@ -77,8 +77,7 @@ def test_number_bound_boundary_sampling_violates():
 
 def test_domain_comparison_identity_case():
     model, space, ops, K = heated_mode_setup()
-    rep = diagnostics.domain_comparison_constants(full_pass(ops, 2, 200), K, 200,
-                                                  c_grid=[0.0, 1.0, 4.0])
+    rep = diagnostics.domain_comparison_constants(full_pass(ops, 2, 200), K, 200)
     assert rep.feasible
     assert rep.c0_hat == 0.0
     assert rep.max_required_c0 <= 0.0

@@ -223,6 +223,8 @@ def test_probe_rejects_time_zero():
     model = qubit_model()
     with pytest.raises(ValueError):
         fd.fd_positivity_probe(model, [0.0, 0.1], 10, seed=56)
+    with pytest.raises(ValueError, match="t_grid must not be empty"):
+        fd.fd_positivity_probe(model, [], 10, seed=56)
 
 
 def test_probe_degenerate_kossakowski_not_negative():

@@ -32,7 +32,7 @@ def test_hamiltonian_assembly_single_mode():
     space = fock.build_space(1, 6)
     ops = generator.build_operators(model, space)
     N = ops.ladders.N.toarray()
-    np.testing.assert_allclose(ops.H.toarray(), omega * N, atol=1e-14)
+    np.testing.assert_allclose((1j * (ops.G - ops.G0)).toarray(), omega * N, atol=1e-14)
     np.testing.assert_allclose(ops.G.toarray(), (-1j * omega - 0.5) * N, atol=1e-14)
 
 
@@ -43,7 +43,7 @@ def test_linear_hamiltonian_term():
     ops = generator.build_operators(model, space)
     lad = ops.ladders
     expected = 0.5 * (lad.adag[0] + lad.a[0]).toarray()
-    np.testing.assert_allclose(ops.H.toarray(), expected, atol=1e-14)
+    np.testing.assert_allclose((1j * (ops.G - ops.G0)).toarray(), expected, atol=1e-14)
 
 
 def test_operator_invariants_seeded():
@@ -53,15 +53,13 @@ def test_operator_invariants_seeded():
         model = random_model(rng, d, int(rng.integers(1, 2 * d + 1)))
         space = fock.build_space(d, 6 if d == 1 else 4)
         ops = generator.build_operators(model, space)
-        H = ops.H.toarray()
+        H = (1j * (ops.G - ops.G0)).toarray()
         assert np.abs(H - H.conj().T).max() <= 1e-10
         G0 = ops.G0.toarray()
         assert np.linalg.eigvalsh(0.5 * (G0 + G0.conj().T)).max() <= 1e-10
-        np.testing.assert_allclose(
-            ops.G.toarray(), -1j * H + G0, atol=1e-12)
         # grade locality: quadratic pieces connect grades differing by <= 2
         grades = space.grades
-        for M in (ops.H, ops.G, ops.G0):
+        for M in (ops.G, ops.G0):
             coo = M.tocoo()
             assert all(abs(grades[r] - grades[c]) <= 2
                        for r, c in zip(coo.row, coo.col))
@@ -153,6 +151,7 @@ def test_quadratic_form_matches_heisenberg_generator():
     space = fock.build_space(1, 8)
     ops = generator.build_operators(model, space)
     heis = generator.build_lindbladian(ops, "heisenberg")
+    H = 1j * (ops.G - ops.G0)
     dim = space.interior_dim()
     for _ in range(20):
         x = complex_gaussian(rng, (space.D, space.D))
@@ -160,7 +159,7 @@ def test_quadratic_form_matches_heisenberg_generator():
         u = np.zeros(space.D, dtype=complex)
         v[:dim] = complex_gaussian(rng, dim)
         u[:dim] = complex_gaussian(rng, dim)
-        form = 1j * np.vdot(ops.H @ v, x @ u) - 1j * np.vdot(v, x @ (ops.H @ u))
+        form = 1j * np.vdot(H @ v, x @ u) - 1j * np.vdot(v, x @ (H @ u))
         for Lop in ops.L:
             LdL = Lop.conj().T @ Lop
             form -= 0.5 * (np.vdot(v, x @ (LdL @ u)) - 2.0 * np.vdot(Lop @ v, x @ (Lop @ u))
@@ -218,7 +217,7 @@ def commutator_form_lindbladian(ops, picture):
     """The H / L†L kron assembly, written out term by term."""
     D = ops.space.D
     I = sp.identity(D, dtype=complex, format="csr")
-    H = ops.H
+    H = 1j * (ops.G - ops.G0)
     comm = sp.kron(I, H) - sp.kron(H.T, I)
     M = (1j if picture == "heisenberg" else -1j) * comm
     for Lop in ops.L:

@@ -387,18 +387,25 @@ CONFIG_SCHEMA = _closed(["seed", "model", "tasks"], {
 })
 VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 # validators of the model by kind and of a task by name, each closed to its
-# function's signature; sample and pair counts are at least 1, the count of
-# seeded start vectors at least 0, and `shift_grid` is null or numbers
+# function's signature; sample and pair counts are at least 1, `times`,
+# `initials` and a `shift_grid` list are not empty, and the count of seeded
+# start vectors is at least 0, or at least 1 without a non-empty `starts`
 COUNT = {"type": "integer", "minimum": 1}
+NONEMPTY = {"type": "array", "minItems": 1}
+SEEDS_OR_STARTS = {
+    "if": {"not": {"required": ["starts"], "properties": {"starts": NONEMPTY}}},
+    "then": {"properties": {"n_seeds": {"minimum": 1}}}}
 MODEL_VALIDATORS = {
     kind: jsonschema.Draft202012Validator(_signature_schema(fn, 0, {"kind": {}}, {}))
     for kind, fn in MODELS.items()}
 TASK_VALIDATORS = {
-    name: jsonschema.Draft202012Validator(_signature_schema(
+    name: jsonschema.Draft202012Validator({**SEEDS_OR_STARTS, **_signature_schema(
         fn, 2, {"name": {}, "expect": {"type": "object"}},
         {"n_samples": COUNT, "n_pairs": COUNT, "n_seeds": {"type": "integer", "minimum": 0},
+         "times": NONEMPTY, "initials": NONEMPTY,
          "plots": {"type": "array", "items": {"enum": PLOTS.get(name, [])}},
-         "shift_grid": {"type": ["array", "null"], "items": {"type": "number"}}}))
+         "shift_grid": {"type": ["array", "null"], "minItems": 1,
+                        "items": {"type": "number"}}})})
     for name, fn in TASKS.items()}
 
 

@@ -20,7 +20,6 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 
 EXPM_MAX_BYTES = 2 ** 30  # dense complex input of method="expm"
@@ -184,6 +183,8 @@ def _propagate(A, v0, times, method, h, superop=None):
         if nbytes > EXPM_MAX_BYTES:
             raise IntegrationError(
                 f"dense expm needs {nbytes} bytes per copy (limit {EXPM_MAX_BYTES})")
+        import scipy.linalg  # loaded only for dense exponentials
+
         dense = (superop or A).toarray()
     if planned > MAX_PRODUCTS:
         raise IntegrationError(

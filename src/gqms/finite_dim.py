@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import serialize
 from .diagnostics import sample_blocks
@@ -124,6 +123,8 @@ def build_fd_generators(model):
 
 def _heisenberg_propagators(model, times):
     """Dense e^{tL} of the Heisenberg generator for each t in times."""
+    import scipy.linalg  # loaded only for dense exponentials
+
     dense = gkls_superoperator(*_drift_and_pairs(model), "heisenberg").toarray()
     return [scipy.linalg.expm(dense * t) for t in times]
 

@@ -14,8 +14,10 @@ assembly of the package (finite_dim passes its Kossakowski pairs to it).
 Vectorization is by column stacking, vec(A X B) = (B^T kron A) vec(X).
 Both generators are *-maps, L(X†) = L(X)†, so only the D(D+1)/2 rows
 of the upper-triangle entries are assembled and stored; `Superoperator`
-unfolds the rest.  Sparse entries are kept exactly as assembled (no drop
-thresholding); only exact zeros of the summed result are dropped.
+unfolds the rest.  The stored rows are assembled in blocks of at most
+ASSEMBLY_BLOCK triplets, bit-identical to one conversion of all of them.
+Sparse entries are kept exactly as assembled (no drop thresholding); only
+exact zeros of the summed result are dropped.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ from . import model as gm
 from .commutators import kraus_form
 
 PICTURES = ("schrodinger", "heisenberg")
-ASSEMBLY_MAX_BYTES = 2 ** 31  # peak of the COO triplets and their CSR copy
+ASSEMBLY_MAX_BYTES = 2 ** 31  # peak of the assembly (see gkls_superoperator)
+ASSEMBLY_BLOCK = 2 ** 17  # triplets written and made CSR at a time
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,6 +151,38 @@ def _triplets(A, adjoint):
     return (cols, rows, vals.conj()) if adjoint else (rows, cols, vals)
 
 
+def _by_row(triplets):
+    """The triplets stably sorted by row: equal rows keep their order."""
+    order = np.argsort(triplets[0], kind="stable")
+    return tuple(part[order] for part in triplets)
+
+
+def _block_coo(terms, a0, a1, D):
+    """COO of the stored rows a0 (a0 + 1) / 2 ... a1 (a1 + 1) / 2 - 1, block-local.
+
+    Within each row the entries keep the order of one term-major pass over
+    every term's (P, Q) products, so summing the duplicates gives the same
+    bits whatever the blocks are.
+    """
+    r0, r1 = a0 * (a0 + 1) // 2, a1 * (a1 + 1) // 2
+    parts = [(P, Q, counts, slice(*np.searchsorted(P[0], [a0, a1])))
+             for P, Q, counts in terms]
+    E = sum(int(counts[sel].sum()) for _, _, counts, sel in parts)
+    rows, cols, data = np.empty(E, np.int32), np.empty(E, np.int32), np.empty(E, complex)
+    start = 0
+    for (Pr, Pc, Pv), (Qr, Qc, Qv), counts, sel in parts:
+        Pr, Pc, Pv, counts = Pr[sel], Pc[sel], Pv[sel], counts[sel]
+        part = slice(start, start + int(counts.sum()))
+        mask = np.arange(Qv.size) < counts[:, None]
+        for out, p_part, q_part, op in ((rows, Pr * (Pr + 1) // 2 - r0, Qr, np.add),
+                                        (cols, Pc * D, Qc, np.add),
+                                        (data, Pv.conj(), Qv, np.multiply)):
+            op(np.repeat(p_part, counts), np.broadcast_to(q_part, mask.shape)[mask],
+               out=out[part])
+        start = part.stop
+    return sp.coo_matrix((data, (rows, cols)), shape=(r1 - r0, D * D))
+
+
 def gkls_superoperator(G, pairs, picture="schrodinger"):
     """Folded vectorized GKLS generator of the drift G and dissipator pairs (A_j, B_j).
 
@@ -160,11 +195,19 @@ def gkls_superoperator(G, pairs, picture="schrodinger"):
     Kossakowski matrix, or a set closed under A_j <-> B_j).
 
     kron(P, Q) puts P_ab Q_ij in vec row a D + i, stored as row
-    a (a + 1) / 2 + i when i <= a.  The stored triplets are counted, written
-    into int32 / complex arrays sized once and made CSR once (duplicates
-    summed, exact zeros dropped); a ValueError naming the bytes is raised
-    before any is allocated when the peak of that conversion (triplets, CSR
-    copy and row pointer) would exceed ASSEMBLY_MAX_BYTES.
+    a (a + 1) / 2 + i when i <= a.  The stored triplets are counted per
+    row a of P and cut into blocks of consecutive a of at most
+    ASSEMBLY_BLOCK triplets (a single a may exceed it).  Each block's
+    triplets are written into int32 / complex arrays and made CSR
+    (duplicates summed) on their own, then copied into index and value
+    arrays sized once to all the triplets; exact zeros are dropped at the
+    end.  Each row sums its entries in the order of one term-major pass,
+    so the result is bit-identical whatever the blocks.  When the copy
+    arrays would cost more than the blocks save, all triplets are made CSR
+    at once.  A ValueError naming the bytes is raised before any triplet
+    is allocated when the peak of the chosen path (the largest block's
+    triplets and its CSR copy, the copy arrays, the row pointer) would
+    exceed ASSEMBLY_MAX_BYTES.
     """
     if picture not in PICTURES:
         raise ValueError(f"picture must be one of {PICTURES}")
@@ -173,36 +216,46 @@ def gkls_superoperator(G, pairs, picture="schrodinger"):
     X = _triplets(G, adjoint)
     diag = np.arange(D, dtype=np.int32)
     I = (diag, diag, np.ones(D, dtype=complex))
-    terms = []  # (P, Q) of kron(conj P, Q)
+    terms = []  # (P, Q, counts) of kron(conj P, Q), both sorted by row
     for P, Q in [(I, X), (X, I)] + [(_triplets(A, adjoint), _triplets(B, adjoint))
                                     for A, B in pairs]:
-        order = np.argsort(Q[0], kind="stable")
-        Q = tuple(part[order] for part in Q)
+        P, Q = _by_row(P), _by_row(Q)
         terms.append((P, Q, np.searchsorted(Q[0], P[0], side="right")))
-    E = sum(int(counts.sum()) for _, _, counts in terms)
-    n = D * (D + 1) // 2
-    # 24 B per triplet (int32 row and column, complex value), which tocsr
-    # holds while it writes 20 B per entry (int32 index, complex value)
-    # and an int32 row pointer over the n stored rows
-    nbytes = 44 * E + 4 * (n + 1)
+    per_row = sum(np.bincount(P[0], counts, minlength=D) for P, _, counts in terms)
+    cum = np.concatenate(([0], np.cumsum(per_row, dtype=np.int64)))
+    bounds = [0]
+    while bounds[-1] < D:
+        a0 = bounds[-1]
+        a1 = int(np.searchsorted(cum, cum[a0] + ASSEMBLY_BLOCK, side="right")) - 1
+        bounds.append(max(a1, a0 + 1))
+    E, n = int(cum[-1]), D * (D + 1) // 2
+    # 24 B per triplet of a block (int32 row and column, complex value),
+    # which tocsr holds while it writes 20 B per entry (int32 index, complex
+    # value); blocks add 20 B per triplet for the arrays they are copied
+    # into, so all triplets are made CSR at once when that peaks no higher
+    largest = int(np.diff(cum[bounds]).max())
+    if 44 * largest + 20 * E >= 44 * E:
+        bounds, largest = [0, D], E
+    nbytes = 44 * largest + 20 * E * (len(bounds) > 2) + 4 * (n + 1)  # and the row pointer
     if nbytes > ASSEMBLY_MAX_BYTES:
         raise ValueError(
             f"superoperator assembly needs {nbytes} bytes at its peak for "
             f"{E} triplets at D = {D} (limit {ASSEMBLY_MAX_BYTES})")
     # the row pointer alone bounds D^2 below 2^30 for every admitted size
     assert D * D <= np.iinfo(np.int32).max
-    rows, cols, data = np.empty(E, np.int32), np.empty(E, np.int32), np.empty(E, complex)
-    start = 0
-    for (Pr, Pc, Pv), (Qr, Qc, Qv), counts in terms:
-        part = slice(start, start + int(counts.sum()))
-        mask = np.arange(Qv.size) < counts[:, None]
-        for out, p_part, q_part, op in ((rows, Pr * (Pr + 1) // 2, Qr, np.add),
-                                        (cols, Pc * D, Qc, np.add),
-                                        (data, Pv.conj(), Qv, np.multiply)):
-            op(np.repeat(p_part, counts), np.broadcast_to(q_part, mask.shape)[mask],
-               out=out[part])
-        start = part.stop
-    M = sp.coo_matrix((data, (rows, cols)), shape=(n, D * D)).tocsr()
+    if len(bounds) == 2:
+        M = _block_coo(terms, 0, D, D).tocsr()
+    else:
+        indptr, indices, data = np.zeros(n + 1, np.int32), np.empty(E, np.int32), np.empty(E, complex)
+        for a0, a1 in zip(bounds, bounds[1:]):
+            block = _block_coo(terms, a0, a1, D).tocsr()
+            r0, r1 = a0 * (a0 + 1) // 2, a1 * (a1 + 1) // 2
+            start = indptr[r0]
+            indptr[r0 + 1:r1 + 1] = block.indptr[1:] + start
+            indices[start:start + block.nnz] = block.indices
+            data[start:start + block.nnz] = block.data
+            del block  # before the next block's triplets are written
+        M = sp.csr_matrix((data, indices, indptr), shape=(n, D * D))
     M.eliminate_zeros()
     return Superoperator(matrix=M, picture=picture, dim=D)
 

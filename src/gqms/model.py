@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import serialize
 
@@ -261,6 +260,8 @@ def generate_bogoliubov(d, seed, squeeze=0.5):
         [-rot, -sq],
         [sq.conj(), rot.T],
     ])
+    import scipy.linalg  # loaded only for dense exponentials
+
     M = scipy.linalg.expm(1j * gen)
     E = M[:d, :d].T.copy()
     F = M[:d, d:].T.copy()

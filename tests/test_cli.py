@@ -1,7 +1,10 @@
 import dataclasses
 import importlib.util
 import json
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -417,7 +420,7 @@ def test_readme_library_example(capsys):
     ({"name": "fd-probe", "n_pairs": 0}, FINITE_QUBIT, "n_pairs"),
     ({"name": "fd-derivative", "n_pairs": 0}, FINITE_QUBIT, "n_pairs"),
     ({"name": "improve", "times": []}, None, "times"),
-    ({"name": "improve", "initials": []}, None, "initial states"),
+    ({"name": "improve", "initials": []}, None, "initials"),
     ({"name": "sector", "shift_grid": []}, None, "shift_grid"),
     ({"name": "domain-comparison", "c_grid": []}, None, "c_grid"),
 ])
@@ -431,6 +434,81 @@ def test_empty_sample_is_input_error(tmp_path, capsys, task, model, named):
                      "--output-dir", str(tmp_path / "out")]) == 1
     assert named in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("task, pointer", [
+    ({"name": "invariant", "n_seeds": 0}, "/tasks/1/n_seeds"),
+    ({"name": "invariant", "n_seeds": 0, "starts": []}, "/tasks/1/n_seeds"),
+    ({"name": "improve", "initials": []}, "/tasks/1/initials"),
+])
+def test_empty_sample_fails_validate_and_runs_no_task(tmp_path, capsys, task, pointer):
+    # the error is a schema error: `validate` names it, and `run` stops
+    # before the first task writes its CSV
+    config = minimal_config(tasks=[{"name": "evolve", "times": [0, 0.1]}, task])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert pointer in capsys.readouterr().err
+    assert cli.main(["run", "--config", str(path),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+    assert pointer in capsys.readouterr().err
+    assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+def test_seeded_starts_may_be_zero_with_explicit_starts():
+    cli.validate_config(minimal_config(
+        tasks=[{"name": "invariant", "n_seeds": 0, "starts": ["vacuum"]},
+               {"name": "sector", "shift_grid": None}]))
+
+
+# Runs the tasks that need no exponential in a fresh interpreter, then the
+# ones that do; prints which of the two stages found scipy.linalg loaded and
+# the bytes of a method="expm" density evolution.
+FOOTPRINT = """
+import json, sys
+import gqms, gqms.cli
+from gqms import cli, evolution
+configs, out = json.loads(sys.argv[1]), sys.argv[2]
+cli.run_scenario(configs[0], out + "/plain")
+plain = "scipy.linalg" in sys.modules
+for i, config in enumerate(configs[1:]):
+    cli.run_scenario(config, f"{out}/expm{i}")
+ctx = cli.RunContext(configs[0])
+result = evolution.evolve_density(ctx.lindbladian, evolution.DensityMatrix.pure(
+    ctx.space.vacuum()), [0.0, 0.1], method="expm")
+print(json.dumps({"plain": plain, "expm": "scipy.linalg" in sys.modules,
+                  "rho": result.states[-1].rho.tobytes().hex()}))
+"""
+
+
+def test_scipy_linalg_loads_only_for_exponentials(tmp_path):
+    configs = [
+        minimal_config(space={"N_max": 4}, tasks=[
+            {"name": "evolve", "times": [0, 0.1]}, {"name": "support"},
+            {"name": "improve"}, {"name": "invariant"}]),
+        minimal_config(tasks=[{"name": "bogoliubov"}]),
+        minimal_config(model=FINITE_QUBIT, tasks=[
+            {"name": "fd-probe", "n_pairs": 5}, {"name": "fd-derivative", "n_pairs": 2}]),
+    ]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(configs),
+                           str(tmp_path / "fresh")],
+                          capture_output=True, text=True, env=env, check=True)
+    fresh = json.loads(done.stdout.splitlines()[-1])
+    assert fresh["plain"] is False and fresh["expm"] is True
+    # the same bytes as in this process, where scipy.linalg is loaded
+    ctx = cli.RunContext(configs[0])
+    rho = evolution.evolve_density(ctx.lindbladian, evolution.DensityMatrix.pure(
+        ctx.space.vacuum()), [0.0, 0.1], method="expm").states[-1].rho
+    assert rho.tobytes().hex() == fresh["rho"]
+    for i, config in enumerate(configs[1:]):
+        cli.run_scenario(config, tmp_path / f"here{i}")
+        for path in (tmp_path / f"here{i}").iterdir():
+            ours, theirs = path.read_text(), (tmp_path / "fresh" / f"expm{i}" / path.name).read_text()
+            if path.name == "report.json":
+                ours, theirs = ({k: v for k, v in json.loads(text).items() if k != "timestamps"}
+                                for text in (ours, theirs))
+            assert ours == theirs
 
 
 def test_readme_task_table_matches_signatures():

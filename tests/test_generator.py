@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 from gqms import evolution, fock, generator
+from gqms import finite_dim as fd
 from gqms import model as gm
 from helpers import (complex_gaussian, kraus_form_lindbladian, random_model,
                      strictly_positive_model)
@@ -366,27 +367,30 @@ def test_assembly_byte_guard_raises_before_allocating(monkeypatch):
     model = strictly_positive_model(rng, 2)
     space = fock.build_space(2, 13)
     ops = generator.build_operators(model, space)
-    monkeypatch.setattr(generator, "ASSEMBLY_MAX_BYTES", 2 ** 20)
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="bytes") as err:
-            generator.build_lindbladian(ops)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    needed = int(re.search(r"needs (\d+) bytes", str(err.value)).group(1))
-    assert needed > 2 ** 20
-    assert peak < needed / 10
-    monkeypatch.setattr(generator, "ASSEMBLY_MAX_BYTES", needed)
-    tracemalloc.start()
-    try:
-        # the 5565 stored rows of the 11025-row generator, which holds 356461 entries
-        assert generator.build_lindbladian(ops).matrix.nnz == 179960
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    # the figure the guard names is the peak of the assembly it admits
-    assert 0.9 * needed <= peak <= 1.05 * needed
+    # at the shipped block size (one conversion at D = 105), then in many blocks
+    for block in (generator.ASSEMBLY_BLOCK, 2 ** 14):
+        monkeypatch.setattr(generator, "ASSEMBLY_BLOCK", block)
+        monkeypatch.setattr(generator, "ASSEMBLY_MAX_BYTES", 2 ** 20)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="bytes") as err:
+                generator.build_lindbladian(ops)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        needed = int(re.search(r"needs (\d+) bytes", str(err.value)).group(1))
+        assert needed > 2 ** 20
+        assert peak < needed / 10
+        monkeypatch.setattr(generator, "ASSEMBLY_MAX_BYTES", needed)
+        tracemalloc.start()
+        try:
+            # the 5565 stored rows of the 11025-row generator, which holds 356461 entries
+            assert generator.build_lindbladian(ops).matrix.nnz == 179960
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the figure the guard names is the peak of the assembly it admits
+        assert 0.9 * needed <= peak <= 1.05 * needed
 
 
 def test_assembly_peak_memory_bound():
@@ -404,3 +408,82 @@ def test_assembly_peak_memory_bound():
         tracemalloc.stop()
     csr_bytes = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
     assert peak <= 2.5 * csr_bytes
+
+
+BLOCK_COO = generator._block_coo
+
+
+def count_blocks(monkeypatch, block):
+    """Set the block size; returns the list that collects each block's (a0, a1)."""
+    calls = []
+    monkeypatch.setattr(generator, "ASSEMBLY_BLOCK", block)
+    monkeypatch.setattr(generator, "_block_coo",
+                        lambda terms, a0, a1, D: calls.append((a0, a1)) or BLOCK_COO(terms, a0, a1, D))
+    return calls
+
+
+def assert_same_csr(A, B):
+    np.testing.assert_array_equal(A.indptr, B.indptr)
+    np.testing.assert_array_equal(A.indices, B.indices)
+    np.testing.assert_array_equal(A.data, B.data)
+
+
+def test_blocked_assembly_peak_memory_bound():
+    # D = 220 at the shipped block size: the transient stays within 1.5x the CSR
+    model = strictly_positive_model(np.random.default_rng(23), 3)
+    ops = generator.build_operators(model, fock.build_space(3, 9))
+    tracemalloc.start()
+    try:
+        M = generator.build_lindbladian(ops).matrix
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    csr_bytes = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+    assert peak <= 1.5 * csr_bytes
+
+
+def test_blocked_assembly_is_bit_identical(monkeypatch):
+    # D = 105 in both pictures: many blocks give exactly the one-block CSR
+    model = strictly_positive_model(np.random.default_rng(24), 2)
+    ops = generator.build_operators(model, fock.build_space(2, 13))
+    for picture in generator.PICTURES:
+        calls = count_blocks(monkeypatch, 2 ** 40)
+        whole = generator.build_lindbladian(ops, picture).matrix
+        assert calls == [(0, 105)]
+        calls = count_blocks(monkeypatch, 2 ** 12)
+        blocked = generator.build_lindbladian(ops, picture).matrix
+        assert len(calls) > 40 and calls[-1][1] == 105
+        assert_same_csr(blocked, whole)
+
+
+def test_blocked_finite_assembly_is_bit_identical(monkeypatch):
+    # n = 3, dense drift and pairs: one row a of P per block
+    rng = np.random.default_rng(25)
+    a = complex_gaussian(rng, (8, 8))
+    model = fd.FiniteGKLSModel(n=3, H=np.diag([0.3, -0.1, 0.2]), c=a @ a.conj().T / 8)
+    count_blocks(monkeypatch, 2 ** 40)
+    whole = fd.build_fd_generators(model)
+    calls = count_blocks(monkeypatch, 1)
+    blocked = fd.build_fd_generators(model)
+    assert calls == [(0, 1), (1, 2), (2, 3)] * 2
+    for A, B in zip(blocked, whole):
+        assert_same_csr(A.matrix, B.matrix)
+
+
+def test_gkls_drops_exact_zeros_across_blocks(monkeypatch):
+    # the cancelling pairs of test_gkls_drops_exact_zeros, one row a of P per block
+    rng = np.random.default_rng(22)
+    G = sp.random(6, 6, density=0.3, random_state=1, format="csr")
+    L = complex_gaussian(rng, (6, 6))
+    count_blocks(monkeypatch, 2 ** 40)
+    whole = [generator.gkls_superoperator(G, [(L, L), (L, -L)], picture).matrix
+             for picture in generator.PICTURES]
+    calls = count_blocks(monkeypatch, 1)
+    drift = generator.gkls_superoperator(G, []).matrix
+    for picture, W in zip(generator.PICTURES, whole):
+        del calls[:]
+        M = generator.gkls_superoperator(G, [(L, L), (L, -L)], picture).matrix
+        assert len(calls) == 6
+        assert M.nnz == drift.nnz
+        assert np.all(M.data != 0)
+        assert_same_csr(M, W)

@@ -11,9 +11,10 @@ MODELS, a task's settings those of its `task_*` function; seeded tasks
 draw from the run seed.  A parameter without a default is required, and
 one with an int, float or tuple default is a JSON integer, number or
 array (a `None` default admits null beside its declared type); any other
-key or type, or a value outside the bounds TASK_VALIDATORS declares, is
-a schema error, reported before a task runs.  The sampled tasks share
-the run seed's one sample pass.
+key or type, a value outside the bounds TASK_VALIDATORS or
+_dependent_errors declare, or a task of the other model kind is a schema
+error, reported before a task runs.  The sampled tasks reduce the run
+seed's one sample pass, of their largest `n_samples`.
 Each task writes its findings into report.json; tasks may carry an
 `expect` block whose key/value pairs replace the task's default
 assertion, so contrast scenarios can assert *failure* of a property and
@@ -59,6 +60,8 @@ PIVOTS = {
     "min-eig-vs-t": ("min_interior_eig", "min_eig_psi", "{:.6e}"),
 }
 PLOTS = {"improve": list(PIVOTS), "sector": ["numerical-range-scatter"]}
+# the tasks of a finite model; the others need a bosonic model and its `space`
+FINITE_TASKS = ("fd-probe", "fd-derivative")
 # `additionalProperties` that rejects every extra key, as `false` does, but
 # reports each one at its own JSON pointer
 UNKNOWN_KEY = {"not": {}}
@@ -68,11 +71,6 @@ JSON_TYPES = {int: {"type": "integer"}, float: {"type": "number"}, tuple: {"type
 
 class InputError(Exception):
     """Configuration or model input problem (exit code 1)."""
-
-
-# sampled task -> the operators its certificate reads from the run's sample pass
-SAMPLED = {"number-bound": ("G0", "N"), "domain-comparison": ("G0", "N", "G"),
-           "sector": ("G",)}
 
 
 class RunContext:
@@ -87,51 +85,33 @@ class RunContext:
 
     @cached_property
     def samples(self):
-        """The run seed's one sample pass, shared by the sampled tasks.
-
-        Each operator is applied to as many samples as the largest
-        `n_samples` among the tasks that read it.
-        """
-        counts = {}
-        for task in self.config["tasks"]:
-            if task["name"] not in SAMPLED:
-                continue
-            n = int(task.get("n_samples", inspect.signature(
+        """The run seed's one sample pass over the largest `n_samples` of the sampled tasks."""
+        return diagnostics.sample_statistics(self.ops, self.seed, max(
+            int(task.get("n_samples", inspect.signature(
                 TASKS[task["name"]]).parameters["n_samples"].default))
-            for name in SAMPLED[task["name"]]:
-                counts[name] = max(counts.get(name, 0), n)
-        return diagnostics.sample_statistics(self.ops, self.seed, counts)
-
-    @property
-    def gaussian_model(self):
-        if self.kind == "finite":
-            raise InputError(f"model kind {self.kind!r} has no Gaussian form")
-        return self.model
+            for task in self.config["tasks"] if "n_samples" in TASK_PARAMS[task["name"]]))
 
     @property
     def finite_model(self):
-        if self.kind != "finite":
-            raise InputError("this task needs a finite-dimensional model")
+        """The model, under the name `perfbench/setup_probe.py` reads."""
         return self.model
 
     @cached_property
     def space(self):
-        if "space" not in self.config:
-            raise InputError("gaussian tasks need a 'space' section")
         entry = self.config["space"]
         return fock.build_space(
-            d=self.gaussian_model.d,
+            d=self.model.d,
             N_max=int(entry["N_max"]),
             interior_margin=int(entry.get("interior_margin", 2)),
         )
 
     @cached_property
     def ops(self):
-        return generator.build_operators(self.gaussian_model, self.space)
+        return generator.build_operators(self.model, self.space)
 
     @cached_property
     def kossakowski(self):
-        return gm.build_kossakowski(self.gaussian_model.V, self.gaussian_model.U)
+        return gm.build_kossakowski(self.model.V, self.model.U)
 
     @cached_property
     def lindbladian(self):
@@ -139,7 +119,7 @@ class RunContext:
 
     @cached_property
     def action(self):
-        return commutators.adjoint_action(self.gaussian_model)
+        return commutators.adjoint_action(self.model)
 
     def state_vector(self, label):
         if label == "vacuum":
@@ -171,7 +151,7 @@ def _write_pivot(rows, kind, path):
 # (report dict with JSON-native values, default verdict).
 
 def task_kossakowski(ctx, out):
-    model = ctx.gaussian_model
+    model = ctx.model
     K = ctx.kossakowski
     B = gm.kossakowski_factor(model.V, model.U)
     fact_err = float(np.abs(K.matrix - B @ B.conj().T).max())
@@ -190,7 +170,7 @@ def task_kossakowski(ctx, out):
 
 
 def task_minimality(ctx, out):
-    model = ctx.gaussian_model
+    model = ctx.model
     K = ctx.kossakowski
     minimal = gm.check_minimality(model.V, model.U)
     consistent = minimal == (K.rank == model.m)
@@ -205,7 +185,7 @@ def task_minimality(ctx, out):
 
 
 def task_bogoliubov(ctx, out, squeeze=0.5):
-    model = ctx.gaussian_model
+    model = ctx.model
     K = ctx.kossakowski
     try:
         pair = gm.generate_bogoliubov(model.d, ctx.seed, squeeze=squeeze)
@@ -235,14 +215,8 @@ def task_number_bound(ctx, out, n_samples=1000):
         ctx.space.interior_dim(), ctx.space.D)))
     lhs, rhs = generator.dissipation_quadratic_identity(ctx.ops, xi)
     identity_err = float(np.max(np.abs(lhs - rhs) / (1.0 + np.abs(lhs))))
-    report = {
-        "samples": rep.samples,
-        "min_slack": rep.min_slack,
-        "violations": rep.violations,
-        "identity_error": identity_err,
-    }
-    ok = rep.violations == 0 and identity_err <= 1e-10
-    return report, ok
+    report = {**serialize.jsonable(asdict(rep)), "identity_error": identity_err}
+    return report, rep.violations == 0 and identity_err <= 1e-10
 
 
 def task_domain_comparison(ctx, out, n_samples=500):
@@ -315,14 +289,8 @@ def task_invariant(ctx, out, n_seeds=3, starts=()):
     starts = [ctx.state_vector(s) for s in starts]
     rep = diagnostics.invariant_subspace_search(
         ctx.ops, int(n_seeds), ctx.seed, starts=starts or None)
-    report = {
-        "seed_count": rep.seed_count,
-        "min_closure_dim": rep.min_closure_dim,
-        "interior_dim": rep.interior_dim,
-        "closure_dims": list(rep.closure_dims),
-        "full_closure": bool(rep.full_closure),
-    }
-    return report, bool(rep.full_closure)
+    report = {**serialize.jsonable(asdict(rep)), "full_closure": bool(rep.full_closure)}
+    return report, report["full_closure"]
 
 
 def task_sector(ctx, out, n_samples=200, shift_grid=None, plots=()):
@@ -336,14 +304,14 @@ def task_sector(ctx, out, n_samples=200, shift_grid=None, plots=()):
 
 def task_fd_probe(ctx, out, n_pairs=200):
     minimum = fd.fd_positivity_probe(
-        ctx.finite_model, (0.01, 0.1, 1.0), int(n_pairs), ctx.seed)
+        ctx.model, (0.01, 0.1, 1.0), int(n_pairs), ctx.seed)
     report = {"min_value": minimum, "positive": bool(minimum > 1e-12)}
     return report, report["positive"]
 
 
 def task_fd_derivative(ctx, out, n_pairs=100):
     n_pairs = int(n_pairs)
-    worst = fd.fd_derivative_check(ctx.finite_model, n_pairs, ctx.seed)
+    worst = fd.fd_derivative_check(ctx.model, n_pairs, ctx.seed)
     report = {"pairs": n_pairs, "max_relative_mismatch": worst}
     return report, worst <= 1e-5
 
@@ -387,9 +355,10 @@ CONFIG_SCHEMA = _closed(["seed", "model", "tasks"], {
 })
 VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 # validators of the model by kind and of a task by name, each closed to its
-# function's signature; sample and pair counts are at least 1, `times`,
-# `initials` and a `shift_grid` list are not empty, and the count of seeded
-# start vectors is at least 0, or at least 1 without a non-empty `starts`
+# function's signature; sample and pair counts are at least 1, `times` (of
+# non-negative numbers), `initials` and a `shift_grid` list are not empty,
+# `t` is positive, and the count of seeded start vectors is at least 0, or
+# at least 1 without a non-empty `starts`
 COUNT = {"type": "integer", "minimum": 1}
 NONEMPTY = {"type": "array", "minItems": 1}
 SEEDS_OR_STARTS = {
@@ -402,18 +371,37 @@ TASK_VALIDATORS = {
     name: jsonschema.Draft202012Validator({**SEEDS_OR_STARTS, **_signature_schema(
         fn, 2, {"name": {}, "expect": {"type": "object"}},
         {"n_samples": COUNT, "n_pairs": COUNT, "n_seeds": {"type": "integer", "minimum": 0},
-         "times": NONEMPTY, "initials": NONEMPTY,
+         "times": {**NONEMPTY, "items": {"type": "number", "minimum": 0}},
+         "t": {"type": "number", "exclusiveMinimum": 0}, "initials": NONEMPTY,
          "plots": {"type": "array", "items": {"enum": PLOTS.get(name, [])}},
          "shift_grid": {"type": ["array", "null"], "minItems": 1,
                         "items": {"type": "number"}}})})
     for name, fn in TASKS.items()}
 
 
+def _dependent_errors(config):
+    """(path, message) of each value of a schema-valid config that another value rules out."""
+    finite = config["model"]["kind"] == "finite"
+    if not finite and "space" not in config:
+        yield ["space"], "required for a bosonic model"
+    space = config.get("space")
+    if space is not None and space.get("interior_margin", 2) > space["N_max"]:
+        yield ["space", "interior_margin"], "exceeds N_max, leaving no interior"
+    for i, task in enumerate(config["tasks"]):
+        if (task["name"] in FINITE_TASKS) != finite:
+            yield ["tasks", i, "name"], f"needs a {'bosonic' if finite else 'finite'} model"
+        times = task.get("times")
+        if task["name"] == "evolve" and times is not None and (
+                times[0] != 0 or any(b <= a for a, b in zip(times, times[1:]))):
+            yield ["tasks", i, "times"], "must start at 0 and increase strictly"
+
+
 def validate_config(config):
     """Schema-check a config dict; raises InputError listing JSON pointers.
 
     Once the config has the top-level shape, the model and each task are
-    checked against the schema of their kind or name.
+    checked against the schema of their kind or name, then against the
+    values that rule out others (`_dependent_errors`).
     """
     errors = [(list(e.absolute_path), e) for e in VALIDATOR.iter_errors(config)]
     if not errors:
@@ -422,13 +410,12 @@ def validate_config(config):
                   for i, task in enumerate(config["tasks"])]
         errors = [([*at, *e.absolute_path], e)
                   for at, validator, part in parts for e in validator.iter_errors(part)]
+    errors = [(path, "unknown key" if e.schema is UNKNOWN_KEY else e.message)
+              for path, e in errors] or list(_dependent_errors(config))
     if errors:
-        lines = []
-        for path, e in sorted(errors, key=lambda error: error[0]):
-            pointer = "/" + "/".join(str(p) for p in path)
-            message = "unknown key" if e.schema is UNKNOWN_KEY else e.message
-            lines.append(f"  {pointer}: {message}")
-        raise InputError("config schema violations:\n" + "\n".join(lines))
+        raise InputError("config schema violations:\n" + "\n".join(
+            f"  /{'/'.join(map(str, path))}: {message}"
+            for path, message in sorted(errors, key=lambda error: error[0])))
 
 
 def _check_expect(report, expect):

@@ -32,7 +32,6 @@ class BoundReport:
     samples: int
     min_slack: float
     violations: int
-    witness: np.ndarray | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,7 +68,6 @@ class InvariantSubspaceReport:
     min_closure_dim: int
     interior_dim: int
     closure_dims: tuple
-    reducible_witness: np.ndarray | None = None
 
     @property
     def full_closure(self):
@@ -107,79 +105,64 @@ def sample_blocks(rng, count, dim, rows=None):
         yield block
 
 
-def _interior_blocks(space, n_samples, seed):
-    """Seeded interior samples of a truncated space, as D x b blocks."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
-    return sample_blocks(np.random.default_rng(seed), n_samples,
-                         space.interior_dim(), space.D)
-
-
 @dataclass(frozen=True, eq=False)
 class SampleStatistics:
     """Per-sample statistics of one seeded pass, keyed by operator.
 
-    For the first len(norm2[op]) interior unit vectors xi of the seed's
-    stream, norm2[op] holds ||op xi||^2 and form[op] holds
-    Re<xi, -2 G0 xi> (op "G0"), Re<xi, (2N + d) xi> ("N") or <xi, G xi> ("G").
+    For each of the pass's interior unit vectors xi, norm2[op] holds
+    ||op xi||^2 and form[op] holds Re<xi, -2 G0 xi> (op "G0"),
+    Re<xi, (2N + d) xi> ("N") or <xi, G xi> ("G").
     """
 
-    space: object
-    seed: int
     form: dict
     norm2: dict
 
-    def head(self, operators, n_samples):
-        """The slice of the first n_samples, which the pass must hold for each operator."""
-        if n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        for name in operators:
-            have = len(self.norm2.get(name, ()))
-            if have < n_samples:
-                raise ValueError(f"the sample pass applied {name} to {have} < "
-                                 f"{n_samples} samples")
+    def head(self, n_samples):
+        """The slice of the first n_samples, which the pass must hold."""
+        have = len(self.norm2["G"])
+        if not 1 <= n_samples <= have:
+            raise ValueError(f"n_samples must be in 1..{have}, the pass's count")
         return slice(0, n_samples)
 
 
-def sample_statistics(ops, seed, counts):
-    """One pass over the seed's interior samples for every sampled certificate.
+def sample_statistics(ops, seed, n_samples):
+    """One pass over the seed's first n_samples interior samples for every sampled certificate.
 
-    `counts` maps some of "G0", "N" and "G" to the number of leading
-    samples that operator is applied to.  The pass draws max(counts)
-    samples, a block at a time, and applies each operator once per block
-    to the columns below its count, so an operator sees the same block
-    widths as a pass of its own count.  One image block is live at a time.
+    The pass draws the samples a block at a time and applies each of G0,
+    N and G once per block; one image block is live at a time.  Every
+    column's statistics are summed row by row, so they do not depend on
+    the width of its block, and a pass holds the first columns of any
+    longer pass.
     """
-    if not counts or set(counts) - {"G0", "N", "G"}:
-        raise ValueError(f"counts must map some of G0, N, G to sizes, got {counts!r}")
-    if min(counts.values()) < 1:
+    if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    d = ops.space.d
-    norm2 = {name: np.empty(n) for name, n in counts.items()}
-    form = {name: np.empty(n, dtype=complex if name == "G" else float)
-            for name, n in counts.items()}
-    work = np.empty(ops.space.D * SAMPLE_BLOCK, dtype=complex)  # one reused temporary block
+    space, d = ops.space, ops.space.d
+    norm2 = {name: np.empty(n_samples) for name in ("G0", "N", "G")}
+    form = {name: np.empty(n_samples, dtype=complex if name == "G" else float)
+            for name in norm2}
+    work = np.zeros(space.D * SAMPLE_BLOCK, dtype=complex)  # one reused temporary block
     start = 0
-    for X in _interior_blocks(ops.space, max(counts.values()), seed):
-        for name, n in counts.items():
-            b = min(n - start, X.shape[1])
-            if b <= 0:
-                continue
-            Xb = X[:, :b] if b < X.shape[1] else X
-            Y = getattr(ops, name) @ Xb
-            T = work[:Y.size].reshape(Y.shape)
+    for X in sample_blocks(np.random.default_rng(seed), n_samples,
+                           space.interior_dim(), space.D):
+        b = X.shape[1]
+        # a one-column reduction would sum pairwise, so reduce it beside a
+        # second column of finite leftovers (work starts zeroed)
+        T2 = work[:space.D * max(b, 2)].reshape(space.D, max(b, 2))
+        T = T2[:, :b]
+        for name in norm2:
+            Y = getattr(ops, name) @ X
             np.multiply(np.conjugate(Y, out=T), Y, out=T)
-            norm2[name][start:start + b] = np.sqrt(np.add.reduce(T.real, axis=0)) ** 2
+            norm2[name][start:start + b] = np.sqrt(np.add.reduce(T2.real, axis=0)[:b]) ** 2
             if name == "G0":  # -2 G0 xi
                 Y *= -2.0
             elif name == "N":  # (2N + d) xi
                 Y *= 2.0
-                Y += np.multiply(d, Xb, out=T)
-            z = np.einsum("ij,ij->j", np.conjugate(Xb, out=T), Y)
+                Y += np.multiply(d, X, out=T)
+            z = np.einsum("ij,ij->j", np.conjugate(X, out=T), Y)
             del Y  # before the next operator's image is allocated
             form[name][start:start + b] = z if name == "G" else np.real(z)
-        start += X.shape[1]
-    return SampleStatistics(space=ops.space, seed=seed, form=form, norm2=norm2)
+        start += b
+    return SampleStatistics(form=form, norm2=norm2)
 
 
 def number_operator_bound(stats, K, n_samples):
@@ -187,21 +170,12 @@ def number_operator_bound(stats, K, n_samples):
 
     Valid for a positive semidefinite Kossakowski matrix with smallest
     eigenvalue eps0; slack is recorded per normalized interior sample,
-    over the first n_samples of the pass `stats`.  The witness is the
-    first sample of least slack, redrawn from the seed's stream, kept
-    only when that slack is a violation.
+    over the first n_samples of the pass `stats`.
     """
-    head = stats.head(("G0", "N"), n_samples)
+    head = stats.head(n_samples)
     slack = stats.form["G0"][head] - K.eps0 * stats.form["N"][head]
-    j = int(np.argmin(slack))
-    witness = None
-    if slack[j] < -BOUND_TOL:
-        *_, last = _interior_blocks(stats.space, j + 1, stats.seed)
-        witness = last[:, -1].copy()
-    return BoundReport(
-        samples=n_samples, min_slack=float(slack[j]),
-        violations=int(np.count_nonzero(slack < -BOUND_TOL)), witness=witness,
-    )
+    return BoundReport(samples=n_samples, min_slack=float(slack.min()),
+                       violations=int(np.count_nonzero(slack < -BOUND_TOL)))
 
 
 def domain_comparison_constants(stats, K, n_samples):
@@ -212,7 +186,7 @@ def domain_comparison_constants(stats, K, n_samples):
     Existence of finite constants is the quantity of interest; the search
     over C_GRID reports the empirical values, None when the grid is exhausted.
     """
-    head = stats.head(("G0", "N", "G"), n_samples)
+    head = stats.head(n_samples)
     n2 = K.eps0 ** 2 * stats.norm2["N"][head]
     req_c0 = float(np.max(n2 - 2.0 * stats.norm2["G0"][head]))
     req_c = float(np.max(n2 - 2.0 * stats.norm2["G"][head]))
@@ -264,8 +238,7 @@ def invariant_subspace_search(ops, n_seeds, seed, starts=None):
     Each seed vector (n_seeds interior vectors from `sample_blocks`, then
     the interior parts of `starts`) is closed by one `krylov_closure` call,
     which stops after the first round that adds nothing; interior_dim
-    rounds always suffice.  A closure smaller than the interior dimension
-    is returned as a reducibility witness basis.
+    rounds always suffice.
     """
     if n_seeds < 1 and not starts:
         raise ValueError("need n_seeds >= 1 or explicit start vectors")
@@ -280,20 +253,12 @@ def invariant_subspace_search(ops, n_seeds, seed, starts=None):
         if nv == 0:
             raise ValueError("start vector has no interior component")
         vectors.append(v / nv)
-    closure_dims = []
-    witness = None
-    for v in vectors:
-        closure, _ = krylov_closure(mats, v[:, None], dim)
-        closure_dims.append(closure.shape[1])
-        if closure.shape[1] < dim and witness is None:
-            witness = np.zeros((space.D, closure.shape[1]), dtype=complex)
-            witness[:dim] = closure
+    closure_dims = [krylov_closure(mats, v[:, None], dim)[0].shape[1] for v in vectors]
     return InvariantSubspaceReport(
         seed_count=len(vectors),
         min_closure_dim=int(min(closure_dims)),
         interior_dim=dim,
         closure_dims=tuple(closure_dims),
-        reducible_witness=witness,
     )
 
 
@@ -310,7 +275,7 @@ def sector_estimate(stats, n_samples, shift_grid=None):
         shift_grid = [0.0, 0.5, 1.0, 2.0]
     if len(shift_grid) == 0:
         raise ValueError("shift_grid must not be empty")
-    head = stats.head(("G",), n_samples)
+    head = stats.head(n_samples)
     zs = stats.form["G"][head]
     per_shift = []
     for w in shift_grid:

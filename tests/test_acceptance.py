@@ -80,7 +80,7 @@ def test_criterion_3_number_bound_two_boson():
     ops = generator.build_operators(model, space)
     K = gm.build_kossakowski(model.V, model.U)
     bound = diagnostics.number_operator_bound(
-        diagnostics.sample_statistics(ops, 103, {"G0": 1000, "N": 1000}), K, 1000)
+        diagnostics.sample_statistics(ops, 103, 1000), K, 1000)
     rng = np.random.default_rng(103)
     samples = np.hstack(list(diagnostics.sample_blocks(
         rng, 1000, space.interior_dim(), space.D)))
@@ -191,13 +191,13 @@ def test_criterion_8_sector_heuristic():
     flat = gm.two_boson_model(gm.TwoBosonParams(Omega=np.zeros((2, 2)), **base))
     ops0 = generator.build_operators(flat, space)
     self_adjoint = diagnostics.sector_estimate(
-        diagnostics.sample_statistics(ops0, 108, {"G": 200}), 200, shift_grid=[0.0])
+        diagnostics.sample_statistics(ops0, 108, 200), 200, shift_grid=[0.0])
     thetas = []
     for scale in (0.25, 0.5, 1.0):
         params = gm.TwoBosonParams(Omega=scale * np.diag([1.0, 0.5]), **base)
         ops = generator.build_operators(gm.two_boson_model(params), space)
         rep = diagnostics.sector_estimate(
-            diagnostics.sample_statistics(ops, 108, {"G": 200}), 200, shift_grid=[0.0])
+            diagnostics.sample_statistics(ops, 108, 200), 200, shift_grid=[0.0])
         thetas.append(rep.theta_hat)
     monotone = thetas[0] < thetas[1] < thetas[2]
     ok = self_adjoint.theta_hat <= 1e-6 and monotone

@@ -279,8 +279,7 @@ def counting_calls(monkeypatch, module, name, calls):
 
 
 def test_sampled_tasks_draw_the_stream_once(tmp_path, monkeypatch):
-    blocks, streams = [], []
-    counting_calls(monkeypatch, diagnostics, "_interior_blocks", streams)
+    blocks = []
     counting_calls(monkeypatch, diagnostics, "sample_blocks", blocks)
     config = minimal_config(tasks=[
         {"name": "number-bound", "n_samples": 120},
@@ -288,44 +287,64 @@ def test_sampled_tasks_draw_the_stream_once(tmp_path, monkeypatch):
         {"name": "sector", "n_samples": 150}])
     code, report = cli.run_scenario(config, tmp_path)
     assert code == 0
-    assert [(n, seed) for _, n, seed in streams] == [(150, 1)]
-    # the number-bound identity check redraws its first 50 samples
+    # the pass draws the largest count once; the number-bound identity
+    # check redraws its first 50 samples
     assert [args[1] for args in blocks] == [150, 50]
 
 
 class CountingOperator:
-    """A sparse matrix that adds the columns of every block it is applied to."""
+    """A sparse matrix that records the column count of every block it is applied to."""
 
     def __init__(self, matrix, name, applied):
         self.matrix, self.name, self.applied = matrix, name, applied
 
     def __matmul__(self, X):
-        self.applied[self.name] = self.applied.get(self.name, 0) + X.shape[1]
+        self.applied.setdefault(self.name, []).append(X.shape[1])
         return self.matrix @ X
 
 
 @pytest.mark.parametrize("tasks, columns", [
-    ([{"name": "sector"}], {1: {"G": 200}}),
+    ([{"name": "sector"}], [64, 64, 64, 8]),
     ([{"name": "number-bound", "n_samples": 100},
       {"name": "domain-comparison", "n_samples": 70},
-      {"name": "sector", "n_samples": 40}],
-     {1: {"G0": 100, "N": 100, "G": 70}}),
+      {"name": "sector", "n_samples": 40}], [64, 36]),
 ])
 def test_sample_pass_applies_each_operator_to_its_readers_samples(
         tmp_path, monkeypatch, tasks, columns):
+    # one pass applies each operator once to each block of the largest count
     real = diagnostics.sample_statistics
     applied = {}
 
-    def counting(ops, seed, counts):
+    def counting(ops, seed, n_samples):
         seen = applied.setdefault(seed, {})
         ops = dataclasses.replace(ops, **{
             name: CountingOperator(getattr(ops, name), name, seen)
             for name in ("G0", "N", "G")})
-        return real(ops, seed, counts)
+        return real(ops, seed, n_samples)
     monkeypatch.setattr(diagnostics, "sample_statistics", counting)
     code, _ = cli.run_scenario(minimal_config(tasks=tasks), tmp_path)
     assert code == 0
-    assert applied == columns
+    assert applied == {1: {"G0": columns, "N": columns, "G": columns}}
+
+
+def test_sampled_task_reports_what_it_reports_alone(tmp_path):
+    # 65 and 129 samples end a pass of their own with a one-column block
+    tasks = [{"name": "number-bound", "n_samples": 65},
+             {"name": "domain-comparison", "n_samples": 129},
+             {"name": "sector", "n_samples": 200, "shift_grid": [0.0, 1.0],
+              "plots": ["numerical-range-scatter"]}]
+    config = minimal_config(model={"kind": "two_boson", "gamma_minus": [[1, 0], [0, 2]],
+                                   "gamma_plus": [[1, 0], [0, 1]],
+                                   "omega": [[1, 0.5], [0.5, -1]]}, tasks=tasks)
+    code, mixed = cli.run_scenario(config, tmp_path / "mixed")
+    assert code == 0
+    for i, task in enumerate(tasks):
+        code, alone = cli.run_scenario({**config, "tasks": [task]}, tmp_path / str(i))
+        assert code == 0
+        assert alone["tasks"][0] == mixed["tasks"][i]
+        for path in (tmp_path / str(i)).glob("*.csv"):
+            twin = tmp_path / "mixed" / path.name.replace("00_", f"{i:02d}_", 1)
+            assert path.read_bytes() == twin.read_bytes()
 
 
 @pytest.mark.parametrize("workload", ["shipped", *workloads.BUILDERS])
@@ -453,6 +472,43 @@ def test_empty_sample_fails_validate_and_runs_no_task(tmp_path, capsys, task, po
                      "--output-dir", str(tmp_path / "out")]) == 1
     assert pointer in capsys.readouterr().err
     assert not (tmp_path / "out").exists() or not any((tmp_path / "out").iterdir())
+
+
+EVOLVE = {"name": "evolve", "times": [0, 0.1]}
+
+
+@pytest.mark.parametrize("model, space, tasks, pointer", [
+    (None, {"N_max": 6}, [EVOLVE, {"name": "fd-probe"}], "/tasks/1/name"),
+    (FINITE_QUBIT, None, [{"name": "fd-probe", "n_pairs": 5}, {"name": "kossakowski"}],
+     "/tasks/1/name"),
+    (None, None, [{"name": "kossakowski"}], "/space"),
+    ({"kind": "two_boson", "gamma_minus": [[1, 0], [0, 1]], "gamma_plus": [[1, 0], [0, 1]]},
+     None, [{"name": "kossakowski"}], "/space"),
+    (None, {"N_max": 2, "interior_margin": 3}, [EVOLVE, {"name": "sector"}],
+     "/space/interior_margin"),
+    (None, {"N_max": 6}, [{"name": "improve"}, {"name": "evolve", "times": [0.5, 1.0]}],
+     "/tasks/1/times"),
+    (None, {"N_max": 6}, [{"name": "evolve", "times": [0, 0.2, 0.2, 0.3]}], "/tasks/0/times"),
+    (None, {"N_max": 6}, [EVOLVE, {"name": "improve", "times": [-0.1, 0.1]}],
+     "/tasks/1/times/0"),
+    (None, {"N_max": 6}, [EVOLVE, {"name": "support", "t": 0}], "/tasks/1/t"),
+])
+def test_dependent_value_fails_validate_and_runs_no_task(tmp_path, capsys, model, space,
+                                                         tasks, pointer):
+    # a task that needs the other model kind, a bosonic model without its
+    # space and a range that a task or the space would refuse are schema
+    # errors: `run` stops before the first task writes its CSV
+    config = {"seed": 1, "model": model or minimal_config()["model"], "tasks": tasks}
+    if space is not None:
+        config["space"] = space
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert f"{pointer}:" in capsys.readouterr().err
+    assert cli.main(["run", "--config", str(path),
+                     "--output-dir", str(tmp_path / "out")]) == 1
+    assert f"{pointer}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_seeded_starts_may_be_zero_with_explicit_starts():

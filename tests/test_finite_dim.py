@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 from gqms import finite_dim as fd
+from gqms import generator
 from helpers import complex_gaussian, random_hermitian
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -135,13 +136,15 @@ def test_complete_positivity_shadow():
 def test_diagonalizing_rotation_leaves_generator_invariant():
     rng = np.random.default_rng(53)
     model = random_fd_model(rng, 2)
+    # c = W diag(w) W† makes the dissipator sum_a w_a F'_a rho F'_a† over the
+    # rotated basis F'_a = sum_k W_ka F_k: the pairs (F'_a, w_a F'_a)
     w, W = np.linalg.eigh(model.c)
     rotated_F = [sum(W[k, a] * model.F[k] for k in range(3)) for a in range(3)]
-    rotated = fd.FiniteGKLSModel(n=2, H=model.H, c=np.diag(w), F=rotated_F)
-    h1, s1 = fd.build_fd_generators(model)
-    h2, s2 = fd.build_fd_generators(rotated)
-    assert np.abs(h1.toarray() - h2.toarray()).max() <= 1e-10
-    assert np.abs(s1.toarray() - s2.toarray()).max() <= 1e-10
+    pairs = [(F, w_a * F) for F, w_a in zip(rotated_F, w)]
+    G = -1j * model.H - 0.5 * sum(F.conj().T @ B for F, B in pairs)
+    for built in fd.build_fd_generators(model):
+        rotated = generator.gkls_superoperator(G, pairs, built.picture)
+        assert np.abs(built.toarray() - rotated.toarray()).max() <= 1e-10
 
 
 def test_initial_derivative_qubit_identity_kossakowski():

@@ -122,11 +122,7 @@ class RunContext:
         return commutators.adjoint_action(self.model)
 
     def state_vector(self, label):
-        if label == "vacuum":
-            return self.space.vacuum()
-        if isinstance(label, list):
-            return self.space.basis_vector(label)
-        raise InputError(f"cannot parse initial state {label!r}")
+        return self.space.vacuum() if label == "vacuum" else self.space.basis_vector(label)
 
 
 def _write_csv(path, header, rows):
@@ -228,16 +224,21 @@ def task_domain_comparison(ctx, out, n_samples=500):
 def task_evolve(ctx, out, initial="vacuum",
                 times=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
                 observables=()):
-    psi = ctx.state_vector(initial)
-    for n in observables:  # an occupation outside the basis fails before the evolution
-        ctx.space.basis_vector(n)
     result = evolution.evolve_density(
-        ctx.lindbladian, evolution.DensityMatrix.pure(psi), times)
+        ctx.lindbladian, evolution.DensityMatrix.pure(ctx.state_vector(initial)), times)
+    stats, dim = result.stats, ctx.space.interior_dim()
+    observables = [tuple(map(int, n)) for n in observables]
+    diagonal = [ctx.space.index_of[n] for n in observables]
     csv_path = out("timeseries")
-    evolution.export_timeseries_csv(
-        result, csv_path, space=ctx.space, observables=observables)
-    max_trace = float(result.stats["trace_err"].max())
-    min_eig = float(result.stats["min_eig"].min())
+    _write_csv(csv_path, ["t", "trace_err", "min_eig", "support_rank"]
+               + ["p" + "".join(map(str, n)) for n in observables],
+               [[f"{t:.12g}", f"{err:.6e}", f"{eig:.6e}",
+                 str(evolution.support_rank(state.rho, dim)[0])]
+                + [f"{state.rho[k, k].real:.12g}" for k in diagonal]
+                for t, state, err, eig in zip(result.times, result.states,
+                                              stats["trace_err"], stats["min_eig"])])
+    max_trace = float(stats["trace_err"].max())
+    min_eig = float(stats["min_eig"].min())
     report = {
         "times": [float(t) for t in result.times],
         "max_trace_err": max_trace,
@@ -357,10 +358,13 @@ VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 # validators of the model by kind and of a task by name, each closed to its
 # function's signature; sample and pair counts are at least 1, `times` (of
 # non-negative numbers), `initials` and a `shift_grid` list are not empty,
-# `t` is positive, and the count of seeded start vectors is at least 0, or
-# at least 1 without a non-empty `starts`
+# `t` is positive, a state is "vacuum" or an occupation (non-negative
+# integers), and the count of seeded start vectors is at least 0, or at
+# least 1 without a non-empty `starts`
 COUNT = {"type": "integer", "minimum": 1}
 NONEMPTY = {"type": "array", "minItems": 1}
+OCCUPATION = {"type": "array", "items": {"type": "integer", "minimum": 0}}
+STATE = {"if": {"type": "string"}, "then": {"const": "vacuum"}, "else": OCCUPATION}
 SEEDS_OR_STARTS = {
     "if": {"not": {"required": ["starts"], "properties": {"starts": NONEMPTY}}},
     "then": {"properties": {"n_seeds": {"minimum": 1}}}}
@@ -372,7 +376,9 @@ TASK_VALIDATORS = {
         fn, 2, {"name": {}, "expect": {"type": "object"}},
         {"n_samples": COUNT, "n_pairs": COUNT, "n_seeds": {"type": "integer", "minimum": 0},
          "times": {**NONEMPTY, "items": {"type": "number", "minimum": 0}},
-         "t": {"type": "number", "exclusiveMinimum": 0}, "initials": NONEMPTY,
+         "t": {"type": "number", "exclusiveMinimum": 0}, "initial": STATE,
+         "initials": {**NONEMPTY, "items": STATE}, "starts": {"type": "array", "items": STATE},
+         "observables": {"type": "array", "items": OCCUPATION},
          "plots": {"type": "array", "items": {"enum": PLOTS.get(name, [])}},
          "shift_grid": {"type": ["array", "null"], "minItems": 1,
                         "items": {"type": "number"}}})})
@@ -387,9 +393,16 @@ def _dependent_errors(config):
     space = config.get("space")
     if space is not None and space.get("interior_margin", 2) > space["N_max"]:
         yield ["space", "interior_margin"], "exceeds N_max, leaving no interior"
+    d = 2 if config["model"]["kind"] == "two_boson" else config["model"].get("d")
     for i, task in enumerate(config["tasks"]):
         if (task["name"] in FINITE_TASKS) != finite:
             yield ["tasks", i, "name"], f"needs a {'bosonic' if finite else 'finite'} model"
+        states = {("initial",): task.get("initial", "vacuum")}
+        states.update({(key, j): n for key in ("initials", "starts", "observables")
+                       for j, n in enumerate(task.get(key, ()))})
+        for at, n in states.items():
+            if n != "vacuum" and space is not None and (len(n) != d or sum(n) > space["N_max"]):
+                yield ["tasks", i, *at], f"occupation {tuple(n)} not in the truncated basis"
         times = task.get("times")
         if task["name"] == "evolve" and times is not None and (
                 times[0] != 0 or any(b <= a for a, b in zip(times, times[1:]))):
@@ -434,9 +447,9 @@ def _check_expect(report, expect):
 def run_scenario(config, output_dir, verbose=False):
     """Execute a validated config; returns (exit_code, report_dict)."""
     validate_config(config)
+    ctx = RunContext(config)
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    ctx = RunContext(config)
     started = time.time()
     task_entries = []
     all_passed = True

@@ -13,8 +13,12 @@ CCR:
               + sum_k (-i conj(kappa)_mk - (V†conj(U) + U†conj(V))_mk / 2) a_k
               + sum_k (-i Omega_km - (V†V + U†U)_mk / 2) a_k†
 
-validate_action_oracle cross-checks this closed form against sparse
-matrix commutators on the interior block, where truncation is exact.
+A form is held as its coefficient vector (c0, alpha_1..alpha_d,
+beta_1..beta_d), the Kraus operators as the rows (0, conj(V_l), U_l);
+`form_matrix` is the one sparse realisation of a form on a truncated
+space.  validate_action_oracle cross-checks the closed form against
+sparse matrix commutators on the interior block, where truncation is
+exact.
 """
 
 from __future__ import annotations
@@ -34,68 +38,41 @@ MAX_ORDER = 2
 
 @dataclass(frozen=True, eq=False)
 class LinearForm:
-    """The operator c0 + sum_j alpha_j a_j + sum_j beta_j a_j†."""
+    """The form c0 + sum_j alpha_j a_j + sum_j beta_j a_j† by its coefficient
+    vector `coeffs` = (c0, alpha_1..alpha_d, beta_1..beta_d)."""
 
-    c0: complex
-    alpha: np.ndarray
-    beta: np.ndarray
-
-    def __post_init__(self):
-        alpha = np.asarray(self.alpha, dtype=complex).reshape(-1)
-        beta = np.asarray(self.beta, dtype=complex).reshape(-1)
-        if alpha.shape != beta.shape:
-            raise ValueError("alpha and beta must have equal length")
-        if not (np.isfinite(alpha).all() and np.isfinite(beta).all()
-                and np.isfinite(complex(self.c0))):
-            raise ValueError("coefficients must be finite")
-        object.__setattr__(self, "c0", complex(self.c0))
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "beta", beta)
-
-    @property
-    def d(self):
-        return self.alpha.size
-
-    def coefficients(self):
-        """Coefficient vector (c0, alpha_1..alpha_d, beta_1..beta_d)."""
-        return np.concatenate([[self.c0], self.alpha, self.beta])
-
-    @classmethod
-    def from_coefficients(cls, vec):
-        vec = np.asarray(vec, dtype=complex).reshape(-1)
-        d = (vec.size - 1) // 2
-        return cls(c0=vec[0], alpha=vec[1:1 + d], beta=vec[1 + d:])
+    coeffs: np.ndarray
 
     def is_zero(self):
-        return bool(np.abs(self.coefficients()).max() <= 1e-14)
-
-    def to_matrix(self, ladders):
-        """Realize the form as a sparse matrix on a truncated space, storing no zero term."""
-        D = ladders.space.D
-        M = sp.csr_matrix((D, D), dtype=complex)
-        if self.c0 != 0:
-            M = M + self.c0 * sp.identity(D, dtype=complex, format="csr")
-        for j in range(self.d):
-            if self.alpha[j] != 0:
-                M = M + self.alpha[j] * ladders.a[j]
-            if self.beta[j] != 0:
-                M = M + self.beta[j] * ladders.adag[j]
-        return M.tocsr()
+        return bool(np.abs(self.coeffs).max() <= 1e-14)
 
 
 @dataclass(frozen=True, eq=False)
 class AdjointActionMatrix:
-    """Matrix of form -> [G, form] on (c0, alpha, beta) coefficients."""
+    """Matrix M of form -> [G, form] on coefficient vectors, and the m x (2d+1)
+    coefficient rows `kraus` = (0, conj(V_l), U_l) of the Kraus operators."""
 
     M: np.ndarray
-    kraus: tuple
+    kraus: np.ndarray
 
 
-def kraus_form(model, ell):
-    """LinearForm of the ell-th (0-based) Kraus operator: alpha = conj(V row), beta = U row."""
-    if not 0 <= ell < model.m:
-        raise IndexError(f"ell must be in [0, {model.m}), got {ell}")
-    return LinearForm(c0=0.0, alpha=model.V[ell].conj(), beta=model.U[ell])
+def form_matrix(coeffs, ladders):
+    """Sparse CSR matrix of the form with coefficient vector `coeffs` on a truncated space.
+
+    Only nonzero terms are summed, the identity only when c0 != 0.  The
+    identity and the 2d ladders have disjoint supports, so every stored
+    entry is one product c v, whatever the order of the terms, with a
+    -0.0 part made +0.0 as a sparse sum makes it.
+    """
+    D = ladders.space.D
+    terms = [c * s for c, s in zip(coeffs[1:], ladders.a + ladders.adag) if c != 0]
+    if coeffs[0] != 0:
+        terms.append(coeffs[0] * sp.identity(D, dtype=complex, format="csr"))
+    if not terms:
+        return sp.csr_matrix((D, D), dtype=complex)
+    M = sum(terms[1:], terms[0])
+    M.data += 0  # -0.0 parts to +0.0, as in a sum of two or more terms
+    return M
 
 
 def adjoint_action(model):
@@ -114,8 +91,7 @@ def adjoint_action(model):
     M[1:1 + d, 1 + d:] = C.T
     M[1 + d:, 1:1 + d] = B.T
     M[1 + d:, 1 + d:] = Dm.T
-    kraus = tuple(kraus_form(model, ell) for ell in range(model.m))
-    return AdjointActionMatrix(M=M, kraus=kraus)
+    return AdjointActionMatrix(M=M, kraus=np.hstack([np.zeros((model.m, 1)), V.conj(), U]))
 
 
 def iterated_commutator(action, ell, order):
@@ -127,10 +103,10 @@ def iterated_commutator(action, ell, order):
         raise IndexError(f"ell must be in [0, {len(action.kraus)}), got {ell}")
     if order < 0:
         raise ValueError("order must be non-negative")
-    vec = action.kraus[ell].coefficients()
+    vec = action.kraus[ell]
     for _ in range(order):
         vec = action.M @ vec
-    return LinearForm.from_coefficients(vec)
+    return LinearForm(vec)
 
 
 def validate_action_oracle(ops, action):
@@ -143,14 +119,11 @@ def validate_action_oracle(ops, action):
     space = ops.space
     lad = ops.ladders
     dim = space.interior_dim()
-    d = space.d
-    basis_vecs = np.eye(2 * d + 1, dtype=complex)
     worst = 0.0
-    for col in range(2 * d + 1):
-        f = LinearForm.from_coefficients(basis_vecs[col])
-        F = f.to_matrix(lad)
+    for f in np.eye(2 * space.d + 1, dtype=complex):
+        F = form_matrix(f, lad)
         commutator = (ops.G @ F - F @ ops.G)[:dim, :dim].toarray()
-        predicted = LinearForm.from_coefficients(action.M @ basis_vecs[col]).to_matrix(lad)
+        predicted = form_matrix(action.M @ f, lad)
         diff = np.abs(commutator - predicted[:dim, :dim].toarray())
         worst = max(worst, float(diff.max()))
     return worst
@@ -230,12 +203,9 @@ def support_span(ops, action, psi, t):
     psi = np.asarray(psi, dtype=complex).reshape(space.D)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("psi must be a unit vector")
-    forms = []
-    for ell in range(len(action.kraus)):
-        for order in range(MAX_ORDER + 1):
-            f = iterated_commutator(action, ell, order)
-            if not f.is_zero():
-                forms.append(f.to_matrix(ops.ladders))
+    forms = [form_matrix(f.coeffs, ops.ladders)
+             for ell in range(len(action.kraus)) for order in range(MAX_ORDER + 1)
+             if not (f := iterated_commutator(action, ell, order)).is_zero()]
 
     phi = evolution.evolve_vector(ops, psi, [0.0, t]).states[-1]
     closure, census = krylov_closure(

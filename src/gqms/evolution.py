@@ -16,7 +16,6 @@ truncation/integration diagnostics.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -262,24 +261,3 @@ def support_rank(rho, interior_dim):
     top = w.max()
     rank = int(np.sum(w > RANK_RTOL * top)) if top > 0 else 0
     return rank, float(w.min())
-
-
-def export_timeseries_csv(result, path, space, observables=()):
-    """Write a density-evolution time series as CSV.
-
-    Columns: t, trace_err, min_eig, support_rank (on the interior block),
-    then one diagonal expectation column per requested occupation multi-index.
-    """
-    observables = [tuple(int(k) for k in n) for n in observables]
-    obs_idx = [space.index_of[n] for n in observables]
-    dim = space.interior_dim()
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["t", "trace_err", "min_eig", "support_rank"]
-                        + ["p" + "".join(str(k) for k in n) for n in observables])
-        for t, state, trace_err, min_eig in zip(result.times, result.states,
-                                                result.stats["trace_err"],
-                                                result.stats["min_eig"]):
-            writer.writerow([f"{t:.12g}", f"{trace_err:.6e}", f"{min_eig:.6e}",
-                             str(support_rank(state.rho, dim)[0])]
-                            + [f"{state.rho[k, k].real:.12g}" for k in obs_idx])

@@ -30,7 +30,7 @@ import scipy.sparse as sp
 
 from . import fock
 from . import model as gm
-from .commutators import kraus_form
+from .commutators import adjoint_action, form_matrix
 
 PICTURES = ("schrodinger", "heisenberg")
 ASSEMBLY_MAX_BYTES = 2 ** 31  # peak of the assembly (see gkls_superoperator)
@@ -52,10 +52,11 @@ class TruncatedOperators:
     @cached_property
     def pairs(self):
         """The Kossakowski pairs (s_q, B_q = sum_p K_qp s_p), one per nonzero row q
-        of K, over the ladders s = (a_1..a_d, a_1†..a_d†)."""
+        of K, over the ladders s = (a_1..a_d, a_1†..a_d†); B_q is the form
+        with coefficients (0, K_q)."""
         K = gm.build_kossakowski(self.model.V, self.model.U).matrix
-        s = list(self.ladders.a) + list(self.ladders.adag)
-        return [(s[q], sum(K[q, p] * s[p] for p in np.flatnonzero(K[q])))
+        s = self.ladders.a + self.ladders.adag
+        return [(s[q], form_matrix(np.concatenate(([0], K[q])), self.ladders))
                 for q in range(len(s)) if K[q].any()]
 
 
@@ -107,10 +108,11 @@ class Superoperator:
 def build_operators(model, space):
     """Assemble L_l, G0 = -(1/2) sum L_l†L_l and G = -iH + G0 (H = i (G - G0) is not kept).
 
-    L_l is the matrix of `commutators.kraus_form(model, l)`, for each of
-    the m rows of (V, U).  On the truncated space H is exactly Hermitian
-    and G0 exactly negative semidefinite; identities involving products
-    of quadratic operators hold on the interior subspace.
+    L_l is the `commutators.form_matrix` of the l-th Kraus coefficient
+    row of `commutators.adjoint_action(model)`.  On the truncated space H
+    is exactly Hermitian and G0 exactly negative semidefinite; identities
+    involving products of quadratic operators hold on the interior
+    subspace.
     """
     if model.d != space.d:
         raise ValueError(f"model has d={model.d}, space has d={space.d}")
@@ -129,7 +131,7 @@ def build_operators(model, space):
         if model.zeta[j] != 0:
             H = H + 0.5 * model.zeta[j] * lad.adag[j]
             H = H + 0.5 * np.conj(model.zeta[j]) * lad.a[j]
-    L = [kraus_form(model, ell).to_matrix(lad) for ell in range(model.m)]
+    L = [form_matrix(row, lad) for row in adjoint_action(model).kraus]
     G0 = sp.csr_matrix((D, D), dtype=complex)
     for Lop in L:
         G0 = G0 - 0.5 * (Lop.conj().T @ Lop)

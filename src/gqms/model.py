@@ -63,6 +63,8 @@ class GaussianModel:
             raise ValueError(
                 f"V and U must share shape (m, d={d}); got {V.shape}, {U.shape}"
             )
+        if not all(np.isfinite(x).all() for x in (Omega, kappa, zeta, V, U)):
+            raise ValueError("Omega, kappa, zeta, V and U must be finite")
         if np.abs(Omega - Omega.conj().T).max() > HERMITICITY_TOL:
             raise ValueError("Omega must be Hermitian")
         if np.abs(kappa - kappa.T).max() > HERMITICITY_TOL:

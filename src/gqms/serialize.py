@@ -4,9 +4,12 @@ Complex entries are written as two-element [re, im] lists.  On input,
 bare numbers are also accepted and read as real entries, so a real
 matrix may be given either as [[1, 0], [0, 1]] or in full pair form
 [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]; the nesting depth disambiguates.
+A non-finite entry (JSON's NaN or Infinity) is refused.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,12 +25,11 @@ def complex_to_pairs(array):
 
 
 def _entry(obj):
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, (list, tuple)) and len(obj) == 2 \
-            and all(isinstance(x, (int, float)) for x in obj):
-        return complex(obj[0], obj[1])
-    raise ValueError(f"expected number or [re, im] pair, got {obj!r}")
+    parts = [obj, 0] if isinstance(obj, (int, float)) else obj
+    if isinstance(parts, (list, tuple)) and len(parts) == 2 \
+            and all(isinstance(x, (int, float)) and math.isfinite(x) for x in parts):
+        return complex(parts[0], parts[1])
+    raise ValueError(f"expected a finite number or [re, im] pair, got {obj!r}")
 
 
 def pairs_to_vector(obj):

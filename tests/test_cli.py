@@ -492,12 +492,20 @@ EVOLVE = {"name": "evolve", "times": [0, 0.1]}
     (None, {"N_max": 6}, [EVOLVE, {"name": "improve", "times": [-0.1, 0.1]}],
      "/tasks/1/times/0"),
     (None, {"N_max": 6}, [EVOLVE, {"name": "support", "t": 0}], "/tasks/1/t"),
+    (None, {"N_max": 6}, [EVOLVE, {"name": "improve", "initials": ["vac"]}],
+     "/tasks/1/initials/0"),
+    (None, {"N_max": 6}, [EVOLVE, {"name": "support", "initial": [9]}], "/tasks/1/initial"),
+    (None, {"N_max": 6}, [EVOLVE, {"name": "invariant", "starts": ["vacuum", [1, 0]]}],
+     "/tasks/1/starts/1"),
+    (None, {"N_max": 6}, [EVOLVE, {**EVOLVE, "observables": [[1], [-1]]}],
+     "/tasks/1/observables/1/0"),
 ])
 def test_dependent_value_fails_validate_and_runs_no_task(tmp_path, capsys, model, space,
                                                          tasks, pointer):
     # a task that needs the other model kind, a bosonic model without its
-    # space and a range that a task or the space would refuse are schema
-    # errors: `run` stops before the first task writes its CSV
+    # space, a range that a task or the space would refuse and a state
+    # outside the truncated basis are schema errors: `run` stops before the
+    # first task writes its CSV
     config = {"seed": 1, "model": model or minimal_config()["model"], "tasks": tasks}
     if space is not None:
         config["space"] = space
@@ -508,6 +516,30 @@ def test_dependent_value_fails_validate_and_runs_no_task(tmp_path, capsys, model
     assert cli.main(["run", "--config", str(path),
                      "--output-dir", str(tmp_path / "out")]) == 1
     assert f"{pointer}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("model, named", [
+    ({**minimal_config()["model"], "omega": [[NAN]]}, "nan"),
+    ({**minimal_config()["model"], "V": [[INF]]}, "inf"),
+    ({**minimal_config()["model"], "zeta": [[0, -INF]]}, "[0, -inf]"),
+    ({"kind": "two_boson", "gamma_minus": [[NAN, 0], [0, 1]], "gamma_plus": [[1, 0], [0, 1]]},
+     "nan"),
+    ({**FINITE_QUBIT, "c": [[1, 0, 0], [0, [1, NAN], 0], [0, 0, 1]]}, "[1, nan]"),
+    ({**FINITE_QUBIT, "H": [[0, INF], [INF, 0]]}, "inf"),
+])
+def test_non_finite_model_entry_is_an_input_error(tmp_path, capsys, model, named):
+    # JSON's NaN and Infinity are refused where the model is decoded, before
+    # any task runs or the output directory is made
+    tasks = ([{"name": "fd-probe", "n_pairs": 5}] if model["kind"] == "finite"
+             else [{"name": "kossakowski"}, {"name": "minimality"}, EVOLVE])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(minimal_config(model=model, tasks=tasks)))
+    assert cli.main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 1
+    assert f"got {named}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

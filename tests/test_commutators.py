@@ -37,18 +37,17 @@ def test_iterated_commutator_order_zero_is_kraus_row():
     model = random_model(rng, 2, 3)
     action = commutators.adjoint_action(model)
     for ell in range(model.m):
-        form = commutators.iterated_commutator(action, ell, 0)
-        np.testing.assert_allclose(form.alpha, model.V[ell].conj())
-        np.testing.assert_allclose(form.beta, model.U[ell])
-        assert form.c0 == 0.0
+        coeffs = commutators.iterated_commutator(action, ell, 0).coeffs
+        assert coeffs[0] == 0.0
+        np.testing.assert_allclose(coeffs[1:3], model.V[ell].conj())
+        np.testing.assert_allclose(coeffs[3:], model.U[ell])
 
 
 def test_iterated_commutator_repeated_halving():
     model = gm.quadratic_free_model(1, V=[[1.0]], U=[[0.0]])
     action = commutators.adjoint_action(model)
-    form = commutators.iterated_commutator(action, 0, 3)
-    np.testing.assert_allclose(form.alpha, [0.125])
-    np.testing.assert_allclose(form.beta, [0.0])
+    coeffs = commutators.iterated_commutator(action, 0, 3).coeffs
+    np.testing.assert_allclose(coeffs, [0.0, 0.125, 0.0])
 
 
 def test_iterated_commutator_zero_row_stays_zero():
@@ -70,13 +69,16 @@ def test_iterated_commutator_index_errors():
 def test_linear_form_matrix_realization():
     space = fock.build_space(1, 4)
     lad = fock.build_ladders(space)
-    form = commutators.LinearForm(c0=0.5, alpha=[2.0], beta=[1j])
-    M = form.to_matrix(lad).toarray()
+    M = commutators.form_matrix(np.array([0.5, 2.0, 1j]), lad).toarray()
     expected = (0.5 * np.eye(space.D) + 2.0 * lad.a[0].toarray()
                 + 1j * lad.adag[0].toarray())
     np.testing.assert_allclose(M, expected)
     # only nonzero terms are stored, so a zero Kraus row gives an empty L_l
-    assert commutators.LinearForm(c0=0.0, alpha=[0.0], beta=[0.0]).to_matrix(lad).nnz == 0
+    assert commutators.form_matrix(np.zeros(3, dtype=complex), lad).nnz == 0
+    # the one term of V = [[-1]], conj(-1) = -1 - 0j, stores no -0.0
+    # part, as a sum of terms stores none
+    M = commutators.form_matrix(np.array([0, -1, 0], dtype=complex).conj(), lad)
+    assert not np.signbit(M.data.imag).any()
 
 
 def test_validate_action_oracle_damping():

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse.linalg
 
-from gqms import evolution, fock, generator
+from gqms import cli, evolution, fock, generator
 from gqms import model as gm
 from helpers import folded_identity, kraus_form_lindbladian, strictly_positive_model
 
@@ -331,13 +331,13 @@ def test_auto_never_builds_dense_exponential(monkeypatch):
 
 
 def test_timeseries_csv_export(tmp_path):
-    space, ops, lind = damping_setup()
-    rho0 = evolution.DensityMatrix.pure(space.basis_vector((1,)))
-    res = evolution.evolve_density(lind, rho0, [0.0, 0.5, 1.0])
-    path = tmp_path / "series.csv"
-    evolution.export_timeseries_csv(res, path, space=space,
-                                    observables=[(0,), (1,)])
-    lines = path.read_text().splitlines()
+    # the `evolve` task of a damped mode started in |1>
+    config = {"seed": 1, "model": {"kind": "gaussian", "d": 1, "V": [[1.0]], "U": [[0.0]]},
+              "space": {"N_max": 6},
+              "tasks": [{"name": "evolve", "initial": [1], "times": [0.0, 0.5, 1.0],
+                         "observables": [[0], [1]]}]}
+    assert cli.run_scenario(config, tmp_path)[0] == 0
+    lines = (tmp_path / "00_evolve_timeseries.csv").read_text().splitlines()
     assert lines[0] == "t,trace_err,min_eig,support_rank,p0,p1"
     assert len(lines) == 4
     first = lines[1].split(",")

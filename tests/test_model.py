@@ -258,6 +258,15 @@ def test_model_validation():
         gm.quadratic_free_model(1, V=[[0.0]], U=[[0.0]])
 
 
+@pytest.mark.parametrize("field", ["Omega", "kappa", "zeta", "V", "U"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_model_refuses_non_finite_data(field, value):
+    data = {"d": 1, "Omega": [[0.0]], "kappa": [[0.0]], "zeta": [0.0], "V": [[1.0]], "U": [[0.0]]}
+    data[field] = np.full(np.shape(data[field]), value)
+    with pytest.raises(ValueError, match="finite"):
+        gm.GaussianModel(**data)
+
+
 def test_strict_positivity_requires_full_kraus_count():
     rng = np.random.default_rng(7)
     for _ in range(30):

@@ -74,14 +74,16 @@ class InputError(Exception):
 
 
 class RunContext:
-    """The decoded model and the lazily built space/operator objects shared by the tasks."""
+    """The model, space and operator objects shared by the tasks, each decoded or built once."""
 
     def __init__(self, config):
         self.config = config
         self.seed = int(config["seed"])
-        fields = dict(config["model"])
-        self.kind = fields.pop("kind")
-        self.model = MODELS[self.kind](**fields)
+        self.kind = config["model"]["kind"]
+
+    @cached_property
+    def model(self):
+        return MODELS[self.kind](**{k: v for k, v in self.config["model"].items() if k != "kind"})
 
     @cached_property
     def samples(self):
@@ -385,15 +387,22 @@ TASK_VALIDATORS = {
     for name, fn in TASKS.items()}
 
 
-def _dependent_errors(config):
-    """(path, message) of each value of a schema-valid config that another value rules out."""
-    finite = config["model"]["kind"] == "finite"
+def _dependent_errors(ctx):
+    """(path, message) of each schema-valid value that decoding or another value rules out."""
+    config = ctx.config
+    finite = ctx.kind == "finite"
     if not finite and "space" not in config:
         yield ["space"], "required for a bosonic model"
     space = config.get("space")
     if space is not None and space.get("interior_margin", 2) > space["N_max"]:
         yield ["space", "interior_margin"], "exceeds N_max, leaving no interior"
-    d = 2 if config["model"]["kind"] == "two_boson" else config["model"].get("d")
+    path, basis = ["model"], None
+    try:
+        ctx.model
+        path = ["space", "N_max"]
+        basis = None if finite or space is None else ctx.space.index_of
+    except (TypeError, ValueError, OverflowError) as exc:
+        yield path, str(exc)
     for i, task in enumerate(config["tasks"]):
         if (task["name"] in FINITE_TASKS) != finite:
             yield ["tasks", i, "name"], f"needs a {'bosonic' if finite else 'finite'} model"
@@ -401,7 +410,7 @@ def _dependent_errors(config):
         states.update({(key, j): n for key in ("initials", "starts", "observables")
                        for j, n in enumerate(task.get(key, ()))})
         for at, n in states.items():
-            if n != "vacuum" and space is not None and (len(n) != d or sum(n) > space["N_max"]):
+            if n != "vacuum" and basis is not None and tuple(n) not in basis:
                 yield ["tasks", i, *at], f"occupation {tuple(n)} not in the truncated basis"
         times = task.get("times")
         if task["name"] == "evolve" and times is not None and (
@@ -410,11 +419,12 @@ def _dependent_errors(config):
 
 
 def validate_config(config):
-    """Schema-check a config dict; raises InputError listing JSON pointers.
+    """Schema-check a config; returns its RunContext, or raises InputError listing JSON pointers.
 
     Once the config has the top-level shape, the model and each task are
-    checked against the schema of their kind or name, then against the
-    values that rule out others (`_dependent_errors`).
+    checked against the schema of their kind or name, then the model and
+    space are built as a run builds them (refusals at /model, /space/N_max)
+    and checked against the values that rule out others (`_dependent_errors`).
     """
     errors = [(list(e.absolute_path), e) for e in VALIDATOR.iter_errors(config)]
     if not errors:
@@ -424,11 +434,12 @@ def validate_config(config):
         errors = [([*at, *e.absolute_path], e)
                   for at, validator, part in parts for e in validator.iter_errors(part)]
     errors = [(path, "unknown key" if e.schema is UNKNOWN_KEY else e.message)
-              for path, e in errors] or list(_dependent_errors(config))
+              for path, e in errors] or list(_dependent_errors(ctx := RunContext(config)))
     if errors:
         raise InputError("config schema violations:\n" + "\n".join(
             f"  /{'/'.join(map(str, path))}: {message}"
             for path, message in sorted(errors, key=lambda error: error[0])))
+    return ctx
 
 
 def _check_expect(report, expect):
@@ -446,8 +457,7 @@ def _check_expect(report, expect):
 
 def run_scenario(config, output_dir, verbose=False):
     """Execute a validated config; returns (exit_code, report_dict)."""
-    validate_config(config)
-    ctx = RunContext(config)
+    ctx = validate_config(config)
     outdir = Path(output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.time()
@@ -526,11 +536,11 @@ def main(argv=None):
 
     try:
         config = _load_config(args.config)
-        validate_config(config)
         if args.command == "validate":
+            validate_config(config)
             print("config ok")
             return 0
-        output_dir = args.output_dir or config.get("output_dir") \
+        output_dir = args.output_dir or isinstance(config, dict) and config.get("output_dir") \
             or Path(args.config).stem + "_out"
         code, report = run_scenario(config, output_dir, verbose=args.verbose)
         if args.verbose or code != 0:

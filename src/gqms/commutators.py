@@ -32,8 +32,6 @@ from . import evolution
 from . import model as gm
 
 GS_DROP_RTOL = 1e-10
-# Largest order of the iterated commutators of G with a Kraus operator in a word.
-MAX_ORDER = 2
 
 
 @dataclass(frozen=True, eq=False)
@@ -189,13 +187,11 @@ class SupportSpan:
 def support_span(ops, action, psi, t):
     """Span of {P_t psi} and commutator words applied to it, restricted to the interior.
 
-    Words are products of iterated commutators of G with the Kraus
-    operators, each of order <= MAX_ORDER.  The evolved vector P_t psi is
-    closed under these forms by `krylov_closure` in the full truncated
-    space, at most 2 (N_max - interior_margin + 1) rounds (word lengths);
-    `word_census` counts the vectors each word length added.  The closure
-    is then projected onto the interior and its rank taken by the same
-    kernel with no maps.
+    Words are products of an orthonormal basis of the span of the iterates
+    ad_G^k L_l, k <= 2d, which holds every order by Cayley-Hamilton on M; an
+    iterate within GS_DROP_RTOL ||M||_F of its predecessor's norm is rounding
+    and ends its chain.  `krylov_closure` closes P_t psi under the basis in
+    at most 2 (N_max - interior_margin + 1) rounds (`word_census`: new vectors per round).
     """
     space = ops.space
     if t <= 0:
@@ -203,9 +199,13 @@ def support_span(ops, action, psi, t):
     psi = np.asarray(psi, dtype=complex).reshape(space.D)
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValueError("psi must be a unit vector")
-    forms = [form_matrix(f.coeffs, ops.ladders)
-             for ell in range(len(action.kraus)) for order in range(MAX_ORDER + 1)
-             if not (f := iterated_commutator(action, ell, order)).is_zero()]
+    words = np.array([[iterated_commutator(action, ell, order).coeffs
+                       for order in range(len(action.M))] for ell in range(len(action.kraus))])
+    norms = np.linalg.norm(words, axis=2)
+    floor = np.pad(GS_DROP_RTOL * np.linalg.norm(action.M) * norms[:, :-1], ((0, 0), (1, 0)))
+    kept = np.logical_and.accumulate(norms > floor, axis=1)
+    basis, _ = krylov_closure([], (words[kept] / norms[kept, None]).T, 0)
+    forms = [form_matrix(f, ops.ladders) for f in basis.T]
 
     phi = evolution.evolve_vector(ops, psi, [0.0, t]).states[-1]
     closure, census = krylov_closure(

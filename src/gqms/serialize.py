@@ -4,12 +4,12 @@ Complex entries are written as two-element [re, im] lists.  On input,
 bare numbers are also accepted and read as real entries, so a real
 matrix may be given either as [[1, 0], [0, 1]] or in full pair form
 [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]; the nesting depth disambiguates.
-A non-finite entry (JSON's NaN or Infinity) is refused.
+An entry that is not a finite float (JSON's NaN, Infinity or a larger integer) is refused.
 """
 
 from __future__ import annotations
 
-import math
+import sys
 
 import numpy as np
 
@@ -27,7 +27,7 @@ def complex_to_pairs(array):
 def _entry(obj):
     parts = [obj, 0] if isinstance(obj, (int, float)) else obj
     if isinstance(parts, (list, tuple)) and len(parts) == 2 \
-            and all(isinstance(x, (int, float)) and math.isfinite(x) for x in parts):
+            and all(isinstance(x, (int, float)) and abs(x) <= sys.float_info.max for x in parts):
         return complex(parts[0], parts[1])
     raise ValueError(f"expected a finite number or [re, im] pair, got {obj!r}")
 

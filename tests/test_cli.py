@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gqms import cli, diagnostics, evolution, generator
+from gqms import cli, diagnostics, evolution, fock, generator
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -499,13 +499,24 @@ EVOLVE = {"name": "evolve", "times": [0, 0.1]}
      "/tasks/1/starts/1"),
     (None, {"N_max": 6}, [EVOLVE, {**EVOLVE, "observables": [[1], [-1]]}],
      "/tasks/1/observables/1/0"),
+    ({**minimal_config()["model"], "omega": [[float("nan")]]}, {"N_max": 6}, [EVOLVE], "/model"),
+    ({**minimal_config()["model"], "omega": [[[0, 1]]]}, {"N_max": 6}, [EVOLVE], "/model"),
+    ({"kind": "gaussian", "d": 2, "V": [[1, 0]], "U": [[0, 0]], "omega": [[1]]}, {"N_max": 6},
+     [EVOLVE], "/model"),
+    ({**minimal_config()["model"], "V": [[10 ** 400]]}, {"N_max": 6}, [EVOLVE], "/model"),
+    ({**minimal_config()["model"], "d": None}, {"N_max": 6}, [EVOLVE], "/model"),
+    ({**minimal_config()["model"], "d": float("inf")}, {"N_max": 6}, [EVOLVE], "/model"),
+    ({**FINITE_QUBIT, "n": 7}, None, [{"name": "fd-probe", "n_pairs": 5}], "/model"),
+    ({"kind": "gaussian", "d": 2, "V": [[1, 0]], "U": [[0, 0]]}, {"N_max": 200},
+     [{"name": "kossakowski"}, EVOLVE], "/space/N_max"),
 ])
 def test_dependent_value_fails_validate_and_runs_no_task(tmp_path, capsys, model, space,
                                                          tasks, pointer):
     # a task that needs the other model kind, a bosonic model without its
-    # space, a range that a task or the space would refuse and a state
-    # outside the truncated basis are schema errors: `run` stops before the
-    # first task writes its CSV
+    # space, a range that a task or the space would refuse, a state outside
+    # the truncated basis, a model its decoder refuses and a space above the
+    # dimension cap are schema errors: `run` stops before the first task
+    # writes its CSV
     config = {"seed": 1, "model": model or minimal_config()["model"], "tasks": tasks}
     if space is not None:
         config["space"] = space
@@ -517,6 +528,19 @@ def test_dependent_value_fails_validate_and_runs_no_task(tmp_path, capsys, model
                      "--output-dir", str(tmp_path / "out")]) == 1
     assert f"{pointer}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_a_run_decodes_its_model_and_builds_its_space_once(tmp_path, monkeypatch):
+    # validation decodes the model and builds the space as a run does, and
+    # `run_scenario` reuses that context: `main` validates a run once
+    calls = []
+    decode, build = cli.MODELS["gaussian"], fock.build_space
+    monkeypatch.setitem(cli.MODELS, "gaussian", lambda **kw: calls.append("model") or decode(**kw))
+    monkeypatch.setattr(fock, "build_space", lambda **kw: calls.append("space") or build(**kw))
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(minimal_config(tasks=[EVOLVE, {"name": "support"}])))
+    assert cli.main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 0
+    assert calls == ["model", "space"]
 
 
 NAN, INF = float("nan"), float("inf")

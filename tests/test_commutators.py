@@ -313,6 +313,55 @@ def test_support_span_equivalence_both_probe_times():
         assert span.rank == probe.rank == space.interior_dim()
 
 
+def hopping_chain(d):
+    """Detunings 0.3 (j + 1), unit nearest-neighbour hopping, one L = a_1 + 0.5 a_1†."""
+    omega = np.diag(0.3 * np.arange(1, d + 1)) + np.eye(d, k=1) + np.eye(d, k=-1)
+    V, U = np.zeros((1, d)), np.zeros((1, d))
+    V[0, 0], U[0, 0] = 1.0, 0.5
+    return gm.GaussianModel(d=d, Omega=omega, kappa=np.zeros((d, d)), zeta=np.zeros(d), V=V, U=U)
+
+
+def reference_span_rank(ops, action, psi, t):
+    """Interior rank of P_t psi closed, to a fixed point, under every nonzero iterate of order <= 2d."""
+    forms = [commutators.form_matrix(f.coeffs, ops.ladders).toarray()
+             for ell in range(len(action.kraus)) for order in range(2 * ops.space.d + 1)
+             if not (f := commutators.iterated_commutator(action, ell, order)).is_zero()]
+    basis = evolution.evolve_vector(ops, psi, [0.0, t]).states[-1][:, None]
+    while True:
+        u, s, _ = np.linalg.svd(np.hstack([basis] + [F @ basis for F in forms]),
+                                full_matrices=False)
+        if (s > 1e-10 * s[0]).sum() == basis.shape[1]:
+            break
+        basis = u[:, s > 1e-10 * s[0]]
+    s = np.linalg.svd(basis[:ops.space.interior_dim()], compute_uv=False)
+    return int((s > 1e-10).sum())
+
+
+ROOT2 = np.sqrt(2.0)
+# L = x_1 + x_2 up to a phase and H rotating the mode (a_1 - a_2)/sqrt(2): [G, L] = 0
+# but for rounding, which the later iterates rotate into that mode
+QUADRATURE = 0.3 * np.exp(0.7j)
+ROTATED = gm.GaussianModel(d=2, Omega=0.25 * np.array([[1, -1], [-1, 1]]), kappa=np.zeros((2, 2)),
+                           zeta=np.zeros(2), V=[[QUADRATURE] * 2], U=[[QUADRATURE] * 2])
+
+
+@pytest.mark.parametrize("model, N_max, rank", [
+    (strictly_positive_model(np.random.default_rng(36), 2), 8, 28),
+    (gm.quadratic_free_model(1, V=[[ROOT2], [0.0]], U=[[0.0], [ROOT2]]), 10, 9),
+    (hopping_chain(2), 8, 28),
+    (ROTATED, 10, 9),
+])
+def test_support_span_matches_a_closure_under_every_order(model, N_max, rank):
+    # the span of the iterates up to order 2d holds every order, so closing
+    # under its basis reaches what closing under all the iterates does; an
+    # iterate that is zero but for rounding adds no form
+    space = fock.build_space(model.d, N_max)
+    ops = generator.build_operators(model, space)
+    action = commutators.adjoint_action(model)
+    span = commutators.support_span(ops, action, space.vacuum(), 0.1)
+    assert span.rank == reference_span_rank(ops, action, space.vacuum(), 0.1) == rank
+
+
 def test_kraus_coefficient_matrix_inversion_premise():
     rng = np.random.default_rng(35)
     model = strictly_positive_model(rng, 2)

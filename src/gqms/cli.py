@@ -62,6 +62,8 @@ PIVOTS = {
 PLOTS = {"improve": list(PIVOTS), "sector": ["numerical-range-scatter"]}
 # the tasks of a finite model; the others need a bosonic model and its `space`
 FINITE_TASKS = ("fd-probe", "fd-derivative")
+# the tasks that evolve density states under the superoperator `lindbladian`
+DENSITY_TASKS = ("evolve", "support", "improve")
 # `additionalProperties` that rejects every extra key, as `false` does, but
 # reports each one at its own JSON pointer
 UNKNOWN_KEY = {"not": {}}
@@ -226,8 +228,8 @@ def task_domain_comparison(ctx, out, n_samples=500):
 def task_evolve(ctx, out, initial="vacuum",
                 times=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
                 observables=()):
-    result = evolution.evolve_density(
-        ctx.lindbladian, evolution.DensityMatrix.pure(ctx.state_vector(initial)), times)
+    psi = ctx.state_vector(initial)
+    result = evolution.evolve_density(ctx.lindbladian, np.outer(psi, psi.conj()), times)
     stats, dim = result.stats, ctx.space.interior_dim()
     observables = [tuple(map(int, n)) for n in observables]
     diagonal = [ctx.space.index_of[n] for n in observables]
@@ -235,9 +237,9 @@ def task_evolve(ctx, out, initial="vacuum",
     _write_csv(csv_path, ["t", "trace_err", "min_eig", "support_rank"]
                + ["p" + "".join(map(str, n)) for n in observables],
                [[f"{t:.12g}", f"{err:.6e}", f"{eig:.6e}",
-                 str(evolution.support_rank(state.rho, dim)[0])]
-                + [f"{state.rho[k, k].real:.12g}" for k in diagonal]
-                for t, state, err, eig in zip(result.times, result.states,
+                 str(evolution.support_rank(rho, dim)[0])]
+                + [f"{rho[k, k].real:.12g}" for k in diagonal]
+                for t, rho, err, eig in zip(result.times, result.states,
                                               stats["trace_err"], stats["min_eig"])])
     max_trace = float(stats["trace_err"].max())
     min_eig = float(stats["min_eig"].min())
@@ -401,6 +403,8 @@ def _dependent_errors(ctx):
         ctx.model
         path = ["space", "N_max"]
         basis = None if finite or space is None else ctx.space.index_of
+        if basis is not None and any(t["name"] in DENSITY_TASKS for t in config["tasks"]):
+            ctx.lindbladian  # its byte budget refuses here, not after a task has run
     except (TypeError, ValueError, OverflowError) as exc:
         yield path, str(exc)
     for i, task in enumerate(config["tasks"]):
@@ -422,9 +426,10 @@ def validate_config(config):
     """Schema-check a config; returns its RunContext, or raises InputError listing JSON pointers.
 
     Once the config has the top-level shape, the model and each task are
-    checked against the schema of their kind or name, then the model and
-    space are built as a run builds them (refusals at /model, /space/N_max)
-    and checked against the values that rule out others (`_dependent_errors`).
+    checked against the schema of their kind or name, then the model, the
+    space and, for DENSITY_TASKS, the superoperator are built as a run builds
+    them (refusals at /model, /space/N_max) and checked against the values
+    that rule out others (`_dependent_errors`).
     """
     errors = [(list(e.absolute_path), e) for e in VALIDATOR.iter_errors(config)]
     if not errors:

@@ -220,11 +220,12 @@ def positivity_improving_probe(superop, psis, times, space):
     dim = space.interior_dim()
     reports = []
     for idx, psi in enumerate(psis):
-        rho0 = evolution.DensityMatrix.pure(psi)
-        result = evolution.evolve_density(superop, rho0, grid)
+        psi = np.asarray(psi, dtype=complex).reshape(-1)
+        psi = psi / np.linalg.norm(psi)
+        result = evolution.evolve_density(superop, np.outer(psi, psi.conj()), grid)
         for t in times:
             i = int(np.searchsorted(grid, t))
-            rank, min_eig = evolution.support_rank(result.states[i].rho, dim)
+            rank, min_eig = evolution.support_rank(result.states[i], dim)
             reports.append(SupportReport(
                 t=t, rank=rank, min_interior_eig=min_eig,
                 full=bool(rank == dim), psi_index=idx,

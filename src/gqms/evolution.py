@@ -47,33 +47,8 @@ class IntegrationError(RuntimeError):
 
 
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """A truncated state rho at time t (dimensionless generator units)."""
-
-    rho: np.ndarray
-    t: float
-
-    def validate(self):
-        """Raise unless rho is Hermitian within 1e-10, of trace 1 and PSD within 1e-8."""
-        rho = self.rho
-        if np.abs(rho - rho.conj().T).max() > 1e-10:
-            raise ValueError("density matrix is not Hermitian within tolerance")
-        if abs(np.trace(rho) - 1.0) > 1e-8:
-            raise ValueError("density matrix trace differs from 1")
-        if np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() < -1e-8:
-            raise ValueError("density matrix has a negative eigenvalue")
-        return self
-
-    @classmethod
-    def pure(cls, psi):
-        psi = np.asarray(psi, dtype=complex).reshape(-1)
-        psi = psi / np.linalg.norm(psi)
-        return cls(rho=np.outer(psi, psi.conj()), t=0.0)
-
-
-@dataclass(frozen=True, eq=False)
 class EvolutionResult:
-    """Output times, states (DensityMatrix or vectors) and per-step diagnostics."""
+    """Output times, states (D x D density arrays or vectors) and per-step diagnostics."""
 
     times: np.ndarray
     states: list
@@ -201,9 +176,10 @@ def _propagate(A, v0, times, method, h, superop=None):
 
 
 def evolve_density(superop, rho0, times, method="auto", h=1e-3):
-    """Integrate rho' = L*(rho) from a valid initial state.
+    """Integrate rho' = L*(rho) from a D x D density array rho0.
 
-    rho0 is Hermitized once, and each product mirrors the folded rows
+    rho0 must be Hermitian within 1e-10, of trace 1 and PSD within 1e-8;
+    it is Hermitized once, and each product mirrors the folded rows
     (`Superoperator.matvec`).  Aborts with IntegrationError when the trace
     drifts by more than 1e-4.  Stats arrays: trace_err, herm_err (rounding
     level by construction), min_eig per output time.
@@ -212,9 +188,14 @@ def evolve_density(superop, rho0, times, method="auto", h=1e-3):
         raise ValueError("evolve_density needs a schrodinger-picture superoperator")
     times = _check_times(times)
     D = superop.dim
-    rho0 = np.asarray(getattr(rho0, "rho", rho0), dtype=complex).reshape(D, D)
-    DensityMatrix(rho=rho0, t=0.0).validate()
+    rho0 = np.asarray(rho0, dtype=complex).reshape(D, D)
+    if np.abs(rho0 - rho0.conj().T).max() > 1e-10:
+        raise ValueError("density matrix is not Hermitian within tolerance")
+    if abs(np.trace(rho0) - 1.0) > 1e-8:
+        raise ValueError("density matrix trace differs from 1")
     rho0 = 0.5 * (rho0 + rho0.conj().T)
+    if np.linalg.eigvalsh(rho0).min() < -1e-8:
+        raise ValueError("density matrix has a negative eigenvalue")
     states = []
     trace_err, herm_err, min_eig = (np.zeros(times.size) for _ in range(3))
     v0 = rho0.reshape(D * D, order="F")
@@ -228,7 +209,7 @@ def evolve_density(superop, rho0, times, method="auto", h=1e-3):
             )
         herm_err[i] = np.abs(rho - rho.conj().T).max()
         min_eig[i] = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
-        states.append(DensityMatrix(rho=rho, t=float(times[i])))
+        states.append(rho)
     return EvolutionResult(
         times=times, states=states,
         stats={"trace_err": trace_err, "herm_err": herm_err, "min_eig": min_eig},

@@ -20,10 +20,9 @@ import numpy as np
 from . import serialize
 from .diagnostics import sample_blocks
 from .generator import gkls_superoperator
+from .model import HERMITICITY_TOL, POSITIVITY_TOL
 
 MAX_DIM = 6
-HERMITICITY_TOL = 1e-12
-PSD_TOL = 1e-10
 # Step of the finite-difference derivative oracle.
 FD_STEP = 1e-4
 
@@ -84,7 +83,7 @@ class FiniteGKLSModel:
             raise ValueError(f"c must be {k} x {k}")
         if np.abs(c - c.conj().T).max() > HERMITICITY_TOL:
             raise ValueError("c must be Hermitian")
-        if np.linalg.eigvalsh(0.5 * (c + c.conj().T)).min() < -PSD_TOL:
+        if np.linalg.eigvalsh(0.5 * (c + c.conj().T)).min() < -POSITIVITY_TOL:
             raise ValueError("c must be positive semidefinite")
         object.__setattr__(self, "H", H)
         object.__setattr__(self, "c", c)

@@ -24,18 +24,6 @@ import scipy.sparse as sp
 DEFAULT_DIMENSION_CAP = 5000
 
 
-class DimensionCapError(ValueError):
-    """The requested truncation exceeds the dimension cap."""
-
-
-class EmptyInteriorError(ValueError):
-    """interior_margin exceeds N_max, leaving no interior subspace."""
-
-
-class BoundaryContaminationError(ValueError):
-    """A vector required to be interior-supported has boundary weight."""
-
-
 def _compositions(total, parts):
     """Yield tuples of `parts` non-negative ints summing to `total`, in lexicographic order."""
     if parts == 1:
@@ -68,7 +56,7 @@ class TruncatedFockSpace:
     def interior_dim(self):
         """Count binomial(N_max - margin + d, d) of basis vectors with |n| <= N_max - margin."""
         if self.interior_margin > self.N_max:
-            raise EmptyInteriorError(
+            raise ValueError(
                 f"interior_margin={self.interior_margin} exceeds N_max={self.N_max}"
             )
         return math.comb(self.N_max - self.interior_margin + self.d, self.d)
@@ -108,7 +96,7 @@ def build_space(d, N_max, interior_margin=2):
         raise ValueError("interior_margin must be non-negative")
     D = math.comb(N_max + d, d)
     if D > DEFAULT_DIMENSION_CAP:
-        raise DimensionCapError(
+        raise ValueError(
             f"dimension {D} for (d={d}, N_max={N_max}) exceeds cap {DEFAULT_DIMENSION_CAP}"
         )
     basis = []
@@ -146,7 +134,7 @@ def build_ladders(space):
 
 
 def check_interior(space, v):
-    """Raise BoundaryContaminationError unless v is supported on the interior.
+    """Raise ValueError unless v is supported on the interior.
 
     v is a vector, returned with shape (D,), or a 2-D block of D-row
     columns, each checked on its own; a column's boundary weight may be
@@ -157,7 +145,7 @@ def check_interior(space, v):
     v = v.reshape(space.D, -1) if v.ndim == 2 else v.reshape(space.D)
     boundary = np.linalg.norm(v[dim:], axis=0)
     if np.any(boundary > 1e-12 * np.maximum(1.0, np.linalg.norm(v, axis=0))):
-        raise BoundaryContaminationError(
+        raise ValueError(
             f"vector has boundary weight {np.max(boundary):.3e} outside grade "
             f"{space.N_max - space.interior_margin}"
         )

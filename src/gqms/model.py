@@ -270,40 +270,17 @@ def generate_bogoliubov(d, seed, squeeze=0.5):
     return BogoliubovPair(E=E, F=F)
 
 
-@dataclass(frozen=True, eq=False)
-class TwoBosonParams:
-    """Two modes in a common bath: damping/pumping matrices and a quadratic Hamiltonian."""
-
-    gamma_minus: np.ndarray
-    gamma_plus: np.ndarray
-    Omega: np.ndarray
-
-    def __post_init__(self):
-        gm = _as_matrix(self.gamma_minus, "gamma_minus")
-        gp = _as_matrix(self.gamma_plus, "gamma_plus")
-        Om = _as_matrix(self.Omega, "Omega")
-        for name, g in (("gamma_minus", gm), ("gamma_plus", gp), ("Omega", Om)):
-            if g.shape != (2, 2):
-                raise ValueError(f"{name} must be 2 x 2")
-            if np.abs(g - g.conj().T).max() > HERMITICITY_TOL:
-                raise ValueError(f"{name} must be Hermitian")
-        for name, g in (("gamma_minus", gm), ("gamma_plus", gp)):
-            if np.linalg.eigvalsh(g).min() < -POSITIVITY_TOL:
-                raise ValueError(f"{name} must be positive semidefinite")
-        object.__setattr__(self, "gamma_minus", gm)
-        object.__setattr__(self, "gamma_plus", gp)
-        object.__setattr__(self, "Omega", Om)
-
-
 def _descending_eigh(g):
     w, vecs = np.linalg.eigh(g)
     order = np.argsort(w)[::-1]
     return w[order], vecs[:, order]
 
 
-def two_boson_model(params):
+def two_boson_model(gamma_minus, gamma_plus, Omega):
     """Gaussian model for two modes coupled to a common bath.
 
+    gamma_minus, gamma_plus (the damping and pumping matrices) and the
+    Hamiltonian Omega must be 2 x 2 and Hermitian, the gammas also PSD.
     The dissipator has two annihilation Kraus rows from the spectral
     decomposition of gamma_minus and two creation rows from gamma_plus
     (zero eigenvalues still emit a zero row, so m = 4 and the Kossakowski
@@ -311,8 +288,19 @@ def two_boson_model(params):
     zeta = 0.
     """
     d = 2
-    wm, vm = _descending_eigh(params.gamma_minus)
-    wp, vp = _descending_eigh(params.gamma_plus)
+    gm = _as_matrix(gamma_minus, "gamma_minus")
+    gp = _as_matrix(gamma_plus, "gamma_plus")
+    Omega = _as_matrix(Omega, "Omega")
+    for name, g in (("gamma_minus", gm), ("gamma_plus", gp), ("Omega", Omega)):
+        if g.shape != (2, 2):
+            raise ValueError(f"{name} must be 2 x 2")
+        if np.abs(g - g.conj().T).max() > HERMITICITY_TOL:
+            raise ValueError(f"{name} must be Hermitian")
+    for name, g in (("gamma_minus", gm), ("gamma_plus", gp)):
+        if np.linalg.eigvalsh(g).min() < -POSITIVITY_TOL:
+            raise ValueError(f"{name} must be positive semidefinite")
+    wm, vm = _descending_eigh(gm)
+    wp, vp = _descending_eigh(gp)
     wm = np.clip(wm, 0.0, None)
     wp = np.clip(wp, 0.0, None)
     V = np.zeros((4, d), dtype=complex)
@@ -321,7 +309,7 @@ def two_boson_model(params):
         V[i] = np.sqrt(wm[i]) * vm[:, i]
         U[2 + i] = np.sqrt(wp[i]) * vp[:, i].conj()
     return GaussianModel(
-        d=d, Omega=params.Omega, kappa=np.zeros((d, d)), zeta=np.zeros(d),
+        d=d, Omega=Omega, kappa=np.zeros((d, d)), zeta=np.zeros(d),
         V=V, U=U,
     )
 
@@ -340,8 +328,6 @@ def model_from_jsonable(d, V, U, omega=None, kappa=None, zeta=None):
 
 def two_boson_from_jsonable(gamma_minus, gamma_plus, omega=None):
     """Decode the fields of the JSON two_boson model; omega defaults to zero."""
-    return two_boson_model(TwoBosonParams(
-        gamma_minus=serialize.pairs_to_matrix(gamma_minus),
-        gamma_plus=serialize.pairs_to_matrix(gamma_plus),
-        Omega=np.zeros((2, 2)) if omega is None else serialize.pairs_to_matrix(omega),
-    ))
+    return two_boson_model(
+        serialize.pairs_to_matrix(gamma_minus), serialize.pairs_to_matrix(gamma_plus),
+        np.zeros((2, 2)) if omega is None else serialize.pairs_to_matrix(omega))

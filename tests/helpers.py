@@ -64,6 +64,11 @@ def strictly_positive_model(rng, d, sv_range=(0.7, 1.3), quad_scale=0.2):
     )
 
 
+def pure(psi):
+    """The density array |psi><psi| of a unit vector psi."""
+    return np.outer(psi, np.conj(psi))
+
+
 def kraus_form_lindbladian(ops, picture):
     """The whole (unfolded) 2 + m kron Kraus-form generator, term by term."""
     D = ops.space.D

@@ -12,7 +12,7 @@ from gqms import cli, commutators, diagnostics, evolution, fock, generator
 from gqms import finite_dim as fd
 from gqms import model as gm
 from helpers import (
-    complex_gaussian, haar_unitary, random_model, random_vu,
+    complex_gaussian, haar_unitary, pure, random_model, random_vu,
     strictly_positive_model,
 )
 
@@ -73,9 +73,8 @@ def test_criterion_2_invariance_suite():
 
 
 def test_criterion_3_number_bound_two_boson():
-    params = gm.TwoBosonParams(
+    model = gm.two_boson_model(
         gamma_minus=np.eye(2), gamma_plus=np.eye(2), Omega=np.zeros((2, 2)))
-    model = gm.two_boson_model(params)
     space = fock.build_space(2, 6, interior_margin=2)
     ops = generator.build_operators(model, space)
     K = gm.build_kossakowski(model.V, model.U)
@@ -99,9 +98,9 @@ def test_criterion_4_exact_damping_dynamics():
     ops = generator.build_operators(model, space)
     lind = generator.build_lindbladian(ops, "schrodinger")
     times = np.round(np.linspace(0.0, 2.0, 11), 12)
-    rho0 = evolution.DensityMatrix.pure(space.basis_vector((1,)))
+    rho0 = pure(space.basis_vector((1,)))
     res = evolution.evolve_density(lind, rho0, times, method="rk4", h=1e-3)
-    pop_err = max(abs(res.states[i].rho[1, 1].real - np.exp(-t))
+    pop_err = max(abs(res.states[i][1, 1].real - np.exp(-t))
                   for i, t in enumerate(times))
     vres = evolution.evolve_vector(ops, space.basis_vector((1,)), times,
                                    method="expm")
@@ -188,14 +187,14 @@ def test_criterion_7_finite_dimensional_suite():
 def test_criterion_8_sector_heuristic():
     base = dict(gamma_minus=np.eye(2), gamma_plus=np.eye(2))
     space = fock.build_space(2, 6, interior_margin=2)
-    flat = gm.two_boson_model(gm.TwoBosonParams(Omega=np.zeros((2, 2)), **base))
+    flat = gm.two_boson_model(Omega=np.zeros((2, 2)), **base)
     ops0 = generator.build_operators(flat, space)
     self_adjoint = diagnostics.sector_estimate(
         diagnostics.sample_statistics(ops0, 108, 200), 200, shift_grid=[0.0])
     thetas = []
     for scale in (0.25, 0.5, 1.0):
-        params = gm.TwoBosonParams(Omega=scale * np.diag([1.0, 0.5]), **base)
-        ops = generator.build_operators(gm.two_boson_model(params), space)
+        model = gm.two_boson_model(Omega=scale * np.diag([1.0, 0.5]), **base)
+        ops = generator.build_operators(model, space)
         rep = diagnostics.sector_estimate(
             diagnostics.sample_statistics(ops, 108, 200), 200, shift_grid=[0.0])
         thetas.append(rep.theta_hat)

@@ -509,14 +509,16 @@ EVOLVE = {"name": "evolve", "times": [0, 0.1]}
     ({**FINITE_QUBIT, "n": 7}, None, [{"name": "fd-probe", "n_pairs": 5}], "/model"),
     ({"kind": "gaussian", "d": 2, "V": [[1, 0]], "U": [[0, 0]]}, {"N_max": 200},
      [{"name": "kossakowski"}, EVOLVE], "/space/N_max"),
+    ({"kind": "gaussian", "d": 1, "V": [[1], [1]], "U": [[1], [2]]}, {"N_max": 4999},
+     [{"name": "kossakowski"}, {"name": "improve"}], "/space/N_max"),
 ])
 def test_dependent_value_fails_validate_and_runs_no_task(tmp_path, capsys, model, space,
                                                          tasks, pointer):
     # a task that needs the other model kind, a bosonic model without its
     # space, a range that a task or the space would refuse, a state outside
-    # the truncated basis, a model its decoder refuses and a space above the
-    # dimension cap are schema errors: `run` stops before the first task
-    # writes its CSV
+    # the truncated basis, a model its decoder refuses, a space above the
+    # dimension cap and a superoperator above its byte budget are schema
+    # errors: `run` stops before the first task writes its CSV
     config = {"seed": 1, "model": model or minimal_config()["model"], "tasks": tasks}
     if space is not None:
         config["space"] = space
@@ -531,16 +533,20 @@ def test_dependent_value_fails_validate_and_runs_no_task(tmp_path, capsys, model
 
 
 def test_a_run_decodes_its_model_and_builds_its_space_once(tmp_path, monkeypatch):
-    # validation decodes the model and builds the space as a run does, and
-    # `run_scenario` reuses that context: `main` validates a run once
+    # validation decodes the model and builds the space and the superoperator
+    # as a run does, and `run_scenario` reuses that context: `main`
+    # validates a run once
     calls = []
     decode, build = cli.MODELS["gaussian"], fock.build_space
+    assemble = generator.build_lindbladian
     monkeypatch.setitem(cli.MODELS, "gaussian", lambda **kw: calls.append("model") or decode(**kw))
     monkeypatch.setattr(fock, "build_space", lambda **kw: calls.append("space") or build(**kw))
+    monkeypatch.setattr(generator, "build_lindbladian",
+                        lambda *a, **kw: calls.append("lindbladian") or assemble(*a, **kw))
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(minimal_config(tasks=[EVOLVE, {"name": "support"}])))
     assert cli.main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 0
-    assert calls == ["model", "space"]
+    assert calls == ["model", "space", "lindbladian"]
 
 
 NAN, INF = float("nan"), float("inf")
@@ -578,6 +584,7 @@ def test_seeded_starts_may_be_zero_with_explicit_starts():
 # the bytes of a method="expm" density evolution.
 FOOTPRINT = """
 import json, sys
+import numpy as np
 import gqms, gqms.cli
 from gqms import cli, evolution
 configs, out = json.loads(sys.argv[1]), sys.argv[2]
@@ -586,10 +593,11 @@ plain = "scipy.linalg" in sys.modules
 for i, config in enumerate(configs[1:]):
     cli.run_scenario(config, f"{out}/expm{i}")
 ctx = cli.RunContext(configs[0])
-result = evolution.evolve_density(ctx.lindbladian, evolution.DensityMatrix.pure(
-    ctx.space.vacuum()), [0.0, 0.1], method="expm")
+vacuum = ctx.space.vacuum()
+result = evolution.evolve_density(ctx.lindbladian, np.outer(vacuum, vacuum.conj()),
+                                  [0.0, 0.1], method="expm")
 print(json.dumps({"plain": plain, "expm": "scipy.linalg" in sys.modules,
-                  "rho": result.states[-1].rho.tobytes().hex()}))
+                  "rho": result.states[-1].tobytes().hex()}))
 """
 
 
@@ -610,8 +618,9 @@ def test_scipy_linalg_loads_only_for_exponentials(tmp_path):
     assert fresh["plain"] is False and fresh["expm"] is True
     # the same bytes as in this process, where scipy.linalg is loaded
     ctx = cli.RunContext(configs[0])
-    rho = evolution.evolve_density(ctx.lindbladian, evolution.DensityMatrix.pure(
-        ctx.space.vacuum()), [0.0, 0.1], method="expm").states[-1].rho
+    vacuum = ctx.space.vacuum()
+    rho = evolution.evolve_density(ctx.lindbladian, np.outer(vacuum, vacuum.conj()),
+                                   [0.0, 0.1], method="expm").states[-1]
     assert rho.tobytes().hex() == fresh["rho"]
     for i, config in enumerate(configs[1:]):
         cli.run_scenario(config, tmp_path / f"here{i}")

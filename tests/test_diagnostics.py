@@ -72,10 +72,9 @@ def test_domain_comparison_identity_case():
 
 
 def test_domain_comparison_two_boson():
-    params = gm.TwoBosonParams(
+    model = gm.two_boson_model(
         gamma_minus=np.eye(2), gamma_plus=np.eye(2),
         Omega=0.2 * np.eye(2))
-    model = gm.two_boson_model(params)
     space = fock.build_space(2, 6)
     ops = generator.build_operators(model, space)
     K = gm.build_kossakowski(model.V, model.U)
@@ -86,9 +85,8 @@ def test_domain_comparison_two_boson():
 
 
 def test_probe_two_boson_full_rank():
-    params = gm.TwoBosonParams(
+    model = gm.two_boson_model(
         gamma_minus=np.eye(2), gamma_plus=np.eye(2), Omega=np.zeros((2, 2)))
-    model = gm.two_boson_model(params)
     space = fock.build_space(2, 6)
     ops = generator.build_operators(model, space)
     lind = generator.build_lindbladian(ops, "schrodinger")
@@ -204,8 +202,8 @@ def test_sector_estimate_shift_grid_selection():
 
 def test_minimal_kossakowski_eig():
     def bath(gamma_minus, gamma_plus):
-        return gm.two_boson_model(gm.TwoBosonParams(
-            gamma_minus=gamma_minus, gamma_plus=gamma_plus, Omega=np.zeros((2, 2))))
+        return gm.two_boson_model(
+            gamma_minus=gamma_minus, gamma_plus=gamma_plus, Omega=np.zeros((2, 2)))
 
     unit = bath(np.eye(2), np.eye(2))
     K = gm.build_kossakowski(unit.V, unit.U)

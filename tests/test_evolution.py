@@ -7,7 +7,7 @@ import scipy.sparse.linalg
 
 from gqms import cli, evolution, fock, generator
 from gqms import model as gm
-from helpers import folded_identity, kraus_form_lindbladian, strictly_positive_model
+from helpers import folded_identity, kraus_form_lindbladian, pure, strictly_positive_model
 
 
 def damping_setup(N_max=6):
@@ -20,27 +20,27 @@ def damping_setup(N_max=6):
 
 def test_damping_population_decay_expm():
     space, ops, lind = damping_setup()
-    rho0 = evolution.DensityMatrix.pure(space.basis_vector((1,)))
+    rho0 = pure(space.basis_vector((1,)))
     times = np.linspace(0.0, 2.0, 9)
     res = evolution.evolve_density(lind, rho0, times, method="expm")
     for i, t in enumerate(times):
-        assert abs(res.states[i].rho[1, 1].real - np.exp(-t)) <= 1e-10
+        assert abs(res.states[i][1, 1].real - np.exp(-t)) <= 1e-10
 
 
 def test_damping_population_decay_rk4():
     space, ops, lind = damping_setup()
-    rho0 = evolution.DensityMatrix.pure(space.basis_vector((1,)))
+    rho0 = pure(space.basis_vector((1,)))
     times = [0.0, 0.5, 1.0]
     res = evolution.evolve_density(lind, rho0, times, method="rk4", h=1e-3)
     for i, t in enumerate(times):
-        assert abs(res.states[i].rho[1, 1].real - np.exp(-t)) <= 1e-6
+        assert abs(res.states[i][1, 1].real - np.exp(-t)) <= 1e-6
 
 
 def test_initial_state_returned_exactly():
     space, ops, lind = damping_setup()
-    rho0 = evolution.DensityMatrix.pure(space.basis_vector((2,)))
+    rho0 = pure(space.basis_vector((2,)))
     res = evolution.evolve_density(lind, rho0, [0.0, 0.1])
-    np.testing.assert_allclose(res.states[0].rho, rho0.rho)
+    np.testing.assert_allclose(res.states[0], rho0)
 
 
 def test_mixed_state_flows_to_vacuum():
@@ -49,14 +49,14 @@ def test_mixed_state_flows_to_vacuum():
     rho0 = np.zeros((space.D, space.D), dtype=complex)
     rho0[:dim, :dim] = np.eye(dim) / dim
     res = evolution.evolve_density(lind, rho0, np.linspace(0.0, 4.0, 9))
-    weights = [s.rho[0, 0].real for s in res.states]
+    weights = [s[0, 0].real for s in res.states]
     assert all(b >= a - 1e-12 for a, b in zip(weights, weights[1:]))
     assert weights[-1] > 0.9
 
 
 def test_positivity_drift_bounded():
     space, ops, lind = damping_setup()
-    rho0 = evolution.DensityMatrix.pure(
+    rho0 = pure(
         (space.basis_vector((0,)) + space.basis_vector((2,))) / np.sqrt(2))
     res = evolution.evolve_density(lind, rho0, [0.0, 0.25, 0.5], method="rk4")
     assert res.stats["min_eig"].min() >= -1e-8
@@ -69,10 +69,10 @@ def test_semigroup_property():
     space = fock.build_space(1, 6)
     ops = generator.build_operators(model, space)
     lind = generator.build_lindbladian(ops, "schrodinger")
-    rho0 = evolution.DensityMatrix.pure(space.vacuum())
+    rho0 = pure(space.vacuum())
     direct = evolution.evolve_density(lind, rho0, [0.0, 0.3], method="expm")
     stepped = evolution.evolve_density(lind, rho0, [0.0, 0.1, 0.3], method="expm")
-    assert np.abs(direct.states[-1].rho - stepped.states[-1].rho).max() <= 1e-6
+    assert np.abs(direct.states[-1] - stepped.states[-1]).max() <= 1e-6
 
 
 def test_rk4_matches_expm():
@@ -81,12 +81,12 @@ def test_rk4_matches_expm():
     space = fock.build_space(1, 6)
     ops = generator.build_operators(model, space)
     lind = generator.build_lindbladian(ops, "schrodinger")
-    rho0 = evolution.DensityMatrix.pure(space.basis_vector((1,)))
+    rho0 = pure(space.basis_vector((1,)))
     times = [0.0, 0.2, 0.4]
     a = evolution.evolve_density(lind, rho0, times, method="expm")
     b = evolution.evolve_density(lind, rho0, times, method="rk4", h=1e-3)
     for sa, sb in zip(a.states, b.states):
-        assert np.abs(sa.rho - sb.rho).max() <= 1e-9
+        assert np.abs(sa - sb).max() <= 1e-9
 
 
 def test_vector_semigroup_diagonal():
@@ -114,7 +114,7 @@ def test_vector_contraction_seeded():
 
 def test_times_validation():
     space, ops, lind = damping_setup()
-    rho0 = evolution.DensityMatrix.pure(space.vacuum())
+    rho0 = pure(space.vacuum())
     with pytest.raises(ValueError):
         evolution.evolve_density(lind, rho0, [0.1, 0.2])
     with pytest.raises(ValueError):
@@ -130,13 +130,27 @@ def test_invalid_initial_state_rejected():
         evolution.evolve_density(lind, bad, [0.0, 0.1])
 
 
+@pytest.mark.parametrize("entries, message", [
+    ({(0, 0): 1.0, (0, 1): 0.5}, "not Hermitian"),
+    ({(0, 0): 2.0}, "trace differs from 1"),
+    ({(0, 0): 1.5, (1, 1): -0.5}, "negative eigenvalue"),
+])
+def test_initial_state_refusal_names_its_fault(entries, message):
+    space, ops, lind = damping_setup()
+    rho0 = np.zeros((space.D, space.D), dtype=complex)
+    for at, value in entries.items():
+        rho0[at] = value
+    with pytest.raises(ValueError, match=message):
+        evolution.evolve_density(lind, rho0, [0.0, 0.1])
+
+
 def test_trace_instability_aborts():
     space, ops, lind = damping_setup()
     # trace-violating generator: add a multiple of the identity superoperator
     broken = generator.Superoperator(
         matrix=(lind.matrix + 0.5 * folded_identity(space.D)).tocsr(),
         picture="schrodinger", dim=space.D)
-    rho0 = evolution.DensityMatrix.pure(space.vacuum())
+    rho0 = pure(space.vacuum())
     with pytest.raises(evolution.IntegrationError):
         evolution.evolve_density(broken, rho0, [0.0, 1.0, 2.0], method="rk4", h=0.05)
 
@@ -175,21 +189,21 @@ def seeded_lindbladian(seed, d, N_max):
 def test_auto_matches_rk4_above_former_dense_cap():
     space, ops, lind = seeded_lindbladian(31, 2, 13)
     assert space.D ** 2 > 10 ** 4
-    rho0 = evolution.DensityMatrix.pure(space.vacuum())
+    rho0 = pure(space.vacuum())
     a = evolution.evolve_density(lind, rho0, [0.0, 0.1])
     b = evolution.evolve_density(lind, rho0, [0.0, 0.1], method="rk4", h=1e-3)
-    assert np.abs(a.states[-1].rho - b.states[-1].rho).max() <= 1e-9
+    assert np.abs(a.states[-1] - b.states[-1]).max() <= 1e-9
 
 
 def test_auto_matches_expm_small():
     space, ops, lind = seeded_lindbladian(32, 1, 6)
     assert space.D == 7
-    rho0 = evolution.DensityMatrix.pure(space.basis_vector((1,)))
+    rho0 = pure(space.basis_vector((1,)))
     times = [0.0, 0.1, 0.5, 1.0]
     a = evolution.evolve_density(lind, rho0, times)
     b = evolution.evolve_density(lind, rho0, times, method="expm")
     for sa, sb in zip(a.states, b.states):
-        assert np.abs(sa.rho - sb.rho).max() <= 1e-12
+        assert np.abs(sa - sb).max() <= 1e-12
     va = evolution.evolve_vector(ops, space.vacuum(), times)
     vb = evolution.evolve_vector(ops, space.vacuum(), times, method="expm")
     for xa, xb in zip(va.states, vb.states):
@@ -208,8 +222,8 @@ def test_auto_matches_expm_and_rk4_on_a_mixed_state():
     b = evolution.evolve_density(lind, rho0, times, method="expm")
     c = evolution.evolve_density(lind, rho0, times, method="rk4", h=1e-3)
     for sa, sb, sc in zip(a.states, b.states, c.states):
-        assert np.abs(sa.rho - sb.rho).max() <= 1e-12
-        assert np.abs(sa.rho - sc.rho).max() <= 1e-9
+        assert np.abs(sa - sb).max() <= 1e-12
+        assert np.abs(sa - sc).max() <= 1e-9
     assert a.stats["herm_err"].max() <= 1e-15
 
 
@@ -220,7 +234,7 @@ def test_evolution_cost_is_refused_before_the_first_product(monkeypatch):
     monkeypatch.setattr(evolution, "_expm_action", refuse)
     monkeypatch.setattr(evolution, "_rk4_segment", refuse)
     space, ops, lind = damping_setup()
-    rho0 = evolution.DensityMatrix.pure(space.vacuum())
+    rho0 = pure(space.vacuum())
     for t in (1e6, 1e308):
         with pytest.raises(evolution.IntegrationError, match="products"):
             evolution.evolve_density(lind, rho0, [0.0, t])
@@ -243,11 +257,11 @@ def test_auto_scaling_steps_match_expm():
     assert 1.0 * evolution._shift_and_norm(lind.matrix, lind)[1] > theta_max
     assert 4.0 * evolution._shift_and_norm(ops.G)[1] > theta_max
     times = [0.0, 1.0, 5.0]
-    rho0 = evolution.DensityMatrix.pure(space.basis_vector((1,)))
+    rho0 = pure(space.basis_vector((1,)))
     a = evolution.evolve_density(lind, rho0, times)
     b = evolution.evolve_density(lind, rho0, times, method="expm")
     for sa, sb in zip(a.states, b.states):
-        assert np.abs(sa.rho - sb.rho).max() <= 1e-12
+        assert np.abs(sa - sb).max() <= 1e-12
     va = evolution.evolve_vector(ops, space.basis_vector((2,)), times)
     vb = evolution.evolve_vector(ops, space.basis_vector((2,)), times, method="expm")
     for xa, xb in zip(va.states, vb.states):
@@ -256,15 +270,15 @@ def test_auto_scaling_steps_match_expm():
 
 def test_auto_matches_scipy_expm_multiply():
     space, ops, lind = seeded_lindbladian(31, 2, 13)
-    rho0 = evolution.DensityMatrix.pure(space.vacuum())
+    rho0 = pure(space.vacuum())
     times = [0.0, 0.05, 0.1, 0.3]
     res = evolution.evolve_density(lind, rho0, times)
     whole = kraus_form_lindbladian(ops, "schrodinger")
-    v = rho0.rho.reshape(-1, order="F")
+    v = rho0.reshape(-1, order="F")
     for dt, state in zip(np.diff(times), res.states[1:]):
         v = scipy.sparse.linalg.expm_multiply(whole, v, start=0.0, stop=dt,
                                               num=2, endpoint=True)[-1]
-        ours = state.rho.reshape(-1, order="F")
+        ours = state.reshape(-1, order="F")
         assert np.abs(ours - v).max() <= 1e-13 * np.abs(v).max()
 
 
@@ -272,7 +286,7 @@ def test_auto_peak_memory_below_superoperator():
     space, ops, lind = seeded_lindbladian(31, 2, 13)
     M = lind.matrix
     csr_bytes = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
-    rho0 = evolution.DensityMatrix.pure(space.vacuum())
+    rho0 = pure(space.vacuum())
     tracemalloc.start()
     try:
         evolution.evolve_density(lind, rho0, [0.0, 0.05, 0.1])
@@ -323,7 +337,7 @@ def test_auto_never_builds_dense_exponential(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "expm", refuse)
     monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", refuse)
     space, ops, lind = seeded_lindbladian(33, 1, 6)
-    rho0 = evolution.DensityMatrix.pure(space.vacuum())
+    rho0 = pure(space.vacuum())
     evolution.evolve_density(lind, rho0, [0.0, 0.1, 0.2])
     evolution.evolve_vector(ops, space.vacuum(), [0.0, 0.1, 0.2])
     with pytest.raises(AssertionError):

@@ -194,9 +194,8 @@ def test_generate_bogoliubov_zero_squeeze():
 
 
 def test_two_boson_identity_bath():
-    params = gm.TwoBosonParams(
+    model = gm.two_boson_model(
         gamma_minus=np.eye(2), gamma_plus=np.eye(2), Omega=np.zeros((2, 2)))
-    model = gm.two_boson_model(params)
     assert model.d == 2 and model.m == 4
     K = gm.build_kossakowski(model.V, model.U)
     np.testing.assert_allclose(K.matrix, np.eye(4), atol=1e-12)
@@ -206,19 +205,18 @@ def test_two_boson_identity_bath():
 
 
 def test_two_boson_singular_bath():
-    params = gm.TwoBosonParams(
+    model = gm.two_boson_model(
         gamma_minus=np.diag([1.0, 0.0]), gamma_plus=np.eye(2),
         Omega=np.zeros((2, 2)))
-    K = gm.build_kossakowski(*(lambda m: (m.V, m.U))(gm.two_boson_model(params)))
+    K = gm.build_kossakowski(model.V, model.U)
     assert K.eps0 == pytest.approx(0.0, abs=1e-12)
     assert not K.strictly_positive
 
 
 def test_two_boson_spectral_reconstruction():
-    params = gm.TwoBosonParams(
+    model = gm.two_boson_model(
         gamma_minus=np.diag([2.0, 1.0]), gamma_plus=np.eye(2),
         Omega=np.zeros((2, 2)))
-    model = gm.two_boson_model(params)
     np.testing.assert_allclose(np.abs(model.V[:2]),
                                [[np.sqrt(2), 0.0], [0.0, 1.0]], atol=1e-12)
     K = gm.build_kossakowski(model.V, model.U)
@@ -232,10 +230,9 @@ def test_two_boson_block_diagonal_for_complex_gammas():
         gm_minus = gm_minus @ gm_minus.conj().T  # PSD
         gm_plus = random_hermitian(rng, 2)
         gm_plus = gm_plus @ gm_plus.conj().T
-        params = gm.TwoBosonParams(
+        model = gm.two_boson_model(
             gamma_minus=gm_minus, gamma_plus=gm_plus,
             Omega=random_hermitian(rng, 2))
-        model = gm.two_boson_model(params)
         K = gm.build_kossakowski(model.V, model.U)
         expected = np.block([
             [gm_minus, np.zeros((2, 2))],
@@ -246,8 +243,17 @@ def test_two_boson_block_diagonal_for_complex_gammas():
 
 def test_two_boson_rejects_non_psd():
     with pytest.raises(ValueError):
-        gm.TwoBosonParams(gamma_minus=np.diag([1.0, -0.5]),
-                          gamma_plus=np.eye(2), Omega=np.zeros((2, 2)))
+        gm.two_boson_model(gamma_minus=np.diag([1.0, -0.5]),
+                           gamma_plus=np.eye(2), Omega=np.zeros((2, 2)))
+
+
+def test_two_boson_rejects_a_wrong_shape_and_a_non_hermitian_omega():
+    with pytest.raises(ValueError, match="gamma_plus must be 2 x 2"):
+        gm.two_boson_model(gamma_minus=np.eye(2), gamma_plus=np.eye(3),
+                           Omega=np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="Omega must be Hermitian"):
+        gm.two_boson_model(gamma_minus=np.eye(2), gamma_plus=np.eye(2),
+                           Omega=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_model_validation():

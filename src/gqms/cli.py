@@ -10,8 +10,8 @@ A model's fields are the keyword parameters of its kind's decoder in
 MODELS, a task's settings those of its `task_*` function; seeded tasks
 draw from the run seed.  A parameter without a default is required, and
 one with an int, float or tuple default is a JSON integer, number or
-array (a `None` default admits null beside its declared type); any other
-key or type, a value outside the bounds TASK_VALIDATORS or
+array; an int or float setting reaches its task as its default's type.
+Any other key or type, a value outside the bounds TASK_VALIDATORS or
 _dependent_errors declare, or a task of the other model kind is a schema
 error, reported before a task runs.  The sampled tasks reduce the run
 seed's one sample pass, of their largest `n_samples`.
@@ -20,7 +20,8 @@ Each task writes its findings into report.json; tasks may carry an
 assertion, so contrast scenarios can assert *failure* of a property and
 still exit 0.  A task raising IntegrationError or numpy's LinAlgError
 fails with an "error" {type, message}.  Exit codes: 0 all tasks passed,
-2 some task failed, 1 input or schema error.  report.json is
+2 some task failed, 1 input error (a ValueError: a schema error, an
+unreadable config or an unusable output directory).  report.json is
 byte-identical across runs with the same config and seed except for the
 top-level "timestamps" field.
 """
@@ -71,10 +72,6 @@ UNKNOWN_KEY = {"not": {}}
 JSON_TYPES = {int: {"type": "integer"}, float: {"type": "number"}, tuple: {"type": "array"}}
 
 
-class InputError(Exception):
-    """Configuration or model input problem (exit code 1)."""
-
-
 class RunContext:
     """The model, space and operator objects shared by the tasks, each decoded or built once."""
 
@@ -90,10 +87,8 @@ class RunContext:
     @cached_property
     def samples(self):
         """The run seed's one sample pass over the largest `n_samples` of the sampled tasks."""
-        return diagnostics.sample_statistics(self.ops, self.seed, max(
-            int(task.get("n_samples", inspect.signature(
-                TASKS[task["name"]]).parameters["n_samples"].default))
-            for task in self.config["tasks"] if "n_samples" in TASK_PARAMS[task["name"]]))
+        counts = [s["n_samples"] for s in map(_settings, self.config["tasks"]) if "n_samples" in s]
+        return diagnostics.sample_statistics(self.ops, self.seed, max(counts))
 
     @property
     def finite_model(self):
@@ -102,12 +97,8 @@ class RunContext:
 
     @cached_property
     def space(self):
-        entry = self.config["space"]
         return fock.build_space(
-            d=self.model.d,
-            N_max=int(entry["N_max"]),
-            interior_margin=int(entry.get("interior_margin", 2)),
-        )
+            d=self.model.d, **{key: int(n) for key, n in self.config["space"].items()})
 
     @cached_property
     def ops(self):
@@ -207,7 +198,6 @@ def task_bogoliubov(ctx, out, squeeze=0.5):
 
 
 def task_number_bound(ctx, out, n_samples=1000):
-    n_samples = int(n_samples)
     rep = diagnostics.number_operator_bound(ctx.samples, ctx.kossakowski, n_samples)
     # the first min(n, 50) samples of the bound's stream (prefix property)
     xi = np.hstack(list(diagnostics.sample_blocks(
@@ -220,7 +210,7 @@ def task_number_bound(ctx, out, n_samples=1000):
 
 
 def task_domain_comparison(ctx, out, n_samples=500):
-    rep = diagnostics.domain_comparison_constants(ctx.samples, ctx.kossakowski, int(n_samples))
+    rep = diagnostics.domain_comparison_constants(ctx.samples, ctx.kossakowski, n_samples)
     report = {**serialize.jsonable(asdict(rep)), "feasible": bool(rep.feasible)}
     return report, report["feasible"]
 
@@ -254,7 +244,6 @@ def task_evolve(ctx, out, initial="vacuum",
 
 def task_support(ctx, out, initial="vacuum", t=0.1):
     psi = ctx.state_vector(initial)
-    t = float(t)
     span = commutators.support_span(ctx.ops, ctx.action, psi, t)
     probes = diagnostics.positivity_improving_probe(ctx.lindbladian, [psi], [t], ctx.space)
     oracle = commutators.validate_action_oracle(ctx.ops, ctx.action)
@@ -291,15 +280,14 @@ def task_improve(ctx, out, initials=("vacuum",), times=(0.05, 0.1), plots=()):
 
 
 def task_invariant(ctx, out, n_seeds=3, starts=()):
-    starts = [ctx.state_vector(s) for s in starts]
     rep = diagnostics.invariant_subspace_search(
-        ctx.ops, int(n_seeds), ctx.seed, starts=starts or None)
+        ctx.ops, n_seeds, ctx.seed, starts=[ctx.state_vector(s) for s in starts])
     report = {**serialize.jsonable(asdict(rep)), "full_closure": bool(rep.full_closure)}
     return report, report["full_closure"]
 
 
-def task_sector(ctx, out, n_samples=200, shift_grid=None, plots=()):
-    rep = diagnostics.sector_estimate(ctx.samples, int(n_samples), shift_grid=shift_grid)
+def task_sector(ctx, out, n_samples=200, shift_grid=diagnostics.SHIFT_GRID, plots=()):
+    rep = diagnostics.sector_estimate(ctx.samples, n_samples, shift_grid=shift_grid)
     report = serialize.jsonable(asdict(rep))
     for kind in plots:  # numerical-range-scatter
         _write_csv(out(kind), ["re", "im"],
@@ -308,14 +296,12 @@ def task_sector(ctx, out, n_samples=200, shift_grid=None, plots=()):
 
 
 def task_fd_probe(ctx, out, n_pairs=200):
-    minimum = fd.fd_positivity_probe(
-        ctx.model, (0.01, 0.1, 1.0), int(n_pairs), ctx.seed)
+    minimum = fd.fd_positivity_probe(ctx.model, (0.01, 0.1, 1.0), n_pairs, ctx.seed)
     report = {"min_value": minimum, "positive": bool(minimum > 1e-12)}
     return report, report["positive"]
 
 
 def task_fd_derivative(ctx, out, n_pairs=100):
-    n_pairs = int(n_pairs)
     worst = fd.fd_derivative_check(ctx.model, n_pairs, ctx.seed)
     report = {"pairs": n_pairs, "max_relative_mismatch": worst}
     return report, worst <= 1e-5
@@ -324,8 +310,18 @@ def task_fd_derivative(ctx, out, n_pairs=100):
 # A task's config name is its function's name without `task_`, `-` for `_`.
 TASKS = {name[len("task_"):].replace("_", "-"): fn
          for name, fn in list(globals().items()) if name.startswith("task_")}
-TASK_PARAMS = {name: list(inspect.signature(fn).parameters)[2:]
-               for name, fn in TASKS.items()}
+# task -> {setting: default}, the parameters after `ctx` and `out`
+TASK_PARAMS = {name: {p.name: p.default for p in inspect.signature(fn).parameters.values()
+                      if p.name not in ("ctx", "out")} for name, fn in TASKS.items()}
+
+
+def _settings(task):
+    """A task's settings over its defaults, each int or float one as its default's type."""
+    settings = dict(TASK_PARAMS[task["name"]])
+    for key in settings.keys() & task.keys():
+        kind = type(settings[key])
+        settings[key] = kind(task[key]) if kind in (int, float) else task[key]
+    return settings
 
 
 def _closed(required, properties):
@@ -349,7 +345,6 @@ def _signature_schema(fn, skip, keys, params):
 SEED = {"type": "integer", "minimum": 0}
 CONFIG_SCHEMA = _closed(["seed", "model", "tasks"], {
     "seed": SEED,
-    "output_dir": {"type": "string"},
     "model": {"type": "object", "required": ["kind"],
               "properties": {"kind": {"enum": list(MODELS)}}},
     "space": _closed(["N_max"], {"N_max": {"type": "integer", "minimum": 1},
@@ -384,8 +379,7 @@ TASK_VALIDATORS = {
          "initials": {**NONEMPTY, "items": STATE}, "starts": {"type": "array", "items": STATE},
          "observables": {"type": "array", "items": OCCUPATION},
          "plots": {"type": "array", "items": {"enum": PLOTS.get(name, [])}},
-         "shift_grid": {"type": ["array", "null"], "minItems": 1,
-                        "items": {"type": "number"}}})})
+         "shift_grid": {**NONEMPTY, "items": {"type": "number"}}})})
     for name, fn in TASKS.items()}
 
 
@@ -414,8 +408,12 @@ def _dependent_errors(ctx):
         states.update({(key, j): n for key in ("initials", "starts", "observables")
                        for j, n in enumerate(task.get(key, ()))})
         for at, n in states.items():
-            if n != "vacuum" and basis is not None and tuple(n) not in basis:
+            if n == "vacuum" or basis is None:
+                continue
+            if tuple(n) not in basis:
                 yield ["tasks", i, *at], f"occupation {tuple(n)} not in the truncated basis"
+            elif at[0] == "starts" and sum(n) > ctx.space.N_max - ctx.space.interior_margin:
+                yield ["tasks", i, *at], "start vector has no interior component"
         times = task.get("times")
         if task["name"] == "evolve" and times is not None and (
                 times[0] != 0 or any(b <= a for a, b in zip(times, times[1:]))):
@@ -423,7 +421,7 @@ def _dependent_errors(ctx):
 
 
 def validate_config(config):
-    """Schema-check a config; returns its RunContext, or raises InputError listing JSON pointers.
+    """Schema-check a config; returns its RunContext, or raises ValueError listing JSON pointers.
 
     Once the config has the top-level shape, the model and each task are
     checked against the schema of their kind or name, then the model, the
@@ -441,7 +439,7 @@ def validate_config(config):
     errors = [(path, "unknown key" if e.schema is UNKNOWN_KEY else e.message)
               for path, e in errors] or list(_dependent_errors(ctx := RunContext(config)))
     if errors:
-        raise InputError("config schema violations:\n" + "\n".join(
+        raise ValueError("config schema violations:\n" + "\n".join(
             f"  /{'/'.join(map(str, path))}: {message}"
             for path, message in sorted(errors, key=lambda error: error[0])))
     return ctx
@@ -464,19 +462,21 @@ def run_scenario(config, output_dir, verbose=False):
     """Execute a validated config; returns (exit_code, report_dict)."""
     ctx = validate_config(config)
     outdir = Path(output_dir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"cannot make output directory {outdir}: {exc}") from exc
     started = time.time()
     task_entries = []
     all_passed = True
     task_seconds = {}
     for idx, task in enumerate(config["tasks"]):
         name = task["name"]
-        params = {k: v for k, v in task.items() if k not in ("name", "expect")}
         tag = f"{idx:02d}_{name}"
         t0 = time.time()
         try:
             report, default_ok = TASKS[name](
-                ctx, lambda suffix: outdir / f"{tag}_{suffix}.csv", **params)
+                ctx, lambda suffix: outdir / f"{tag}_{suffix}.csv", **_settings(task))
         except (evolution.IntegrationError, np.linalg.LinAlgError) as exc:
             report = None
             error = {"type": type(exc).__name__, "message": str(exc)}
@@ -522,7 +522,7 @@ def _load_config(path):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
 
 
 def main(argv=None):
@@ -545,14 +545,13 @@ def main(argv=None):
             validate_config(config)
             print("config ok")
             return 0
-        output_dir = args.output_dir or isinstance(config, dict) and config.get("output_dir") \
-            or Path(args.config).stem + "_out"
+        output_dir = args.output_dir or Path(args.config).stem + "_out"
         code, report = run_scenario(config, output_dir, verbose=args.verbose)
         if args.verbose or code != 0:
             status = "all tasks passed" if code == 0 else "task failures"
             print(f"{status}; report at {Path(output_dir) / 'report.json'}")
         return code
-    except (InputError, ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,6 +23,8 @@ SAMPLE_BLOCK = 64
 BOUND_TOL = 1e-10
 # Candidate graph-norm constants, in increasing order.
 C_GRID = (0.0,) + tuple(2.0 ** k for k in range(-2, 11))
+# Default shifts w of the sector estimate.
+SHIFT_GRID = (0.0, 0.5, 1.0, 2.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,7 +235,7 @@ def positivity_improving_probe(superop, psis, times, space):
     return reports
 
 
-def invariant_subspace_search(ops, n_seeds, seed, starts=None):
+def invariant_subspace_search(ops, n_seeds, seed, starts=()):
     """Grow span{v} under the interior compressions of G and every L_l.
 
     Each seed vector (n_seeds interior vectors from `sample_blocks`, then
@@ -248,7 +250,7 @@ def invariant_subspace_search(ops, n_seeds, seed, starts=None):
     mats = [M[:dim, :dim].toarray() for M in (ops.G, *ops.L)]
     rng = np.random.default_rng(seed)
     vectors = [v for X in sample_blocks(rng, max(0, n_seeds), dim) for v in X.T]
-    for v in starts or []:
+    for v in starts:
         v = np.asarray(v, dtype=complex).reshape(space.D)[:dim]
         nv = np.linalg.norm(v)
         if nv == 0:
@@ -263,7 +265,7 @@ def invariant_subspace_search(ops, n_seeds, seed, starts=None):
     )
 
 
-def sector_estimate(stats, n_samples, shift_grid=None):
+def sector_estimate(stats, n_samples, shift_grid=SHIFT_GRID):
     """Heuristic sector half-angle of the numerical range of G.
 
     Takes z = <xi, G xi> over the first n_samples of the pass `stats`
@@ -272,8 +274,6 @@ def sector_estimate(stats, n_samples, shift_grid=None):
     (theta_hat, shift).  A necessary-style indication of sectoriality,
     not a proof of analyticity.
     """
-    if shift_grid is None:
-        shift_grid = [0.0, 0.5, 1.0, 2.0]
     if len(shift_grid) == 0:
         raise ValueError("shift_grid must not be empty")
     head = stats.head(n_samples)

@@ -180,7 +180,7 @@ class BogoliubovPair:
 
     Constraints: E†E - F†F = 1 and E^T F - F^T E = 0, which preserve the
     canonical commutation relations of the transformed modes; a residual
-    above BOGOLIUBOV_TOL raises BogoliubovError.
+    above BOGOLIUBOV_TOL, or one that is not finite, raises BogoliubovError.
     """
 
     E: np.ndarray
@@ -194,7 +194,7 @@ class BogoliubovPair:
             raise ValueError("E and F must be square with equal shape")
         object.__setattr__(self, "E", E)
         object.__setattr__(self, "F", F)
-        if max(self.residuals) > BOGOLIUBOV_TOL:
+        if not all(r <= BOGOLIUBOV_TOL for r in self.residuals):
             raise BogoliubovError(self.residuals)
 
     @property

@@ -51,21 +51,11 @@ def pairs_to_matrix(obj):
 
 
 def jsonable(obj):
-    """Recursively convert numpy scalars/arrays to plain JSON-ready values."""
+    """Recursively copy dicts, lists and tuples; complex arrays as [re, im] pairs, rest as is."""
     if isinstance(obj, dict):
         return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        if np.iscomplexobj(obj):
-            return complex_to_pairs(obj)
-        return obj.tolist()
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
+    if isinstance(obj, np.ndarray) and np.iscomplexobj(obj):
+        return complex_to_pairs(obj)
     return obj

@@ -1,6 +1,8 @@
+import contextlib
 import dataclasses
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -39,13 +41,13 @@ def test_validate_good_config():
 
 
 def test_validate_rejects_empty_tasks():
-    with pytest.raises(cli.InputError) as err:
+    with pytest.raises(ValueError) as err:
         cli.validate_config(minimal_config(tasks=[]))
     assert "/tasks" in str(err.value)
 
 
 def test_validate_rejects_unknown_task():
-    with pytest.raises(cli.InputError) as err:
+    with pytest.raises(ValueError) as err:
         cli.validate_config(minimal_config(tasks=[{"name": "frobnicate"}]))
     assert "/tasks/0/name" in str(err.value)
 
@@ -53,7 +55,7 @@ def test_validate_rejects_unknown_task():
 def test_validate_rejects_missing_seed():
     config = minimal_config()
     del config["seed"]
-    with pytest.raises(cli.InputError):
+    with pytest.raises(ValueError):
         cli.validate_config(config)
 
 
@@ -244,6 +246,9 @@ def test_unknown_plot_kind_is_input_error(tmp_path):
         ("support", "max_order", 2), ("support", "max_word", 4),
         ("support", "rank_rtol", 1e-8), ("improve", "rank_rtol", 1e-8),
         ("sector", "theta_max", 1.0), ("fd-probe", "t_grid", [0.01, 0.1, 1.0])]],
+    # forms of an input that have one other form
+    ("tasks", [{"name": "sector", "shift_grid": None}], "/tasks/0/shift_grid"),
+    ("output_dir", "out", "/output_dir"),
 ])
 def test_schema_violation_is_input_error(tmp_path, capsys, section, value, pointer):
     path = tmp_path / "cfg.json"
@@ -411,19 +416,27 @@ def test_unbounded_evolution_is_a_failed_task(tmp_path):
 
 
 def test_bogoliubov_violation_is_a_failed_task(tmp_path):
-    # squeeze 20 overflows the constraints far beyond BOGOLIUBOV_TOL
-    config = json.loads((SCENARIOS / "two_boson.json").read_text())
-    config["tasks"] = [{"name": "bogoliubov", "squeeze": 20},
-                       {"name": "bogoliubov", "squeeze": 0.3},
-                       {"name": "kossakowski"}]
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
-    code = cli.main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")])
-    assert code == 2
-    report = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert [t["passed"] for t in report["tasks"]] == [False, True, True]
-    violated = report["tasks"][0]["report"]["constraint_residuals"]
-    assert max(violated) > 1.0
+    # squeeze 20 misses the constraints far beyond BOGOLIUBOV_TOL; at 2000
+    # the exponential overflows and the residuals are NaN
+    for squeeze in (20, 2000):
+        config = json.loads((SCENARIOS / "two_boson.json").read_text())
+        config["tasks"] = [{"name": "bogoliubov", "squeeze": squeeze},
+                           {"name": "bogoliubov", "squeeze": 0.3},
+                           {"name": "kossakowski"}]
+        path = tmp_path / f"{squeeze}.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / f"{squeeze}_out"
+        overflow = pytest.warns(RuntimeWarning) if squeeze == 2000 else contextlib.nullcontext()
+        with overflow:
+            code = cli.main(["run", "--config", str(path), "--output-dir", str(out)])
+        assert code == 2
+        report = json.loads((out / "report.json").read_text())
+        assert [t["passed"] for t in report["tasks"]] == [False, True, True]
+        violated = report["tasks"][0]["report"]["constraint_residuals"]
+        if squeeze == 2000:
+            assert all(math.isnan(r) for r in violated)
+        else:
+            assert max(violated) > 1.0
     assert max(report["tasks"][1]["report"]["constraint_residuals"]) <= 1e-10
 
 
@@ -511,14 +524,18 @@ EVOLVE = {"name": "evolve", "times": [0, 0.1]}
      [{"name": "kossakowski"}, EVOLVE], "/space/N_max"),
     ({"kind": "gaussian", "d": 1, "V": [[1], [1]], "U": [[1], [2]]}, {"N_max": 4999},
      [{"name": "kossakowski"}, {"name": "improve"}], "/space/N_max"),
+    ({**minimal_config()["model"], "U": [[0.5]]}, {"N_max": 6},
+     [{"name": "kossakowski"}, {"name": "invariant", "n_seeds": 1, "starts": [[6]]}],
+     "/tasks/1/starts/0"),
 ])
 def test_dependent_value_fails_validate_and_runs_no_task(tmp_path, capsys, model, space,
                                                          tasks, pointer):
     # a task that needs the other model kind, a bosonic model without its
     # space, a range that a task or the space would refuse, a state outside
-    # the truncated basis, a model its decoder refuses, a space above the
-    # dimension cap and a superoperator above its byte budget are schema
-    # errors: `run` stops before the first task writes its CSV
+    # the truncated basis, a start state outside the interior, a model its
+    # decoder refuses, a space above the dimension cap and a superoperator
+    # above its byte budget are schema errors: `run` stops before the first
+    # task writes its CSV
     config = {"seed": 1, "model": model or minimal_config()["model"], "tasks": tasks}
     if space is not None:
         config["space"] = space
@@ -576,7 +593,58 @@ def test_non_finite_model_entry_is_an_input_error(tmp_path, capsys, model, named
 def test_seeded_starts_may_be_zero_with_explicit_starts():
     cli.validate_config(minimal_config(
         tasks=[{"name": "invariant", "n_seeds": 0, "starts": ["vacuum"]},
-               {"name": "sector", "shift_grid": None}]))
+               {"name": "sector"}]))
+
+
+def test_settings_take_their_defaults_type(tmp_path):
+    # a JSON 3.0 for an integer count and a JSON 1 for a real time reach
+    # their tasks as 3 and 1.0
+    config = minimal_config(tasks=[{"name": "number-bound", "n_samples": 3.0},
+                                   {"name": "sector", "n_samples": 3.0},
+                                   {"name": "support", "t": 1}])
+    code, report = cli.run_scenario(config, tmp_path)
+    assert code == 0
+    bound, _, support = (task["report"] for task in report["tasks"])
+    assert bound["samples"] == 3 and type(bound["samples"]) is int
+    assert support["t"] == 1.0 and type(support["t"]) is float
+    text = (tmp_path / "report.json").read_text()
+    assert '"samples": 3,' in text and '"t": 1.0,' in text
+
+
+def test_unusable_output_dir_is_input_error(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(minimal_config()))
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    for output_dir in (taken, taken / "sub"):
+        assert cli.main(["run", "--config", str(path), "--output-dir", str(output_dir)]) == 1
+        err = capsys.readouterr().err
+        assert f"cannot make output directory {output_dir}" in err
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("offset, passed", [(5e-10, True), (1e-6, False)])
+def test_expect_compares_floats_within_1e_9(tmp_path, offset, passed):
+    # eps0 is 0.0 for V = [[1]], U = [[0]]
+    config = minimal_config(tasks=[{"name": "kossakowski", "expect": {"eps0": offset}}])
+    code, report = cli.run_scenario(config, tmp_path)
+    task = report["tasks"][0]
+    assert task["report"]["eps0"] == 0.0
+    assert (code, task["passed"]) == ((0, True) if passed else (2, False))
+    assert task["expect_mismatches"] == ([] if passed else [
+        {"key": "eps0", "expected": offset, "actual": 0.0}])
+
+
+def test_verbose_run_prints_each_task(tmp_path, capsys):
+    config = minimal_config(tasks=[{"name": "kossakowski"},
+                                   {"name": "minimality", "expect": {"minimal": False}}])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(path), "--output-dir", str(out), "--verbose"]) == 2
+    assert capsys.readouterr().out.splitlines() == [
+        "[0] kossakowski: PASS", "[1] minimality: FAIL",
+        f"task failures; report at {out / 'report.json'}"]
 
 
 # Runs the tasks that need no exponential in a fresh interpreter, then the
@@ -638,4 +706,4 @@ def test_readme_task_table_matches_signatures():
     for names, params in re.findall(r"^\| (`[a-z-]+`(?:, `[a-z-]+`)*) \| (.*) \|$", readme, re.M):
         for name in re.findall(r"`([a-z-]+)`", names):
             table[name] = re.findall(r"`(\w+)`", params)
-    assert table == cli.TASK_PARAMS
+    assert table == {name: list(params) for name, params in cli.TASK_PARAMS.items()}

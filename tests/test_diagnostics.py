@@ -1,4 +1,5 @@
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -347,3 +348,14 @@ def test_sample_pass_peak_memory_is_a_few_blocks():
     finally:
         tracemalloc.stop()
     assert peak <= 5 * block
+
+
+def test_domain_comparison_reports_none_past_the_grid():
+    # eps0^2 ||N xi||^2 = 5000 needs c0 = 0 against 2 ||G0 xi||^2 = 5000, but
+    # c = 5000 against 2 ||G xi||^2 = 0, beyond the grid's largest 1024
+    stats = diagnostics.SampleStatistics(
+        form={}, norm2={"N": np.array([5000.0]), "G0": np.array([2500.0]), "G": np.array([0.0])})
+    rep = diagnostics.domain_comparison_constants(stats, SimpleNamespace(eps0=1.0), 1)
+    assert (rep.c0_hat, rep.c_hat) == (0.0, None)
+    assert (rep.max_required_c0, rep.max_required_c) == (0.0, 5000.0)
+    assert rep.feasible is False

@@ -12,18 +12,20 @@ draw from the run seed.  A parameter without a default is required, and
 one with an int, float or tuple default is a JSON integer, number or
 array; an int or float setting reaches its task as its default's type.
 Any other key or type, a value outside the bounds TASK_VALIDATORS or
-_dependent_errors declare, or a task of the other model kind is a schema
-error, reported before a task runs.  The sampled tasks reduce the run
-seed's one sample pass, of their largest `n_samples`.
-Each task writes its findings into report.json; tasks may carry an
-`expect` block whose key/value pairs replace the task's default
-assertion, so contrast scenarios can assert *failure* of a property and
-still exit 0.  A task raising IntegrationError or numpy's LinAlgError
-fails with an "error" {type, message}.  Exit codes: 0 all tasks passed,
-2 some task failed, 1 input error (a ValueError: a schema error, an
-unreadable config or an unusable output directory).  report.json is
-byte-identical across runs with the same config and seed except for the
-top-level "timestamps" field.
+_dependent_errors declare (every number in a task is finite), or a task
+of the other model kind is a schema error, reported before a task runs.
+The sampled tasks reduce the run seed's one sample pass, of their
+largest `n_samples`.  Each task writes its findings into report.json;
+tasks may carry an `expect` block whose key/value pairs replace the
+task's default assertion, so contrast scenarios can assert *failure* of
+a property and still exit 0; an expected number is compared within 1e-9
+when it or the report's value is a float, any other value for equality.
+A task raising IntegrationError, numpy's LinAlgError or a MemoryError (a
+refused allocation) fails with an "error" {type, message}.  Exit codes:
+0 all tasks passed, 2 some task failed, 1 input error (a ValueError: a
+schema error, an unreadable config or an unusable output directory).
+report.json is byte-identical across runs with the same config and seed
+except for the top-level "timestamps" field.
 """
 
 from __future__ import annotations
@@ -383,6 +385,19 @@ TASK_VALIDATORS = {
     for name, fn in TASKS.items()}
 
 
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _non_finite(value, path):
+    """JSON pointers of the NaN, infinite and beyond-float-range numbers in a JSON value."""
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _non_finite(item, [*path, key])
+    elif _is_number(value) and not abs(value) <= sys.float_info.max:
+        yield path
+
+
 def _dependent_errors(ctx):
     """(path, message) of each schema-valid value that decoding or another value rules out."""
     config = ctx.config
@@ -404,6 +419,7 @@ def _dependent_errors(ctx):
     for i, task in enumerate(config["tasks"]):
         if (task["name"] in FINITE_TASKS) != finite:
             yield ["tasks", i, "name"], f"needs a {'bosonic' if finite else 'finite'} model"
+        yield from ((at, "must be a finite number") for at in _non_finite(task, ["tasks", i]))
         states = {("initial",): task.get("initial", "vacuum")}
         states.update({(key, j): n for key in ("initials", "starts", "observables")
                        for j, n in enumerate(task.get(key, ()))})
@@ -446,11 +462,13 @@ def validate_config(config):
 
 
 def _check_expect(report, expect):
+    """Mismatches of `expect`: two numbers, one a float, agree within 1e-9, other pairs if equal."""
     mismatches = []
     for key, wanted in expect.items():
         have = report.get(key)
-        if isinstance(wanted, float) or isinstance(have, float):
-            match = have is not None and abs(float(have) - float(wanted)) <= 1e-9
+        pair = (have, wanted)
+        if all(map(_is_number, pair)) and any(isinstance(x, float) for x in pair):
+            match = abs(have - wanted) <= 1e-9
         else:
             match = have == wanted
         if not match:
@@ -477,7 +495,7 @@ def run_scenario(config, output_dir, verbose=False):
         try:
             report, default_ok = TASKS[name](
                 ctx, lambda suffix: outdir / f"{tag}_{suffix}.csv", **_settings(task))
-        except (evolution.IntegrationError, np.linalg.LinAlgError) as exc:
+        except (evolution.IntegrationError, np.linalg.LinAlgError, MemoryError) as exc:
             report = None
             error = {"type": type(exc).__name__, "message": str(exc)}
         task_seconds[tag] = time.time() - t0

@@ -9,9 +9,9 @@ of the lower triangle.  The shift mu = tr(A)/n and the exact 1-norm of
 A - mu I are computed once per evolution, without forming the shifted
 matrix; each interval then takes its step count and Taylor degree from
 the theta table.  Dense `expm` and fixed-step RK4 remain as explicit
-cross-checks.  Trace is never renormalized: trace drift, loss of
-Hermiticity and negative eigenvalues are recorded per output time as
-truncation/integration diagnostics.
+cross-checks.  Trace is never renormalized: trace drift and the
+smallest eigenvalue are recorded per output time as truncation/integration
+diagnostics.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ TAYLOR_THETA = {
 TAYLOR_TOL = 2.0 ** -53
 TRACE_ABORT = 1e-4
 MAX_PRODUCTS = 10 ** 5  # matrix products one evolution may plan
-CONTRACTION_SLACK = 1e-8
 # An interior eigenvalue counts towards the support rank above RANK_RTOL times the largest.
 RANK_RTOL = 1e-8
 
@@ -181,8 +180,8 @@ def evolve_density(superop, rho0, times, method="auto", h=1e-3):
     rho0 must be Hermitian within 1e-10, of trace 1 and PSD within 1e-8;
     it is Hermitized once, and each product mirrors the folded rows
     (`Superoperator.matvec`).  Aborts with IntegrationError when the trace
-    drifts by more than 1e-4.  Stats arrays: trace_err, herm_err (rounding
-    level by construction), min_eig per output time.
+    drifts by more than 1e-4.  Stats arrays: trace_err and min_eig per
+    output time.
     """
     if superop.picture != "schrodinger":
         raise ValueError("evolve_density needs a schrodinger-picture superoperator")
@@ -197,7 +196,7 @@ def evolve_density(superop, rho0, times, method="auto", h=1e-3):
     if np.linalg.eigvalsh(rho0).min() < -1e-8:
         raise ValueError("density matrix has a negative eigenvalue")
     states = []
-    trace_err, herm_err, min_eig = (np.zeros(times.size) for _ in range(3))
+    trace_err, min_eig = np.zeros(times.size), np.zeros(times.size)
     v0 = rho0.reshape(D * D, order="F")
     for i, v in enumerate(_propagate(superop.matrix, v0, times, method, h, superop)):
         rho = v.reshape(D, D, order="F")
@@ -207,32 +206,18 @@ def evolve_density(superop, rho0, times, method="auto", h=1e-3):
                 f"trace error {trace_err[i]:.3e} at t={times[i]:g} exceeds "
                 f"{TRACE_ABORT:g}; integration unstable"
             )
-        herm_err[i] = np.abs(rho - rho.conj().T).max()
         min_eig[i] = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
         states.append(rho)
-    return EvolutionResult(
-        times=times, states=states,
-        stats={"trace_err": trace_err, "herm_err": herm_err, "min_eig": min_eig},
-    )
+    return EvolutionResult(times, states, {"trace_err": trace_err, "min_eig": min_eig})
 
 
 def evolve_vector(ops, psi0, times, method="auto", h=1e-3):
-    """Apply the contraction semigroup e^{tG} to a unit vector.
-
-    Norms are recorded per time; `contraction_ok` is true when they are
-    non-increasing within a 1e-8 slack.
-    """
+    """Apply the contraction semigroup e^{tG} to a unit vector (no stats)."""
     times = _check_times(times)
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
         raise ValueError("psi0 must be a unit vector")
-    states = list(_propagate(ops.G.tocsr(), psi0, times, method, h))
-    norms = np.array([np.linalg.norm(v) for v in states])
-    contraction_ok = bool(np.all(np.diff(norms) <= CONTRACTION_SLACK))
-    return EvolutionResult(
-        times=times, states=states,
-        stats={"norms": norms, "contraction_ok": contraction_ok},
-    )
+    return EvolutionResult(times, list(_propagate(ops.G.tocsr(), psi0, times, method, h)), {})
 
 
 def support_rank(rho, interior_dim):

@@ -108,33 +108,22 @@ class Superoperator:
 def build_operators(model, space):
     """Assemble L_l, G0 = -(1/2) sum L_l†L_l and G = -iH + G0 (H = i (G - G0) is not kept).
 
-    L_l is the `commutators.form_matrix` of the l-th Kraus coefficient
-    row of `commutators.adjoint_action(model)`.  On the truncated space H
-    is exactly Hermitian and G0 exactly negative semidefinite; identities
-    involving products of quadratic operators hold on the interior
-    subspace.
+    Each operator is a `commutators.form_matrix` form or a ladder times one:
+    L_l is the form of the l-th Kraus row of `commutators.adjoint_action`,
+    and H = (P + P†)/2 with P = sum_j a_j† X_j, X_j the form of mode j's
+    Hamiltonian row (zeta_j, Omega_j., kappa_j.).  So on the truncated space
+    H is exactly Hermitian, for every Omega the model admits, and G0 exactly
+    negative semidefinite; identities involving products of quadratic
+    operators hold on the interior subspace.
     """
     if model.d != space.d:
         raise ValueError(f"model has d={model.d}, space has d={space.d}")
     lad = fock.build_ladders(space)
-    d = model.d
-    D = space.D
-    H = sp.csr_matrix((D, D), dtype=complex)
-    for j in range(d):
-        for k in range(d):
-            if model.Omega[j, k] != 0:
-                H = H + model.Omega[j, k] * (lad.adag[j] @ lad.a[k])
-            if model.kappa[j, k] != 0:
-                H = H + 0.5 * model.kappa[j, k] * (lad.adag[j] @ lad.adag[k])
-                H = H + 0.5 * np.conj(model.kappa[j, k]) * (lad.a[j] @ lad.a[k])
-    for j in range(d):
-        if model.zeta[j] != 0:
-            H = H + 0.5 * model.zeta[j] * lad.adag[j]
-            H = H + 0.5 * np.conj(model.zeta[j]) * lad.a[j]
+    rows = np.column_stack([model.zeta, model.Omega, model.kappa])
+    P = sum(adag @ form_matrix(row, lad) for adag, row in zip(lad.adag, rows))
+    H = 0.5 * (P + P.conj().T)
     L = [form_matrix(row, lad) for row in adjoint_action(model).kraus]
-    G0 = sp.csr_matrix((D, D), dtype=complex)
-    for Lop in L:
-        G0 = G0 - 0.5 * (Lop.conj().T @ Lop)
+    G0 = -0.5 * sum(Lop.conj().T @ Lop for Lop in L)
     G = (-1j) * H + G0
     return TruncatedOperators(
         space=space, ladders=lad, G=G.tocsr(), G0=G0.tocsr(),

@@ -362,12 +362,19 @@ def test_shipped_and_benchmark_configs_validate(workload):
         cli.validate_config(config)
 
 
-@pytest.mark.parametrize("error_type", ["IntegrationError", "LinAlgError"])
+@pytest.mark.parametrize("error_type", ["IntegrationError", "LinAlgError", "MemoryError"])
 def test_integration_error_is_a_failed_task(tmp_path, monkeypatch, error_type):
     if error_type == "IntegrationError":
         # at t = 1e6 the evolution would plan more than MAX_PRODUCTS products
         failing = {"name": "evolve", "times": [0, 1e6]}
         message = "matrix products"
+    elif error_type == "MemoryError":
+        # numpy's refusal of a 10^12-sample pass, raised without allocating
+        def refuse(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+        monkeypatch.setattr(diagnostics, "sample_statistics", refuse)
+        failing = {"name": "number-bound", "n_samples": 10 ** 12}
+        message = "Unable to allocate"
     else:
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -488,6 +495,7 @@ def test_empty_sample_fails_validate_and_runs_no_task(tmp_path, capsys, task, po
 
 
 EVOLVE = {"name": "evolve", "times": [0, 0.1]}
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("model, space, tasks, pointer", [
@@ -527,15 +535,31 @@ EVOLVE = {"name": "evolve", "times": [0, 0.1]}
     ({**minimal_config()["model"], "U": [[0.5]]}, {"N_max": 6},
      [{"name": "kossakowski"}, {"name": "invariant", "n_seeds": 1, "starts": [[6]]}],
      "/tasks/1/starts/0"),
+    *[({**minimal_config()["model"], "U": [[0.5]]}, {"N_max": 6},
+       [{"name": "kossakowski"}, task], pointer) for task, pointer in [
+        ({"name": "bogoliubov", "squeeze": 10 ** 400}, "/tasks/1/squeeze"),
+        ({"name": "support", "t": 10 ** 400}, "/tasks/1/t"),
+        ({"name": "support", "t": NAN}, "/tasks/1/t"),
+        ({"name": "support", "t": INF}, "/tasks/1/t"),
+        ({"name": "evolve", "times": [0, 10 ** 400]}, "/tasks/1/times/1"),
+        ({"name": "evolve", "times": [0, NAN]}, "/tasks/1/times/1"),
+        ({"name": "improve", "times": [0.1, 10 ** 400]}, "/tasks/1/times/1"),
+        ({"name": "improve", "times": [NAN]}, "/tasks/1/times/0"),
+        ({"name": "sector", "shift_grid": [0, 10 ** 400]}, "/tasks/1/shift_grid/1"),
+        ({"name": "sector", "shift_grid": [NAN]}, "/tasks/1/shift_grid/0"),
+        ({"name": "sector", "shift_grid": [INF]}, "/tasks/1/shift_grid/0"),
+        ({"name": "kossakowski", "expect": {"eps0": 10 ** 400}}, "/tasks/1/expect/eps0"),
+    ]],
 ])
 def test_dependent_value_fails_validate_and_runs_no_task(tmp_path, capsys, model, space,
                                                          tasks, pointer):
     # a task that needs the other model kind, a bosonic model without its
     # space, a range that a task or the space would refuse, a state outside
     # the truncated basis, a start state outside the interior, a model its
-    # decoder refuses, a space above the dimension cap and a superoperator
-    # above its byte budget are schema errors: `run` stops before the first
-    # task writes its CSV
+    # decoder refuses, a space above the dimension cap, a superoperator
+    # above its byte budget and a task number that is NaN, infinite or beyond
+    # float range are schema errors: `run` stops before the first task
+    # writes its CSV
     config = {"seed": 1, "model": model or minimal_config()["model"], "tasks": tasks}
     if space is not None:
         config["space"] = space
@@ -565,8 +589,6 @@ def test_a_run_decodes_its_model_and_builds_its_space_once(tmp_path, monkeypatch
     assert cli.main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 0
     assert calls == ["model", "space", "lindbladian"]
 
-
-NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize("model, named", [
@@ -623,14 +645,17 @@ def test_unusable_output_dir_is_input_error(tmp_path, capsys):
         assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("offset, passed", [(5e-10, True), (1e-6, False)])
+@pytest.mark.parametrize("offset, passed", [(5e-10, True), (1e-6, False), ("x", False),
+                                            ([1], False)])
 def test_expect_compares_floats_within_1e_9(tmp_path, offset, passed):
-    # eps0 is 0.0 for V = [[1]], U = [[0]]
+    # eps0 is 0.0 for V = [[1]], U = [[0]]; an expectation that is not a
+    # number is compared for equality, so it is a mismatch, not an error
     config = minimal_config(tasks=[{"name": "kossakowski", "expect": {"eps0": offset}}])
     code, report = cli.run_scenario(config, tmp_path)
     task = report["tasks"][0]
     assert task["report"]["eps0"] == 0.0
     assert (code, task["passed"]) == ((0, True) if passed else (2, False))
+    assert (tmp_path / "report.json").exists()
     assert task["expect_mismatches"] == ([] if passed else [
         {"key": "eps0", "expected": offset, "actual": 0.0}])
 

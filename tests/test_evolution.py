@@ -60,7 +60,7 @@ def test_positivity_drift_bounded():
         (space.basis_vector((0,)) + space.basis_vector((2,))) / np.sqrt(2))
     res = evolution.evolve_density(lind, rho0, [0.0, 0.25, 0.5], method="rk4")
     assert res.stats["min_eig"].min() >= -1e-8
-    assert res.stats["herm_err"].max() <= 1e-10
+    assert max(np.abs(rho - rho.conj().T).max() for rho in res.states) <= 1e-10
 
 
 def test_semigroup_property():
@@ -108,8 +108,10 @@ def test_vector_contraction_seeded():
         psi = rng.standard_normal(space.D) + 1j * rng.standard_normal(space.D)
         psi /= np.linalg.norm(psi)
         res = evolution.evolve_vector(ops, psi, [0.0, 0.2, 0.5, 1.0])
-        assert res.stats["contraction_ok"]
-        assert np.all(res.stats["norms"] <= 1.0 + 1e-8)
+        # e^{tG} is a contraction semigroup: the norm never grows
+        norms = np.array([np.linalg.norm(v) for v in res.states])
+        assert np.all(np.diff(norms) <= 1e-8)
+        assert np.all(norms <= 1.0 + 1e-8)
 
 
 def test_times_validation():
@@ -224,7 +226,7 @@ def test_auto_matches_expm_and_rk4_on_a_mixed_state():
     for sa, sb, sc in zip(a.states, b.states, c.states):
         assert np.abs(sa - sb).max() <= 1e-12
         assert np.abs(sa - sc).max() <= 1e-9
-    assert a.stats["herm_err"].max() <= 1e-15
+    assert max(np.abs(rho - rho.conj().T).max() for rho in a.states) <= 1e-15
 
 
 def test_evolution_cost_is_refused_before_the_first_product(monkeypatch):

@@ -47,6 +47,17 @@ def test_linear_hamiltonian_term():
     np.testing.assert_allclose((1j * (ops.G - ops.G0)).toarray(), expected, atol=1e-14)
 
 
+def test_hamiltonian_is_hermitian_for_every_admitted_omega():
+    # Omega is Hermitian only within 4.5e-13, inside the model's tolerance;
+    # H = (P + P†)/2 is Hermitian by construction all the same.
+    Omega = np.array([[1.0, 0.5], [0.5 + 4.5e-13, 1.0]])
+    model = gm.GaussianModel(d=2, Omega=Omega, kappa=[[0.3, 0.1], [0.1, 0.0]],
+                             zeta=[0.2j, 0.0], V=[[1.0, 0.0]], U=[[0.0, 0.5]])
+    ops = generator.build_operators(model, fock.build_space(2, 6))
+    H = (1j * (ops.G - ops.G0)).toarray()
+    assert np.abs(H - H.conj().T).max() <= 1e-14
+
+
 def test_operator_invariants_seeded():
     rng = np.random.default_rng(10)
     for _ in range(10):

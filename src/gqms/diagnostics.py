@@ -205,7 +205,7 @@ def domain_comparison_constants(stats, K, n_samples):
 
 
 def positivity_improving_probe(superop, psis, times, space):
-    """Evolve pure states (`auto` integrator) and report the interior eigen-rank at each time.
+    """Evolve pure states (`evolve_density`) and report the interior eigen-rank at each time.
 
     full is true when the interior block of the evolved state has full
     eigen-rank at evolution.RANK_RTOL, the numerical signature of a
@@ -243,13 +243,15 @@ def invariant_subspace_search(ops, n_seeds, seed, starts=()):
     which stops after the first round that adds nothing; interior_dim
     rounds always suffice.
     """
+    if n_seeds < 0:
+        raise ValueError("n_seeds must be >= 0")
     if n_seeds < 1 and not starts:
         raise ValueError("need n_seeds >= 1 or explicit start vectors")
     space = ops.space
     dim = space.interior_dim()
     mats = [M[:dim, :dim].toarray() for M in (ops.G, *ops.L)]
     rng = np.random.default_rng(seed)
-    vectors = [v for X in sample_blocks(rng, max(0, n_seeds), dim) for v in X.T]
+    vectors = [v for X in sample_blocks(rng, n_seeds, dim) for v in X.T]
     for v in starts:
         v = np.asarray(v, dtype=complex).reshape(space.D)[:dim]
         nv = np.linalg.norm(v)

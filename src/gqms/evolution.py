@@ -1,15 +1,14 @@
 """Time evolution of density matrices and of the vector semigroup e^{tG}.
 
-The default integrator (`method="auto"`) applies the exponential to the
-state once per output interval by `_expm_action`, the truncated-Taylor
-method of Al-Mohy & Higham (SIAM J. Sci. Comput. 33, 2011, Alg. 3.2),
-by products with the sparse matrix itself; a density evolution's
-product is the folded one of its Superoperator followed by the mirror
-of the lower triangle.  The shift mu = tr(A)/n and the exact 1-norm of
-A - mu I are computed once per evolution, without forming the shifted
-matrix; each interval then takes its step count and Taylor degree from
-the theta table.  Dense `expm` and fixed-step RK4 remain as explicit
-cross-checks.  Trace is never renormalized: trace drift and the
+The one integrator applies the exponential to the state once per output
+interval by `_expm_action`, the truncated-Taylor method of Al-Mohy &
+Higham (SIAM J. Sci. Comput. 33, 2011, Alg. 3.2), by products with the
+sparse matrix itself; a density evolution's product is the folded one
+of its Superoperator followed by the mirror of the lower triangle.  The
+shift mu = tr(A)/n and the exact 1-norm of A - mu I are computed once
+per evolution, without forming the shifted matrix; each interval then
+takes its step count and Taylor degree from the theta table.  No dense
+exponential is formed.  Trace is never renormalized: trace drift and the
 smallest eigenvalue are recorded per output time as truncation/integration
 diagnostics.
 """
@@ -21,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-EXPM_MAX_BYTES = 2 ** 30  # dense complex input of method="expm"
 # theta_m: the largest dt ||A||_1 at which m Taylor terms of e^{dt A} meet
 # the backward error TAYLOR_TOL (Al-Mohy & Higham 2011, Table 3.1; the
 # entries m <= 30 are Higham, Functions of Matrices, Table A.3)
@@ -58,23 +56,13 @@ def _check_times(times):
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size == 0:
         raise ValueError("times must be a non-empty 1-D sequence")
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     if times[0] != 0.0:
         raise ValueError("times must start at 0")
     if np.any(np.diff(times) <= 0):
         raise ValueError("times must be strictly increasing")
     return times
-
-
-def _rk4_segment(matvec, v, dt, h):
-    steps = max(1, int(np.ceil(dt / h)))
-    sub = dt / steps
-    for _ in range(steps):
-        k1 = matvec(v)
-        k2 = matvec(v + 0.5 * sub * k1)
-        k3 = matvec(v + 0.5 * sub * k2)
-        k4 = matvec(v + sub * k3)
-        v = v + (sub / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return v
 
 
 def _shift_and_norm(A, superop=None):
@@ -133,48 +121,29 @@ def _expm_action(matvec, v, dt, mu, m, s):
     return F
 
 
-def _propagate(A, v0, times, method, h, superop=None):
+def _propagate(A, v0, times, superop=None):
     """Yield the state vector at each output time under dv/dt = A v, for a
     square CSR A or the folded CSR of `superop` (products by its matvec).
 
-    An evolution that plans more than MAX_PRODUCTS products (sum m s for
-    `auto`, 4 ceil(dt/h) for `rk4`) is refused before the first one.
+    An evolution that plans more than MAX_PRODUCTS products (sum m s over
+    the intervals) is refused before the first one.
     """
-    if method not in ("auto", "expm", "rk4"):
-        raise ValueError(f"unknown method {method!r}")
     matvec = superop.matvec if superop else A.__matmul__
     steps = np.diff(times).tolist()  # Python floats: a huge dt overflows to inf silently
-    planned = 0.0
-    if method == "auto":
-        mu, norm = _shift_and_norm(A, superop)
-        plans = [_taylor_plan(dt, norm) for dt in steps]
-        planned = sum(m * s for m, s in plans)
-    elif method == "rk4":
-        planned = sum(4.0 * max(1.0, float(np.ceil(dt / h))) for dt in steps)
-    else:
-        nbytes = 16 * v0.size ** 2
-        if nbytes > EXPM_MAX_BYTES:
-            raise IntegrationError(
-                f"dense expm needs {nbytes} bytes per copy (limit {EXPM_MAX_BYTES})")
-        import scipy.linalg  # loaded only for dense exponentials
-
-        dense = (superop or A).toarray()
+    mu, norm = _shift_and_norm(A, superop)
+    plans = [_taylor_plan(dt, norm) for dt in steps]
+    planned = sum(m * s for m, s in plans)
     if planned > MAX_PRODUCTS:
         raise IntegrationError(
             f"evolution plans {planned:.3g} matrix products (limit {MAX_PRODUCTS})")
     v = v0
     yield v
-    for i, dt in enumerate(steps):
-        if method == "auto":
-            v = _expm_action(matvec, v, dt, mu, *plans[i])
-        elif method == "expm":
-            v = scipy.linalg.expm(dense * dt) @ v
-        else:
-            v = _rk4_segment(matvec, v, dt, h)
+    for dt, plan in zip(steps, plans):
+        v = _expm_action(matvec, v, dt, mu, *plan)
         yield v
 
 
-def evolve_density(superop, rho0, times, method="auto", h=1e-3):
+def evolve_density(superop, rho0, times):
     """Integrate rho' = L*(rho) from a D x D density array rho0.
 
     rho0 must be Hermitian within 1e-10, of trace 1 and PSD within 1e-8;
@@ -198,7 +167,7 @@ def evolve_density(superop, rho0, times, method="auto", h=1e-3):
     states = []
     trace_err, min_eig = np.zeros(times.size), np.zeros(times.size)
     v0 = rho0.reshape(D * D, order="F")
-    for i, v in enumerate(_propagate(superop.matrix, v0, times, method, h, superop)):
+    for i, v in enumerate(_propagate(superop.matrix, v0, times, superop)):
         rho = v.reshape(D, D, order="F")
         trace_err[i] = abs(np.trace(rho) - 1.0)
         if trace_err[i] > TRACE_ABORT:
@@ -211,13 +180,13 @@ def evolve_density(superop, rho0, times, method="auto", h=1e-3):
     return EvolutionResult(times, states, {"trace_err": trace_err, "min_eig": min_eig})
 
 
-def evolve_vector(ops, psi0, times, method="auto", h=1e-3):
+def evolve_vector(ops, psi0, times):
     """Apply the contraction semigroup e^{tG} to a unit vector (no stats)."""
     times = _check_times(times)
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
         raise ValueError("psi0 must be a unit vector")
-    return EvolutionResult(times, list(_propagate(ops.G.tocsr(), psi0, times, method, h)), {})
+    return EvolutionResult(times, list(_propagate(ops.G.tocsr(), psi0, times)), {})
 
 
 def support_rank(rho, interior_dim):

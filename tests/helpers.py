@@ -1,6 +1,7 @@
-"""Shared seeded samplers for the test suite."""
+"""Shared seeded samplers and references for the test suite."""
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 
 from gqms import model as gm
@@ -87,3 +88,18 @@ def folded_identity(D):
     k, j = np.tril_indices(D)
     return sp.csr_matrix((np.ones(k.size), (np.arange(k.size), k * D + j)),
                          shape=(k.size, D * D))
+
+
+def expm_states(A, v0, times):
+    """e^{t A} v0 at each of `times` by scipy.linalg.expm, one interval at a time.
+
+    A is a sparse generator: ops.G for a vector v0, or the whole
+    Schrodinger `kraus_form_lindbladian` for a D x D density array v0,
+    which is column-stacked and whose states are returned as D x D arrays.
+    """
+    dense = A.toarray()
+    v = np.asarray(v0).reshape(-1, order="F")
+    states = [v]
+    for dt in np.diff(times):
+        states.append(scipy.linalg.expm(dt * dense) @ states[-1])
+    return [state.reshape(np.shape(v0), order="F") for state in states]

@@ -99,11 +99,10 @@ def test_criterion_4_exact_damping_dynamics():
     lind = generator.build_lindbladian(ops, "schrodinger")
     times = np.round(np.linspace(0.0, 2.0, 11), 12)
     rho0 = pure(space.basis_vector((1,)))
-    res = evolution.evolve_density(lind, rho0, times, method="rk4", h=1e-3)
+    res = evolution.evolve_density(lind, rho0, times)
     pop_err = max(abs(res.states[i][1, 1].real - np.exp(-t))
                   for i, t in enumerate(times))
-    vres = evolution.evolve_vector(ops, space.basis_vector((1,)), times,
-                                   method="expm")
+    vres = evolution.evolve_vector(ops, space.basis_vector((1,)), times)
     vec_err = max(np.linalg.norm(vres.states[i]
                                  - np.exp(-t / 2) * space.basis_vector((1,)))
                   for i, t in enumerate(times))

@@ -672,9 +672,9 @@ def test_verbose_run_prints_each_task(tmp_path, capsys):
         f"task failures; report at {out / 'report.json'}"]
 
 
-# Runs the tasks that need no exponential in a fresh interpreter, then the
-# ones that do; prints which of the two stages found scipy.linalg loaded and
-# the bytes of a method="expm" density evolution.
+# Runs the tasks that need no exponential and one density evolution in a
+# fresh interpreter, then the tasks that do; prints which of the two stages
+# found scipy.linalg loaded and the bytes of the evolved state.
 FOOTPRINT = """
 import json, sys
 import numpy as np
@@ -682,13 +682,12 @@ import gqms, gqms.cli
 from gqms import cli, evolution
 configs, out = json.loads(sys.argv[1]), sys.argv[2]
 cli.run_scenario(configs[0], out + "/plain")
+ctx = cli.RunContext(configs[0])
+vacuum = ctx.space.vacuum()
+result = evolution.evolve_density(ctx.lindbladian, np.outer(vacuum, vacuum.conj()), [0.0, 0.1])
 plain = "scipy.linalg" in sys.modules
 for i, config in enumerate(configs[1:]):
     cli.run_scenario(config, f"{out}/expm{i}")
-ctx = cli.RunContext(configs[0])
-vacuum = ctx.space.vacuum()
-result = evolution.evolve_density(ctx.lindbladian, np.outer(vacuum, vacuum.conj()),
-                                  [0.0, 0.1], method="expm")
 print(json.dumps({"plain": plain, "expm": "scipy.linalg" in sys.modules,
                   "rho": result.states[-1].tobytes().hex()}))
 """
@@ -709,12 +708,6 @@ def test_scipy_linalg_loads_only_for_exponentials(tmp_path):
                           capture_output=True, text=True, env=env, check=True)
     fresh = json.loads(done.stdout.splitlines()[-1])
     assert fresh["plain"] is False and fresh["expm"] is True
-    # the same bytes as in this process, where scipy.linalg is loaded
-    ctx = cli.RunContext(configs[0])
-    vacuum = ctx.space.vacuum()
-    rho = evolution.evolve_density(ctx.lindbladian, np.outer(vacuum, vacuum.conj()),
-                                   [0.0, 0.1], method="expm").states[-1]
-    assert rho.tobytes().hex() == fresh["rho"]
     for i, config in enumerate(configs[1:]):
         cli.run_scenario(config, tmp_path / f"here{i}")
         for path in (tmp_path / f"here{i}").iterdir():
@@ -723,6 +716,13 @@ def test_scipy_linalg_loads_only_for_exponentials(tmp_path):
                 ours, theirs = ({k: v for k, v in json.loads(text).items() if k != "timestamps"}
                                 for text in (ours, theirs))
             assert ours == theirs
+    # the same bytes as in this process, where scipy.linalg is loaded now
+    assert "scipy.linalg" in sys.modules
+    ctx = cli.RunContext(configs[0])
+    vacuum = ctx.space.vacuum()
+    rho = evolution.evolve_density(ctx.lindbladian, np.outer(vacuum, vacuum.conj()),
+                                   [0.0, 0.1]).states[-1]
+    assert rho.tobytes().hex() == fresh["rho"]
 
 
 def test_readme_task_table_matches_signatures():

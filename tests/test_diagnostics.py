@@ -160,6 +160,20 @@ def test_invariant_search_damping_vacuum_witness():
     assert abs(abs(np.vdot(closure[:, 0], space.vacuum()[:dim])) - 1.0) <= 1e-10
 
 
+@pytest.mark.parametrize("n_seeds, with_start, message", [
+    (-5, True, "n_seeds must be >= 0"),
+    (-1, False, "n_seeds must be >= 0"),
+    (0, False, "need n_seeds >= 1 or explicit start vectors"),
+])
+def test_invariant_search_refuses_a_seed_count(n_seeds, with_start, message):
+    model = gm.quadratic_free_model(1, V=[[1.0]], U=[[0.0]])
+    space = fock.build_space(1, 6)
+    ops = generator.build_operators(model, space)
+    starts = [space.vacuum()] if with_start else ()
+    with pytest.raises(ValueError, match=message):
+        diagnostics.invariant_subspace_search(ops, n_seeds, 0, starts=starts)
+
+
 def test_invariant_search_trivial_two_level_space():
     model = gm.quadratic_free_model(1, V=[[1.0], [0.0]], U=[[0.0], [1.0]])
     space = fock.build_space(1, 1, interior_margin=0)

@@ -7,7 +7,8 @@ import scipy.sparse.linalg
 
 from gqms import cli, evolution, fock, generator
 from gqms import model as gm
-from helpers import folded_identity, kraus_form_lindbladian, pure, strictly_positive_model
+from helpers import (expm_states, folded_identity, kraus_form_lindbladian, pure,
+                     strictly_positive_model)
 
 
 def damping_setup(N_max=6):
@@ -22,18 +23,9 @@ def test_damping_population_decay_expm():
     space, ops, lind = damping_setup()
     rho0 = pure(space.basis_vector((1,)))
     times = np.linspace(0.0, 2.0, 9)
-    res = evolution.evolve_density(lind, rho0, times, method="expm")
+    res = evolution.evolve_density(lind, rho0, times)
     for i, t in enumerate(times):
         assert abs(res.states[i][1, 1].real - np.exp(-t)) <= 1e-10
-
-
-def test_damping_population_decay_rk4():
-    space, ops, lind = damping_setup()
-    rho0 = pure(space.basis_vector((1,)))
-    times = [0.0, 0.5, 1.0]
-    res = evolution.evolve_density(lind, rho0, times, method="rk4", h=1e-3)
-    for i, t in enumerate(times):
-        assert abs(res.states[i][1, 1].real - np.exp(-t)) <= 1e-6
 
 
 def test_initial_state_returned_exactly():
@@ -58,7 +50,7 @@ def test_positivity_drift_bounded():
     space, ops, lind = damping_setup()
     rho0 = pure(
         (space.basis_vector((0,)) + space.basis_vector((2,))) / np.sqrt(2))
-    res = evolution.evolve_density(lind, rho0, [0.0, 0.25, 0.5], method="rk4")
+    res = evolution.evolve_density(lind, rho0, [0.0, 0.25, 0.5])
     assert res.stats["min_eig"].min() >= -1e-8
     assert max(np.abs(rho - rho.conj().T).max() for rho in res.states) <= 1e-10
 
@@ -70,29 +62,15 @@ def test_semigroup_property():
     ops = generator.build_operators(model, space)
     lind = generator.build_lindbladian(ops, "schrodinger")
     rho0 = pure(space.vacuum())
-    direct = evolution.evolve_density(lind, rho0, [0.0, 0.3], method="expm")
-    stepped = evolution.evolve_density(lind, rho0, [0.0, 0.1, 0.3], method="expm")
+    direct = evolution.evolve_density(lind, rho0, [0.0, 0.3])
+    stepped = evolution.evolve_density(lind, rho0, [0.0, 0.1, 0.3])
     assert np.abs(direct.states[-1] - stepped.states[-1]).max() <= 1e-6
-
-
-def test_rk4_matches_expm():
-    rng = np.random.default_rng(23)
-    model = strictly_positive_model(rng, 1)
-    space = fock.build_space(1, 6)
-    ops = generator.build_operators(model, space)
-    lind = generator.build_lindbladian(ops, "schrodinger")
-    rho0 = pure(space.basis_vector((1,)))
-    times = [0.0, 0.2, 0.4]
-    a = evolution.evolve_density(lind, rho0, times, method="expm")
-    b = evolution.evolve_density(lind, rho0, times, method="rk4", h=1e-3)
-    for sa, sb in zip(a.states, b.states):
-        assert np.abs(sa - sb).max() <= 1e-9
 
 
 def test_vector_semigroup_diagonal():
     space, ops, lind = damping_setup()
     e1 = space.basis_vector((1,))
-    res = evolution.evolve_vector(ops, e1, [0.0, 0.5, 1.0], method="expm")
+    res = evolution.evolve_vector(ops, e1, [0.0, 0.5, 1.0])
     for i, t in enumerate(res.times):
         np.testing.assert_allclose(res.states[i], np.exp(-t / 2) * e1, atol=1e-12)
     vac = evolution.evolve_vector(ops, space.vacuum(), [0.0, 1.0])
@@ -123,6 +101,11 @@ def test_times_validation():
         evolution.evolve_density(lind, rho0, [0.0, 0.2, 0.2])
     with pytest.raises(ValueError):
         evolution.evolve_vector(ops, 2.0 * space.vacuum(), [0.0, 1.0])
+    for times in ([0.0, np.nan], [0.0, np.inf], [0.0, 1.0, np.inf], [-np.inf, 0.0]):
+        with pytest.raises(ValueError, match="times must be finite"):
+            evolution.evolve_density(lind, rho0, times)
+        with pytest.raises(ValueError, match="times must be finite"):
+            evolution.evolve_vector(ops, space.vacuum(), times)
 
 
 def test_invalid_initial_state_rejected():
@@ -153,32 +136,8 @@ def test_trace_instability_aborts():
         matrix=(lind.matrix + 0.5 * folded_identity(space.D)).tocsr(),
         picture="schrodinger", dim=space.D)
     rho0 = pure(space.vacuum())
-    with pytest.raises(evolution.IntegrationError):
-        evolution.evolve_density(broken, rho0, [0.0, 1.0, 2.0], method="rk4", h=0.05)
-
-
-def test_expm_dimension_guard():
-    big = 101 ** 2
-    superop = generator.Superoperator(
-        matrix=folded_identity(101),
-        picture="schrodinger", dim=101)
-    rho0 = np.zeros((101, 101), dtype=complex)
-    rho0[0, 0] = 1.0
-    with pytest.raises(evolution.IntegrationError):
-        evolution.evolve_density(superop, rho0, [0.0, 0.1], method="expm")
-
-
-def test_expm_guard_counts_bytes():
-    # D = 91 is the smallest density dimension whose dense D^2 x D^2
-    # complex superoperator exceeds the byte budget
-    assert 16 * (90 ** 2) ** 2 <= evolution.EXPM_MAX_BYTES < 16 * (91 ** 2) ** 2
-    superop = generator.Superoperator(
-        matrix=folded_identity(91),
-        picture="schrodinger", dim=91)
-    rho0 = np.zeros((91, 91), dtype=complex)
-    rho0[0, 0] = 1.0
-    with pytest.raises(evolution.IntegrationError, match=f"{16 * 91 ** 4} bytes"):
-        evolution.evolve_density(superop, rho0, [0.0, 0.1], method="expm")
+    with pytest.raises(evolution.IntegrationError, match="at t=1 exceeds"):
+        evolution.evolve_density(broken, rho0, [0.0, 1.0, 2.0])
 
 
 def seeded_lindbladian(seed, d, N_max):
@@ -188,27 +147,18 @@ def seeded_lindbladian(seed, d, N_max):
     return space, ops, generator.build_lindbladian(ops, "schrodinger")
 
 
-def test_auto_matches_rk4_above_former_dense_cap():
-    space, ops, lind = seeded_lindbladian(31, 2, 13)
-    assert space.D ** 2 > 10 ** 4
-    rho0 = pure(space.vacuum())
-    a = evolution.evolve_density(lind, rho0, [0.0, 0.1])
-    b = evolution.evolve_density(lind, rho0, [0.0, 0.1], method="rk4", h=1e-3)
-    assert np.abs(a.states[-1] - b.states[-1]).max() <= 1e-9
-
-
 def test_auto_matches_expm_small():
     space, ops, lind = seeded_lindbladian(32, 1, 6)
     assert space.D == 7
     rho0 = pure(space.basis_vector((1,)))
     times = [0.0, 0.1, 0.5, 1.0]
     a = evolution.evolve_density(lind, rho0, times)
-    b = evolution.evolve_density(lind, rho0, times, method="expm")
-    for sa, sb in zip(a.states, b.states):
+    b = expm_states(kraus_form_lindbladian(ops, "schrodinger"), rho0, times)
+    for sa, sb in zip(a.states, b):
         assert np.abs(sa - sb).max() <= 1e-12
     va = evolution.evolve_vector(ops, space.vacuum(), times)
-    vb = evolution.evolve_vector(ops, space.vacuum(), times, method="expm")
-    for xa, xb in zip(va.states, vb.states):
+    vb = expm_states(ops.G, space.vacuum(), times)
+    for xa, xb in zip(va.states, vb):
         assert np.abs(xa - xb).max() <= 1e-12
 
 
@@ -221,11 +171,9 @@ def test_auto_matches_expm_and_rk4_on_a_mixed_state():
     rho0 /= np.trace(rho0)
     times = [0.0, 0.1, 0.3]
     a = evolution.evolve_density(lind, rho0, times)
-    b = evolution.evolve_density(lind, rho0, times, method="expm")
-    c = evolution.evolve_density(lind, rho0, times, method="rk4", h=1e-3)
-    for sa, sb, sc in zip(a.states, b.states, c.states):
+    b = expm_states(kraus_form_lindbladian(ops, "schrodinger"), rho0, times)
+    for sa, sb in zip(a.states, b):
         assert np.abs(sa - sb).max() <= 1e-12
-        assert np.abs(sa - sc).max() <= 1e-9
     assert max(np.abs(rho - rho.conj().T).max() for rho in a.states) <= 1e-15
 
 
@@ -234,7 +182,6 @@ def test_evolution_cost_is_refused_before_the_first_product(monkeypatch):
         raise AssertionError("a product was taken")
 
     monkeypatch.setattr(evolution, "_expm_action", refuse)
-    monkeypatch.setattr(evolution, "_rk4_segment", refuse)
     space, ops, lind = damping_setup()
     rho0 = pure(space.vacuum())
     for t in (1e6, 1e308):
@@ -242,14 +189,21 @@ def test_evolution_cost_is_refused_before_the_first_product(monkeypatch):
             evolution.evolve_density(lind, rho0, [0.0, t])
         with pytest.raises(evolution.IntegrationError, match="products"):
             evolution.evolve_vector(ops, space.vacuum(), [0.0, t])
+    # an evolution plans m s products per interval: exactly MAX_PRODUCTS is admitted
+    times = [0.0, 1.0, 3.0]
+    for run, A, superop in (
+            (lambda: evolution.evolve_density(lind, rho0, times), lind.matrix, lind),
+            (lambda: evolution.evolve_vector(ops, space.vacuum(), times), ops.G, None)):
+        norm = evolution._shift_and_norm(A, superop)[1]
+        planned = sum(m * s for m, s in (evolution._taylor_plan(dt, norm)
+                                         for dt in np.diff(times).tolist()))
+        assert planned > 1
+        monkeypatch.setattr(evolution, "MAX_PRODUCTS", planned)
+        with pytest.raises(AssertionError):
+            run()
+        monkeypatch.setattr(evolution, "MAX_PRODUCTS", planned - 1)
         with pytest.raises(evolution.IntegrationError, match="products"):
-            evolution.evolve_density(lind, rho0, [0.0, t], method="rk4", h=0.5)
-    # rk4 plans 4 ceil(dt / h) products: exactly MAX_PRODUCTS is admitted
-    t = evolution.MAX_PRODUCTS / 4 * 0.5
-    with pytest.raises(AssertionError):
-        evolution.evolve_density(lind, rho0, [0.0, t], method="rk4", h=0.5)
-    with pytest.raises(evolution.IntegrationError, match="products"):
-        evolution.evolve_density(lind, rho0, [0.0, t + 0.5], method="rk4", h=0.5)
+            run()
 
 
 def test_auto_scaling_steps_match_expm():
@@ -261,12 +215,12 @@ def test_auto_scaling_steps_match_expm():
     times = [0.0, 1.0, 5.0]
     rho0 = pure(space.basis_vector((1,)))
     a = evolution.evolve_density(lind, rho0, times)
-    b = evolution.evolve_density(lind, rho0, times, method="expm")
-    for sa, sb in zip(a.states, b.states):
+    b = expm_states(kraus_form_lindbladian(ops, "schrodinger"), rho0, times)
+    for sa, sb in zip(a.states, b):
         assert np.abs(sa - sb).max() <= 1e-12
     va = evolution.evolve_vector(ops, space.basis_vector((2,)), times)
-    vb = evolution.evolve_vector(ops, space.basis_vector((2,)), times, method="expm")
-    for xa, xb in zip(va.states, vb.states):
+    vb = expm_states(ops.G, space.basis_vector((2,)), times)
+    for xa, xb in zip(va.states, vb):
         assert np.abs(xa - xb).max() <= 1e-12
 
 
@@ -343,7 +297,7 @@ def test_auto_never_builds_dense_exponential(monkeypatch):
     evolution.evolve_density(lind, rho0, [0.0, 0.1, 0.2])
     evolution.evolve_vector(ops, space.vacuum(), [0.0, 0.1, 0.2])
     with pytest.raises(AssertionError):
-        evolution.evolve_density(lind, rho0, [0.0, 0.1], method="expm")
+        expm_states(ops.G, space.vacuum(), [0.0, 0.1])
 
 
 def test_timeseries_csv_export(tmp_path):

@@ -67,6 +67,16 @@ PLOTS = {"improve": list(PIVOTS), "sector": ["numerical-range-scatter"]}
 FINITE_TASKS = ("fd-probe", "fd-derivative")
 # the tasks that evolve density states under the superoperator `lindbladian`
 DENSITY_TASKS = ("evolve", "support", "improve")
+# the times of the fd-probe task
+FD_TIMES = (0.01, 0.1, 1.0)
+# Matrix products per item of a count setting; the items of one task may
+# take evolution.MAX_PRODUCTS in all.  A sample is applied to G0, N and G,
+# and a pair of fd-probe (fd-derivative) to the propagator of each of its
+# times (finite-difference steps).  An `invariant` seed's closure applies G
+# and every L_l to each of its at most interior_dim vectors (checked in
+# _dependent_errors).
+SAMPLE_PRODUCTS = 3
+PAIR_PRODUCTS = {"fd-probe": len(FD_TIMES), "fd-derivative": 2}
 # `additionalProperties` that rejects every extra key, as `false` does, but
 # reports each one at its own JSON pointer
 UNKNOWN_KEY = {"not": {}}
@@ -112,7 +122,13 @@ class RunContext:
 
     @cached_property
     def lindbladian(self):
-        return generator.build_lindbladian(self.ops, picture="schrodinger")
+        """The Schrodinger superoperator, refused over its byte budget for an
+        evolution keeping the most states any of DENSITY_TASKS keeps: its time
+        grid with t = 0."""
+        settings = [{**TASK_PARAMS[task["name"]], **task}
+                    for task in self.config["tasks"] if task["name"] in DENSITY_TASKS]
+        grids = [{0, *s["times"]} if "times" in s else {0, s["t"]} for s in settings]
+        return generator.build_lindbladian(self.ops, "schrodinger", max(map(len, grids), default=0))
 
     @cached_property
     def action(self):
@@ -298,7 +314,7 @@ def task_sector(ctx, out, n_samples=200, shift_grid=diagnostics.SHIFT_GRID, plot
 
 
 def task_fd_probe(ctx, out, n_pairs=200):
-    minimum = fd.fd_positivity_probe(ctx.model, (0.01, 0.1, 1.0), n_pairs, ctx.seed)
+    minimum = fd.fd_positivity_probe(ctx.model, FD_TIMES, n_pairs, ctx.seed)
     report = {"min_value": minimum, "positive": bool(minimum > 1e-12)}
     return report, report["positive"]
 
@@ -357,7 +373,8 @@ CONFIG_SCHEMA = _closed(["seed", "model", "tasks"], {
 })
 VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 # validators of the model by kind and of a task by name, each closed to its
-# function's signature; sample and pair counts are at least 1, `times` (of
+# function's signature; sample and pair counts are at least 1 and within
+# the product budget (SAMPLE_PRODUCTS, PAIR_PRODUCTS), `times` (of
 # non-negative numbers), `initials` and a `shift_grid` list are not empty,
 # `t` is positive, a state is "vacuum" or an occupation (non-negative
 # integers), and the count of seeded start vectors is at least 0, or at
@@ -375,7 +392,9 @@ MODEL_VALIDATORS = {
 TASK_VALIDATORS = {
     name: jsonschema.Draft202012Validator({**SEEDS_OR_STARTS, **_signature_schema(
         fn, 2, {"name": {}, "expect": {"type": "object"}},
-        {"n_samples": COUNT, "n_pairs": COUNT, "n_seeds": {"type": "integer", "minimum": 0},
+        {"n_samples": {**COUNT, "maximum": evolution.MAX_PRODUCTS // SAMPLE_PRODUCTS},
+         "n_pairs": {**COUNT, "maximum": evolution.MAX_PRODUCTS // PAIR_PRODUCTS.get(name, 1)},
+         "n_seeds": {"type": "integer", "minimum": 0},
          "times": {**NONEMPTY, "items": {"type": "number", "minimum": 0}},
          "t": {"type": "number", "exclusiveMinimum": 0}, "initial": STATE,
          "initials": {**NONEMPTY, "items": STATE}, "starts": {"type": "array", "items": STATE},
@@ -430,6 +449,13 @@ def _dependent_errors(ctx):
                 yield ["tasks", i, *at], f"occupation {tuple(n)} not in the truncated basis"
             elif at[0] == "starts" and sum(n) > ctx.space.N_max - ctx.space.interior_margin:
                 yield ["tasks", i, *at], "start vector has no interior component"
+        if task["name"] == "invariant" and basis is not None:
+            n_seeds = _settings(task)["n_seeds"]
+            products = n_seeds * ctx.space.interior_dim() * (1 + len(ctx.action.kraus))
+            if products > evolution.MAX_PRODUCTS:
+                yield ["tasks", i, "n_seeds"], (
+                    f"{n_seeds} seed closures may take {products} matrix products "
+                    f"(limit {evolution.MAX_PRODUCTS})")
         times = task.get("times")
         if task["name"] == "evolve" and times is not None and (
                 times[0] != 0 or any(b <= a for a, b in zip(times, times[1:]))):

@@ -232,6 +232,7 @@ def positivity_improving_probe(superop, psis, times, space):
                 t=t, rank=rank, min_interior_eig=min_eig,
                 full=bool(rank == dim), psi_index=idx,
             ))
+        del result  # before the next evolution keeps its states
     return reports
 
 

@@ -3,13 +3,15 @@
 The one integrator applies the exponential to the state once per output
 interval by `_expm_action`, the truncated-Taylor method of Al-Mohy &
 Higham (SIAM J. Sci. Comput. 33, 2011, Alg. 3.2), by products with the
-sparse matrix itself; a density evolution's product is the folded one
-of its Superoperator followed by the mirror of the lower triangle.  The
-shift mu = tr(A)/n and the exact 1-norm of A - mu I are computed once
-per evolution, without forming the shifted matrix; each interval then
-takes its step count and Taylor degree from the theta table.  No dense
-exponential is formed.  Trace is never renormalized: trace drift and the
-smallest eigenvalue are recorded per output time as truncation/integration
+generator itself: the sparse G for a vector, and for a density matrix
+its Superoperator's `matvec`, the folded dissipator plus the drift's
+product with the state, mirrored into the lower triangle.  The shift
+mu = tr(A)/n and the exact 1-norm of A - mu I are computed once per
+generator, without forming the shifted matrix (a Superoperator's in
+closed form, its cached `shift_and_norm`); each interval then takes its
+step count and Taylor degree from the theta table.  No dense exponential
+is formed.  Trace is never renormalized: trace drift and the smallest
+eigenvalue are recorded per output time as truncation/integration
 diagnostics.
 """
 
@@ -18,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 # theta_m: the largest dt ||A||_1 at which m Taylor terms of e^{dt A} meet
 # the backward error TAYLOR_TOL (Al-Mohy & Higham 2011, Table 3.1; the
@@ -35,6 +36,12 @@ TAYLOR_THETA = {
 TAYLOR_TOL = 2.0 ** -53
 TRACE_ABORT = 1e-4
 MAX_PRODUCTS = 10 ** 5  # matrix products one evolution may plan
+# D x D complex arrays an evolve_density holds beside its kept states (the
+# last of them the Taylor sum) while a product is taken: the term it reads,
+# mu times that term, and two in `Superoperator.matvec` (the drift's product
+# and the folded rows, then the output and the folded rows with their
+# conjugates)
+DENSITY_COPIES = 4
 # An interior eigenvalue counts towards the support rank above RANK_RTOL times the largest.
 RANK_RTOL = 1e-8
 
@@ -65,29 +72,17 @@ def _check_times(times):
     return times
 
 
-def _shift_and_norm(A, superop=None):
-    """mu = tr/n and the exact 1-norm of the shifted generator of a CSR A.
+def _shift_and_norm(A):
+    """mu = tr(A)/n and the exact 1-norm of A - mu I for a square CSR A.
 
-    A is square, or the folded CSR of `superop`, whose column c = k D + j
-    sums column c of the stored rows and column j D + k of the stored rows
-    j < k, and whose mu is real.  a_cc is read from the CSR arrays and |A| reads
-    them as CSC (no index array is copied or widened); the column sums are
-    corrected by |a_cc - mu| - |a_cc|, so the shifted matrix is never formed.
+    The column sums of |A| are corrected by |a_cc - mu| - |a_cc|, so the
+    shifted matrix is never formed.
     """
-    n_rows, n = A.shape
-    rows, mirrors = superop.fold if superop else (np.arange(n),) * 2
-    strict = rows != mirrors
-    sums = (sp.csc_matrix((np.abs(A.data), A.indices, A.indptr), shape=(n, n_rows))
-            @ np.column_stack([np.ones(n_rows), strict]))
-    diag = np.zeros(n_rows, dtype=complex)
-    hits = np.flatnonzero(A.indices == np.repeat(rows.astype(np.int32), np.diff(A.indptr)))
-    diag[np.searchsorted(A.indptr, hits, side="right") - 1] = A.data[hits]
-    mu = (diag.real.sum() + diag.real[strict].sum()) / n if superop else diag.sum() / n
-    colsums = sums[:, 0] + (sums[:, 1].reshape(superop.dim, -1).T.ravel() if superop else 0.0)
-    shift = np.abs(diag - mu) - np.abs(diag)
-    colsums[mirrors] += shift
-    colsums[rows[strict]] += shift[strict]
-    return mu, float(colsums.max())
+    n = A.shape[0]
+    diag = A.diagonal()
+    mu = diag.sum() / n
+    sums = np.bincount(A.indices, np.abs(A.data), minlength=n)
+    return mu, float((sums + (np.abs(diag - mu) - np.abs(diag))).max())
 
 
 def _taylor_plan(dt, norm):
@@ -104,33 +99,36 @@ def _expm_action(matvec, v, dt, mu, m, s):
     s steps of the degree-m Taylor polynomial of e^{(dt/s)(A - mu I)}, each
     scaled by e^{dt mu/s}.  A step stops adding terms once the infinity
     norms of the last two are at most TAYLOR_TOL times that of the sum.
+    Each term is made in the buffer its product returns; v is not written.
     """
     eta = np.exp(dt * mu / s)
-    F = v
+    F, shifted = v.copy(), np.empty_like(v)
     for _ in range(int(s)):
         c1 = np.abs(v).max()
         for j in range(m):
-            v = (dt / (s * (j + 1))) * (matvec(v) - mu * v)
+            term = matvec(v)
+            term -= np.multiply(mu, v, out=shifted)
+            term *= dt / (s * (j + 1))
+            v = term
             c2 = np.abs(v).max()
-            F = F + v
+            F += v
             if c1 + c2 <= TAYLOR_TOL * np.abs(F).max():
                 break
             c1 = c2
-        F = eta * F
-        v = F
+        F *= eta
+        v = F  # read, not written, by the next step's first product
     return F
 
 
-def _propagate(A, v0, times, superop=None):
-    """Yield the state vector at each output time under dv/dt = A v, for a
-    square CSR A or the folded CSR of `superop` (products by its matvec).
+def _propagate(matvec, shift_and_norm, v0, times):
+    """Yield the state vector at each output time under dv/dt = A v, given
+    matvec(v) = A v and (mu, ||A - mu I||_1).
 
     An evolution that plans more than MAX_PRODUCTS products (sum m s over
     the intervals) is refused before the first one.
     """
-    matvec = superop.matvec if superop else A.__matmul__
     steps = np.diff(times).tolist()  # Python floats: a huge dt overflows to inf silently
-    mu, norm = _shift_and_norm(A, superop)
+    mu, norm = shift_and_norm
     plans = [_taylor_plan(dt, norm) for dt in steps]
     planned = sum(m * s for m, s in plans)
     if planned > MAX_PRODUCTS:
@@ -143,14 +141,23 @@ def _propagate(A, v0, times, superop=None):
         yield v
 
 
+def density_bytes(D, nnz, states):
+    """Peak bytes of an `evolve_density` that keeps `states` states on a
+    folded CSR of nnz entries: the CSR (20 B per entry, 4 B per row
+    pointer), the fold (two int64 vec indices per stored row) and
+    `states` + DENSITY_COPIES D x D complex arrays."""
+    n = D * (D + 1) // 2
+    return 20 * nnz + 4 * (n + 1) + 16 * n + 16 * D * D * (states + DENSITY_COPIES)
+
+
 def evolve_density(superop, rho0, times):
     """Integrate rho' = L*(rho) from a D x D density array rho0.
 
     rho0 must be Hermitian within 1e-10, of trace 1 and PSD within 1e-8;
-    it is Hermitized once, and each product mirrors the folded rows
-    (`Superoperator.matvec`).  Aborts with IntegrationError when the trace
-    drifts by more than 1e-4.  Stats arrays: trace_err and min_eig per
-    output time.
+    it is Hermitized once, and each product is `Superoperator.matvec`.
+    Aborts with IntegrationError when the trace drifts by more than 1e-4.
+    Stats arrays: trace_err and min_eig per output time; min_eig at t = 0
+    is that of the PSD check.
     """
     if superop.picture != "schrodinger":
         raise ValueError("evolve_density needs a schrodinger-picture superoperator")
@@ -162,12 +169,14 @@ def evolve_density(superop, rho0, times):
     if abs(np.trace(rho0) - 1.0) > 1e-8:
         raise ValueError("density matrix trace differs from 1")
     rho0 = 0.5 * (rho0 + rho0.conj().T)
-    if np.linalg.eigvalsh(rho0).min() < -1e-8:
+    min_eig0 = np.linalg.eigvalsh(rho0).min()
+    if min_eig0 < -1e-8:
         raise ValueError("density matrix has a negative eigenvalue")
     states = []
     trace_err, min_eig = np.zeros(times.size), np.zeros(times.size)
     v0 = rho0.reshape(D * D, order="F")
-    for i, v in enumerate(_propagate(superop.matrix, v0, times, superop)):
+    del rho0  # v0 is its copy
+    for i, v in enumerate(_propagate(superop.matvec, superop.shift_and_norm, v0, times)):
         rho = v.reshape(D, D, order="F")
         trace_err[i] = abs(np.trace(rho) - 1.0)
         if trace_err[i] > TRACE_ABORT:
@@ -175,7 +184,7 @@ def evolve_density(superop, rho0, times):
                 f"trace error {trace_err[i]:.3e} at t={times[i]:g} exceeds "
                 f"{TRACE_ABORT:g}; integration unstable"
             )
-        min_eig[i] = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
+        min_eig[i] = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() if i else min_eig0
         states.append(rho)
     return EvolutionResult(times, states, {"trace_err": trace_err, "min_eig": min_eig})
 
@@ -186,7 +195,9 @@ def evolve_vector(ops, psi0, times):
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
     if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
         raise ValueError("psi0 must be a unit vector")
-    return EvolutionResult(times, list(_propagate(ops.G.tocsr(), psi0, times)), {})
+    G = ops.G.tocsr()
+    states = list(_propagate(G.__matmul__, _shift_and_norm(G), psi0, times))
+    return EvolutionResult(times, states, {})
 
 
 def support_rank(rho, interior_dim):

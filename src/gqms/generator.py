@@ -7,17 +7,19 @@ Fock space, together with the vectorized generator in either picture:
     Schrodinger:  rho -> G rho + rho G† + sum_l L_l rho L_l†
     Heisenberg:   x   -> G† x + x G + sum_l L_l† x L_l
 
-The dissipator is assembled in its Kossakowski (GKS) form
+Only the dissipator is assembled, in its Kossakowski (GKS) form
 sum_pq K_qp s_p rho s_q† over the ladder operators
 s = (a_1..a_d, a_1†..a_d†), by `gkls_superoperator`, the one GKLS
 assembly of the package (finite_dim passes its Kossakowski pairs to it).
+The drift X (G, or G† in the Heisenberg picture) stays a D x D CSR and
+acts on the state as X H + (X H)† for Hermitian H.
 Vectorization is by column stacking, vec(A X B) = (B^T kron A) vec(X).
 Both generators are *-maps, L(X†) = L(X)†, so only the D(D+1)/2 rows
-of the upper-triangle entries are assembled and stored; `Superoperator`
-unfolds the rest.  The stored rows are assembled in blocks of at most
-ASSEMBLY_BLOCK triplets, bit-identical to one conversion of all of them.
-Sparse entries are kept exactly as assembled (no drop thresholding); only
-exact zeros of the summed result are dropped.
+of the upper-triangle entries of the dissipator are assembled and
+stored; `Superoperator` unfolds the rest.  The stored rows are assembled
+in blocks of at most ASSEMBLY_BLOCK triplets, bit-identical to one
+conversion of all of them.  Sparse entries are kept exactly as assembled
+(no drop thresholding); only exact zeros of the summed result are dropped.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from . import fock
+from . import evolution, fock
 from . import model as gm
 from .commutators import adjoint_action, form_matrix
 
 PICTURES = ("schrodinger", "heisenberg")
-ASSEMBLY_MAX_BYTES = 2 ** 31  # peak of the assembly (see gkls_superoperator)
+ASSEMBLY_MAX_BYTES = 2 ** 31  # peak of the assembly, and of an evolution (see gkls_superoperator)
 ASSEMBLY_BLOCK = 2 ** 17  # triplets written and made CSR at a time
 
 
@@ -62,14 +64,19 @@ class TruncatedOperators:
 
 @dataclass(frozen=True, eq=False)
 class Superoperator:
-    """Vectorized Hermiticity-preserving generator on D x D matrices, folded.
+    """Vectorized Hermiticity-preserving generator on D x D matrices: a drift
+    and a folded dissipator.
 
-    L(X†) = L(X)†: the row of entry (k, j) is that of (j, k) conjugated,
-    with the columns b D + a and a D + b swapped.  So `matrix` holds only
-    the D(D+1)/2 rows (j, k), j <= k, in increasing vec index k D + j.
+    The generator is A(R) = X R + R X† + dissipator(R) with the D x D CSR
+    `drift` X.  The dissipator is a *-map: the row of entry (k, j) is that
+    of (j, k) conjugated, with the columns b D + a and a D + b swapped.  So
+    `matrix` holds only its D(D+1)/2 rows (j, k), j <= k, in increasing vec
+    index k D + j; `trace` is the trace of the whole D^2 x D^2 dissipator.
     """
 
     matrix: sp.spmatrix
+    drift: sp.spmatrix
+    trace: float
     picture: str
     dim: int
 
@@ -79,29 +86,97 @@ class Superoperator:
         k, j = np.tril_indices(self.dim)
         return k * self.dim + j, j * self.dim + k
 
+    @cached_property
+    def _conj_drift(self):
+        return self.drift.conj()
+
+    @cached_property
+    def _diagonal_rows(self):
+        """The stored rows (k, k), k (k + 3) / 2."""
+        k = np.arange(self.dim)
+        return k * (k + 3) // 2
+
+    @cached_property
+    def shift_and_norm(self):
+        """mu = tr(A)/D^2 and the 1-norm of A - mu I, from the dissipator's column sums.
+
+        The drift takes |j><k| to sum_i X_ij |i><k| + sum_l conj(X_lk) |j><l|:
+        column k D + j sums c_j + c_k + |g_j + conj(g_k) - mu|, with g the
+        diagonal of X and c the column sums of |X| off it, so
+        mu = (2 D Re tr X + `trace`) / D^2.  A ladder pair moves both indices
+        of |j><k|, so on a Gaussian model no dissipator entry shares a
+        position with the drift and the norm is exact; where they share one
+        (the dense pairs of finite_dim) it is an upper bound.  The mirrors of
+        the stored rows are all but the rows (k, k), so their column sums
+        are those of the stored rows less those of the entries `own` of the
+        rows (k, k).
+        """
+        D, M, X = self.dim, self.matrix, self.drift
+        sums = np.zeros(D * D)  # column sums of |M|, D^2 of its entries at a time
+        for start in range(0, M.nnz, D * D):
+            part = slice(start, start + D * D)
+            sums += np.bincount(M.indices[part], np.abs(M.data[part]), minlength=D * D)
+        starts = M.indptr[self._diagonal_rows]
+        counts = M.indptr[self._diagonal_rows + 1] - starts
+        own = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
+        mirrored = sums - np.bincount(M.indices[own], np.abs(M.data[own]), minlength=D * D)
+        off = np.repeat(np.arange(D), np.diff(X.indptr)) != X.indices
+        c = np.bincount(X.indices[off], np.abs(X.data[off]), minlength=D)
+        g = X.diagonal()
+        mu = (2 * D * g.real.sum() + self.trace) / D ** 2
+        cols = sums.reshape(D, D)  # [k, j]: column k D + j
+        cols += mirrored.reshape(D, D).T
+        del mirrored
+        cols += c[:, None] + c
+        diagonal = g + g.conj()[:, None]
+        diagonal -= mu
+        cols += np.abs(diagonal)
+        return mu, float(cols.max())
+
     def matvec(self, v):
-        """vec L(X) of a Hermitian X = unvec(v): the stored rows, conjugated into their mirrors."""
+        """vec A(H) of a Hermitian H = unvec(v), exactly Hermitian with a real diagonal.
+
+        The stored rows plus the drift's X H + (X H)† at their entries are
+        conjugated into their mirrors.  v in row-major order is H^T = conj H,
+        so Y = conj(X) times it is conj(X H), read from v in place, and the
+        drift's entry (j, k) is Y_kj + conj(Y_jk).  Iterates that are
+        Hermitian stay so exactly, which the Taylor sums need: an imaginary
+        diagonal, on which the drift acts as zero, would grow under the
+        dissipator alone.
+        """
         rows, mirrors = self.fold
+        D = self.dim
         y = self.matrix @ v
-        out = np.empty(self.dim ** 2, dtype=complex)
+        Y = (self._conj_drift @ v.reshape(D, D)).reshape(-1)  # row-major
+        y += Y[rows]
+        mirrored = Y[mirrors]
+        del Y
+        y += np.conjugate(mirrored, out=mirrored)
+        del mirrored
+        y.imag[self._diagonal_rows] = 0.0
+        out = np.empty(D * D, dtype=complex)
         out[mirrors] = y.conj()
         out[rows] = y
         return out
 
     def apply(self, X):
-        """L(X) for any D x D matrix X, as L(H1) + i L(H2) with X = H1 + i H2."""
+        """A(X) for any D x D matrix X, as A(H1) + i A(H2) with X = H1 + i H2."""
         D, X = self.dim, np.asarray(X, dtype=complex)
         re, im = (self.matvec(H.reshape(D * D, order="F"))
                   for H in (0.5 * (X + X.conj().T), -0.5j * (X - X.conj().T)))
         return (re + 1j * im).reshape(D, D, order="F")
 
     def toarray(self):
-        """The dense D^2 x D^2 generator, the mirrored rows unfolded."""
+        """The dense D^2 x D^2 generator: the mirrored rows unfolded, plus
+        kron(I, X) + kron(conj X, I)."""
         (rows, mirrors), D = self.fold, self.dim
         stored = self.matrix.toarray()
         dense = np.empty((D * D, D * D), dtype=complex)
         dense[mirrors] = stored.reshape(-1, D, D).transpose(0, 2, 1).reshape(-1, D * D).conj()
         dense[rows] = stored
+        X, I = self.drift.toarray(), np.eye(D)
+        dense += np.kron(I, X)
+        dense += np.kron(X.conj(), I)
         return dense
 
 
@@ -174,8 +249,9 @@ def _block_coo(terms, a0, a1, D):
     return sp.coo_matrix((data, (rows, cols)), shape=(r1 - r0, D * D))
 
 
-def gkls_superoperator(G, pairs, picture="schrodinger"):
-    """Folded vectorized GKLS generator of the drift G and dissipator pairs (A_j, B_j).
+def gkls_superoperator(G, pairs, picture="schrodinger", states=0):
+    """Vectorized GKLS generator of the drift G and dissipator pairs (A_j, B_j),
+    its dissipator assembled and folded.
 
     A pair contributes rho -> B_j rho A_j†, so the Schrodinger form is
     kron(I, G) + kron(conj G, I) + sum_j kron(conj A_j, B_j); Kraus
@@ -183,7 +259,9 @@ def gkls_superoperator(G, pairs, picture="schrodinger"):
     Hilbert-Schmidt adjoint, the same sum with G† and the pairs
     (A_j†, B_j†).  G and the pair entries may be sparse or dense; the
     pairs must give a Hermiticity-preserving map (Kraus pairs, a Hermitian
-    Kossakowski matrix, or a set closed under A_j <-> B_j).
+    Kossakowski matrix, or a set closed under A_j <-> B_j).  Only the pairs'
+    sum is assembled: the drift X (G or G†) is kept as a CSR beside it, and
+    the dissipator's trace is the real part of sum_j conj(tr A_j) tr B_j.
 
     kron(P, Q) puts P_ab Q_ij in vec row a D + i, stored as row
     a (a + 1) / 2 + i when i <= a.  The stored triplets are counted per
@@ -198,21 +276,22 @@ def gkls_superoperator(G, pairs, picture="schrodinger"):
     at once.  A ValueError naming the bytes is raised before any triplet
     is allocated when the peak of the chosen path (the largest block's
     triplets and its CSR copy, the copy arrays, the row pointer) would
-    exceed ASSEMBLY_MAX_BYTES.
+    exceed ASSEMBLY_MAX_BYTES, or, for `states` > 0, when the peak of an
+    `evolution.evolve_density` that keeps that many states would
+    (`evolution.density_bytes`, with the triplet count for the nnz).
     """
     if picture not in PICTURES:
         raise ValueError(f"picture must be one of {PICTURES}")
     D = G.shape[0]
     adjoint = picture == "heisenberg"
-    X = _triplets(G, adjoint)
-    diag = np.arange(D, dtype=np.int32)
-    I = (diag, diag, np.ones(D, dtype=complex))
+    drift = sp.csr_matrix(G.conj().T if adjoint else G)
+    trace = float(sum(np.conj(A.diagonal().sum()) * B.diagonal().sum() for A, B in pairs).real)
     terms = []  # (P, Q, counts) of kron(conj P, Q), both sorted by row
-    for P, Q in [(I, X), (X, I)] + [(_triplets(A, adjoint), _triplets(B, adjoint))
-                                    for A, B in pairs]:
-        P, Q = _by_row(P), _by_row(Q)
+    for A, B in pairs:
+        P, Q = _by_row(_triplets(A, adjoint)), _by_row(_triplets(B, adjoint))
         terms.append((P, Q, np.searchsorted(Q[0], P[0], side="right")))
-    per_row = sum(np.bincount(P[0], counts, minlength=D) for P, _, counts in terms)
+    per_row = sum((np.bincount(P[0], counts, minlength=D) for P, _, counts in terms),
+                  np.zeros(D, np.int64))
     cum = np.concatenate(([0], np.cumsum(per_row, dtype=np.int64)))
     bounds = [0]
     while bounds[-1] < D:
@@ -232,6 +311,11 @@ def gkls_superoperator(G, pairs, picture="schrodinger"):
         raise ValueError(
             f"superoperator assembly needs {nbytes} bytes at its peak for "
             f"{E} triplets at D = {D} (limit {ASSEMBLY_MAX_BYTES})")
+    nbytes = evolution.density_bytes(D, E, states) if states else 0
+    if nbytes > ASSEMBLY_MAX_BYTES:
+        raise ValueError(
+            f"a density evolution keeping {states} states needs {nbytes} bytes at its "
+            f"peak for {E} stored entries at D = {D} (limit {ASSEMBLY_MAX_BYTES})")
     # the row pointer alone bounds D^2 below 2^30 for every admitted size
     assert D * D <= np.iinfo(np.int32).max
     if len(bounds) == 2:
@@ -248,20 +332,23 @@ def gkls_superoperator(G, pairs, picture="schrodinger"):
             del block  # before the next block's triplets are written
         M = sp.csr_matrix((data, indices, indptr), shape=(n, D * D))
     M.eliminate_zeros()
-    return Superoperator(matrix=M, picture=picture, dim=D)
+    return Superoperator(matrix=M, drift=drift, trace=trace, picture=picture, dim=D)
 
 
-def build_lindbladian(ops, picture="schrodinger"):
-    """Folded vectorized Lindblad generator of a Gaussian model in the requested picture.
+def build_lindbladian(ops, picture="schrodinger", states=0):
+    """Vectorized Lindblad generator of a Gaussian model in the requested picture.
 
     The dissipator is taken in its Kossakowski (GKS) form,
     sum_l L_l rho L_l† = sum_pq K_qp s_p rho s_q† with
     s = (a_1..a_d, a_1†..a_d†), so `gkls_superoperator` receives one
     pair (s_q, sum_p K_qp s_p) per nonzero row q of K.  The 2d ladders
     have disjoint supports, so these give the triplets of the pairs
-    (s_q, K_qp s_p): at most 4d^2 D^2 before the fold, whatever m is.
+    (s_q, K_qp s_p): at most 4d^2 D^2 before the fold, whatever m is, and
+    no two of them, and none with the drift, share a position.  `states`
+    is the number of states an evolution under it keeps, for its byte
+    budget.
     """
-    return gkls_superoperator(ops.G, ops.pairs, picture)
+    return gkls_superoperator(ops.G, ops.pairs, picture, states)
 
 
 def dissipation_quadratic_identity(ops, xi):

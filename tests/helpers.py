@@ -70,17 +70,22 @@ def pure(psi):
     return np.outer(psi, np.conj(psi))
 
 
+def kraus_form_dissipator(ops, picture):
+    """The whole (unfolded) m-kron Kraus-form dissipator, term by term."""
+    Ks = [Lop.conj().T if picture == "heisenberg" else Lop for Lop in ops.L]
+    M = sp.csr_matrix((ops.space.D ** 2,) * 2, dtype=complex)
+    for K in Ks:
+        M = M + sp.kron(K.conj(), K, format="csr")
+    return M
+
+
 def kraus_form_lindbladian(ops, picture):
     """The whole (unfolded) 2 + m kron Kraus-form generator, term by term."""
     D = ops.space.D
     I = sp.identity(D, dtype=complex, format="csr")
-    X, Ks = ops.G, list(ops.L)
-    if picture == "heisenberg":
-        X, Ks = X.conj().T, [Lop.conj().T for Lop in Ks]
-    M = sp.kron(I, X, format="csr") + sp.kron(X.conj(), I, format="csr")
-    for K in Ks:
-        M = M + sp.kron(K.conj(), K, format="csr")
-    return M
+    X = ops.G.conj().T if picture == "heisenberg" else ops.G
+    return (sp.kron(I, X, format="csr") + sp.kron(X.conj(), I, format="csr")
+            + kraus_form_dissipator(ops, picture))
 
 
 def folded_identity(D):

@@ -206,6 +206,20 @@ def test_assembly_guard_is_input_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_density_budget_counts_the_states_a_task_keeps(monkeypatch):
+    # `support` keeps the states at 0 and t; `improve` those at 0 and each
+    # distinct time, `evolve` those at its times
+    config = minimal_config(space={"N_max": 30}, tasks=[{"name": "support"}])
+    superop = cli.validate_config(config).lindbladian
+    monkeypatch.setattr(generator, "ASSEMBLY_MAX_BYTES",
+                        evolution.density_bytes(superop.dim, superop.matrix.nnz, 2))
+    cli.validate_config(config)
+    for task in ({"name": "improve", "times": [0.1, 0.05, 0.1]},
+                 {"name": "evolve", "times": [0, 0.1, 0.2]}):
+        with pytest.raises(ValueError, match="/space/N_max: a density evolution keeping 3 states"):
+            cli.validate_config(minimal_config(space={"N_max": 30}, tasks=[task]))
+
+
 def test_unknown_plot_kind_is_input_error(tmp_path):
     config = minimal_config()
     config["tasks"] = [{"name": "improve", "plots": ["not-a-kind"]}]
@@ -369,11 +383,11 @@ def test_integration_error_is_a_failed_task(tmp_path, monkeypatch, error_type):
         failing = {"name": "evolve", "times": [0, 1e6]}
         message = "matrix products"
     elif error_type == "MemoryError":
-        # numpy's refusal of a 10^12-sample pass, raised without allocating
+        # numpy's refusal of an allocation, raised without allocating
         def refuse(*args, **kwargs):
             raise MemoryError("Unable to allocate 7.28 TiB for an array")
         monkeypatch.setattr(diagnostics, "sample_statistics", refuse)
-        failing = {"name": "number-bound", "n_samples": 10 ** 12}
+        failing = {"name": "number-bound", "n_samples": 1000}
         message = "Unable to allocate"
     else:
         def no_convergence(*args, **kwargs):
@@ -550,6 +564,10 @@ NAN, INF = float("nan"), float("inf")
         ({"name": "sector", "shift_grid": [INF]}, "/tasks/1/shift_grid/0"),
         ({"name": "kossakowski", "expect": {"eps0": 10 ** 400}}, "/tasks/1/expect/eps0"),
     ]],
+    (FINITE_QUBIT, None, [{"name": "fd-probe", "n_pairs": 10 ** 12}], "/tasks/0/n_pairs"),
+    (FINITE_QUBIT, None, [{"name": "fd-derivative", "n_pairs": 10 ** 12}], "/tasks/0/n_pairs"),
+    (None, {"N_max": 6}, [{"name": "sector", "n_samples": 10 ** 12}], "/tasks/0/n_samples"),
+    (None, {"N_max": 6}, [{"name": "invariant", "n_seeds": 10 ** 12}], "/tasks/0/n_seeds"),
 ])
 def test_dependent_value_fails_validate_and_runs_no_task(tmp_path, capsys, model, space,
                                                          tasks, pointer):
@@ -571,6 +589,24 @@ def test_dependent_value_fails_validate_and_runs_no_task(tmp_path, capsys, model
                      "--output-dir", str(tmp_path / "out")]) == 1
     assert f"{pointer}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("model, task, key, limit", [
+    # products per item: a finite pair's propagators, a sample's G0, N and G,
+    # and a seed's closure, G and the one L on each of 5 interior vectors
+    (FINITE_QUBIT, "fd-probe", "n_pairs", evolution.MAX_PRODUCTS // 3),
+    (FINITE_QUBIT, "fd-derivative", "n_pairs", evolution.MAX_PRODUCTS // 2),
+    (None, "number-bound", "n_samples", evolution.MAX_PRODUCTS // 3),
+    (None, "invariant", "n_seeds", evolution.MAX_PRODUCTS // (5 * 2)),
+])
+def test_count_setting_is_bounded_by_its_products(model, task, key, limit):
+    config = minimal_config(tasks=[{"name": task, key: limit}])
+    if model is not None:
+        config = {"seed": 1, "model": model, "tasks": config["tasks"]}
+    cli.validate_config(config)
+    config["tasks"][0][key] = limit + 1
+    with pytest.raises(ValueError, match=f"/tasks/0/{key}:"):
+        cli.validate_config(config)
 
 
 def test_a_run_decodes_its_model_and_builds_its_space_once(tmp_path, monkeypatch):

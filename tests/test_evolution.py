@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -132,9 +133,9 @@ def test_initial_state_refusal_names_its_fault(entries, message):
 def test_trace_instability_aborts():
     space, ops, lind = damping_setup()
     # trace-violating generator: add a multiple of the identity superoperator
-    broken = generator.Superoperator(
-        matrix=(lind.matrix + 0.5 * folded_identity(space.D)).tocsr(),
-        picture="schrodinger", dim=space.D)
+    broken = dataclasses.replace(
+        lind, matrix=(lind.matrix + 0.5 * folded_identity(space.D)).tocsr(),
+        trace=lind.trace + 0.5 * space.D ** 2)
     rho0 = pure(space.vacuum())
     with pytest.raises(evolution.IntegrationError, match="at t=1 exceeds"):
         evolution.evolve_density(broken, rho0, [0.0, 1.0, 2.0])
@@ -175,6 +176,9 @@ def test_auto_matches_expm_and_rk4_on_a_mixed_state():
     for sa, sb in zip(a.states, b):
         assert np.abs(sa - sb).max() <= 1e-12
     assert max(np.abs(rho - rho.conj().T).max() for rho in a.states) <= 1e-15
+    # min_eig at t = 0 is that of the PSD check, the bits of one eigvalsh of rho0
+    rho = a.states[0]
+    assert a.stats["min_eig"][0] == np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
 
 
 def test_evolution_cost_is_refused_before_the_first_product(monkeypatch):
@@ -191,10 +195,10 @@ def test_evolution_cost_is_refused_before_the_first_product(monkeypatch):
             evolution.evolve_vector(ops, space.vacuum(), [0.0, t])
     # an evolution plans m s products per interval: exactly MAX_PRODUCTS is admitted
     times = [0.0, 1.0, 3.0]
-    for run, A, superop in (
-            (lambda: evolution.evolve_density(lind, rho0, times), lind.matrix, lind),
-            (lambda: evolution.evolve_vector(ops, space.vacuum(), times), ops.G, None)):
-        norm = evolution._shift_and_norm(A, superop)[1]
+    for run, (_, norm) in (
+            (lambda: evolution.evolve_density(lind, rho0, times), lind.shift_and_norm),
+            (lambda: evolution.evolve_vector(ops, space.vacuum(), times),
+             evolution._shift_and_norm(ops.G))):
         planned = sum(m * s for m, s in (evolution._taylor_plan(dt, norm)
                                          for dt in np.diff(times).tolist()))
         assert planned > 1
@@ -210,7 +214,7 @@ def test_auto_scaling_steps_match_expm():
     space, ops, lind = seeded_lindbladian(32, 1, 6)
     theta_max = max(evolution.TAYLOR_THETA.values())
     # every Taylor degree needs s >= 2 steps on the intervals of length 1 and 4
-    assert 1.0 * evolution._shift_and_norm(lind.matrix, lind)[1] > theta_max
+    assert 1.0 * lind.shift_and_norm[1] > theta_max
     assert 4.0 * evolution._shift_and_norm(ops.G)[1] > theta_max
     times = [0.0, 1.0, 5.0]
     rho0 = pure(space.basis_vector((1,)))
@@ -238,43 +242,55 @@ def test_auto_matches_scipy_expm_multiply():
         assert np.abs(ours - v).max() <= 1e-13 * np.abs(v).max()
 
 
-def test_auto_peak_memory_below_superoperator():
+def test_density_bytes_is_the_peak_of_an_evolution(monkeypatch):
+    # D = 105: the superoperator is refused for an evolution keeping 11
+    # states one byte below the figure `density_bytes` names, and the figure
+    # is the CSR plus the traced peak of that evolution
     space, ops, lind = seeded_lindbladian(31, 2, 13)
-    M = lind.matrix
+    times = np.linspace(0.0, 0.1, 11)
+    needed = evolution.density_bytes(space.D, lind.matrix.nnz, times.size)
+    monkeypatch.setattr(generator, "ASSEMBLY_MAX_BYTES", needed - 1)
+    with pytest.raises(ValueError, match=f"keeping 11 states needs {needed} bytes"):
+        generator.build_lindbladian(ops, states=times.size)
+    monkeypatch.setattr(generator, "ASSEMBLY_MAX_BYTES", needed)
+    superop = generator.build_lindbladian(ops, states=times.size)
+    M = superop.matrix
     csr_bytes = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
-    rho0 = pure(space.vacuum())
     tracemalloc.start()
     try:
-        evolution.evolve_density(lind, rho0, [0.0, 0.05, 0.1])
+        evolution.evolve_density(superop, pure(space.vacuum()), times)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.0 * csr_bytes
+    assert 0.9 * needed <= csr_bytes + peak <= 1.05 * needed
 
 
 def test_shift_and_norm_matches_bincount_and_stays_below_half_the_csr():
+    # the closed form from the folded dissipator's column sums and the drift
     space, ops, lind = seeded_lindbladian(31, 2, 13)
-    A, D = lind.matrix, space.D
+    A, D, X = lind.matrix, space.D, ops.G.toarray()
     rows, mirrors = lind.fold
     strict = rows != mirrors
-    diag = np.array([A[r, c] for r, c in enumerate(rows)])
-    mu_ref = (diag.real.sum() + diag.real[strict].sum()) / D ** 2
     entry_rows = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
     stored = np.bincount(A.indices, weights=np.abs(A.data), minlength=D * D)
     mirrored = np.bincount(A.indices, weights=np.abs(A.data) * strict[entry_rows],
                            minlength=D * D)
-    colsums = stored + mirrored.reshape(D, D).T.ravel()
-    colsums[mirrors] += np.abs(diag - mu_ref) - np.abs(diag)
-    colsums[rows[strict]] += (np.abs(diag - mu_ref) - np.abs(diag))[strict]
+    g = np.diag(X)
+    c = np.abs(X).sum(axis=0) - np.abs(g)
+    mu_ref = 2 * g.real.sum() / D
+    colsums = (stored.reshape(D, D) + mirrored.reshape(D, D).T + c[:, None] + c[None, :]
+               + np.abs(g[None, :] + g.conj()[:, None] - mu_ref))
     csr_bytes = A.data.nbytes + A.indices.nbytes + A.indptr.nbytes
     tracemalloc.start()
     try:
-        mu, norm = evolution._shift_and_norm(lind.matrix, lind)
+        mu, norm = lind.shift_and_norm
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert mu == mu_ref and norm == float(colsums.max())
-    # |A.data| and the column sums only: the int32 indices are never widened
+    assert lind.trace == 0
+    assert abs(mu - mu_ref) <= 1e-14 * abs(mu_ref)
+    assert abs(norm - colsums.max()) <= 1e-14 * norm
+    # |A.data| and the index arrays D^2 entries at a time, and the column sums
     assert peak <= 0.5 * csr_bytes
     # the square-CSR form evolve_vector uses, on G
     G = ops.G

@@ -1,15 +1,17 @@
+import json
 import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from gqms import evolution, fock, generator
+from gqms import cli, evolution, fock, generator
 from gqms import finite_dim as fd
 from gqms import model as gm
-from helpers import (complex_gaussian, kraus_form_lindbladian, random_model,
-                     strictly_positive_model)
+from helpers import (complex_gaussian, kraus_form_dissipator, kraus_form_lindbladian,
+                     random_model, strictly_positive_model)
 
 
 def damping_ops(N_max=6):
@@ -243,15 +245,23 @@ def commutator_form_lindbladian(ops, picture):
     return M.tocsr()
 
 
+def drift_krons(X):
+    """kron(I, X) + kron(conj X, I): the drift's part of the vectorized generator."""
+    I = sp.identity(X.shape[0], dtype=complex, format="csr")
+    return (sp.kron(I, X) + sp.kron(X.conj(), I)).tocsr()
+
+
 def test_drift_assembly_matches_commutator_form():
+    # the drift is G (G† in the Heisenberg picture), the folded CSR the rest
     rng = np.random.default_rng(17)
     model = random_model(rng, 2, 3)
     space = fock.build_space(2, 5)
     ops = generator.build_operators(model, space)
-    for picture in generator.PICTURES:
+    for picture, X in zip(generator.PICTURES, (ops.G, ops.G.conj().T)):
         new = generator.build_lindbladian(ops, picture)
         old = commutator_form_lindbladian(ops, picture)
-        assert abs(new.matrix - old[new.fold[0]]).max() <= 1e-12
+        assert abs(new.drift - X).max() == 0
+        assert abs(new.matrix - (old - drift_krons(X))[new.fold[0]]).max() <= 1e-12
         assert np.abs(new.toarray() - old.toarray()).max() <= 1e-12
 
 
@@ -267,7 +277,8 @@ def kossakowski_assembly_models():
 
 
 def test_kossakowski_assembly_matches_kraus_form():
-    # the folded CSR is the j <= k rows of the Kraus-form kron sum, and unfolds to all of it
+    # the folded CSR is the j <= k rows of the Kraus-form dissipator, and the
+    # superoperator unfolds to the whole Kraus-form generator
     for model, N_max in kossakowski_assembly_models():
         space = fock.build_space(model.d, N_max)
         ops = generator.build_operators(model, space)
@@ -279,7 +290,7 @@ def test_kossakowski_assembly_matches_kraus_form():
                 rows, [k * D + j for k in range(D) for j in range(k + 1)])
             new = superop.matrix
             old = kraus_form_lindbladian(ops, picture)
-            upper = old[rows]
+            upper = kraus_form_dissipator(ops, picture)[rows]
             assert new.shape == (D * (D + 1) // 2, D * D)
             assert new.has_canonical_format
             assert new.nnz == upper.nnz
@@ -315,10 +326,72 @@ def test_folded_shift_and_norm_match_dense():
         n = A.shape[0]
         mu_ref = np.trace(A) / n
         norm_ref = np.abs(A - mu_ref * np.eye(n)).sum(axis=0).max()
-        mu, norm = evolution._shift_and_norm(superop.matrix, superop)
+        mu, norm = superop.shift_and_norm
         assert np.isrealobj(mu)
         assert abs(mu - mu_ref) <= 1e-14 * abs(mu_ref)
         assert abs(norm - norm_ref) <= 1e-14 * norm_ref
+
+
+def closed_form_models():
+    """Seeded d = 1, 2, 3 models with their truncations, and the shipped scenarios' operators."""
+    rng = np.random.default_rng(42)
+    seeded = [generator.build_operators(model, fock.build_space(model.d, N_max))
+              for model, N_max in [(strictly_positive_model(rng, 1), 9),
+                                   (random_model(rng, 2, 3), 5),
+                                   (strictly_positive_model(rng, 3), 3)]]
+    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+    shipped = [cli.validate_config(json.loads(path.read_text())).ops
+               for path in sorted(scenarios.glob("*.json"))]
+    assert len(shipped) == 2
+    return seeded + shipped
+
+
+def exact_shift_and_norm(superop):
+    """mu = tr(A)/n and ||A - mu I||_1 of the dense generator."""
+    A = superop.toarray()
+    mu = np.trace(A) / A.shape[0]
+    return mu, np.abs(A - mu * np.eye(A.shape[0])).sum(axis=0).max()
+
+
+def test_closed_form_norm_is_exact_on_gaussian_models():
+    for ops in closed_form_models():
+        for picture in generator.PICTURES:
+            superop = generator.build_lindbladian(ops, picture)
+            mu, norm = superop.shift_and_norm
+            mu_ref, norm_ref = exact_shift_and_norm(superop)
+            assert np.isrealobj(mu)
+            assert abs(mu - mu_ref) <= 1e-12 * abs(mu_ref)
+            assert abs(norm - norm_ref) <= 1e-12 * norm_ref
+
+
+def test_no_dissipator_entry_shares_a_drift_position():
+    # the drift takes |a><b| to rows (i, b) and (a, l); a ladder pair moves
+    # both indices, so stored entry (j, k) of column b D + a has j != a and k != b
+    for ops in closed_form_models():
+        D = ops.space.D
+        for picture in generator.PICTURES:
+            superop = generator.build_lindbladian(ops, picture)
+            M = superop.matrix.tocoo()
+            k, j = np.divmod(superop.fold[0][M.row], D)
+            b, a = np.divmod(M.col, D)
+            assert M.nnz > 0
+            assert not np.any((j == a) | (k == b))
+            assert superop.trace == 0
+
+
+def test_closed_form_norm_bounds_the_norm_of_dense_pairs():
+    # finite_dim's dense pairs share positions with the drift: the closed
+    # form is an upper bound at the same mu
+    rng = np.random.default_rng(43)
+    for n in (2, 3):
+        a = complex_gaussian(rng, (n * n - 1,) * 2)
+        model = fd.FiniteGKLSModel(n=n, H=np.diag(np.arange(n) * 0.3), c=a @ a.conj().T / n)
+        for superop in fd.build_fd_generators(model):
+            mu, norm = superop.shift_and_norm
+            mu_ref, norm_ref = exact_shift_and_norm(superop)
+            assert abs(mu - mu_ref) <= 1e-12 * abs(mu_ref)
+            assert norm >= norm_ref
+            assert norm > (1 + 1e-6) * norm_ref
 
 
 def test_grouped_ladder_pairs_match_per_entry_pairs():
@@ -359,18 +432,40 @@ def test_gkls_pairs_heisenberg_is_adjoint():
     lhs = np.vdot(x, schr.apply(rho))
     rhs = np.vdot(heis.apply(x), rho)
     assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
+    # pairs of nonzero trace: mu = tr(A)/n takes the dissipator's trace
+    for superop in (schr, heis):
+        mu, norm = superop.shift_and_norm
+        mu_ref, norm_ref = exact_shift_and_norm(superop)
+        assert abs(superop.trace) > 1.0
+        assert abs(mu - mu_ref) <= 1e-12 * abs(mu_ref)
+        assert norm >= norm_ref
+
+
+def cancelling_pairs(rng):
+    """Drift G, a sparse pair (S, S) and dense pairs (L, L) and (L, -L) that cancel exactly."""
+    G = sp.random(6, 6, density=0.3, random_state=1, format="csr")
+    S = sp.random(6, 6, density=0.3, random_state=2, format="csr")
+    L = complex_gaussian(rng, (6, 6))
+    return G, (S, S), [(L, L), (L, -L)]
+
+
+def assert_same_entries(A, B):
+    """The same stored positions, and values equal up to the order of their sums."""
+    np.testing.assert_array_equal(A.indptr, B.indptr)
+    np.testing.assert_array_equal(A.indices, B.indices)
+    assert np.abs(A.data - B.data).max() <= 1e-15 * np.abs(B.data).max()
 
 
 def test_gkls_drops_exact_zeros():
-    # pairs (L, L) and (L, -L) cancel exactly: only the drift terms remain stored
-    rng = np.random.default_rng(22)
-    G = sp.random(6, 6, density=0.3, random_state=1, format="csr")
-    L = complex_gaussian(rng, (6, 6))
-    drift = generator.gkls_superoperator(G, []).matrix
+    # pairs (L, L) and (L, -L) cancel exactly: only the entries of (S, S) remain stored
+    G, kept, cancelling = cancelling_pairs(np.random.default_rng(22))
     for picture in generator.PICTURES:
-        M = generator.gkls_superoperator(G, [(L, L), (L, -L)], picture).matrix
-        assert M.nnz == drift.nnz
+        alone = generator.gkls_superoperator(G, [kept], picture).matrix
+        M = generator.gkls_superoperator(G, cancelling + [kept], picture).matrix
+        assert generator.gkls_superoperator(G, cancelling, picture).matrix.nnz == 0
+        assert alone.nnz > 0
         assert np.all(M.data != 0)
+        assert_same_entries(M, alone)
 
 
 def test_assembly_byte_guard_raises_before_allocating(monkeypatch):
@@ -395,8 +490,8 @@ def test_assembly_byte_guard_raises_before_allocating(monkeypatch):
         monkeypatch.setattr(generator, "ASSEMBLY_MAX_BYTES", needed)
         tracemalloc.start()
         try:
-            # the 5565 stored rows of the 11025-row generator, which holds 356461 entries
-            assert generator.build_lindbladian(ops).matrix.nnz == 179960
+            # the 5565 stored rows of the 11025-row dissipator, which holds 132496 entries
+            assert generator.build_lindbladian(ops).matrix.nnz == 66911
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -440,7 +535,8 @@ def assert_same_csr(A, B):
 
 
 def test_blocked_assembly_peak_memory_bound():
-    # D = 220 at the shipped block size: the transient stays within 1.5x the CSR
+    # D = 220 at the shipped block size: the transient beyond the CSR is one
+    # block's triplets and their CSR copy, 44 B each, whatever the total
     model = strictly_positive_model(np.random.default_rng(23), 3)
     ops = generator.build_operators(model, fock.build_space(3, 9))
     tracemalloc.start()
@@ -450,7 +546,8 @@ def test_blocked_assembly_peak_memory_bound():
     finally:
         tracemalloc.stop()
     csr_bytes = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
-    assert peak <= 1.5 * csr_bytes
+    assert M.nnz > 3 * generator.ASSEMBLY_BLOCK
+    assert peak <= 1.05 * (csr_bytes + 44 * generator.ASSEMBLY_BLOCK)
 
 
 def test_blocked_assembly_is_bit_identical(monkeypatch):
@@ -461,7 +558,7 @@ def test_blocked_assembly_is_bit_identical(monkeypatch):
         calls = count_blocks(monkeypatch, 2 ** 40)
         whole = generator.build_lindbladian(ops, picture).matrix
         assert calls == [(0, 105)]
-        calls = count_blocks(monkeypatch, 2 ** 12)
+        calls = count_blocks(monkeypatch, 2 ** 10)
         blocked = generator.build_lindbladian(ops, picture).matrix
         assert len(calls) > 40 and calls[-1][1] == 105
         assert_same_csr(blocked, whole)
@@ -483,18 +580,16 @@ def test_blocked_finite_assembly_is_bit_identical(monkeypatch):
 
 def test_gkls_drops_exact_zeros_across_blocks(monkeypatch):
     # the cancelling pairs of test_gkls_drops_exact_zeros, one row a of P per block
-    rng = np.random.default_rng(22)
-    G = sp.random(6, 6, density=0.3, random_state=1, format="csr")
-    L = complex_gaussian(rng, (6, 6))
+    G, kept, cancelling = cancelling_pairs(np.random.default_rng(22))
     count_blocks(monkeypatch, 2 ** 40)
-    whole = [generator.gkls_superoperator(G, [(L, L), (L, -L)], picture).matrix
+    whole = [generator.gkls_superoperator(G, cancelling + [kept], picture).matrix
              for picture in generator.PICTURES]
     calls = count_blocks(monkeypatch, 1)
-    drift = generator.gkls_superoperator(G, []).matrix
     for picture, W in zip(generator.PICTURES, whole):
+        alone = generator.gkls_superoperator(G, [kept], picture).matrix
         del calls[:]
-        M = generator.gkls_superoperator(G, [(L, L), (L, -L)], picture).matrix
+        M = generator.gkls_superoperator(G, cancelling + [kept], picture).matrix
         assert len(calls) == 6
-        assert M.nnz == drift.nnz
         assert np.all(M.data != 0)
+        assert_same_entries(M, alone)
         assert_same_csr(M, W)

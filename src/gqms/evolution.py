@@ -1,22 +1,23 @@
 """Time evolution of density matrices and of the vector semigroup e^{tG}.
 
-The one integrator applies the exponential to the state once per output
-interval by `_expm_action`, the truncated-Taylor method of Al-Mohy &
-Higham (SIAM J. Sci. Comput. 33, 2011, Alg. 3.2), by products with the
-generator itself: the sparse G for a vector, and for a density matrix
-its Superoperator's `matvec`, the folded dissipator plus the drift's
-product with the state, mirrored into the lower triangle.  The shift
-mu = tr(A)/n and the exact 1-norm of A - mu I are computed once per
-generator, without forming the shifted matrix (a Superoperator's in
-closed form, its cached `shift_and_norm`); each interval then takes its
-step count and Taylor degree from the theta table.  No dense exponential
-is formed.  Trace is never renormalized: trace drift and the smallest
-eigenvalue are recorded per output time as truncation/integration
-diagnostics.
+The one integrator applies the exponential to the state by `_expm_action`,
+the truncated-Taylor method of Al-Mohy & Higham (SIAM J. Sci. Comput. 33,
+2011, Alg. 3.2), by products with the generator itself: the sparse G for
+a vector, and for a density matrix its Superoperator's `matvec`, the
+folded dissipator plus the drift's product with the state, mirrored into
+the lower triangle.  The shift mu = tr(A)/n and the exact 1-norm of
+A - mu I are computed once per generator, without forming the shifted
+matrix (a Superoperator's in closed form, its cached `shift_and_norm`);
+an evolution then takes one step count and Taylor degree from the theta
+table for its whole horizon, and reads every output time inside a step
+from that step's series (ibid., Sec. 5).  No dense exponential is formed.
+Trace is never renormalized: trace drift and the smallest eigenvalue are
+recorded per output time as truncation/integration diagnostics.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,10 +38,11 @@ TAYLOR_TOL = 2.0 ** -53
 TRACE_ABORT = 1e-4
 MAX_PRODUCTS = 10 ** 5  # matrix products one evolution may plan
 # D x D complex arrays an evolve_density holds beside its kept states (the
-# last of them the Taylor sum) while a product is taken: the term it reads,
-# mu times that term, and two in `Superoperator.matvec` (the drift's product
-# and the folded rows, then the output and the folded rows with their
-# conjugates)
+# last of them the step's Taylor sum, the others at output times inside the
+# step the sums weighted by their offsets) while a product is taken: the
+# term it reads, mu times that term (then the weighted term), and two in
+# `Superoperator.matvec` (the drift's product and the folded rows, then the
+# output and the folded rows with their conjugates)
 DENSITY_COPIES = 4
 # An interior eigenvalue counts towards the support rank above RANK_RTOL times the largest.
 RANK_RTOL = 1e-8
@@ -93,52 +95,71 @@ def _taylor_plan(dt, norm):
                key=lambda pair: pair[0] * pair[1])
 
 
-def _expm_action(matvec, v, dt, mu, m, s):
-    """e^{dt A} v, given matvec(v) = A v, mu = tr(A)/n and the `_taylor_plan` (m, s).
+def _expm_action(matvec, F, T, mu, m, s, taus):
+    """One step of the `_taylor_plan(T, norm)` (m, s), given matvec(v) = A v
+    and mu = tr(A)/n: F becomes e^{(T/s) A} F in place, and e^{tau A} F for
+    each offset tau in taus, all in (0, T/s), is returned as a new array.
 
-    s steps of the degree-m Taylor polynomial of e^{(dt/s)(A - mu I)}, each
-    scaled by e^{dt mu/s}.  A step stops adding terms once the infinity
-    norms of the last two are at most TAYLOR_TOL times that of the sum.
-    Each term is made in the buffer its product returns; v is not written.
+    The step sums the degree-m Taylor polynomial of e^{(T/s)(A - mu I)} and
+    scales it by e^{T mu/s}; the state at offset tau weights term j by
+    (tau s/T)^j and is scaled by e^{tau mu}.  Terms stop once the infinity
+    norms of the last two are at most TAYLOR_TOL times that of the step's
+    sum.  Each term is made in the buffer its product returns; F is read by
+    the first product and written after it.
     """
-    eta = np.exp(dt * mu / s)
-    F, shifted = v.copy(), np.empty_like(v)
-    for _ in range(int(s)):
-        c1 = np.abs(v).max()
-        for j in range(m):
-            term = matvec(v)
-            term -= np.multiply(mu, v, out=shifted)
-            term *= dt / (s * (j + 1))
-            v = term
-            c2 = np.abs(v).max()
-            F += v
-            if c1 + c2 <= TAYLOR_TOL * np.abs(F).max():
-                break
-            c1 = c2
-        F *= eta
-        v = F  # read, not written, by the next step's first product
-    return F
+    outs = [F.copy() for _ in taus]
+    ratios = [tau * s / T for tau in taus]
+    shifted = np.empty_like(F)
+    v = F
+    c1 = np.abs(v).max()
+    for j in range(m):
+        term = matvec(v)
+        term -= np.multiply(mu, v, out=shifted)
+        term *= T / (s * (j + 1))
+        v = term
+        c2 = np.abs(v).max()
+        F += v
+        for out, ratio in zip(outs, ratios):
+            out += np.multiply(v, ratio ** (j + 1), out=shifted)
+        if c1 + c2 <= TAYLOR_TOL * np.abs(F).max():
+            break
+        c1 = c2
+    F *= np.exp(T * mu / s)
+    for out, tau in zip(outs, taus):
+        out *= np.exp(tau * mu)
+    return outs
 
 
 def _propagate(matvec, shift_and_norm, v0, times):
     """Yield the state vector at each output time under dv/dt = A v, given
     matvec(v) = A v and (mu, ||A - mu I||_1).
 
-    An evolution that plans more than MAX_PRODUCTS products (sum m s over
-    the intervals) is refused before the first one.
+    One `_taylor_plan` covers the horizon T = times[-1]: s steps of length
+    h = T/s, each an `_expm_action` that advances the running sum F and
+    returns the output times inside the step.  F becomes the state at T;
+    it is copied only at an output time on an earlier step end.  An
+    evolution that plans more than MAX_PRODUCTS products (m s) is refused
+    before the first one.
     """
-    steps = np.diff(times).tolist()  # Python floats: a huge dt overflows to inf silently
+    times = times.tolist()  # Python floats: a huge T overflows to inf silently
+    T = times[-1]
     mu, norm = shift_and_norm
-    plans = [_taylor_plan(dt, norm) for dt in steps]
-    planned = sum(m * s for m, s in plans)
-    if planned > MAX_PRODUCTS:
+    m, s = _taylor_plan(T, norm)
+    if m * s > MAX_PRODUCTS:
         raise IntegrationError(
-            f"evolution plans {planned:.3g} matrix products (limit {MAX_PRODUCTS})")
-    v = v0
-    yield v
-    for dt, plan in zip(steps, plans):
-        v = _expm_action(matvec, v, dt, mu, *plan)
-        yield v
+            f"evolution plans {m * s:.3g} matrix products (limit {MAX_PRODUCTS})")
+    yield v0
+    if T == 0:  # times is [0]: no step to take
+        return
+    h, i, F = T / s, 1, v0.copy()
+    for k in range(1, int(s) + 1):
+        start, end = (k - 1) * h, T if k == s else k * h
+        j = bisect.bisect_left(times, end, i)
+        yield from _expm_action(matvec, F, T, mu, m, s, [t - start for t in times[i:j]])
+        if times[j] == end:
+            yield F if k == s else F.copy()
+            j += 1
+        i = j
 
 
 def density_bytes(D, nnz, states):

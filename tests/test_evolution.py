@@ -193,14 +193,14 @@ def test_evolution_cost_is_refused_before_the_first_product(monkeypatch):
             evolution.evolve_density(lind, rho0, [0.0, t])
         with pytest.raises(evolution.IntegrationError, match="products"):
             evolution.evolve_vector(ops, space.vacuum(), [0.0, t])
-    # an evolution plans m s products per interval: exactly MAX_PRODUCTS is admitted
+    # an evolution plans m s products over its horizon: exactly MAX_PRODUCTS is admitted
     times = [0.0, 1.0, 3.0]
     for run, (_, norm) in (
             (lambda: evolution.evolve_density(lind, rho0, times), lind.shift_and_norm),
             (lambda: evolution.evolve_vector(ops, space.vacuum(), times),
              evolution._shift_and_norm(ops.G))):
-        planned = sum(m * s for m, s in (evolution._taylor_plan(dt, norm)
-                                         for dt in np.diff(times).tolist()))
+        m, s = evolution._taylor_plan(times[-1], norm)
+        planned = m * s
         assert planned > 1
         monkeypatch.setattr(evolution, "MAX_PRODUCTS", planned)
         with pytest.raises(AssertionError):
@@ -208,6 +208,71 @@ def test_evolution_cost_is_refused_before_the_first_product(monkeypatch):
         monkeypatch.setattr(evolution, "MAX_PRODUCTS", planned - 1)
         with pytest.raises(evolution.IntegrationError, match="products"):
             run()
+
+
+def test_zero_horizon_takes_no_product(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product was taken")
+
+    monkeypatch.setattr(evolution, "_expm_action", refuse)
+    space, ops, lind = damping_setup()
+    rho0 = pure(space.basis_vector((1,)))
+    res = evolution.evolve_density(lind, rho0, [0.0])
+    assert len(res.states) == 1 and np.array_equal(res.states[0], rho0)
+    assert res.stats["trace_err"].tolist() == [0.0]
+    vec = evolution.evolve_vector(ops, space.vacuum(), [0.0])
+    assert len(vec.states) == 1 and np.array_equal(vec.states[0], space.vacuum())
+
+
+def scaled_operators(N_max, scale):
+    """A d = 1 space and the operators of a seeded strictly positive model
+    whose Kraus singular values lie in scale * [0.7, 1.3]."""
+    model = strictly_positive_model(np.random.default_rng(36), 1,
+                                    sv_range=(0.7 * scale, 1.3 * scale))
+    space = fock.build_space(1, N_max)
+    return space, generator.build_operators(model, space)
+
+
+def test_output_times_cost_no_products(monkeypatch):
+    products = []
+    propagate = evolution._propagate
+
+    def counting(matvec, *args):
+        def counted(v):
+            products.append(None)
+            return matvec(v)
+        return propagate(counted, *args)
+
+    monkeypatch.setattr(evolution, "_propagate", counting)
+    # one horizon T = 0.3 planned as s = 3 steps of h = 0.3/3, a float just
+    # below 0.1: outputs off the step ends, on them in floating point (h and
+    # 2 h) and on one only in exact arithmetic (0.1, just after h)
+    h = 0.3 / 3
+    assert h < 0.1
+    grids = ([0.0, 0.3], [0.0, 0.1, 0.15, 0.3], [0.0, 0.05, h, 0.1, 2 * h, 0.25, 0.3])
+    space, ops = scaled_operators(4, 3.0)
+    lind = generator.build_lindbladian(ops, "schrodinger")
+    rho0 = pure(space.basis_vector((1,)))
+    vspace, vops = scaled_operators(6, 6.0)
+    psi0 = vspace.basis_vector((2,))
+    for norm, run, reference in (
+            (lind.shift_and_norm[1], lambda times: evolution.evolve_density(lind, rho0, times),
+             lambda times: expm_states(kraus_form_lindbladian(ops, "schrodinger"), rho0, times)),
+            (evolution._shift_and_norm(vops.G)[1],
+             lambda times: evolution.evolve_vector(vops, psi0, times),
+             lambda times: expm_states(vops.G, psi0, times))):
+        assert evolution._taylor_plan(0.3, norm)[1] == 3
+        counts, finals = [], []
+        for times in grids:
+            products.clear()
+            res = run(times)
+            counts.append(len(products))
+            assert len(res.states) == len(times)
+            for ours, exact in zip(res.states, reference(times)):
+                assert np.abs(ours - exact).max() <= 1e-12
+            finals.append(res.states[-1])
+        assert counts[0] >= 3 and counts == counts[:1] * len(grids)
+        assert all(np.array_equal(final, finals[0]) for final in finals)
 
 
 def test_auto_scaling_steps_match_expm():
@@ -245,24 +310,28 @@ def test_auto_matches_scipy_expm_multiply():
 def test_density_bytes_is_the_peak_of_an_evolution(monkeypatch):
     # D = 105: the superoperator is refused for an evolution keeping 11
     # states one byte below the figure `density_bytes` names, and the figure
-    # is the CSR plus the traced peak of that evolution
+    # is the CSR plus the traced peak of that evolution; over 0.3 the plan
+    # takes two steps, and the grids after the first have no output time
+    # on the step end
     space, ops, lind = seeded_lindbladian(31, 2, 13)
-    times = np.linspace(0.0, 0.1, 11)
-    needed = evolution.density_bytes(space.D, lind.matrix.nnz, times.size)
-    monkeypatch.setattr(generator, "ASSEMBLY_MAX_BYTES", needed - 1)
-    with pytest.raises(ValueError, match=f"keeping 11 states needs {needed} bytes"):
-        generator.build_lindbladian(ops, states=times.size)
-    monkeypatch.setattr(generator, "ASSEMBLY_MAX_BYTES", needed)
-    superop = generator.build_lindbladian(ops, states=times.size)
-    M = superop.matrix
-    csr_bytes = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
-    tracemalloc.start()
-    try:
-        evolution.evolve_density(superop, pure(space.vacuum()), times)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert 0.9 * needed <= csr_bytes + peak <= 1.05 * needed
+    assert evolution._taylor_plan(0.3, lind.shift_and_norm[1])[1] == 2
+    for times in (np.linspace(0.0, 0.1, 11), np.array([0.0, 0.05, 0.3]), np.array([0.0, 0.3])):
+        needed = evolution.density_bytes(space.D, lind.matrix.nnz, times.size)
+        if times.size == 11:
+            monkeypatch.setattr(generator, "ASSEMBLY_MAX_BYTES", needed - 1)
+            with pytest.raises(ValueError, match=f"keeping 11 states needs {needed} bytes"):
+                generator.build_lindbladian(ops, states=times.size)
+            monkeypatch.setattr(generator, "ASSEMBLY_MAX_BYTES", needed)
+        superop = generator.build_lindbladian(ops, states=times.size)
+        M = superop.matrix
+        csr_bytes = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+        tracemalloc.start()
+        try:
+            evolution.evolve_density(superop, pure(space.vacuum()), times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 0.9 * needed <= csr_bytes + peak <= 1.05 * needed
 
 
 def test_shift_and_norm_matches_bincount_and_stays_below_half_the_csr():

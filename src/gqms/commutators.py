@@ -16,9 +16,8 @@ CCR:
 A form is held as its coefficient vector (c0, alpha_1..alpha_d,
 beta_1..beta_d), the Kraus operators as the rows (0, conj(V_l), U_l);
 `form_matrix` is the one sparse realisation of a form on a truncated
-space.  validate_action_oracle cross-checks the closed form against
-sparse matrix commutators on the interior block, where truncation is
-exact.
+space.  validate_action_oracle cross-checks the closed form against the
+interior block of the matrix commutators, where truncation is exact.
 """
 
 from __future__ import annotations
@@ -57,20 +56,20 @@ class AdjointActionMatrix:
 def form_matrix(coeffs, ladders):
     """Sparse CSR matrix of the form with coefficient vector `coeffs` on a truncated space.
 
-    Only nonzero terms are summed, the identity only when c0 != 0.  The
-    identity and the 2d ladders have disjoint supports, so every stored
-    entry is one product c v, whatever the order of the terms, with a
-    -0.0 part made +0.0 as a sparse sum makes it.
+    The entries are those of `ladders.pattern` whose term has a nonzero
+    coefficient, each scaled by it: the identity and the 2d ladders have
+    disjoint supports, so every stored entry is the one product c v a sum
+    of the scaled terms would store, with a -0.0 part made +0.0 as that
+    sum makes it, in the same (row, col) order.
     """
+    indptr, _, cols, values, terms = ladders.pattern
     D = ladders.space.D
-    terms = [c * s for c, s in zip(coeffs[1:], ladders.a + ladders.adag) if c != 0]
-    if coeffs[0] != 0:
-        terms.append(coeffs[0] * sp.identity(D, dtype=complex, format="csr"))
-    if not terms:
-        return sp.csr_matrix((D, D), dtype=complex)
-    M = sum(terms[1:], terms[0])
-    M.data += 0  # -0.0 parts to +0.0, as in a sum of two or more terms
-    return M
+    coeffs = np.asarray(coeffs)
+    keep = (coeffs != 0)[terms]
+    data = coeffs[terms[keep]] * values[keep]
+    data += 0  # -0.0 parts to +0.0
+    kept = np.concatenate(([0], np.cumsum(keep, dtype=np.int32)))
+    return sp.csr_matrix((data, cols[keep], kept[indptr]), shape=(D, D))
 
 
 def adjoint_action(model):
@@ -111,19 +110,34 @@ def validate_action_oracle(ops, action):
     """Max interior-block deviation between the closed form and matrix commutators.
 
     For each basis form f in (1, a_j, a_j†), compares the matrix of the
-    predicted [G, f] against G F - F G compressed to the interior block,
-    using the caller's truncated operators `ops`.
+    predicted [G, f] against the interior block of G F - F G, with F the
+    matrix of f and G the caller's truncated drift `ops.G`.  F is a weighted
+    partial permutation, at most one entry F_rc = v per row and per column,
+    so (G F)_ic = G_ir v and (F G)_rk = v G_ck: the block gathers and scales
+    G's stored entries, each the single product a sparse product would give.
     """
     space = ops.space
-    lad = ops.ladders
     dim = space.interior_dim()
+    _, rows, cols, values, terms = ops.ladders.pattern
+    inside = (rows < dim) & (cols < dim)
+    G = ops.G.tocoo()
     worst = 0.0
-    for f in np.eye(2 * space.d + 1, dtype=complex):
-        F = form_matrix(f, lad)
-        commutator = (ops.G @ F - F @ ops.G)[:dim, :dim].toarray()
-        predicted = form_matrix(action.M @ f, lad)
-        diff = np.abs(commutator - predicted[:dim, :dim].toarray())
-        worst = max(worst, float(diff.max()))
+    for t, predicted in enumerate(action.M.T):  # [G, f] for f = e_t
+        own = terms == t
+        r, c, v = rows[own], cols[own], values[own]
+        block = np.zeros((dim, dim), dtype=complex)
+        # G F: G's entry (i, r) goes to column c
+        target, scale = np.full(space.D, -1), np.zeros(space.D, dtype=complex)
+        target[r], scale[r] = np.where(c < dim, c, -1), v
+        hit = (G.row < dim) & (target[G.col] >= 0)
+        block[G.row[hit], target[G.col[hit]]] = G.data[hit] * scale[G.col[hit]]
+        # F G: G's entry (c, k) goes to row r
+        target[:], scale[:] = -1, 0
+        target[c], scale[c] = np.where(r < dim, r, -1), v
+        hit = (G.col < dim) & (target[G.row] >= 0)
+        block[target[G.row[hit]], G.col[hit]] -= scale[G.row[hit]] * G.data[hit]
+        block[rows[inside], cols[inside]] -= predicted[terms[inside]] * values[inside]
+        worst = max(worst, float(np.abs(block).max()))
     return worst
 
 
@@ -192,6 +206,8 @@ def support_span(ops, action, psi, t):
     iterate within GS_DROP_RTOL ||M||_F of its predecessor's norm is rounding
     and ends its chain.  `krylov_closure` closes P_t psi under the basis in
     at most 2 (N_max - interior_margin + 1) rounds (`word_census`: new vectors per round).
+    The rank is that of the closure's interior rows: the interior dimension
+    when the closure spans C^D, else the rank of a second closure of them.
     """
     space = ops.space
     if t <= 0:
@@ -210,8 +226,10 @@ def support_span(ops, action, psi, t):
     phi = evolution.evolve_vector(ops, psi, [0.0, t]).states[-1]
     closure, census = krylov_closure(
         forms, phi[:, None], 2 * (space.N_max - space.interior_margin + 1))
-    interior, _ = krylov_closure([], closure[:space.interior_dim()], 0)
-    return SupportSpan(rank=interior.shape[1], word_census=census)
+    rank = space.interior_dim()  # the interior rows of a basis of C^D span the interior
+    if closure.shape[1] < space.D:
+        rank = krylov_closure([], closure[:rank], 0)[0].shape[1]
+    return SupportSpan(rank=rank, word_census=census)
 
 
 def inversion_condition_number(model):

@@ -11,14 +11,16 @@ matrix (a Superoperator's in closed form, its cached `shift_and_norm`);
 an evolution then takes one step count and Taylor degree from the theta
 table for its whole horizon, and reads every output time inside a step
 from that step's series (ibid., Sec. 5).  No dense exponential is formed.
-Trace is never renormalized: trace drift and the smallest eigenvalue are
-recorded per output time as truncation/integration diagnostics.
+Trace is never renormalized: trace drift is recorded per output time, and
+the smallest eigenvalue taken per output time when read, as
+truncation/integration diagnostics.
 """
 
 from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,11 +56,25 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class EvolutionResult:
-    """Output times, states (D x D density arrays or vectors) and per-step diagnostics."""
+    """Output times, states (D x D density arrays or vectors) and, for a
+    density evolution, its trace error per output time and the smallest
+    eigenvalue of its initial state."""
 
     times: np.ndarray
     states: list
-    stats: dict
+    trace_err: np.ndarray | None = None
+    min_eig0: float | None = None
+
+    @cached_property
+    def stats(self):
+        """A density evolution's trace_err and min_eig per output time ({} for
+        a vector one); min_eig at t = 0 is min_eig0, the others take one
+        eigvalsh each, on the first read."""
+        if self.trace_err is None:
+            return {}
+        min_eig = [self.min_eig0] + [np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
+                                     for rho in self.states[1:]]
+        return {"trace_err": self.trace_err, "min_eig": np.array(min_eig)}
 
 
 def _check_times(times):
@@ -177,8 +193,10 @@ def evolve_density(superop, rho0, times):
     rho0 must be Hermitian within 1e-10, of trace 1 and PSD within 1e-8;
     it is Hermitized once, and each product is `Superoperator.matvec`.
     Aborts with IntegrationError when the trace drifts by more than 1e-4.
-    Stats arrays: trace_err and min_eig per output time; min_eig at t = 0
-    is that of the PSD check.
+    The result holds trace_err per output time and min_eig0, the smallest
+    eigenvalue of the PSD check; its `stats` add min_eig per output time
+    when first read, so an evolution whose stats nobody reads makes no
+    eigensolve after the check.
     """
     if superop.picture != "schrodinger":
         raise ValueError("evolve_density needs a schrodinger-picture superoperator")
@@ -194,7 +212,7 @@ def evolve_density(superop, rho0, times):
     if min_eig0 < -1e-8:
         raise ValueError("density matrix has a negative eigenvalue")
     states = []
-    trace_err, min_eig = np.zeros(times.size), np.zeros(times.size)
+    trace_err = np.zeros(times.size)
     v0 = rho0.reshape(D * D, order="F")
     del rho0  # v0 is its copy
     for i, v in enumerate(_propagate(superop.matvec, superop.shift_and_norm, v0, times)):
@@ -205,9 +223,8 @@ def evolve_density(superop, rho0, times):
                 f"trace error {trace_err[i]:.3e} at t={times[i]:g} exceeds "
                 f"{TRACE_ABORT:g}; integration unstable"
             )
-        min_eig[i] = np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min() if i else min_eig0
         states.append(rho)
-    return EvolutionResult(times, states, {"trace_err": trace_err, "min_eig": min_eig})
+    return EvolutionResult(times, states, trace_err, min_eig0)
 
 
 def evolve_vector(ops, psi0, times):
@@ -218,7 +235,7 @@ def evolve_vector(ops, psi0, times):
         raise ValueError("psi0 must be a unit vector")
     G = ops.G.tocsr()
     states = list(_propagate(G.__matmul__, _shift_and_norm(G), psi0, times))
-    return EvolutionResult(times, states, {})
+    return EvolutionResult(times, states)
 
 
 def support_rank(rho, interior_dim):

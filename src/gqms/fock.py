@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -82,6 +83,26 @@ class LadderOperators:
     a: tuple
     adag: tuple
     N: sp.spmatrix
+
+    @cached_property
+    def pattern(self):
+        """(indptr, rows, cols, values, terms): the stored entries of the
+        identity and the 2d ladders, which are disjoint, in (row, col) order.
+
+        terms[e] is entry e's index in (1, a_1..a_d, a_1†..a_d†), values[e]
+        its complex value, and indptr the int32 CSR row pointer of all of
+        them; each term has at most one entry per row and per column.
+        """
+        D = self.space.D
+        mats = [sp.identity(D, dtype=complex, format="csr"), *self.a, *self.adag]
+        rows = np.concatenate([np.repeat(np.arange(D), np.diff(m.indptr)) for m in mats])
+        cols = np.concatenate([m.indices for m in mats])
+        order = np.lexsort((cols, rows))
+        terms = np.repeat(np.arange(len(mats)), [m.nnz for m in mats])[order]
+        values = np.concatenate([m.data for m in mats])[order]
+        rows, cols = rows[order], cols[order].astype(np.int32)
+        indptr = np.searchsorted(rows, np.arange(D + 1)).astype(np.int32)
+        return indptr, rows, cols, values, terms
 
 
 def build_space(d, N_max, interior_margin=2):

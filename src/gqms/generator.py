@@ -344,11 +344,20 @@ def build_lindbladian(ops, picture="schrodinger", states=0):
     pair (s_q, sum_p K_qp s_p) per nonzero row q of K.  The 2d ladders
     have disjoint supports, so these give the triplets of the pairs
     (s_q, K_qp s_p): at most 4d^2 D^2 before the fold, whatever m is, and
-    no two of them, and none with the drift, share a position.  `states`
-    is the number of states an evolution under it keeps, for its byte
-    budget.
+    no two of them, and none with the drift, share a position.  The pairs
+    go in increasing preimage index of their ladder's one entry per row
+    (of s_q, or of s_q† in the Heisenberg picture) in the graded-lex
+    basis: a_1†..a_d†, a_d..a_1, or the reverse.  Every row's entries then
+    come out in increasing column with no duplicate, so the block COOs
+    convert to CSR without a sort, to the same CSR as any pair order.
+    `states` is the number of states an evolution under it keeps, for its
+    byte budget.
     """
-    return gkls_superoperator(ops.G, ops.pairs, picture, states)
+    lad = ops.ladders
+    rank = {id(s): i for i, s in enumerate(lad.adag + lad.a[::-1])}
+    sign = -1 if picture == "heisenberg" else 1
+    pairs = sorted(ops.pairs, key=lambda pair: sign * rank[id(pair[0])])
+    return gkls_superoperator(ops.G, pairs, picture, states)
 
 
 def dissipation_quadratic_identity(ops, xi):

@@ -65,6 +65,31 @@ def strictly_positive_model(rng, d, sv_range=(0.7, 1.3), quad_scale=0.2):
     )
 
 
+def csr_bits(M):
+    """A CSR's index arrays and the bit patterns of its values (signed zeros
+    and NaN payloads included)."""
+    return (M.indptr.dtype, M.indptr.tolist(), M.indices.dtype, M.indices.tolist(),
+            M.data.dtype, M.data.view(np.int64).tolist())
+
+
+def form_matrix_by_terms(coeffs, ladders):
+    """The form's CSR as the sum of its scaled nonzero terms, the identity
+    last: the reference for `commutators.form_matrix`.
+
+    A -0.0 part of a one-term form is made +0.0, as a sum of two or more
+    terms makes it.
+    """
+    D = ladders.space.D
+    terms = [c * s for c, s in zip(coeffs[1:], ladders.a + ladders.adag) if c != 0]
+    if coeffs[0] != 0:
+        terms.append(coeffs[0] * sp.identity(D, dtype=complex, format="csr"))
+    if not terms:
+        return sp.csr_matrix((D, D), dtype=complex)
+    M = sum(terms[1:], terms[0])
+    M.data += 0
+    return M
+
+
 def pure(psi):
     """The density array |psi><psi| of a unit vector psi."""
     return np.outer(psi, np.conj(psi))

@@ -1,9 +1,19 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from gqms import commutators, evolution, fock, generator
+from gqms import cli, commutators, evolution, fock, generator
 from gqms import model as gm
-from helpers import complex_gaussian, haar_unitary, random_model, strictly_positive_model
+from helpers import (complex_gaussian, csr_bits, haar_unitary, random_model,
+                     strictly_positive_model)
+
+ROOT = Path(__file__).resolve().parent.parent
+_spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+workloads = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(workloads)
 
 
 def test_adjoint_action_pure_damping():
@@ -79,6 +89,14 @@ def test_linear_form_matrix_realization():
     # part, as a sum of terms stores none
     M = commutators.form_matrix(np.array([0, -1, 0], dtype=complex).conj(), lad)
     assert not np.signbit(M.data.imag).any()
+
+
+@pytest.mark.parametrize("d, N_max", [(1, 4), (2, 3), (3, 2)])
+def test_form_matrix_basis_rows_are_the_identity_and_the_ladders(d, N_max):
+    lad = fock.build_ladders(fock.build_space(d, N_max))
+    identity = sp.identity(lad.space.D, dtype=complex, format="csr")
+    for f, term in zip(np.eye(2 * d + 1, dtype=complex), (identity, *lad.a, *lad.adag)):
+        assert csr_bits(commutators.form_matrix(f, lad)) == csr_bits(term)
 
 
 def test_validate_action_oracle_damping():
@@ -284,6 +302,47 @@ def test_support_span_damping_vacuum_is_fixed():
     assert census == [0]
     overlap = abs(np.vdot(basis[:, 0], space.vacuum()))
     assert overlap == pytest.approx(1.0, abs=1e-10)
+
+
+def count_closures(monkeypatch):
+    """Record each `krylov_closure` call's (maps, seeds, result)."""
+    calls, closure = [], commutators.krylov_closure
+    monkeypatch.setattr(commutators, "krylov_closure",
+                        lambda maps, seeds, rounds: calls.append(
+                            (maps, seeds, closure(maps, seeds, rounds))) or calls[-1][2])
+    return calls
+
+
+def test_support_span_projects_a_proper_closure_onto_the_interior(monkeypatch):
+    # the damping vacuum's closure is the vacuum alone, rank 1 < D, so the
+    # interior pass runs on its interior rows
+    model = gm.quadratic_free_model(1, V=[[1.0]], U=[[0.0]])
+    space = fock.build_space(1, 8)
+    ops = generator.build_operators(model, space)
+    calls = count_closures(monkeypatch)
+    span = commutators.support_span(ops, commutators.adjoint_action(model), space.vacuum(), 0.5)
+    assert len(calls) == 3
+    closure = calls[1][2][0]
+    assert closure.shape == (space.D, 1)
+    assert calls[2][0] == [] and calls[2][1].shape == (space.interior_dim(), 1)
+    assert span.rank == calls[2][2][0].shape[1] == 1
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_support_span_of_a_full_closure_is_the_interior(monkeypatch, seed):
+    # closure seeds (D = 105): the closure spans C^D, so the interior pass is
+    # skipped, and its explicit result has the same rank
+    (_, config), = workloads.build("closure", seed)
+    ctx = cli.RunContext(config)
+    calls = count_closures(monkeypatch)
+    span = commutators.support_span(ctx.ops, ctx.action, ctx.space.vacuum(), 0.1)
+    assert len(calls) == 2
+    closure, census = calls[1][2]
+    assert closure.shape == (ctx.space.D, ctx.space.D)
+    monkeypatch.undo()
+    interior, _ = commutators.krylov_closure([], closure[:ctx.space.interior_dim()], 0)
+    assert span.rank == interior.shape[1] == ctx.space.interior_dim() == 78
+    assert span.word_census == census
 
 
 def test_support_span_input_validation():

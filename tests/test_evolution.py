@@ -181,6 +181,23 @@ def test_auto_matches_expm_and_rk4_on_a_mixed_state():
     assert a.stats["min_eig"][0] == np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
 
 
+def test_min_eig_is_solved_when_read(monkeypatch):
+    # the PSD check is the only eigensolve until stats are read; then one
+    # per later output time, the bits of an eigvalsh of the Hermitized state
+    space, ops, lind = seeded_lindbladian(31, 2, 5)
+    rho0 = pure(space.vacuum())
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    res = evolution.evolve_density(lind, rho0, [0.0, 0.05, 0.1, 0.2])
+    assert shapes == [(space.D, space.D)]
+    min_eig = res.stats["min_eig"]
+    assert res.stats is res.stats and len(shapes) == 4
+    assert min_eig[0] == res.min_eig0 == eigvalsh(rho0).min()
+    for rho, value in zip(res.states, min_eig):
+        assert value == eigvalsh(0.5 * (rho + rho.conj().T)).min()
+    assert evolution.evolve_vector(ops, space.vacuum(), [0.0, 0.1]).stats == {}
+
+
 def test_evolution_cost_is_refused_before_the_first_product(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a product was taken")

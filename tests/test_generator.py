@@ -10,7 +10,7 @@ import scipy.sparse as sp
 from gqms import cli, evolution, fock, generator
 from gqms import finite_dim as fd
 from gqms import model as gm
-from helpers import (complex_gaussian, kraus_form_dissipator, kraus_form_lindbladian,
+from helpers import (complex_gaussian, csr_bits, kraus_form_dissipator, kraus_form_lindbladian,
                      random_model, strictly_positive_model)
 
 
@@ -409,6 +409,34 @@ def test_grouped_ladder_pairs_match_per_entry_pairs():
         np.testing.assert_array_equal(grouped.indptr, per_entry.indptr)
         np.testing.assert_array_equal(grouped.indices, per_entry.indices)
         np.testing.assert_array_equal(grouped.data, per_entry.data)
+
+
+def row_order_operators():
+    """Seeded d = 1, 2 and 3 models and the models of both shipped scenarios."""
+    seeded = [generator.build_operators(strictly_positive_model(np.random.default_rng(42 + d), d),
+                                        fock.build_space(d, N_max))
+              for d, N_max in ((1, 12), (2, 8), (3, 5))]
+    scenarios = Path(__file__).resolve().parent.parent / "scenarios"
+    return seeded + [cli.RunContext(json.loads(path.read_text())).ops
+                     for path in sorted(scenarios.glob("*.json"))]
+
+
+def test_row_ordered_pairs_assemble_without_a_sort(monkeypatch):
+    # build_lindbladian's pair order makes every row canonical as written, so
+    # no CSR is sorted, and the CSR is that of the pairs in their own order
+    sorts, sort = [], sp.csr_matrix.sort_indices
+    monkeypatch.setattr(sp.csr_matrix, "sort_indices",
+                        lambda self: sorts.append(self.shape) or sort(self))
+    unsorted = 0
+    for ops in row_order_operators():
+        for picture in generator.PICTURES:
+            del sorts[:]
+            M = generator.build_lindbladian(ops, picture).matrix
+            assert sorts == []
+            own = generator.gkls_superoperator(ops.G, ops.pairs, picture).matrix
+            unsorted += len(sorts)
+            assert M.has_canonical_format and csr_bits(M) == csr_bits(own)
+    assert unsorted > 0  # the pairs in their own order are sorted
 
 
 def test_gkls_pairs_heisenberg_is_adjoint():

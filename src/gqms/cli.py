@@ -128,7 +128,7 @@ class RunContext:
         settings = [{**TASK_PARAMS[task["name"]], **task}
                     for task in self.config["tasks"] if task["name"] in DENSITY_TASKS]
         grids = [{0, *s["times"]} if "times" in s else {0, s["t"]} for s in settings]
-        return generator.build_lindbladian(self.ops, "schrodinger", max(map(len, grids), default=0))
+        return generator.build_lindbladian(self.ops, max(map(len, grids), default=0))
 
     @cached_property
     def action(self):

@@ -198,8 +198,6 @@ def evolve_density(superop, rho0, times):
     when first read, so an evolution whose stats nobody reads makes no
     eigensolve after the check.
     """
-    if superop.picture != "schrodinger":
-        raise ValueError("evolve_density needs a schrodinger-picture superoperator")
     times = _check_times(times)
     D = superop.dim
     rho0 = np.asarray(rho0, dtype=complex).reshape(D, D)

@@ -1,11 +1,15 @@
-"""Finite-dimensional GKLS generators over the generalized Gell-Mann basis.
+"""The finite-dimensional GKLS generator over the generalized Gell-Mann basis.
 
 The generator is specified by a Hamiltonian H and a Hermitian positive
 semidefinite Kossakowski matrix c over the Gell-Mann matrices F_k, with
-tr(F_k) = 0 and tr(F_k F_j†) = delta_kj:
+tr(F_k) = 0 and tr(F_k F_j†) = delta_kj.  `gkls_superoperator` assembles
+its Schrodinger form
 
-    Heisenberg:   L(x)    =  i[H, x] + sum_kj c_kj (F_j† x F_k - {F_j†F_k, x}/2)
-    Schrodinger:  L*(rho) = -i[H, rho] + sum_kj c_kj (F_k rho F_j† - {F_j†F_k, rho}/2)
+    L*(rho) = -i[H, rho] + sum_kj c_kj (F_k rho F_j† - {F_j†F_k, rho}/2);
+
+the probes exponentiate its adjoint, the Heisenberg generator
+L(x) = i[H, x] + sum_kj c_kj (F_j† x F_k - {F_j†F_k, x}/2), as the
+conjugate transpose of the dense L*.
 
 A strictly positive c makes the semigroup positivity improving; the probe
 and derivative checks below sample that behaviour on the unit sphere.
@@ -77,10 +81,12 @@ class FiniteGKLSModel:
         k = n * n - 1
         if H.shape != (n, n):
             raise ValueError("H must be n x n")
-        if np.abs(H - H.conj().T).max() > HERMITICITY_TOL:
-            raise ValueError("H must be Hermitian")
         if c.shape != (k, k):
             raise ValueError(f"c must be {k} x {k}")
+        if not (np.isfinite(H).all() and np.isfinite(c).all()):
+            raise ValueError("H and c must be finite")
+        if np.abs(H - H.conj().T).max() > HERMITICITY_TOL:
+            raise ValueError("H must be Hermitian")
         if np.abs(c - c.conj().T).max() > HERMITICITY_TOL:
             raise ValueError("c must be Hermitian")
         if np.linalg.eigvalsh(0.5 * (c + c.conj().T)).min() < -POSITIVITY_TOL:
@@ -97,23 +103,21 @@ def _drift_and_pairs(model):
 
 
 def build_fd_generators(model):
-    """Vectorized generators (heisenberg, schrodinger) of the model.
+    """Vectorized (Schrodinger) generator L* of the model.
 
     Passes the drift G = -iH - (1/2) sum_j F_j† B_j and the Kossakowski
     pairs (F_j, B_j = sum_k c_kj F_k), whose dissipator
     sum_j B_j rho F_j† = sum_kj c_kj F_k rho F_j†, to the shared
     `gkls_superoperator`, the GKS form `build_lindbladian` uses too.
     """
-    G, pairs = _drift_and_pairs(model)
-    return (gkls_superoperator(G, pairs, "heisenberg"),
-            gkls_superoperator(G, pairs, "schrodinger"))
+    return gkls_superoperator(*_drift_and_pairs(model))
 
 
 def _heisenberg_propagators(model, times):
-    """Dense e^{tL} of the Heisenberg generator for each t in times."""
+    """Dense e^{tL} of the Heisenberg generator L, the adjoint of L*, for each t in times."""
     import scipy.linalg  # loaded only for dense exponentials
 
-    dense = gkls_superoperator(*_drift_and_pairs(model), "heisenberg").toarray()
+    dense = gkls_superoperator(*_drift_and_pairs(model)).toarray().conj().T
     return [scipy.linalg.expm(dense * t) for t in times]
 
 

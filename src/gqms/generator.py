@@ -2,19 +2,21 @@
 
 Assembles sparse matrices for the Kraus operators L_l, the drift
 G = -iH - (1/2) sum_l L_l† L_l and its dissipative part G0 on a truncated
-Fock space, together with the vectorized generator in either picture:
+Fock space, together with the vectorized generator of states (the
+Schrodinger picture)
 
-    Schrodinger:  rho -> G rho + rho G† + sum_l L_l rho L_l†
-    Heisenberg:   x   -> G† x + x G + sum_l L_l† x L_l
+    rho -> G rho + rho G† + sum_l L_l rho L_l†;
 
+the Heisenberg generator x -> G† x + x G + sum_l L_l† x L_l is its
+Hilbert-Schmidt adjoint and is not built.
 Only the dissipator is assembled, in its Kossakowski (GKS) form
 sum_pq K_qp s_p rho s_q† over the ladder operators
 s = (a_1..a_d, a_1†..a_d†), by `gkls_superoperator`, the one GKLS
 assembly of the package (finite_dim passes its Kossakowski pairs to it).
-The drift X (G, or G† in the Heisenberg picture) stays a D x D CSR and
-acts on the state as X H + (X H)† for Hermitian H.
+The drift G stays a D x D CSR and acts on the state as G H + (G H)†
+for Hermitian H.
 Vectorization is by column stacking, vec(A X B) = (B^T kron A) vec(X).
-Both generators are *-maps, L(X†) = L(X)†, so only the D(D+1)/2 rows
+The generator is a *-map, L(X†) = L(X)†, so only the D(D+1)/2 rows
 of the upper-triangle entries of the dissipator are assembled and
 stored; `Superoperator` unfolds the rest.  The stored rows are assembled
 in blocks of at most ASSEMBLY_BLOCK triplets, bit-identical to one
@@ -34,7 +36,6 @@ from . import evolution, fock
 from . import model as gm
 from .commutators import adjoint_action, form_matrix
 
-PICTURES = ("schrodinger", "heisenberg")
 ASSEMBLY_MAX_BYTES = 2 ** 31  # peak of the assembly, and of an evolution (see gkls_superoperator)
 ASSEMBLY_BLOCK = 2 ** 17  # triplets written and made CSR at a time
 
@@ -77,7 +78,6 @@ class Superoperator:
     matrix: sp.spmatrix
     drift: sp.spmatrix
     trace: float
-    picture: str
     dim: int
 
     @cached_property
@@ -206,21 +206,13 @@ def build_operators(model, space):
     )
 
 
-def _triplets(A, adjoint):
-    """(rows, cols, values) of the stored entries of a sparse or dense A, or of A†."""
+def _triplets(A):
+    """(rows, cols, values) of the stored entries of a sparse or dense A, sorted by row."""
     if sp.issparse(A):
         A = A.tocsr()
-        rows, cols, vals = np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)), A.indices, A.data
-    else:
-        rows, cols = np.nonzero(A)
-        vals = A[rows, cols]
-    return (cols, rows, vals.conj()) if adjoint else (rows, cols, vals)
-
-
-def _by_row(triplets):
-    """The triplets stably sorted by row: equal rows keep their order."""
-    order = np.argsort(triplets[0], kind="stable")
-    return tuple(part[order] for part in triplets)
+        return np.repeat(np.arange(A.shape[0]), np.diff(A.indptr)), A.indices, A.data
+    rows, cols = np.nonzero(A)
+    return rows, cols, A[rows, cols]
 
 
 def _block_coo(terms, a0, a1, D):
@@ -249,19 +241,19 @@ def _block_coo(terms, a0, a1, D):
     return sp.coo_matrix((data, (rows, cols)), shape=(r1 - r0, D * D))
 
 
-def gkls_superoperator(G, pairs, picture="schrodinger", states=0):
+def gkls_superoperator(G, pairs, states=0):
     """Vectorized GKLS generator of the drift G and dissipator pairs (A_j, B_j),
     its dissipator assembled and folded.
 
-    A pair contributes rho -> B_j rho A_j†, so the Schrodinger form is
+    A pair contributes rho -> B_j rho A_j†, so the generator is
     kron(I, G) + kron(conj G, I) + sum_j kron(conj A_j, B_j); Kraus
-    operators enter as pairs (L, L).  The Heisenberg form is the
-    Hilbert-Schmidt adjoint, the same sum with G† and the pairs
-    (A_j†, B_j†).  G and the pair entries may be sparse or dense; the
-    pairs must give a Hermiticity-preserving map (Kraus pairs, a Hermitian
-    Kossakowski matrix, or a set closed under A_j <-> B_j).  Only the pairs'
-    sum is assembled: the drift X (G or G†) is kept as a CSR beside it, and
-    the dissipator's trace is the real part of sum_j conj(tr A_j) tr B_j.
+    operators enter as pairs (L, L).  Its Hilbert-Schmidt adjoint (the
+    Heisenberg generator) is the conjugate transpose of `toarray()`.
+    G and the pair entries may be sparse or dense; the pairs must give a
+    Hermiticity-preserving map (Kraus pairs, a Hermitian Kossakowski
+    matrix, or a set closed under A_j <-> B_j).  Only the pairs' sum is
+    assembled: the drift G is kept as a CSR beside it, and the
+    dissipator's trace is the real part of sum_j conj(tr A_j) tr B_j.
 
     kron(P, Q) puts P_ab Q_ij in vec row a D + i, stored as row
     a (a + 1) / 2 + i when i <= a.  The stored triplets are counted per
@@ -280,15 +272,12 @@ def gkls_superoperator(G, pairs, picture="schrodinger", states=0):
     `evolution.evolve_density` that keeps that many states would
     (`evolution.density_bytes`, with the triplet count for the nnz).
     """
-    if picture not in PICTURES:
-        raise ValueError(f"picture must be one of {PICTURES}")
     D = G.shape[0]
-    adjoint = picture == "heisenberg"
-    drift = sp.csr_matrix(G.conj().T if adjoint else G)
+    drift = sp.csr_matrix(G)
     trace = float(sum(np.conj(A.diagonal().sum()) * B.diagonal().sum() for A, B in pairs).real)
     terms = []  # (P, Q, counts) of kron(conj P, Q), both sorted by row
     for A, B in pairs:
-        P, Q = _by_row(_triplets(A, adjoint)), _by_row(_triplets(B, adjoint))
+        P, Q = _triplets(A), _triplets(B)
         terms.append((P, Q, np.searchsorted(Q[0], P[0], side="right")))
     per_row = sum((np.bincount(P[0], counts, minlength=D) for P, _, counts in terms),
                   np.zeros(D, np.int64))
@@ -332,11 +321,11 @@ def gkls_superoperator(G, pairs, picture="schrodinger", states=0):
             del block  # before the next block's triplets are written
         M = sp.csr_matrix((data, indices, indptr), shape=(n, D * D))
     M.eliminate_zeros()
-    return Superoperator(matrix=M, drift=drift, trace=trace, picture=picture, dim=D)
+    return Superoperator(matrix=M, drift=drift, trace=trace, dim=D)
 
 
-def build_lindbladian(ops, picture="schrodinger", states=0):
-    """Vectorized Lindblad generator of a Gaussian model in the requested picture.
+def build_lindbladian(ops, states=0):
+    """Vectorized (Schrodinger) Lindblad generator of a Gaussian model.
 
     The dissipator is taken in its Kossakowski (GKS) form,
     sum_l L_l rho L_l† = sum_pq K_qp s_p rho s_q† with
@@ -345,19 +334,18 @@ def build_lindbladian(ops, picture="schrodinger", states=0):
     have disjoint supports, so these give the triplets of the pairs
     (s_q, K_qp s_p): at most 4d^2 D^2 before the fold, whatever m is, and
     no two of them, and none with the drift, share a position.  The pairs
-    go in increasing preimage index of their ladder's one entry per row
-    (of s_q, or of s_q† in the Heisenberg picture) in the graded-lex
-    basis: a_1†..a_d†, a_d..a_1, or the reverse.  Every row's entries then
-    come out in increasing column with no duplicate, so the block COOs
-    convert to CSR without a sort, to the same CSR as any pair order.
+    go in increasing preimage index of their ladder s_q's one entry per
+    row in the graded-lex basis: a_1†..a_d†, a_d..a_1.  Every row's
+    entries then come out in increasing column with no duplicate, so the
+    block COOs convert to CSR without a sort, to the same CSR as any pair
+    order.
     `states` is the number of states an evolution under it keeps, for its
     byte budget.
     """
     lad = ops.ladders
     rank = {id(s): i for i, s in enumerate(lad.adag + lad.a[::-1])}
-    sign = -1 if picture == "heisenberg" else 1
-    pairs = sorted(ops.pairs, key=lambda pair: sign * rank[id(pair[0])])
-    return gkls_superoperator(ops.G, pairs, picture, states)
+    pairs = sorted(ops.pairs, key=lambda pair: rank[id(pair[0])])
+    return gkls_superoperator(ops.G, pairs, states)
 
 
 def dissipation_quadratic_identity(ops, xi):

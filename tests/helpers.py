@@ -95,22 +95,21 @@ def pure(psi):
     return np.outer(psi, np.conj(psi))
 
 
-def kraus_form_dissipator(ops, picture):
+def kraus_form_dissipator(ops):
     """The whole (unfolded) m-kron Kraus-form dissipator, term by term."""
-    Ks = [Lop.conj().T if picture == "heisenberg" else Lop for Lop in ops.L]
     M = sp.csr_matrix((ops.space.D ** 2,) * 2, dtype=complex)
-    for K in Ks:
+    for K in ops.L:
         M = M + sp.kron(K.conj(), K, format="csr")
     return M
 
 
-def kraus_form_lindbladian(ops, picture):
+def kraus_form_lindbladian(ops):
     """The whole (unfolded) 2 + m kron Kraus-form generator, term by term."""
     D = ops.space.D
     I = sp.identity(D, dtype=complex, format="csr")
-    X = ops.G.conj().T if picture == "heisenberg" else ops.G
-    return (sp.kron(I, X, format="csr") + sp.kron(X.conj(), I, format="csr")
-            + kraus_form_dissipator(ops, picture))
+    G = ops.G
+    return (sp.kron(I, G, format="csr") + sp.kron(G.conj(), I, format="csr")
+            + kraus_form_dissipator(ops))
 
 
 def folded_identity(D):
@@ -124,8 +123,8 @@ def expm_states(A, v0, times):
     """e^{t A} v0 at each of `times` by scipy.linalg.expm, one interval at a time.
 
     A is a sparse generator: ops.G for a vector v0, or the whole
-    Schrodinger `kraus_form_lindbladian` for a D x D density array v0,
-    which is column-stacked and whose states are returned as D x D arrays.
+    `kraus_form_lindbladian` for a D x D density array v0, which is
+    column-stacked and whose states are returned as D x D arrays.
     """
     dense = A.toarray()
     v = np.asarray(v0).reshape(-1, order="F")

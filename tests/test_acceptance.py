@@ -96,7 +96,7 @@ def test_criterion_4_exact_damping_dynamics():
     model = gm.quadratic_free_model(1, V=[[1.0]], U=[[0.0]])
     space = fock.build_space(1, 6)
     ops = generator.build_operators(model, space)
-    lind = generator.build_lindbladian(ops, "schrodinger")
+    lind = generator.build_lindbladian(ops)
     times = np.round(np.linspace(0.0, 2.0, 11), 12)
     rho0 = pure(space.basis_vector((1,)))
     res = evolution.evolve_density(lind, rho0, times)
@@ -124,7 +124,7 @@ def test_criterion_5_irreducibility_and_support_growth():
         ops = generator.build_operators(model, space)
         closure = diagnostics.invariant_subspace_search(ops, 3, seed=200 + case)
         all_ok &= closure.full_closure
-        lind = generator.build_lindbladian(ops, "schrodinger")
+        lind = generator.build_lindbladian(ops)
         starts = [space.vacuum(), space.basis_vector((1,) + (0,) * (d - 1))]
         probes = diagnostics.positivity_improving_probe(
             lind, starts, [0.05, 0.1], space)
@@ -136,7 +136,7 @@ def test_criterion_5_irreducibility_and_support_growth():
     cops = generator.build_operators(contrast, cspace)
     cclosure = diagnostics.invariant_subspace_search(
         cops, 0, seed=7, starts=[cspace.vacuum()])
-    clind = generator.build_lindbladian(cops, "schrodinger")
+    clind = generator.build_lindbladian(cops)
     cprobes = diagnostics.positivity_improving_probe(
         clind, [cspace.vacuum()], [0.05, 0.1, 0.5, 1.0], cspace)
     contrast_ok = (cclosure.min_closure_dim == 1
@@ -153,7 +153,7 @@ def test_criterion_6_support_span_oracle_equivalence():
     ops = generator.build_operators(model, space)
     action = commutators.adjoint_action(model)
     span = commutators.support_span(ops, action, space.vacuum(), 0.1)
-    lind = generator.build_lindbladian(ops, "schrodinger")
+    lind = generator.build_lindbladian(ops)
     probe = diagnostics.positivity_improving_probe(
         lind, [space.vacuum()], [0.1], space)[0]
     oracle_err = commutators.validate_action_oracle(ops, action)

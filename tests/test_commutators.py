@@ -363,7 +363,7 @@ def test_support_span_equivalence_both_probe_times():
     space = fock.build_space(1, 10)
     ops = generator.build_operators(model, space)
     action = commutators.adjoint_action(model)
-    lind = generator.build_lindbladian(ops, "schrodinger")
+    lind = generator.build_lindbladian(ops)
     from gqms import diagnostics
     for t in (0.05, 0.1):
         span = commutators.support_span(ops, action, space.vacuum(), t)

@@ -90,7 +90,7 @@ def test_probe_two_boson_full_rank():
         gamma_minus=np.eye(2), gamma_plus=np.eye(2), Omega=np.zeros((2, 2)))
     space = fock.build_space(2, 6)
     ops = generator.build_operators(model, space)
-    lind = generator.build_lindbladian(ops, "schrodinger")
+    lind = generator.build_lindbladian(ops)
     reports = diagnostics.positivity_improving_probe(
         lind, [space.vacuum()], [0.1], space)
     assert reports[0].full
@@ -101,7 +101,7 @@ def test_probe_damping_vacuum_stays_rank_one():
     model = gm.quadratic_free_model(1, V=[[1.0]], U=[[0.0]])
     space = fock.build_space(1, 8)
     ops = generator.build_operators(model, space)
-    lind = generator.build_lindbladian(ops, "schrodinger")
+    lind = generator.build_lindbladian(ops)
     reports = diagnostics.positivity_improving_probe(
         lind, [space.vacuum()], [0.05, 0.1, 0.5, 1.0], space)
     assert all(r.rank == 1 for r in reports)
@@ -110,7 +110,7 @@ def test_probe_damping_vacuum_stays_rank_one():
 
 def test_probe_at_time_zero_is_rank_one():
     model, space, ops, K = heated_mode_setup()
-    lind = generator.build_lindbladian(ops, "schrodinger")
+    lind = generator.build_lindbladian(ops)
     reports = diagnostics.positivity_improving_probe(
         lind, [space.vacuum()], [0.0], space)
     assert reports[0].rank == 1

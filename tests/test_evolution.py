@@ -16,7 +16,7 @@ def damping_setup(N_max=6):
     model = gm.quadratic_free_model(1, V=[[1.0]], U=[[0.0]])
     space = fock.build_space(1, N_max)
     ops = generator.build_operators(model, space)
-    lind = generator.build_lindbladian(ops, "schrodinger")
+    lind = generator.build_lindbladian(ops)
     return space, ops, lind
 
 
@@ -61,7 +61,7 @@ def test_semigroup_property():
     model = strictly_positive_model(rng, 1)
     space = fock.build_space(1, 6)
     ops = generator.build_operators(model, space)
-    lind = generator.build_lindbladian(ops, "schrodinger")
+    lind = generator.build_lindbladian(ops)
     rho0 = pure(space.vacuum())
     direct = evolution.evolve_density(lind, rho0, [0.0, 0.3])
     stepped = evolution.evolve_density(lind, rho0, [0.0, 0.1, 0.3])
@@ -145,7 +145,7 @@ def seeded_lindbladian(seed, d, N_max):
     model = strictly_positive_model(np.random.default_rng(seed), d)
     space = fock.build_space(d, N_max)
     ops = generator.build_operators(model, space)
-    return space, ops, generator.build_lindbladian(ops, "schrodinger")
+    return space, ops, generator.build_lindbladian(ops)
 
 
 def test_auto_matches_expm_small():
@@ -154,7 +154,7 @@ def test_auto_matches_expm_small():
     rho0 = pure(space.basis_vector((1,)))
     times = [0.0, 0.1, 0.5, 1.0]
     a = evolution.evolve_density(lind, rho0, times)
-    b = expm_states(kraus_form_lindbladian(ops, "schrodinger"), rho0, times)
+    b = expm_states(kraus_form_lindbladian(ops), rho0, times)
     for sa, sb in zip(a.states, b):
         assert np.abs(sa - sb).max() <= 1e-12
     va = evolution.evolve_vector(ops, space.vacuum(), times)
@@ -172,7 +172,7 @@ def test_auto_matches_expm_and_rk4_on_a_mixed_state():
     rho0 /= np.trace(rho0)
     times = [0.0, 0.1, 0.3]
     a = evolution.evolve_density(lind, rho0, times)
-    b = expm_states(kraus_form_lindbladian(ops, "schrodinger"), rho0, times)
+    b = expm_states(kraus_form_lindbladian(ops), rho0, times)
     for sa, sb in zip(a.states, b):
         assert np.abs(sa - sb).max() <= 1e-12
     assert max(np.abs(rho - rho.conj().T).max() for rho in a.states) <= 1e-15
@@ -268,13 +268,13 @@ def test_output_times_cost_no_products(monkeypatch):
     assert h < 0.1
     grids = ([0.0, 0.3], [0.0, 0.1, 0.15, 0.3], [0.0, 0.05, h, 0.1, 2 * h, 0.25, 0.3])
     space, ops = scaled_operators(4, 3.0)
-    lind = generator.build_lindbladian(ops, "schrodinger")
+    lind = generator.build_lindbladian(ops)
     rho0 = pure(space.basis_vector((1,)))
     vspace, vops = scaled_operators(6, 6.0)
     psi0 = vspace.basis_vector((2,))
     for norm, run, reference in (
             (lind.shift_and_norm[1], lambda times: evolution.evolve_density(lind, rho0, times),
-             lambda times: expm_states(kraus_form_lindbladian(ops, "schrodinger"), rho0, times)),
+             lambda times: expm_states(kraus_form_lindbladian(ops), rho0, times)),
             (evolution._shift_and_norm(vops.G)[1],
              lambda times: evolution.evolve_vector(vops, psi0, times),
              lambda times: expm_states(vops.G, psi0, times))):
@@ -301,7 +301,7 @@ def test_auto_scaling_steps_match_expm():
     times = [0.0, 1.0, 5.0]
     rho0 = pure(space.basis_vector((1,)))
     a = evolution.evolve_density(lind, rho0, times)
-    b = expm_states(kraus_form_lindbladian(ops, "schrodinger"), rho0, times)
+    b = expm_states(kraus_form_lindbladian(ops), rho0, times)
     for sa, sb in zip(a.states, b):
         assert np.abs(sa - sb).max() <= 1e-12
     va = evolution.evolve_vector(ops, space.basis_vector((2,)), times)
@@ -315,7 +315,7 @@ def test_auto_matches_scipy_expm_multiply():
     rho0 = pure(space.vacuum())
     times = [0.0, 0.05, 0.1, 0.3]
     res = evolution.evolve_density(lind, rho0, times)
-    whole = kraus_form_lindbladian(ops, "schrodinger")
+    whole = kraus_form_lindbladian(ops)
     v = rho0.reshape(-1, order="F")
     for dt, state in zip(np.diff(times), res.states[1:]):
         v = scipy.sparse.linalg.expm_multiply(whole, v, start=0.0, stop=dt,

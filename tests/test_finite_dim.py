@@ -56,20 +56,31 @@ def test_model_guards():
         qubit_model(H=np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, complex(0, np.nan)])
+def test_model_refuses_non_finite_entries(bad):
+    # a NaN compares False with every tolerance, so it would pass the
+    # Hermiticity and PSD checks unrefused
+    H = np.zeros((2, 2), dtype=complex)
+    H[0, 0] = bad
+    c = np.eye(3, dtype=complex)
+    c[1, 1] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        qubit_model(H=H)
+    with pytest.raises(ValueError, match="must be finite"):
+        qubit_model(c=c)
+
+
 def test_zero_model_gives_zero_generators():
     model = qubit_model(c=np.zeros((3, 3)))
-    heis, schr = fd.build_fd_generators(model)
-    assert np.abs(heis.toarray()).max() == 0.0
-    assert np.abs(schr.toarray()).max() == 0.0
+    assert np.abs(fd.build_fd_generators(model).toarray()).max() == 0.0
 
 
 def test_generator_unitality_trace_preservation_duality():
     rng = np.random.default_rng(51)
     for n in (2, 3):
         model = random_fd_model(rng, n)
-        heis, schr = fd.build_fd_generators(model)
-        Lh = heis.toarray()
-        Ls = schr.toarray()
+        Ls = fd.build_fd_generators(model).toarray()
+        Lh = Ls.conj().T
         vec_id = np.eye(n).reshape(n * n, order="F")
         assert np.abs(Lh @ vec_id).max() <= 1e-12
         assert np.abs(vec_id.conj() @ Ls).max() <= 1e-12
@@ -104,16 +115,15 @@ def test_generators_match_double_loop_formula():
     models = [random_fd_model(rng, 2), random_fd_model(rng, 3),
               qubit_model(c=np.diag([1.0, 0.0, 0.0]), H=random_hermitian(rng, 2))]
     for model in models:
-        heis, schr = fd.build_fd_generators(model)
+        schr = fd.build_fd_generators(model).toarray()
         old_heis, old_schr = double_loop_generators(model)
-        assert (heis.picture, schr.picture) == ("heisenberg", "schrodinger")
-        assert np.abs(heis.toarray() - old_heis).max() <= 1e-12
-        assert np.abs(schr.toarray() - old_schr).max() <= 1e-12
+        assert np.abs(schr.conj().T - old_heis).max() <= 1e-12
+        assert np.abs(schr - old_schr).max() <= 1e-12
 
 
 def test_depolarizing_qubit_image():
     model = qubit_model()
-    _, schr = fd.build_fd_generators(model)
+    schr = fd.build_fd_generators(model)
     rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     out = (schr.toarray() @ rho.reshape(-1, order="F")).reshape(2, 2, order="F")
     assert abs(np.trace(out)) <= 1e-14
@@ -124,7 +134,7 @@ def test_complete_positivity_shadow():
     rng = np.random.default_rng(52)
     for _ in range(5):
         model = random_fd_model(rng, 3)
-        _, schr = fd.build_fd_generators(model)
+        schr = fd.build_fd_generators(model)
         T = scipy.linalg.expm(schr.toarray() * 0.3)
         psi = complex_gaussian(rng, 3)
         psi /= np.linalg.norm(psi)
@@ -142,9 +152,9 @@ def test_diagonalizing_rotation_leaves_generator_invariant():
     rotated_F = [sum(W[k, a] * model.F[k] for k in range(3)) for a in range(3)]
     pairs = [(F, w_a * F) for F, w_a in zip(rotated_F, w)]
     G = -1j * model.H - 0.5 * sum(F.conj().T @ B for F, B in pairs)
-    for built in fd.build_fd_generators(model):
-        rotated = generator.gkls_superoperator(G, pairs, built.picture)
-        assert np.abs(built.toarray() - rotated.toarray()).max() <= 1e-10
+    built = fd.build_fd_generators(model)
+    rotated = generator.gkls_superoperator(G, pairs)
+    assert np.abs(built.toarray() - rotated.toarray()).max() <= 1e-10
 
 
 def test_initial_derivative_qubit_identity_kossakowski():
@@ -259,7 +269,7 @@ def heisenberg_value(model, T, u, v):
 
 def test_pair_checks_match_per_pair_loops():
     model = random_fd_model(np.random.default_rng(59), 3, c_floor=0.1)
-    heis = fd.build_fd_generators(model)[0].toarray()
+    heis = fd.build_fd_generators(model).toarray().conj().T
     n_pairs, seed, t_grid = 40, 60, [0.05, 0.5]  # 80 columns: two blocks
 
     rng = np.random.default_rng(seed)

@@ -81,11 +81,26 @@ def test_operator_invariants_seeded():
 
 def test_amplitude_damping_lindbladian():
     model, space, ops = damping_ops()
-    lind = generator.build_lindbladian(ops, "schrodinger")
+    lind = generator.build_lindbladian(ops)
     rho = np.outer(space.basis_vector((1,)), space.basis_vector((1,)))
     out = lind.apply(rho)
     expected = (np.outer(space.vacuum(), space.vacuum()) - rho)
     np.testing.assert_allclose(out, expected, atol=1e-13)
+
+
+def heisenberg_form(schr, x, v, u):
+    """<v, L(x) u> of the Heisenberg generator L, taken by duality from the
+    Schrodinger superoperator: tr(x L*(u v†))."""
+    return np.trace(x @ schr.apply(np.outer(u, v.conj())))
+
+
+def heisenberg_map(schr):
+    """x -> L(x) by duality, from L* of every matrix unit:
+    <e_a, L(x) e_b> = tr(x L*(|e_b><e_a|))."""
+    E = np.eye(schr.dim)
+    units = np.array([[schr.apply(np.outer(E[b], E[a])) for a in range(schr.dim)]
+                      for b in range(schr.dim)])
+    return lambda x: np.einsum("cd,badc->ab", x, units)
 
 
 def test_unitality_and_trace_preservation():
@@ -93,11 +108,10 @@ def test_unitality_and_trace_preservation():
     model = random_model(rng, 2, 3)
     space = fock.build_space(2, 4)
     ops = generator.build_operators(model, space)
-    heis = generator.build_lindbladian(ops, "heisenberg")
-    out = heis.apply(np.eye(space.D))
+    schr = generator.build_lindbladian(ops)
+    out = heisenberg_map(schr)(np.eye(space.D))
     assert np.abs(out).max() <= 1e-10
 
-    schr = generator.build_lindbladian(ops, "schrodinger")
     for _ in range(5):
         z = complex_gaussian(rng, (space.D, space.D))
         rho = z @ z.conj().T
@@ -108,12 +122,18 @@ def test_unitality_and_trace_preservation():
 
 
 def test_duality_of_pictures():
+    # L taken by duality on the matrix units is the conjugate transpose of
+    # the dense L*, and tr(L*(rho) x) = tr(rho L(x)) for every rho and x
     rng = np.random.default_rng(12)
     model = random_model(rng, 1, 2)
     space = fock.build_space(1, 8)
     ops = generator.build_operators(model, space)
-    heis = generator.build_lindbladian(ops, "heisenberg")
-    schr = generator.build_lindbladian(ops, "schrodinger")
+    schr = generator.build_lindbladian(ops)
+    heis = heisenberg_map(schr)
+    D = space.D
+    x = complex_gaussian(rng, (D, D))
+    adjoint = (schr.toarray().conj().T @ x.reshape(D * D, order="F")).reshape(D, D, order="F")
+    assert np.abs(heis(x) - adjoint).max() <= 1e-12 * np.abs(adjoint).max()
     dim = space.interior_dim()
     for _ in range(100):
         rho = np.zeros((space.D, space.D), dtype=complex)
@@ -121,24 +141,13 @@ def test_duality_of_pictures():
         rho[:dim, :dim] = complex_gaussian(rng, (dim, dim))
         x[:dim, :dim] = complex_gaussian(rng, (dim, dim))
         lhs = np.trace(schr.apply(rho) @ x)
-        rhs = np.trace(rho @ heis.apply(x))
+        rhs = np.trace(rho @ heis(x))
         assert abs(lhs - rhs) <= 1e-9 * (1 + abs(lhs))
-
-
-def test_bad_picture_rejected():
-    model, space, ops = damping_ops()
-    with pytest.raises(ValueError):
-        generator.build_lindbladian(ops, "both")
-
-
-def heisenberg_form(heis, x, v, u):
-    """<v, L(x) u> from the Heisenberg superoperator."""
-    return np.vdot(v, heis.apply(x) @ u)
 
 
 def test_quadratic_form_unitality():
     model, space, ops = damping_ops()
-    heis = generator.build_lindbladian(ops, "heisenberg")
+    schr = generator.build_lindbladian(ops)
     rng = np.random.default_rng(13)
     dim = space.interior_dim()
     for _ in range(5):
@@ -146,15 +155,15 @@ def test_quadratic_form_unitality():
         u = np.zeros(space.D, dtype=complex)
         v[:dim] = complex_gaussian(rng, dim)
         u[:dim] = complex_gaussian(rng, dim)
-        val = heisenberg_form(heis, np.eye(space.D), v, u)
+        val = heisenberg_form(schr, np.eye(space.D), v, u)
         assert abs(val) <= 1e-12 * (1 + np.linalg.norm(v) * np.linalg.norm(u))
 
 
 def test_quadratic_form_damping_number_observable():
     model, space, ops = damping_ops()
-    heis = generator.build_lindbladian(ops, "heisenberg")
+    schr = generator.build_lindbladian(ops)
     e1 = space.basis_vector((1,))
-    val = heisenberg_form(heis, ops.N.toarray(), e1, e1)
+    val = heisenberg_form(schr, ops.N.toarray(), e1, e1)
     assert val == pytest.approx(-1.0, abs=1e-12)
 
 
@@ -164,7 +173,7 @@ def test_quadratic_form_matches_heisenberg_generator():
     model = random_model(rng, 1, 2)
     space = fock.build_space(1, 8)
     ops = generator.build_operators(model, space)
-    heis = generator.build_lindbladian(ops, "heisenberg")
+    schr = generator.build_lindbladian(ops)
     H = 1j * (ops.G - ops.G0)
     dim = space.interior_dim()
     for _ in range(20):
@@ -178,7 +187,7 @@ def test_quadratic_form_matches_heisenberg_generator():
             LdL = Lop.conj().T @ Lop
             form -= 0.5 * (np.vdot(v, x @ (LdL @ u)) - 2.0 * np.vdot(Lop @ v, x @ (Lop @ u))
                            + np.vdot(LdL @ v, x @ u))
-        direct = heisenberg_form(heis, x, v, u)
+        direct = heisenberg_form(schr, x, v, u)
         assert abs(form - direct) <= 1e-9 * (1 + abs(direct))
 
 
@@ -188,15 +197,15 @@ def test_quadratic_form_conjugate_symmetry():
     model = random_model(rng, 1, 2)
     space = fock.build_space(1, 6)
     ops = generator.build_operators(model, space)
-    heis = generator.build_lindbladian(ops, "heisenberg")
+    schr = generator.build_lindbladian(ops)
     dim = space.interior_dim()
     x = complex_gaussian(rng, (space.D, space.D))
     v = np.zeros(space.D, dtype=complex)
     u = np.zeros(space.D, dtype=complex)
     v[:dim] = complex_gaussian(rng, dim)
     u[:dim] = complex_gaussian(rng, dim)
-    a = heisenberg_form(heis, x, v, u)
-    b = heisenberg_form(heis, x.conj().T, u, v)
+    a = heisenberg_form(schr, x, v, u)
+    b = heisenberg_form(schr, x.conj().T, u, v)
     assert abs(a - np.conj(b)) <= 1e-10 * (1 + abs(a))
 
 
@@ -227,20 +236,15 @@ def test_dissipation_identity_seeded():
         assert abs(lhs - rhs) <= 1e-10 * (1 + abs(lhs))
 
 
-def commutator_form_lindbladian(ops, picture):
+def commutator_form_lindbladian(ops):
     """The H / L†L kron assembly, written out term by term."""
     D = ops.space.D
     I = sp.identity(D, dtype=complex, format="csr")
     H = 1j * (ops.G - ops.G0)
-    comm = sp.kron(I, H) - sp.kron(H.T, I)
-    M = (1j if picture == "heisenberg" else -1j) * comm
+    M = -1j * (sp.kron(I, H) - sp.kron(H.T, I))
     for Lop in ops.L:
-        Ld = Lop.conj().T
-        LdL = Ld @ Lop
-        if picture == "schrodinger":
-            M = M + sp.kron(Lop.conj(), Lop)
-        else:
-            M = M + sp.kron(Lop.T, Ld)
+        LdL = Lop.conj().T @ Lop
+        M = M + sp.kron(Lop.conj(), Lop)
         M = M - 0.5 * sp.kron(I, LdL) - 0.5 * sp.kron(LdL.T, I)
     return M.tocsr()
 
@@ -252,17 +256,16 @@ def drift_krons(X):
 
 
 def test_drift_assembly_matches_commutator_form():
-    # the drift is G (G† in the Heisenberg picture), the folded CSR the rest
+    # the drift is G, the folded CSR the rest
     rng = np.random.default_rng(17)
     model = random_model(rng, 2, 3)
     space = fock.build_space(2, 5)
     ops = generator.build_operators(model, space)
-    for picture, X in zip(generator.PICTURES, (ops.G, ops.G.conj().T)):
-        new = generator.build_lindbladian(ops, picture)
-        old = commutator_form_lindbladian(ops, picture)
-        assert abs(new.drift - X).max() == 0
-        assert abs(new.matrix - (old - drift_krons(X))[new.fold[0]]).max() <= 1e-12
-        assert np.abs(new.toarray() - old.toarray()).max() <= 1e-12
+    new = generator.build_lindbladian(ops)
+    old = commutator_form_lindbladian(ops)
+    assert abs(new.drift - ops.G).max() == 0
+    assert abs(new.matrix - (old - drift_krons(ops.G))[new.fold[0]]).max() <= 1e-12
+    assert np.abs(new.toarray() - old.toarray()).max() <= 1e-12
 
 
 def kossakowski_assembly_models():
@@ -283,21 +286,20 @@ def test_kossakowski_assembly_matches_kraus_form():
         space = fock.build_space(model.d, N_max)
         ops = generator.build_operators(model, space)
         D = space.D
-        for picture in generator.PICTURES:
-            superop = generator.build_lindbladian(ops, picture)
-            rows = superop.fold[0]
-            np.testing.assert_array_equal(
-                rows, [k * D + j for k in range(D) for j in range(k + 1)])
-            new = superop.matrix
-            old = kraus_form_lindbladian(ops, picture)
-            upper = kraus_form_dissipator(ops, picture)[rows]
-            assert new.shape == (D * (D + 1) // 2, D * D)
-            assert new.has_canonical_format
-            assert new.nnz == upper.nnz
-            np.testing.assert_array_equal(new.indptr, upper.indptr)
-            np.testing.assert_array_equal(new.indices, upper.indices)
-            assert abs(new - upper).max() <= 1e-12 * abs(old).max()
-            assert np.abs(superop.toarray() - old.toarray()).max() <= 1e-12 * abs(old).max()
+        superop = generator.build_lindbladian(ops)
+        rows = superop.fold[0]
+        np.testing.assert_array_equal(
+            rows, [k * D + j for k in range(D) for j in range(k + 1)])
+        new = superop.matrix
+        old = kraus_form_lindbladian(ops)
+        upper = kraus_form_dissipator(ops)[rows]
+        assert new.shape == (D * (D + 1) // 2, D * D)
+        assert new.has_canonical_format
+        assert new.nnz == upper.nnz
+        np.testing.assert_array_equal(new.indptr, upper.indptr)
+        np.testing.assert_array_equal(new.indices, upper.indices)
+        assert abs(new - upper).max() <= 1e-12 * abs(old).max()
+        assert np.abs(superop.toarray() - old.toarray()).max() <= 1e-12 * abs(old).max()
 
 
 def test_apply_non_hermitian_matches_dense_product():
@@ -306,13 +308,12 @@ def test_apply_non_hermitian_matches_dense_product():
     space = fock.build_space(2, 4)
     ops = generator.build_operators(model, space)
     D = space.D
-    for picture in generator.PICTURES:
-        superop = generator.build_lindbladian(ops, picture)
-        X = complex_gaussian(rng, (D, D))
-        assert np.abs(X - X.conj().T).max() > 1.0
-        expected = (kraus_form_lindbladian(ops, picture) @ X.reshape(D * D, order="F")
-                    ).reshape(D, D, order="F")
-        assert np.abs(superop.apply(X) - expected).max() <= 1e-12 * np.abs(expected).max()
+    superop = generator.build_lindbladian(ops)
+    X = complex_gaussian(rng, (D, D))
+    assert np.abs(X - X.conj().T).max() > 1.0
+    expected = (kraus_form_lindbladian(ops) @ X.reshape(D * D, order="F")
+                ).reshape(D, D, order="F")
+    assert np.abs(superop.apply(X) - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 def test_folded_shift_and_norm_match_dense():
@@ -322,7 +323,7 @@ def test_folded_shift_and_norm_match_dense():
                          (random_model(rng, 2, 3), 4)]:
         ops = generator.build_operators(model, fock.build_space(model.d, N_max))
         superop = generator.build_lindbladian(ops)
-        A = kraus_form_lindbladian(ops, "schrodinger").toarray()
+        A = kraus_form_lindbladian(ops).toarray()
         n = A.shape[0]
         mu_ref = np.trace(A) / n
         norm_ref = np.abs(A - mu_ref * np.eye(n)).sum(axis=0).max()
@@ -355,13 +356,12 @@ def exact_shift_and_norm(superop):
 
 def test_closed_form_norm_is_exact_on_gaussian_models():
     for ops in closed_form_models():
-        for picture in generator.PICTURES:
-            superop = generator.build_lindbladian(ops, picture)
-            mu, norm = superop.shift_and_norm
-            mu_ref, norm_ref = exact_shift_and_norm(superop)
-            assert np.isrealobj(mu)
-            assert abs(mu - mu_ref) <= 1e-12 * abs(mu_ref)
-            assert abs(norm - norm_ref) <= 1e-12 * norm_ref
+        superop = generator.build_lindbladian(ops)
+        mu, norm = superop.shift_and_norm
+        mu_ref, norm_ref = exact_shift_and_norm(superop)
+        assert np.isrealobj(mu)
+        assert abs(mu - mu_ref) <= 1e-12 * abs(mu_ref)
+        assert abs(norm - norm_ref) <= 1e-12 * norm_ref
 
 
 def test_no_dissipator_entry_shares_a_drift_position():
@@ -369,14 +369,13 @@ def test_no_dissipator_entry_shares_a_drift_position():
     # both indices, so stored entry (j, k) of column b D + a has j != a and k != b
     for ops in closed_form_models():
         D = ops.space.D
-        for picture in generator.PICTURES:
-            superop = generator.build_lindbladian(ops, picture)
-            M = superop.matrix.tocoo()
-            k, j = np.divmod(superop.fold[0][M.row], D)
-            b, a = np.divmod(M.col, D)
-            assert M.nnz > 0
-            assert not np.any((j == a) | (k == b))
-            assert superop.trace == 0
+        superop = generator.build_lindbladian(ops)
+        M = superop.matrix.tocoo()
+        k, j = np.divmod(superop.fold[0][M.row], D)
+        b, a = np.divmod(M.col, D)
+        assert M.nnz > 0
+        assert not np.any((j == a) | (k == b))
+        assert superop.trace == 0
 
 
 def test_closed_form_norm_bounds_the_norm_of_dense_pairs():
@@ -386,12 +385,12 @@ def test_closed_form_norm_bounds_the_norm_of_dense_pairs():
     for n in (2, 3):
         a = complex_gaussian(rng, (n * n - 1,) * 2)
         model = fd.FiniteGKLSModel(n=n, H=np.diag(np.arange(n) * 0.3), c=a @ a.conj().T / n)
-        for superop in fd.build_fd_generators(model):
-            mu, norm = superop.shift_and_norm
-            mu_ref, norm_ref = exact_shift_and_norm(superop)
-            assert abs(mu - mu_ref) <= 1e-12 * abs(mu_ref)
-            assert norm >= norm_ref
-            assert norm > (1 + 1e-6) * norm_ref
+        superop = fd.build_fd_generators(model)
+        mu, norm = superop.shift_and_norm
+        mu_ref, norm_ref = exact_shift_and_norm(superop)
+        assert abs(mu - mu_ref) <= 1e-12 * abs(mu_ref)
+        assert norm >= norm_ref
+        assert norm > (1 + 1e-6) * norm_ref
 
 
 def test_grouped_ladder_pairs_match_per_entry_pairs():
@@ -403,12 +402,11 @@ def test_grouped_ladder_pairs_match_per_entry_pairs():
     s = list(ops.ladders.a) + list(ops.ladders.adag)
     pairs = [(s[q], K[q, p] * s[p]) for q, p in zip(*np.nonzero(K))]
     assert len(pairs) == 16
-    for picture in generator.PICTURES:
-        grouped = generator.build_lindbladian(ops, picture).matrix
-        per_entry = generator.gkls_superoperator(ops.G, pairs, picture).matrix
-        np.testing.assert_array_equal(grouped.indptr, per_entry.indptr)
-        np.testing.assert_array_equal(grouped.indices, per_entry.indices)
-        np.testing.assert_array_equal(grouped.data, per_entry.data)
+    grouped = generator.build_lindbladian(ops).matrix
+    per_entry = generator.gkls_superoperator(ops.G, pairs).matrix
+    np.testing.assert_array_equal(grouped.indptr, per_entry.indptr)
+    np.testing.assert_array_equal(grouped.indices, per_entry.indices)
+    np.testing.assert_array_equal(grouped.data, per_entry.data)
 
 
 def row_order_operators():
@@ -429,13 +427,12 @@ def test_row_ordered_pairs_assemble_without_a_sort(monkeypatch):
                         lambda self: sorts.append(self.shape) or sort(self))
     unsorted = 0
     for ops in row_order_operators():
-        for picture in generator.PICTURES:
-            del sorts[:]
-            M = generator.build_lindbladian(ops, picture).matrix
-            assert sorts == []
-            own = generator.gkls_superoperator(ops.G, ops.pairs, picture).matrix
-            unsorted += len(sorts)
-            assert M.has_canonical_format and csr_bits(M) == csr_bits(own)
+        del sorts[:]
+        M = generator.build_lindbladian(ops).matrix
+        assert sorts == []
+        own = generator.gkls_superoperator(ops.G, ops.pairs).matrix
+        unsorted += len(sorts)
+        assert M.has_canonical_format and csr_bits(M) == csr_bits(own)
     assert unsorted > 0  # the pairs in their own order are sorted
 
 
@@ -449,24 +446,24 @@ def test_gkls_pairs_heisenberg_is_adjoint():
              * complex_gaussian(rng, ()), complex_gaussian(rng, (D, D)))
             for k in range(3)]
     pairs = half + [(B, A) for A, B in half]
-    schr = generator.gkls_superoperator(G, pairs, "schrodinger")
-    heis = generator.gkls_superoperator(G, pairs, "heisenberg")
-    assert np.abs(heis.toarray() - schr.toarray().conj().T).max() <= 1e-12
+    schr = generator.gkls_superoperator(G, pairs)
     rho = complex_gaussian(rng, (D, D))
     x = complex_gaussian(rng, (D, D))
     dense = [(sp.csr_matrix(A).toarray(), sp.csr_matrix(B).toarray()) for A, B in pairs]
     expected = G @ rho + rho @ G.conj().T + sum(B @ rho @ A.conj().T for A, B in dense)
     np.testing.assert_allclose(schr.apply(rho), expected, atol=1e-12)
+    # the Heisenberg map x -> G† x + x G + sum_j A_j† x B_j, its adjoint
+    heis = G.conj().T @ x + x @ G + sum(A.conj().T @ x @ B for A, B in dense)
+    np.testing.assert_allclose(heisenberg_map(schr)(x), heis, atol=1e-12)
     lhs = np.vdot(x, schr.apply(rho))
-    rhs = np.vdot(heis.apply(x), rho)
+    rhs = np.vdot(heis, rho)
     assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs))
     # pairs of nonzero trace: mu = tr(A)/n takes the dissipator's trace
-    for superop in (schr, heis):
-        mu, norm = superop.shift_and_norm
-        mu_ref, norm_ref = exact_shift_and_norm(superop)
-        assert abs(superop.trace) > 1.0
-        assert abs(mu - mu_ref) <= 1e-12 * abs(mu_ref)
-        assert norm >= norm_ref
+    mu, norm = schr.shift_and_norm
+    mu_ref, norm_ref = exact_shift_and_norm(schr)
+    assert abs(schr.trace) > 1.0
+    assert abs(mu - mu_ref) <= 1e-12 * abs(mu_ref)
+    assert norm >= norm_ref
 
 
 def cancelling_pairs(rng):
@@ -487,13 +484,12 @@ def assert_same_entries(A, B):
 def test_gkls_drops_exact_zeros():
     # pairs (L, L) and (L, -L) cancel exactly: only the entries of (S, S) remain stored
     G, kept, cancelling = cancelling_pairs(np.random.default_rng(22))
-    for picture in generator.PICTURES:
-        alone = generator.gkls_superoperator(G, [kept], picture).matrix
-        M = generator.gkls_superoperator(G, cancelling + [kept], picture).matrix
-        assert generator.gkls_superoperator(G, cancelling, picture).matrix.nnz == 0
-        assert alone.nnz > 0
-        assert np.all(M.data != 0)
-        assert_same_entries(M, alone)
+    alone = generator.gkls_superoperator(G, [kept]).matrix
+    M = generator.gkls_superoperator(G, cancelling + [kept]).matrix
+    assert generator.gkls_superoperator(G, cancelling).matrix.nnz == 0
+    assert alone.nnz > 0
+    assert np.all(M.data != 0)
+    assert_same_entries(M, alone)
 
 
 def test_assembly_byte_guard_raises_before_allocating(monkeypatch):
@@ -579,17 +575,16 @@ def test_blocked_assembly_peak_memory_bound():
 
 
 def test_blocked_assembly_is_bit_identical(monkeypatch):
-    # D = 105 in both pictures: many blocks give exactly the one-block CSR
+    # D = 105: many blocks give exactly the one-block CSR
     model = strictly_positive_model(np.random.default_rng(24), 2)
     ops = generator.build_operators(model, fock.build_space(2, 13))
-    for picture in generator.PICTURES:
-        calls = count_blocks(monkeypatch, 2 ** 40)
-        whole = generator.build_lindbladian(ops, picture).matrix
-        assert calls == [(0, 105)]
-        calls = count_blocks(monkeypatch, 2 ** 10)
-        blocked = generator.build_lindbladian(ops, picture).matrix
-        assert len(calls) > 40 and calls[-1][1] == 105
-        assert_same_csr(blocked, whole)
+    calls = count_blocks(monkeypatch, 2 ** 40)
+    whole = generator.build_lindbladian(ops).matrix
+    assert calls == [(0, 105)]
+    calls = count_blocks(monkeypatch, 2 ** 10)
+    blocked = generator.build_lindbladian(ops).matrix
+    assert len(calls) > 40 and calls[-1][1] == 105
+    assert_same_csr(blocked, whole)
 
 
 def test_blocked_finite_assembly_is_bit_identical(monkeypatch):
@@ -601,23 +596,20 @@ def test_blocked_finite_assembly_is_bit_identical(monkeypatch):
     whole = fd.build_fd_generators(model)
     calls = count_blocks(monkeypatch, 1)
     blocked = fd.build_fd_generators(model)
-    assert calls == [(0, 1), (1, 2), (2, 3)] * 2
-    for A, B in zip(blocked, whole):
-        assert_same_csr(A.matrix, B.matrix)
+    assert calls == [(0, 1), (1, 2), (2, 3)]
+    assert_same_csr(blocked.matrix, whole.matrix)
 
 
 def test_gkls_drops_exact_zeros_across_blocks(monkeypatch):
     # the cancelling pairs of test_gkls_drops_exact_zeros, one row a of P per block
     G, kept, cancelling = cancelling_pairs(np.random.default_rng(22))
     count_blocks(monkeypatch, 2 ** 40)
-    whole = [generator.gkls_superoperator(G, cancelling + [kept], picture).matrix
-             for picture in generator.PICTURES]
+    whole = generator.gkls_superoperator(G, cancelling + [kept]).matrix
     calls = count_blocks(monkeypatch, 1)
-    for picture, W in zip(generator.PICTURES, whole):
-        alone = generator.gkls_superoperator(G, [kept], picture).matrix
-        del calls[:]
-        M = generator.gkls_superoperator(G, cancelling + [kept], picture).matrix
-        assert len(calls) == 6
-        assert np.all(M.data != 0)
-        assert_same_entries(M, alone)
-        assert_same_csr(M, W)
+    alone = generator.gkls_superoperator(G, [kept]).matrix
+    del calls[:]
+    M = generator.gkls_superoperator(G, cancelling + [kept]).matrix
+    assert len(calls) == 6
+    assert np.all(M.data != 0)
+    assert_same_entries(M, alone)
+    assert_same_csr(M, whole)

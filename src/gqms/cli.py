@@ -404,16 +404,12 @@ TASK_VALIDATORS = {
     for name, fn in TASKS.items()}
 
 
-def _is_number(x):
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-
 def _non_finite(value, path):
     """JSON pointers of the NaN, infinite and beyond-float-range numbers in a JSON value."""
     if isinstance(value, (dict, list)):
         for key, item in value.items() if isinstance(value, dict) else enumerate(value):
             yield from _non_finite(item, [*path, key])
-    elif _is_number(value) and not abs(value) <= sys.float_info.max:
+    elif serialize.is_number(value) and not abs(value) <= sys.float_info.max:
         yield path
 
 
@@ -493,7 +489,7 @@ def _check_expect(report, expect):
     for key, wanted in expect.items():
         have = report.get(key)
         pair = (have, wanted)
-        if all(map(_is_number, pair)) and any(isinstance(x, float) for x in pair):
+        if all(map(serialize.is_number, pair)) and any(isinstance(x, float) for x in pair):
             match = abs(have - wanted) <= 1e-9
         else:
             match = have == wanted
@@ -556,8 +552,7 @@ def run_scenario(config, output_dir, verbose=False):
         },
     }
     with open(outdir / "report.json", "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(serialize.jsonable(report), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(serialize.dumps(report) + "\n")
     return (0 if all_passed else 2), report
 
 

@@ -5,7 +5,9 @@ the interior subspace so that hard-truncation artifacts at the cutoff are
 quarantined.  Random probe vectors have complex-Gaussian coefficients on
 the interior block, are normalized, and are deterministic per seed
 (`sample_blocks`).  The three sampled certificates reduce one pass over
-a seed's samples, `sample_statistics`, instead of drawing their own.
+a seed's samples, `sample_statistics`, instead of drawing their own; the
+pass holds the samples as interior-sized vectors and applies only the
+interior columns of G0 and G and the interior part of N's diagonal.
 """
 
 from __future__ import annotations
@@ -130,31 +132,37 @@ class SampleStatistics:
 def sample_statistics(ops, seed, n_samples):
     """One pass over the seed's first n_samples interior samples for every sampled certificate.
 
-    The pass draws the samples a block at a time and applies each of G0,
-    N and G once per block; one image block is live at a time.  Every
-    column's statistics are summed row by row, so they do not depend on
-    the width of its block, and a pass holds the first columns of any
-    longer pass.
+    The pass draws interior-sized samples a block at a time and applies
+    each of G0, N and G once per block: the interior columns of G0 and G,
+    sliced once per pass, and N's diagonal (`fock.build_ladders` makes N
+    diagonal), so nothing reads the zeros a sample has past the interior.
+    One image block is live at a time.  Each column's squared image norm
+    is summed row by row over all the image's rows, and its form over the
+    interior rows, so its statistics do not depend on the width of its
+    block, and a pass holds the first columns of any longer pass.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     space, d = ops.space, ops.space.d
-    norm2 = {name: np.empty(n_samples) for name in ("G0", "N", "G")}
+    n = space.interior_dim()
+    maps = {"G0": ops.G0[:, :n], "N": ops.N.diagonal()[:n, None], "G": ops.G[:, :n]}
+    norm2 = {name: np.empty(n_samples) for name in maps}
     form = {name: np.empty(n_samples, dtype=complex if name == "G" else float)
-            for name in norm2}
+            for name in maps}
     work = np.zeros(space.D * SAMPLE_BLOCK, dtype=complex)  # one reused temporary block
     start = 0
-    for X in sample_blocks(np.random.default_rng(seed), n_samples,
-                           space.interior_dim(), space.D):
+    for X in sample_blocks(np.random.default_rng(seed), n_samples, n):
         b = X.shape[1]
-        # a one-column reduction would sum pairwise, so reduce it beside a
-        # second column of finite leftovers (work starts zeroed)
-        T2 = work[:space.D * max(b, 2)].reshape(space.D, max(b, 2))
-        T = T2[:, :b]
-        for name in norm2:
-            Y = getattr(ops, name) @ X
+        for name, op in maps.items():
+            Y = op * X if name == "N" else op @ X
+            # a one-column reduction would sum pairwise, so reduce it beside a
+            # second column of finite leftovers (work starts zeroed)
+            T2 = work[:len(Y) * max(b, 2)].reshape(len(Y), max(b, 2))
+            T = T2[:, :b]
             np.multiply(np.conjugate(Y, out=T), Y, out=T)
             norm2[name][start:start + b] = np.sqrt(np.add.reduce(T2.real, axis=0)[:b]) ** 2
+            Y = Y[:n]
+            T = work[:n * b].reshape(n, b)
             if name == "G0":  # -2 G0 xi
                 Y *= -2.0
             elif name == "N":  # (2N + d) xi

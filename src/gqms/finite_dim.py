@@ -9,7 +9,8 @@ its Schrodinger form
 
 the probes exponentiate its adjoint, the Heisenberg generator
 L(x) = i[H, x] + sum_kj c_kj (F_j† x F_k - {F_j†F_k, x}/2), as the
-conjugate transpose of the dense L*.
+conjugate transpose of the dense L*.  A model assembles that dense L once
+(`FiniteGKLSModel.heisenberg`); each probe takes only its exponentials.
 
 A strictly positive c makes the semigroup positivity improving; the probe
 and derivative checks below sample that behaviour on the unit sphere.
@@ -18,12 +19,12 @@ and derivative checks below sample that behaviour on the unit sphere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from . import serialize
+from . import generator, serialize
 from .diagnostics import sample_blocks
-from .generator import gkls_superoperator
 from .model import HERMITICITY_TOL, POSITIVITY_TOL
 
 MAX_DIM = 6
@@ -95,6 +96,12 @@ class FiniteGKLSModel:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "F", gellmann_basis(n))
 
+    @cached_property
+    def heisenberg(self):
+        """The dense Heisenberg generator L, the conjugate transpose of
+        `build_fd_generators`' L*, assembled once per model."""
+        return build_fd_generators(self).toarray().conj().T
+
 
 def _drift_and_pairs(model):
     """Drift G and Kossakowski pairs (F_j, B_j) of the model (see build_fd_generators)."""
@@ -110,15 +117,14 @@ def build_fd_generators(model):
     sum_j B_j rho F_j† = sum_kj c_kj F_k rho F_j†, to the shared
     `gkls_superoperator`, the GKS form `build_lindbladian` uses too.
     """
-    return gkls_superoperator(*_drift_and_pairs(model))
+    return generator.gkls_superoperator(*_drift_and_pairs(model))
 
 
 def _heisenberg_propagators(model, times):
     """Dense e^{tL} of the Heisenberg generator L, the adjoint of L*, for each t in times."""
     import scipy.linalg  # loaded only for dense exponentials
 
-    dense = gkls_superoperator(*_drift_and_pairs(model)).toarray().conj().T
-    return [scipy.linalg.expm(dense * t) for t in times]
+    return [scipy.linalg.expm(model.heisenberg * t) for t in times]
 
 
 def _heisenberg_expectations(T, U, V):

@@ -4,11 +4,20 @@ Complex entries are written as two-element [re, im] lists.  On input,
 bare numbers are also accepted and read as real entries, so a real
 matrix may be given either as [[1, 0], [0, 1]] or in full pair form
 [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]; the nesting depth disambiguates.
-An entry that is not a finite float (JSON's NaN, Infinity or a larger integer) is refused.
+An entry that is not a finite float (JSON's NaN, Infinity or a larger
+integer) or that is a JSON boolean is refused.
+
+`dumps` encodes a report in one pass.  Its text is exactly
+json.dumps(jsonable(obj), sort_keys=True, indent=2), but it neither copies
+the object first nor runs the standard library's pure-Python per-token
+encoder, which `indent` selects on Python 3.10-3.12: a list of floats is
+one str.join of their reprs, any other string, number, bool or None is
+json.dumps's own text, and complex arrays go through `complex_to_pairs`.
 """
 
 from __future__ import annotations
 
+import json
 import sys
 
 import numpy as np
@@ -24,10 +33,15 @@ def complex_to_pairs(array):
     raise ValueError(f"unsupported ndim {a.ndim}")
 
 
+def is_number(x):
+    """Whether a decoded JSON value is a number: an int or float, not a bool."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _entry(obj):
-    parts = [obj, 0] if isinstance(obj, (int, float)) else obj
+    parts = [obj, 0] if is_number(obj) else obj
     if isinstance(parts, (list, tuple)) and len(parts) == 2 \
-            and all(isinstance(x, (int, float)) and abs(x) <= sys.float_info.max for x in parts):
+            and all(is_number(x) and abs(x) <= sys.float_info.max for x in parts):
         return complex(parts[0], parts[1])
     raise ValueError(f"expected a finite number or [re, im] pair, got {obj!r}")
 
@@ -59,3 +73,53 @@ def jsonable(obj):
     if isinstance(obj, np.ndarray) and np.iscomplexobj(obj):
         return complex_to_pairs(obj)
     return obj
+
+
+def _encode(obj, indent, out):
+    """Append the JSON text of obj, nested at the newline-plus-spaces `indent`, to out."""
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        separator = "," + inner
+        try:  # a list of floats in one join; float.__repr__ refuses any other item
+            text = separator.join(map(float.__repr__, obj))
+        except TypeError:
+            out.append("[" + inner)
+            _encode(obj[0], inner, out)
+            for item in obj[1:]:
+                out.append(separator)
+                _encode(item, inner, out)
+            out.append(indent + "]")
+            return
+        if "n" in text:  # nan or inf, which json spells NaN or Infinity
+            text = separator.join(map(json.dumps, obj))
+        out.append("[" + inner + text + indent + "]")
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        head = "{" + inner
+        for key, value in sorted(obj.items()):
+            if isinstance(key, (int, float)) or key is None:  # made a string, as json does
+                key = json.dumps(key)
+            elif not isinstance(key, str):
+                raise TypeError(f"keys must be str, int, float, bool or None, "
+                                f"not {type(key).__name__}")
+            out.append(head + json.dumps(key) + ": ")
+            _encode(value, inner, out)
+            head = "," + inner
+        out.append(indent + "}")
+    elif isinstance(obj, np.ndarray) and np.iscomplexobj(obj):
+        _encode(complex_to_pairs(obj), indent, out)
+    else:  # a string, number, bool or None, or json's TypeError
+        out.append(json.dumps(obj))
+
+
+def dumps(obj):
+    """The text of json.dumps(jsonable(obj), sort_keys=True, indent=2), in one pass."""
+    out = []
+    _encode(obj, "\n", out)
+    return "".join(out)

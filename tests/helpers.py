@@ -4,6 +4,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
+from gqms import diagnostics
 from gqms import model as gm
 
 
@@ -88,6 +89,37 @@ def form_matrix_by_terms(coeffs, ladders):
     M = sum(terms[1:], terms[0])
     M.data += 0
     return M
+
+
+def sample_statistics_by_rows(ops, seed, n_samples):
+    """The sample pass on whole-space columns: each block has all D rows,
+    zero past the interior, every operator is applied whole, and the forms
+    are reduced over all D rows; the reference for
+    `diagnostics.sample_statistics`."""
+    space, d = ops.space, ops.space.d
+    norm2 = {name: np.empty(n_samples) for name in ("G0", "N", "G")}
+    form = {name: np.empty(n_samples, dtype=complex if name == "G" else float)
+            for name in norm2}
+    work = np.zeros(space.D * diagnostics.SAMPLE_BLOCK, dtype=complex)
+    start = 0
+    for X in diagnostics.sample_blocks(np.random.default_rng(seed), n_samples,
+                                       space.interior_dim(), space.D):
+        b = X.shape[1]
+        T2 = work[:space.D * max(b, 2)].reshape(space.D, max(b, 2))
+        T = T2[:, :b]
+        for name in norm2:
+            Y = getattr(ops, name) @ X
+            np.multiply(np.conjugate(Y, out=T), Y, out=T)
+            norm2[name][start:start + b] = np.sqrt(np.add.reduce(T2.real, axis=0)[:b]) ** 2
+            if name == "G0":
+                Y *= -2.0
+            elif name == "N":
+                Y *= 2.0
+                Y += np.multiply(d, X, out=T)
+            z = np.einsum("ij,ij->j", np.conjugate(X, out=T), Y)
+            form[name][start:start + b] = z if name == "G" else np.real(z)
+        start += b
+    return diagnostics.SampleStatistics(form=form, norm2=norm2)
 
 
 def pure(psi):

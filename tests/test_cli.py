@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gqms import cli, diagnostics, evolution, fock, generator
+from gqms import cli, diagnostics, evolution, fock, generator, serialize
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -160,6 +160,32 @@ def test_fd_tasks(tmp_path):
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert report["tasks"][0]["report"]["positive"] is True
     assert report["tasks"][1]["report"]["max_relative_mismatch"] <= 1e-5
+
+
+def test_a_finite_run_assembles_its_generator_once(tmp_path, monkeypatch):
+    # fd-probe and fd-derivative exponentiate the one dense generator of the model
+    assemblies = []
+    counting_calls(monkeypatch, generator, "gkls_superoperator", assemblies)
+    config = {"seed": 5, "model": FINITE_QUBIT,
+              "tasks": [{"name": "fd-probe", "n_pairs": 5}, {"name": "fd-derivative", "n_pairs": 5}]}
+    code, _ = cli.run_scenario(config, tmp_path)
+    assert code == 0
+    assert len(assemblies) == 1
+
+
+def test_report_json_is_the_standard_encoding_of_its_content(tmp_path, monkeypatch):
+    def no_dump(*args, **kwargs):
+        raise AssertionError("json.dump ran")
+    monkeypatch.setattr(json, "dump", no_dump)
+    config = minimal_config(tasks=[{"name": "kossakowski"}, {"name": "sector", "n_samples": 5},
+                                   {"name": "bogoliubov", "squeeze": 2000}])
+    with pytest.warns(RuntimeWarning):  # the overflowing squeeze leaves NaN residuals
+        code, report = cli.run_scenario(config, tmp_path)
+    assert code == 2
+    text = (tmp_path / "report.json").read_text()
+    assert "NaN" in text
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    assert text == json.dumps(serialize.jsonable(report), sort_keys=True, indent=2) + "\n"
 
 
 def test_improve_plot_with_multiple_initials(tmp_path):
@@ -312,14 +338,32 @@ def test_sampled_tasks_draw_the_stream_once(tmp_path, monkeypatch):
 
 
 class CountingOperator:
-    """A sparse matrix that records the column count of every block it is applied to."""
+    """A sparse matrix that records the column count of every block it, or
+    a slice of it, is applied to."""
 
     def __init__(self, matrix, name, applied):
         self.matrix, self.name, self.applied = matrix, name, applied
 
-    def __matmul__(self, X):
+    def __getitem__(self, key):
+        return type(self)(self.matrix[key], self.name, self.applied)
+
+    def diagonal(self):
+        return CountingDiagonal(self.matrix.diagonal(), self.name, self.applied)
+
+    def count(self, X):
         self.applied.setdefault(self.name, []).append(X.shape[1])
+
+    def __matmul__(self, X):
+        self.count(X)
         return self.matrix @ X
+
+
+class CountingDiagonal(CountingOperator):
+    """A matrix's diagonal that records the column count of every block it scales."""
+
+    def __mul__(self, X):
+        self.count(X)
+        return self.matrix * X
 
 
 @pytest.mark.parametrize("tasks, columns", [
@@ -330,7 +374,8 @@ class CountingOperator:
 ])
 def test_sample_pass_applies_each_operator_to_its_readers_samples(
         tmp_path, monkeypatch, tasks, columns):
-    # one pass applies each operator once to each block of the largest count
+    # one pass applies each operator once to each block of the largest count:
+    # the interior columns of G0 and G, and N's diagonal
     real = diagnostics.sample_statistics
     applied = {}
 
@@ -639,13 +684,31 @@ def test_a_run_decodes_its_model_and_builds_its_space_once(tmp_path, monkeypatch
 def test_non_finite_model_entry_is_an_input_error(tmp_path, capsys, model, named):
     # JSON's NaN and Infinity are refused where the model is decoded, before
     # any task runs or the output directory is made
+    assert_model_entry_refused(tmp_path, capsys, model, named)
+
+
+def assert_model_entry_refused(tmp_path, capsys, model, named):
+    """`validate` and `run` exit 1 at /model, naming the entry, and `run` makes no directory."""
     tasks = ([{"name": "fd-probe", "n_pairs": 5}] if model["kind"] == "finite"
              else [{"name": "kossakowski"}, {"name": "minimality"}, EVOLVE])
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(minimal_config(model=model, tasks=tasks)))
+    assert cli.main(["validate", "--config", str(path)]) == 1
+    assert f"/model: expected a finite number or [re, im] pair, got {named}" in \
+        capsys.readouterr().err
     assert cli.main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 1
     assert f"got {named}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("model, named", [
+    ({**minimal_config()["model"], "V": [[True]]}, "True"),
+    ({**minimal_config()["model"], "U": [[[0, False]]]}, "[0, False]"),
+    ({**FINITE_QUBIT, "c": [[1, 0, 0], [0, True, 0], [0, 0, 1]]}, "True"),
+])
+def test_boolean_model_entry_is_an_input_error(tmp_path, capsys, model, named):
+    # a JSON boolean is not a number, as a task setting's is not
+    assert_model_entry_refused(tmp_path, capsys, model, named)
 
 
 def test_seeded_starts_may_be_zero_with_explicit_starts():

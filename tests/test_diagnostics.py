@@ -6,7 +6,7 @@ import pytest
 
 from gqms import commutators, diagnostics, fock, generator
 from gqms import model as gm
-from helpers import strictly_positive_model
+from helpers import sample_statistics_by_rows, strictly_positive_model
 
 
 def heated_mode_setup(N_max=8):
@@ -351,6 +351,19 @@ def test_sample_statistics_prefix_is_bit_equal(n):
     for key, values in short.items():
         assert values.shape == (n,)
         assert np.array_equal(values, longer[key][:n]), key
+
+
+@pytest.mark.parametrize("d, N_max", [(1, 8), (2, 6), (3, 6)])
+@pytest.mark.parametrize("n", [1, 65, 150])
+def test_interior_sample_pass_equals_the_whole_space_pass(d, N_max, n):
+    # interior-sized blocks, sliced G0 and G and N's diagonal give the bits
+    # of applying the whole operators to zero-padded D-row samples
+    ops = seeded_ops(50 + d, d, N_max)
+    fast = statistics(diagnostics.sample_statistics(ops, 29, n))
+    reference = statistics(sample_statistics_by_rows(ops, 29, n))
+    assert fast.keys() == reference.keys()
+    for key, values in fast.items():
+        assert np.array_equal(values, reference[key]), key
 
 
 def test_sample_statistics_rejects_bad_counts():

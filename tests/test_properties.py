@@ -1,10 +1,13 @@
 """Property tests: seeded (derandomized) hypothesis searches against references and invariants."""
 
+import json
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from gqms import commutators, fock, generator
+from gqms import commutators, fock, generator, serialize
 from gqms import model as gm
 from helpers import complex_gaussian, csr_bits, form_matrix_by_terms, haar_unitary, random_model
 
@@ -64,3 +67,25 @@ def test_kossakowski_matrix_is_invariant_under_kraus_mixing(seeded):
     K = gm.build_kossakowski(model.V, model.U).matrix
     mixed = gm.mix_kraus(model, haar_unitary(rng, model.m))
     assert np.abs(gm.build_kossakowski(mixed.V, mixed.U).matrix - K).max() <= 1e-12
+
+
+# JSON-bound floats: NaN, both infinities, both zeros, subnormals and numpy's float64
+FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, -2.5e-320]),
+                   st.floats().map(np.float64))
+COMPLEX_ARRAYS = hnp.arrays(complex, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0))
+SCALARS = st.one_of(FLOATS, st.integers(-2 ** 70, 2 ** 70), st.booleans(), st.none(),
+                    st.text(), COMPLEX_ARRAYS)
+JSON_VALUES = st.recursive(SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(st.text(), inner, max_size=4),
+    st.dictionaries(st.integers() | st.floats(allow_nan=False) | st.booleans(), inner,
+                    max_size=4)), max_leaves=12)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(JSON_VALUES)
+def test_dumps_is_the_standard_indented_encoding(value):
+    # non-ASCII and control characters, ints beyond 2**63, empty containers,
+    # number and bool keys and 1-D and 2-D complex arrays, at any nesting
+    assert serialize.dumps(value) == json.dumps(serialize.jsonable(value),
+                                                sort_keys=True, indent=2)

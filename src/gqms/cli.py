@@ -373,8 +373,10 @@ CONFIG_SCHEMA = _closed(["seed", "model", "tasks"], {
 })
 VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 # validators of the model by kind and of a task by name, each closed to its
-# function's signature; sample and pair counts are at least 1 and within
-# the product budget (SAMPLE_PRODUCTS, PAIR_PRODUCTS), `times` (of
+# function's signature; a gaussian model's mode count `d` and a finite
+# model's dimension `n` are integers of at least 1, sample and pair counts
+# are at least 1 and within the product budget (SAMPLE_PRODUCTS,
+# PAIR_PRODUCTS), `times` (of
 # non-negative numbers), `initials` and a `shift_grid` list are not empty,
 # `t` is positive, a state is "vacuum" or an occupation (non-negative
 # integers), and the count of seeded start vectors is at least 0, or at
@@ -387,7 +389,8 @@ SEEDS_OR_STARTS = {
     "if": {"not": {"required": ["starts"], "properties": {"starts": NONEMPTY}}},
     "then": {"properties": {"n_seeds": {"minimum": 1}}}}
 MODEL_VALIDATORS = {
-    kind: jsonschema.Draft202012Validator(_signature_schema(fn, 0, {"kind": {}}, {}))
+    kind: jsonschema.Draft202012Validator(_signature_schema(fn, 0, {"kind": {}},
+                                                            {"d": COUNT, "n": COUNT}))
     for kind, fn in MODELS.items()}
 TASK_VALIDATORS = {
     name: jsonschema.Draft202012Validator({**SEEDS_OR_STARTS, **_signature_schema(

@@ -10,10 +10,13 @@ A - mu I are computed once per generator, without forming the shifted
 matrix (a Superoperator's in closed form, its cached `shift_and_norm`);
 an evolution then takes one step count and Taylor degree from the theta
 table for its whole horizon, and reads every output time inside a step
-from that step's series (ibid., Sec. 5).  No dense exponential is formed.
-Trace is never renormalized: trace drift is recorded per output time, and
-the smallest eigenvalue taken per output time when read, as
-truncation/integration diagnostics.
+from that step's series (ibid., Sec. 5).  The same kernel gives the dense
+propagators e^{tA} of a small dense A (`propagators`) by evolving the
+identity: the theta table bounds the backward error of the approximant
+itself, so it serves a matrix as well as a vector.  The package takes no
+other exponential.  Trace is never renormalized: trace drift is recorded
+per output time, and the smallest eigenvalue taken per output time when
+read, as truncation/integration diagnostics.
 """
 
 from __future__ import annotations
@@ -91,7 +94,7 @@ def _check_times(times):
 
 
 def _shift_and_norm(A):
-    """mu = tr(A)/n and the exact 1-norm of A - mu I for a square CSR A.
+    """mu = tr(A)/n and the exact 1-norm of A - mu I for a square CSR or dense A.
 
     The column sums of |A| are corrected by |a_cc - mu| - |a_cc|, so the
     shifted matrix is never formed.
@@ -99,15 +102,20 @@ def _shift_and_norm(A):
     n = A.shape[0]
     diag = A.diagonal()
     mu = diag.sum() / n
-    sums = np.bincount(A.indices, np.abs(A.data), minlength=n)
+    if isinstance(A, np.ndarray):
+        sums = np.abs(A).sum(axis=0)
+    else:
+        sums = np.bincount(A.indices, np.abs(A.data), minlength=n)
     return mu, float((sums + (np.abs(diag - mu) - np.abs(diag))).max())
 
 
 def _taylor_plan(dt, norm):
-    """Degree m and step count s (a float) minimising m s, s = ceil(dt norm / theta_m)."""
+    """Degree m and step count s (a float) minimising m s, s = ceil(dt norm / theta_m),
+    or 1 where dt norm / theta_m rounds to 0 (a subnormal dt norm)."""
     if dt * norm == 0:
         return 0, 1.0
-    return min(((deg, float(np.ceil(dt * norm / theta))) for deg, theta in TAYLOR_THETA.items()),
+    return min(((deg, float(np.ceil(dt * norm / theta)) or 1.0)
+                for deg, theta in TAYLOR_THETA.items()),
                key=lambda pair: pair[0] * pair[1])
 
 
@@ -154,14 +162,14 @@ def _propagate(matvec, shift_and_norm, v0, times):
     h = T/s, each an `_expm_action` that advances the running sum F and
     returns the output times inside the step.  F becomes the state at T;
     it is copied only at an output time on an earlier step end.  An
-    evolution that plans more than MAX_PRODUCTS products (m s) is refused
-    before the first one.
+    evolution that plans more than MAX_PRODUCTS products (m s), or NaN
+    products (from a NaN norm), is refused before the first one.
     """
     times = times.tolist()  # Python floats: a huge T overflows to inf silently
     T = times[-1]
     mu, norm = shift_and_norm
     m, s = _taylor_plan(T, norm)
-    if m * s > MAX_PRODUCTS:
+    if not m * s <= MAX_PRODUCTS:
         raise IntegrationError(
             f"evolution plans {m * s:.3g} matrix products (limit {MAX_PRODUCTS})")
     yield v0
@@ -176,6 +184,22 @@ def _propagate(matvec, shift_and_norm, v0, times):
             yield F if k == s else F.copy()
             j += 1
         i = j
+
+
+def propagators(A, times):
+    """e^{tA} of a dense square matrix A for each t of `times` (finite and
+    non-negative, in any order), as dense complex arrays.
+
+    One `_propagate` evolves the identity over the sorted distinct times
+    with 0, so a single Taylor plan serves them all; a repeated time
+    shares its array.  A plan over MAX_PRODUCTS products raises
+    IntegrationError.
+    """
+    A = np.asarray(A, dtype=complex)
+    grid = _check_times(sorted({0.0, *map(float, times)}))
+    identity = np.eye(A.shape[0], dtype=complex)
+    states = dict(zip(grid.tolist(), _propagate(A.__matmul__, _shift_and_norm(A), identity, grid)))
+    return [states[float(t)] for t in times]
 
 
 def density_bytes(D, nnz, states):

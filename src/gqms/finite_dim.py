@@ -10,7 +10,9 @@ its Schrodinger form
 the probes exponentiate its adjoint, the Heisenberg generator
 L(x) = i[H, x] + sum_kj c_kj (F_j† x F_k - {F_j†F_k, x}/2), as the
 conjugate transpose of the dense L*.  A model assembles that dense L once
-(`FiniteGKLSModel.heisenberg`); each probe takes only its exponentials.
+(`FiniteGKLSModel.heisenberg`); each probe takes only its exponentials,
+all of its times from one truncated-Taylor evolution of the identity
+(`evolution.propagators`).
 
 A strictly positive c makes the semigroup positivity improving; the probe
 and derivative checks below sample that behaviour on the unit sphere.
@@ -23,7 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import generator, serialize
+from . import evolution, generator, serialize
 from .diagnostics import sample_blocks
 from .model import HERMITICITY_TOL, POSITIVITY_TOL
 
@@ -120,13 +122,6 @@ def build_fd_generators(model):
     return generator.gkls_superoperator(*_drift_and_pairs(model))
 
 
-def _heisenberg_propagators(model, times):
-    """Dense e^{tL} of the Heisenberg generator L, the adjoint of L*, for each t in times."""
-    import scipy.linalg  # loaded only for dense exponentials
-
-    return [scipy.linalg.expm(model.heisenberg * t) for t in times]
-
-
 def _heisenberg_expectations(T, U, V):
     """<v, T(|u><u|) v> for every column pair (u, v) of the blocks U, V."""
     n, k = U.shape
@@ -170,7 +165,7 @@ def initial_derivative(model, u, v):
         raise ValueError("u and v must be unit vectors")
     if abs(np.vdot(u, v)) > 1e-10:
         raise ValueError("u and v must be orthogonal")
-    Ts = _heisenberg_propagators(model, (FD_STEP, 2 * FD_STEP))
+    Ts = evolution.propagators(model.heisenberg, (FD_STEP, 2 * FD_STEP))
     analytic, numeric = _derivatives(model, Ts, u[:, None], v[:, None])
     return float(analytic[0]), float(numeric[0])
 
@@ -180,7 +175,7 @@ def fd_derivative_check(model, n_pairs, seed):
     over n_pairs seeded pairs, v made orthogonal to u, a block at a time.
     """
     pairs = _pair_blocks(model, n_pairs, seed)
-    Ts = _heisenberg_propagators(model, (FD_STEP, 2 * FD_STEP))
+    Ts = evolution.propagators(model.heisenberg, (FD_STEP, 2 * FD_STEP))
     worst = 0.0
     for U, V in pairs:
         V = V - np.sum(U.conj() * V, axis=0) * U
@@ -194,8 +189,9 @@ def fd_positivity_probe(model, t_grid, n_pairs, seed):
     """Minimum of <v, T_t(|u><u|) v> over sampled unit pairs and times.
 
     A strictly positive minimum across the grid is the sampled signature
-    of a positivity-improving semigroup.  Each e^{tL} is formed once and
-    applied to a whole block of vectorized |u><u|.
+    of a positivity-improving semigroup.  The e^{tL} of every time come
+    from one evolution, and each is applied to a whole block of
+    vectorized |u><u|.
     """
     t_grid = [float(t) for t in t_grid]
     if not t_grid:
@@ -203,7 +199,7 @@ def fd_positivity_probe(model, t_grid, n_pairs, seed):
     if any(t <= 0 for t in t_grid):
         raise ValueError("t_grid entries must be positive")
     pairs = _pair_blocks(model, n_pairs, seed)
-    Ts = _heisenberg_propagators(model, t_grid)
+    Ts = evolution.propagators(model.heisenberg, t_grid)
     return float(min(np.min(_heisenberg_expectations(T, U, V))
                      for U, V in pairs for T in Ts))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import serialize
+from . import evolution, serialize
 
 HERMITICITY_TOL = 1e-12
 POSITIVITY_TOL = 1e-10
@@ -251,7 +251,10 @@ def generate_bogoliubov(d, seed, squeeze=0.5):
 
     A random Hermitian `rot` and symmetric `sq` (scaled by `squeeze`) are
     drawn and the mode transformation is
-    exp(i [[-rot, -sq], [conj(sq), rot^T]]); squeeze=0 yields F = 0.
+    exp(i [[-rot, -sq], [conj(sq), rot^T]]), taken by the package's one
+    exponential kernel, `evolution.propagators`; squeeze=0 yields F = 0.
+    A squeeze whose exponential needs more than `evolution.MAX_PRODUCTS`
+    products raises IntegrationError.
     """
     rng = np.random.default_rng(seed)
     A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
@@ -262,9 +265,7 @@ def generate_bogoliubov(d, seed, squeeze=0.5):
         [-rot, -sq],
         [sq.conj(), rot.T],
     ])
-    import scipy.linalg  # loaded only for dense exponentials
-
-    M = scipy.linalg.expm(1j * gen)
+    M = evolution.propagators(1j * gen, [1.0])[0]
     E = M[:d, :d].T.copy()
     F = M[:d, d:].T.copy()
     return BogoliubovPair(E=E, F=F)

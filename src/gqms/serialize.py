@@ -10,9 +10,11 @@ integer) or that is a JSON boolean is refused.
 `dumps` encodes a report in one pass.  Its text is exactly
 json.dumps(jsonable(obj), sort_keys=True, indent=2), but it neither copies
 the object first nor runs the standard library's pure-Python per-token
-encoder, which `indent` selects on Python 3.10-3.12: a list of floats is
-one str.join of their reprs, any other string, number, bool or None is
-json.dumps's own text, and complex arrays go through `complex_to_pairs`.
+encoder, which `indent` selects on Python 3.10-3.12: a list of finite
+floats, or of non-empty lists of finite floats (the [re, im] pairs), is
+one str.join of their reprs per list, any other string, number, bool or
+None (NaN and Infinity too) is json.dumps's own text, and complex arrays
+go through `complex_to_pairs`.
 """
 
 from __future__ import annotations
@@ -75,6 +77,23 @@ def jsonable(obj):
     return obj
 
 
+def _float_items(obj, inner):
+    """The items of obj joined at the newline-plus-spaces `inner`, when they
+    all are finite floats, or all non-empty lists of finite floats (one join
+    per list); None otherwise."""
+    separator = "," + inner
+    try:  # float.__repr__ refuses any item but a float
+        if all(isinstance(item, (list, tuple)) and item for item in obj):
+            head, item_separator, tail = "[" + inner + "  ", separator + "  ", inner + "]"
+            text = separator.join([head + item_separator.join(map(float.__repr__, item)) + tail
+                                   for item in obj])
+        else:
+            text = separator.join(map(float.__repr__, obj))
+    except TypeError:
+        return None
+    return None if "n" in text else text  # nan or inf, which json spells NaN or Infinity
+
+
 def _encode(obj, indent, out):
     """Append the JSON text of obj, nested at the newline-plus-spaces `indent`, to out."""
     if isinstance(obj, (list, tuple)):
@@ -82,20 +101,17 @@ def _encode(obj, indent, out):
             out.append("[]")
             return
         inner = indent + "  "
-        separator = "," + inner
-        try:  # a list of floats in one join; float.__repr__ refuses any other item
-            text = separator.join(map(float.__repr__, obj))
-        except TypeError:
-            out.append("[" + inner)
-            _encode(obj[0], inner, out)
-            for item in obj[1:]:
-                out.append(separator)
-                _encode(item, inner, out)
-            out.append(indent + "]")
+        text = _float_items(obj, inner)
+        if text is not None:
+            out.append("[" + inner + text + indent + "]")
             return
-        if "n" in text:  # nan or inf, which json spells NaN or Infinity
-            text = separator.join(map(json.dumps, obj))
-        out.append("[" + inner + text + indent + "]")
+        separator = "," + inner
+        out.append("[" + inner)
+        _encode(obj[0], inner, out)
+        for item in obj[1:]:
+            out.append(separator)
+            _encode(item, inner, out)
+        out.append(indent + "]")
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")

@@ -289,6 +289,11 @@ def test_unknown_plot_kind_is_input_error(tmp_path):
     # forms of an input that have one other form
     ("tasks", [{"name": "sector", "shift_grid": None}], "/tasks/0/shift_grid"),
     ("output_dir", "out", "/output_dir"),
+    # a mode count or a finite dimension that is not a positive integer
+    ("model", {"kind": "gaussian", "d": True, "V": [[1.0]], "U": [[0.0]]}, "/model/d"),
+    ("model", {"kind": "gaussian", "d": 1.7, "V": [[1.0]], "U": [[0.0]]}, "/model/d"),
+    ("model", {**FINITE_QUBIT, "n": 2.9}, "/model/n"),
+    ("model", {"kind": "gaussian", "d": 0, "V": [[1.0]], "U": [[0.0]]}, "/model/d"),
 ])
 def test_schema_violation_is_input_error(tmp_path, capsys, section, value, pointer):
     path = tmp_path / "cfg.json"
@@ -506,6 +511,18 @@ def test_bogoliubov_violation_is_a_failed_task(tmp_path):
     assert max(report["tasks"][1]["report"]["constraint_residuals"]) <= 1e-10
 
 
+def test_bogoliubov_beyond_the_product_budget_is_a_failed_task(tmp_path):
+    # at squeeze 20000 the exponential would plan more than MAX_PRODUCTS products
+    config = json.loads((SCENARIOS / "two_boson.json").read_text())
+    config["tasks"] = [{"name": "bogoliubov", "squeeze": 20000}, {"name": "kossakowski"}]
+    code, report = cli.run_scenario(config, tmp_path)
+    assert code == 2
+    failed, kept = report["tasks"]
+    assert failed["error"]["type"] == "IntegrationError"
+    assert "matrix products" in failed["error"]["message"]
+    assert kept["passed"]
+
+
 def test_readme_library_example(capsys):
     readme = (ROOT / "README.md").read_text()
     example = re.search(r"^## Library example\n\n```python\n(.*?)^```", readme, re.M | re.S)
@@ -584,8 +601,8 @@ NAN, INF = float("nan"), float("inf")
     ({"kind": "gaussian", "d": 2, "V": [[1, 0]], "U": [[0, 0]], "omega": [[1]]}, {"N_max": 6},
      [EVOLVE], "/model"),
     ({**minimal_config()["model"], "V": [[10 ** 400]]}, {"N_max": 6}, [EVOLVE], "/model"),
-    ({**minimal_config()["model"], "d": None}, {"N_max": 6}, [EVOLVE], "/model"),
-    ({**minimal_config()["model"], "d": float("inf")}, {"N_max": 6}, [EVOLVE], "/model"),
+    ({**minimal_config()["model"], "d": None}, {"N_max": 6}, [EVOLVE], "/model/d"),
+    ({**minimal_config()["model"], "d": float("inf")}, {"N_max": 6}, [EVOLVE], "/model/d"),
     ({**FINITE_QUBIT, "n": 7}, None, [{"name": "fd-probe", "n_pairs": 5}], "/model"),
     ({"kind": "gaussian", "d": 2, "V": [[1, 0]], "U": [[0, 0]]}, {"N_max": 200},
      [{"name": "kossakowski"}, EVOLVE], "/space/N_max"),
@@ -771,52 +788,52 @@ def test_verbose_run_prints_each_task(tmp_path, capsys):
         f"task failures; report at {out / 'report.json'}"]
 
 
-# Runs the tasks that need no exponential and one density evolution in a
-# fresh interpreter, then the tasks that do; prints which of the two stages
-# found scipy.linalg loaded and the bytes of the evolved state.
+# Runs every task in a fresh interpreter, then one density evolution; prints
+# whether scipy.linalg was loaded and the bytes of the evolved state.
 FOOTPRINT = """
 import json, sys
 import numpy as np
-import gqms, gqms.cli
 from gqms import cli, evolution
 configs, out = json.loads(sys.argv[1]), sys.argv[2]
-cli.run_scenario(configs[0], out + "/plain")
+for i, config in enumerate(configs):
+    cli.run_scenario(config, f"{out}/{i}")
 ctx = cli.RunContext(configs[0])
 vacuum = ctx.space.vacuum()
 result = evolution.evolve_density(ctx.lindbladian, np.outer(vacuum, vacuum.conj()), [0.0, 0.1])
-plain = "scipy.linalg" in sys.modules
-for i, config in enumerate(configs[1:]):
-    cli.run_scenario(config, f"{out}/expm{i}")
-print(json.dumps({"plain": plain, "expm": "scipy.linalg" in sys.modules,
+print(json.dumps({"loaded": "scipy.linalg" in sys.modules,
                   "rho": result.states[-1].tobytes().hex()}))
 """
 
 
-def test_scipy_linalg_loads_only_for_exponentials(tmp_path):
+def test_scipy_linalg_never_loads(tmp_path):
     configs = [
         minimal_config(space={"N_max": 4}, tasks=[
             {"name": "evolve", "times": [0, 0.1]}, {"name": "support"},
             {"name": "improve"}, {"name": "invariant"}]),
-        minimal_config(tasks=[{"name": "bogoliubov"}]),
+        minimal_config(tasks=[
+            {"name": "kossakowski"}, {"name": "minimality"}, {"name": "bogoliubov"},
+            {"name": "number-bound", "n_samples": 20},
+            {"name": "domain-comparison", "n_samples": 20}, {"name": "sector", "n_samples": 20}]),
         minimal_config(model=FINITE_QUBIT, tasks=[
             {"name": "fd-probe", "n_pairs": 5}, {"name": "fd-derivative", "n_pairs": 2}]),
     ]
+    assert {task["name"] for config in configs for task in config["tasks"]} == set(cli.TASKS)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run([sys.executable, "-c", FOOTPRINT, json.dumps(configs),
                            str(tmp_path / "fresh")],
                           capture_output=True, text=True, env=env, check=True)
     fresh = json.loads(done.stdout.splitlines()[-1])
-    assert fresh["plain"] is False and fresh["expm"] is True
-    for i, config in enumerate(configs[1:]):
+    assert fresh["loaded"] is False
+    # the same bytes in this process, with scipy.linalg loaded
+    import scipy.linalg  # noqa: F401
+    for i, config in enumerate(configs):
         cli.run_scenario(config, tmp_path / f"here{i}")
         for path in (tmp_path / f"here{i}").iterdir():
-            ours, theirs = path.read_text(), (tmp_path / "fresh" / f"expm{i}" / path.name).read_text()
+            ours, theirs = path.read_text(), (tmp_path / "fresh" / str(i) / path.name).read_text()
             if path.name == "report.json":
                 ours, theirs = ({k: v for k, v in json.loads(text).items() if k != "timestamps"}
                                 for text in (ours, theirs))
             assert ours == theirs
-    # the same bytes as in this process, where scipy.linalg is loaded now
-    assert "scipy.linalg" in sys.modules
     ctx = cli.RunContext(configs[0])
     vacuum = ctx.space.vacuum()
     rho = evolution.evolve_density(ctx.lindbladian, np.outer(vacuum, vacuum.conj()),

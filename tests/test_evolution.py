@@ -8,8 +8,8 @@ import scipy.sparse.linalg
 
 from gqms import cli, evolution, fock, generator
 from gqms import model as gm
-from helpers import (expm_states, folded_identity, kraus_form_lindbladian, pure,
-                     strictly_positive_model)
+from helpers import (complex_gaussian, expm_states, folded_identity, kraus_form_lindbladian,
+                     pure, strictly_positive_model)
 
 
 def damping_setup(N_max=6):
@@ -225,6 +225,62 @@ def test_evolution_cost_is_refused_before_the_first_product(monkeypatch):
         monkeypatch.setattr(evolution, "MAX_PRODUCTS", planned - 1)
         with pytest.raises(evolution.IntegrationError, match="products"):
             run()
+
+
+def test_propagators_read_any_times_from_one_evolution(monkeypatch):
+    # unsorted, repeated and zero times: each is e^{tA}, a repeat shares its
+    # array, 0 is the identity, and the s steps of one plan over the largest
+    # time serve them all
+    A = complex_gaussian(np.random.default_rng(71), (5, 5)) + 2j * np.eye(5)
+    steps = []
+    real = evolution._expm_action
+    monkeypatch.setattr(evolution, "_expm_action", lambda *args: steps.append(1) or real(*args))
+    times = [0.7, 0.0, 0.2, 0.7, 1.3]
+    Ps = evolution.propagators(A, times)
+    assert len(steps) == evolution._taylor_plan(1.3, evolution._shift_and_norm(A)[1])[1]
+    assert np.array_equal(Ps[1], np.eye(5)) and Ps[0] is Ps[3]
+    for t, P in zip(times, Ps):
+        R = scipy.linalg.expm(t * A)
+        assert np.abs(P - R).max() <= 1e-13 * np.abs(R).max()
+    ordered = evolution.propagators(A, [0.2, 0.7, 1.3])
+    assert all(np.array_equal(a, b) for a, b in zip(ordered, [Ps[2], Ps[0], Ps[4]]))
+
+
+def test_propagators_refuse_bad_times_and_plans_over_the_budget(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a product was taken")
+
+    monkeypatch.setattr(evolution, "_expm_action", refuse)
+    A = np.array([[0.0, 1e6], [-1e6, 0.0]])
+    for times, message in (([-0.1], "start at 0"), ([0.1, np.nan], "finite"),
+                           ([np.inf], "finite")):
+        with pytest.raises(ValueError, match=message):
+            evolution.propagators(A, times)
+    with pytest.raises(evolution.IntegrationError, match="products"):
+        evolution.propagators(A, [1.0])
+    with pytest.raises(evolution.IntegrationError, match="products"):
+        evolution.propagators(np.full((2, 2), np.nan), [1.0])
+
+
+def test_propagator_of_a_multiple_of_the_identity_takes_no_product(monkeypatch):
+    # the shift takes all of A, so the plan has degree 0: one step, its scaling alone
+    matvecs = []
+    real = evolution._propagate
+    monkeypatch.setattr(evolution, "_propagate",
+                        lambda matvec, *args: real(lambda v: matvecs.append(1) or matvec(v), *args))
+    assert np.array_equal(evolution.propagators(3j * np.eye(2), [1.0])[0], np.exp(3j) * np.eye(2))
+    assert matvecs == []
+
+
+def test_subnormal_horizon_takes_one_step():
+    # t norm / theta_m rounds to 0 for the larger theta_m; the plan still takes a step
+    space, ops, lind = damping_setup(N_max=2)
+    assert evolution._taylor_plan(5e-324, lind.shift_and_norm[1]) == (1, 1.0)
+    rho0 = pure(space.basis_vector((1,)))
+    res = evolution.evolve_density(lind, rho0, [0.0, 5e-324])
+    assert np.abs(res.states[1] - rho0).max() <= 1e-300
+    A = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    assert np.array_equal(evolution.propagators(A, [5e-324])[0], np.eye(2) + 5e-324 * A)
 
 
 def test_zero_horizon_takes_no_product(monkeypatch):

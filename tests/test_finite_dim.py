@@ -267,6 +267,12 @@ def heisenberg_value(model, T, u, v):
     return float(np.real(np.vdot(v, (T @ x).reshape(model.n, model.n, order="F") @ v)))
 
 
+def test_probe_minimum_ignores_the_order_and_repeats_of_its_grid():
+    model = random_fd_model(np.random.default_rng(61), 3, c_floor=0.1)
+    assert fd.fd_positivity_probe(model, [0.5, 0.05, 0.5, 0.2], 30, 7) == \
+        fd.fd_positivity_probe(model, [0.05, 0.2, 0.5], 30, 7)
+
+
 def test_pair_checks_match_per_pair_loops():
     model = random_fd_model(np.random.default_rng(59), 3, c_floor=0.1)
     heis = fd.build_fd_generators(model).toarray().conj().T

@@ -3,11 +3,12 @@
 import json
 
 import numpy as np
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gqms import commutators, fock, generator, serialize
+from gqms import commutators, evolution, fock, generator, serialize
 from gqms import model as gm
 from helpers import complex_gaussian, csr_bits, form_matrix_by_terms, haar_unitary, random_model
 
@@ -69,6 +70,35 @@ def test_kossakowski_matrix_is_invariant_under_kraus_mixing(seeded):
     assert np.abs(gm.build_kossakowski(mixed.V, mixed.U).matrix - K).max() <= 1e-12
 
 
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.floats(0, 10),
+       st.complex_numbers(max_magnitude=5),
+       st.lists(st.floats(0, 1), min_size=1, max_size=4))
+def test_propagators_match_expm(seed, n, norm, shift, times):
+    # a complex A of 1-norm `norm` whose diagonal carries a drawn shift, at
+    # times in any order, with repeats
+    A = complex_gaussian(np.random.default_rng(seed), (n, n)) + shift * np.eye(n)
+    A *= norm / np.abs(A).sum(axis=0).max()
+    for t, P in zip(times, evolution.propagators(A, times)):
+        R = scipy.linalg.expm(t * A)
+        assert np.abs(P - R).max() <= 1e-13 * np.abs(R).max()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.floats(0, 1))
+def test_bogoliubov_pairs_meet_the_constraints_and_the_congruence(seed, d, squeeze):
+    pair = gm.generate_bogoliubov(d, seed, squeeze)
+    T = pair.mode_matrix()
+    # E†E and E^T F are sums of products of T's entries, rounded at their scale
+    assert max(pair.residuals) <= 1e-13 * max(1.0, np.abs(T).max() ** 2)
+    rng = np.random.default_rng(seed)
+    model = random_model(rng, d, int(rng.integers(1, 2 * d + 2)))
+    K = gm.build_kossakowski(model.V, model.U).matrix
+    moved = gm.bogoliubov_transform(model, pair)
+    K2 = gm.build_kossakowski(moved.V, moved.U).matrix
+    assert np.abs(K2 - T @ K @ T.conj().T).max() <= 1e-10
+
+
 # JSON-bound floats: NaN, both infinities, both zeros, subnormals and numpy's float64
 FLOATS = st.one_of(st.floats(), st.sampled_from([-0.0, 5e-324, -2.5e-320]),
                    st.floats().map(np.float64))
@@ -89,3 +119,16 @@ def test_dumps_is_the_standard_indented_encoding(value):
     # number and bool keys and 1-D and 2-D complex arrays, at any nesting
     assert serialize.dumps(value) == json.dumps(serialize.jsonable(value),
                                                 sort_keys=True, indent=2)
+
+
+# lists of rows, the shape of [re, im] pairs and of matrices of them: rows
+# empty or not, holding NaN or infinities, ints or bare floats among them
+FLOAT_ROWS = st.lists(st.lists(FLOATS, min_size=1, max_size=3)
+                      | st.lists(FLOATS | st.integers(), max_size=3).map(tuple) | FLOATS,
+                      min_size=1, max_size=5)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(FLOAT_ROWS | st.lists(FLOAT_ROWS, max_size=3))
+def test_dumps_of_float_rows_is_the_standard_encoding(rows):
+    assert serialize.dumps(rows) == json.dumps(rows, sort_keys=True, indent=2)

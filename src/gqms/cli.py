@@ -11,7 +11,7 @@ MODELS, a task's settings those of its `task_*` function; seeded tasks
 draw from the run seed.  A parameter without a default is required, and
 one with an int, float or tuple default is a JSON integer, number or
 array; an int or float setting reaches its task as its default's type.
-Any other key or type, a value outside the bounds TASK_VALIDATORS or
+Any other key or type, a value outside the bounds `schema_errors` or
 _dependent_errors declare (every number in a task is finite), or a task
 of the other model kind is a schema error, reported before a task runs.
 The sampled tasks reduce the run seed's one sample pass, of their
@@ -20,9 +20,9 @@ tasks may carry an `expect` block whose key/value pairs replace the
 task's default assertion, so contrast scenarios can assert *failure* of
 a property and still exit 0; an expected number is compared within 1e-9
 when it or the report's value is a float, any other value for equality.
-A task raising IntegrationError, numpy's LinAlgError or a MemoryError (a
-refused allocation) fails with an "error" {type, message}.  Exit codes:
-0 all tasks passed, 2 some task failed, 1 input error (a ValueError: a
+A task raising IntegrationError, numpy's LinAlgError, a MemoryError (a
+refused allocation) or a ValueError fails with an "error" {type, message}.
+Exit codes: 0 all tasks passed, 2 some task failed, 1 input error (a
 schema error, an unreadable config or an unusable output directory).
 report.json is byte-identical across runs with the same config and seed
 except for the top-level "timestamps" field.
@@ -41,7 +41,6 @@ from dataclasses import asdict
 from functools import cached_property
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 import scipy
 
@@ -77,11 +76,6 @@ FD_TIMES = (0.01, 0.1, 1.0)
 # _dependent_errors).
 SAMPLE_PRODUCTS = 3
 PAIR_PRODUCTS = {"fd-probe": len(FD_TIMES), "fd-derivative": 2}
-# `additionalProperties` that rejects every extra key, as `false` does, but
-# reports each one at its own JSON pointer
-UNKNOWN_KEY = {"not": {}}
-# schema of a parameter by the type of its default; other defaults leave it untyped
-JSON_TYPES = {int: {"type": "integer"}, float: {"type": "number"}, tuple: {"type": "array"}}
 
 
 class RunContext:
@@ -174,8 +168,7 @@ def task_kossakowski(ctx, out):
         "hermiticity_error": herm_err,
         "matrix": serialize.complex_to_pairs(K.matrix),
     }
-    ok = fact_err <= 1e-12 and herm_err <= 1e-12
-    return report, ok
+    return report, fact_err <= 1e-12 and herm_err <= 1e-12
 
 
 def task_minimality(ctx, out):
@@ -273,8 +266,7 @@ def task_support(ctx, out, initial="vacuum", t=0.1):
         "oracle_error": float(oracle),
         "word_census": list(span.word_census),
     }
-    ok = report["match"] and oracle <= 1e-9
-    return report, ok
+    return report, report["match"] and oracle <= 1e-9
 
 
 def task_improve(ctx, out, initials=("vacuum",), times=(0.05, 0.1), plots=()):
@@ -328,9 +320,16 @@ def task_fd_derivative(ctx, out, n_pairs=100):
 # A task's config name is its function's name without `task_`, `-` for `_`.
 TASKS = {name[len("task_"):].replace("_", "-"): fn
          for name, fn in list(globals().items()) if name.startswith("task_")}
+
+
+def _params(fn, skip):
+    """{name: default} of the parameters of `fn` after its first `skip` (REQUIRED for none)."""
+    return {p.name: p.default for p in list(inspect.signature(fn).parameters.values())[skip:]}
+
+
+REQUIRED = inspect.Parameter.empty
 # task -> {setting: default}, the parameters after `ctx` and `out`
-TASK_PARAMS = {name: {p.name: p.default for p in inspect.signature(fn).parameters.values()
-                      if p.name not in ("ctx", "out")} for name, fn in TASKS.items()}
+TASK_PARAMS = {name: _params(fn, 2) for name, fn in TASKS.items()}
 
 
 def _settings(task):
@@ -342,69 +341,95 @@ def _settings(task):
     return settings
 
 
-def _closed(required, properties):
-    """Schema of an object with the `required` keys and no key beyond `properties`."""
-    return {"type": "object", "required": required, "properties": properties,
-            "additionalProperties": UNKNOWN_KEY}
+def _rule(kind=None, low=None, high=None, strict=False, items=None, nonempty=False, names=None):
+    """Rule of a JSON value of JSON Schema's type `kind` (any if None; a bool is no number,
+    an integral float an integer): one of `names`, a number in [low, high] (above `low` if
+    `strict`) or an array (non-empty if `nonempty`) of `items`; yields (path, message) pairs."""
+    def check(value, path):
+        if kind in ("integer", "number"):
+            valid = serialize.is_number(value) and (
+                kind == "number" or isinstance(value, int) or value.is_integer())
+        else:
+            valid = kind is None or isinstance(value, {"array": list, "object": dict}[kind])
+        if not valid:
+            yield path, f"{value!r} is not of type {kind!r}"
+        elif names is not None and value not in names:
+            yield path, f"{value!r} is not one of {names!r}"
+        elif low is not None and (value <= low if strict else value < low):
+            yield path, f"{value!r} is less than {'or equal to ' * strict}the minimum of {low}"
+        elif high is not None and value > high:
+            yield path, f"{value!r} is greater than the maximum of {high}"
+        elif nonempty and not value:
+            yield path, "[] should be non-empty"
+        elif items:
+            for i, entry in enumerate(value):
+                yield from items(entry, [*path, i])
+    return check
 
 
-def _signature_schema(fn, skip, keys, params):
-    """Closed schema of `keys` and of the parameters of `fn` after its first `skip`.
+def _fields(params, rules, closed=True):
+    """Rule of a JSON object of `params` ({key: default}, REQUIRED for none), each meeting
+    its rule in `rules` or that of its default's type; other keys are unknown if `closed`."""
+    def check(value, path):
+        if not isinstance(value, dict):
+            yield path, f"{value!r} is not of type 'object'"
+            return
+        yield from ((path, f"{key!r} is a required property")
+                    for key, default in params.items() if default is REQUIRED and key not in value)
+        for key, entry in value.items():
+            if key in params:
+                rule = rules.get(key) or BY_DEFAULT.get(type(params[key]), ANY)
+                yield from rule(entry, [*path, key])
+            elif closed:
+                yield [*path, key], "unknown key"
+    return check
 
-    A parameter without a default is required; one named in `params` takes
-    that schema, any other the JSON_TYPES entry of its default's type.
-    """
-    signature = list(inspect.signature(fn).parameters.values())[skip:]
-    return _closed([p.name for p in signature if p.default is p.empty], {
-        **keys, **{p.name: params.get(p.name, JSON_TYPES.get(type(p.default), {}))
-                   for p in signature}})
+
+ANY = _rule()
+BY_DEFAULT = {int: _rule("integer"), float: _rule("number"), tuple: _rule("array")}
+COUNT = _rule("integer", 1)
+OCCUPATION = _rule("array", items=_rule("integer", 0))
 
 
-SEED = {"type": "integer", "minimum": 0}
-CONFIG_SCHEMA = _closed(["seed", "model", "tasks"], {
-    "seed": SEED,
-    "model": {"type": "object", "required": ["kind"],
-              "properties": {"kind": {"enum": list(MODELS)}}},
-    "space": _closed(["N_max"], {"N_max": {"type": "integer", "minimum": 1},
-                                 "interior_margin": {"type": "integer", "minimum": 0}}),
-    "tasks": {"type": "array", "minItems": 1,
-              "items": {"type": "object", "required": ["name"],
-                        "properties": {"name": {"enum": list(TASKS)}}}},
-})
-VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-# validators of the model by kind and of a task by name, each closed to its
-# function's signature; a gaussian model's mode count `d` and a finite
-# model's dimension `n` are integers of at least 1, sample and pair counts
-# are at least 1 and within the product budget (SAMPLE_PRODUCTS,
-# PAIR_PRODUCTS), `times` (of
-# non-negative numbers), `initials` and a `shift_grid` list are not empty,
-# `t` is positive, a state is "vacuum" or an occupation (non-negative
-# integers), and the count of seeded start vectors is at least 0, or at
-# least 1 without a non-empty `starts`
-COUNT = {"type": "integer", "minimum": 1}
-NONEMPTY = {"type": "array", "minItems": 1}
-OCCUPATION = {"type": "array", "items": {"type": "integer", "minimum": 0}}
-STATE = {"if": {"type": "string"}, "then": {"const": "vacuum"}, "else": OCCUPATION}
-SEEDS_OR_STARTS = {
-    "if": {"not": {"required": ["starts"], "properties": {"starts": NONEMPTY}}},
-    "then": {"properties": {"n_seeds": {"minimum": 1}}}}
-MODEL_VALIDATORS = {
-    kind: jsonschema.Draft202012Validator(_signature_schema(fn, 0, {"kind": {}},
-                                                            {"d": COUNT, "n": COUNT}))
-    for kind, fn in MODELS.items()}
-TASK_VALIDATORS = {
-    name: jsonschema.Draft202012Validator({**SEEDS_OR_STARTS, **_signature_schema(
-        fn, 2, {"name": {}, "expect": {"type": "object"}},
-        {"n_samples": {**COUNT, "maximum": evolution.MAX_PRODUCTS // SAMPLE_PRODUCTS},
-         "n_pairs": {**COUNT, "maximum": evolution.MAX_PRODUCTS // PAIR_PRODUCTS.get(name, 1)},
-         "n_seeds": {"type": "integer", "minimum": 0},
-         "times": {**NONEMPTY, "items": {"type": "number", "minimum": 0}},
-         "t": {"type": "number", "exclusiveMinimum": 0}, "initial": STATE,
-         "initials": {**NONEMPTY, "items": STATE}, "starts": {"type": "array", "items": STATE},
-         "observables": {"type": "array", "items": OCCUPATION},
-         "plots": {"type": "array", "items": {"enum": PLOTS.get(name, [])}},
-         "shift_grid": {**NONEMPTY, "items": {"type": "number"}}})})
-    for name, fn in TASKS.items()}
+def _state(value, path):
+    """Rule of a state: "vacuum" or an occupation (non-negative integers)."""
+    return (_rule(names=["vacuum"]) if isinstance(value, str) else OCCUPATION)(value, path)
+
+
+CONFIG = _fields({"seed": REQUIRED, "model": REQUIRED, "space": None, "tasks": REQUIRED}, {
+    "seed": _rule("integer", 0),
+    "model": _fields({"kind": REQUIRED}, {"kind": _rule(names=list(MODELS))}, closed=False),
+    "space": _fields(_params(fock.build_space, 1),
+                     {"N_max": COUNT, "interior_margin": _rule("integer", 0)}),
+    "tasks": _rule("array", nonempty=True, items=_fields(
+        {"name": REQUIRED}, {"name": _rule(names=list(TASKS))}, closed=False))})
+MODEL_FIELDS = {kind: _fields({"kind": None, **_params(fn, 0)}, {"d": COUNT, "n": COUNT})
+                for kind, fn in MODELS.items()}
+
+
+def _task_errors(task, path):
+    """Violations of a task's settings (TASK_PARAMS): counts within the product budget
+    (SAMPLE_PRODUCTS, PAIR_PRODUCTS), `n_seeds` at least 1 without a non-empty `starts`."""
+    name, starts, budget = task["name"], task.get("starts"), evolution.MAX_PRODUCTS
+    return _fields({"name": None, "expect": None, **TASK_PARAMS[name]}, {
+        "expect": _rule("object"), "n_samples": _rule("integer", 1, budget // SAMPLE_PRODUCTS),
+        "n_pairs": _rule("integer", 1, budget // PAIR_PRODUCTS.get(name, 1)),
+        "n_seeds": _rule("integer", 0 if isinstance(starts, list) and starts else 1),
+        "times": _rule("array", items=_rule("number", 0), nonempty=True),
+        "t": _rule("number", 0, strict=True), "initial": _state,
+        "initials": _rule("array", items=_state, nonempty=True),
+        "starts": _rule("array", items=_state), "observables": _rule("array", items=OCCUPATION),
+        "plots": _rule("array", items=_rule(names=PLOTS.get(name, []))),
+        "shift_grid": _rule("array", items=_rule("number"), nonempty=True)})(task, path)
+
+
+def schema_errors(config):
+    """(path, message) of each violation of the top-level shape (CONFIG) or,
+    once it holds, of the fields of the model's kind and of each task."""
+    return list(CONFIG(config, [])) or [
+        *MODEL_FIELDS[config["model"]["kind"]](config["model"], ["model"]),
+        *(error for i, task in enumerate(config["tasks"])
+          for error in _task_errors(task, ["tasks", i]))]
 
 
 def _non_finite(value, path):
@@ -464,21 +489,11 @@ def _dependent_errors(ctx):
 def validate_config(config):
     """Schema-check a config; returns its RunContext, or raises ValueError listing JSON pointers.
 
-    Once the config has the top-level shape, the model and each task are
-    checked against the schema of their kind or name, then the model, the
-    space and, for DENSITY_TASKS, the superoperator are built as a run builds
-    them (refusals at /model, /space/N_max) and checked against the values
-    that rule out others (`_dependent_errors`).
+    After `schema_errors`, the model, the space and, for DENSITY_TASKS, the
+    superoperator are built as a run builds them (refusals at /model,
+    /space/N_max) and checked against the values that rule out others.
     """
-    errors = [(list(e.absolute_path), e) for e in VALIDATOR.iter_errors(config)]
-    if not errors:
-        parts = [(["model"], MODEL_VALIDATORS[config["model"]["kind"]], config["model"])]
-        parts += [(["tasks", i], TASK_VALIDATORS[task["name"]], task)
-                  for i, task in enumerate(config["tasks"])]
-        errors = [([*at, *e.absolute_path], e)
-                  for at, validator, part in parts for e in validator.iter_errors(part)]
-    errors = [(path, "unknown key" if e.schema is UNKNOWN_KEY else e.message)
-              for path, e in errors] or list(_dependent_errors(ctx := RunContext(config)))
+    errors = schema_errors(config) or list(_dependent_errors(ctx := RunContext(config)))
     if errors:
         raise ValueError("config schema violations:\n" + "\n".join(
             f"  /{'/'.join(map(str, path))}: {message}"
@@ -488,17 +503,13 @@ def validate_config(config):
 
 def _check_expect(report, expect):
     """Mismatches of `expect`: two numbers, one a float, agree within 1e-9, other pairs if equal."""
-    mismatches = []
-    for key, wanted in expect.items():
-        have = report.get(key)
+    def match(have, wanted):
         pair = (have, wanted)
         if all(map(serialize.is_number, pair)) and any(isinstance(x, float) for x in pair):
-            match = abs(have - wanted) <= 1e-9
-        else:
-            match = have == wanted
-        if not match:
-            mismatches.append({"key": key, "expected": wanted, "actual": have})
-    return mismatches
+            return abs(have - wanted) <= 1e-9
+        return have == wanted
+    return [{"key": key, "expected": wanted, "actual": report.get(key)}
+            for key, wanted in expect.items() if not match(report.get(key), wanted)]
 
 
 def run_scenario(config, output_dir, verbose=False):
@@ -511,7 +522,6 @@ def run_scenario(config, output_dir, verbose=False):
         raise ValueError(f"cannot make output directory {outdir}: {exc}") from exc
     started = time.time()
     task_entries = []
-    all_passed = True
     task_seconds = {}
     for idx, task in enumerate(config["tasks"]):
         name = task["name"]
@@ -520,7 +530,8 @@ def run_scenario(config, output_dir, verbose=False):
         try:
             report, default_ok = TASKS[name](
                 ctx, lambda suffix: outdir / f"{tag}_{suffix}.csv", **_settings(task))
-        except (evolution.IntegrationError, np.linalg.LinAlgError, MemoryError) as exc:
+        except (evolution.IntegrationError, np.linalg.LinAlgError, MemoryError,
+                ValueError) as exc:
             report = None
             error = {"type": type(exc).__name__, "message": str(exc)}
         task_seconds[tag] = time.time() - t0
@@ -533,27 +544,16 @@ def run_scenario(config, output_dir, verbose=False):
             mismatches = _check_expect(report, expect)
             entry = {"name": name, "report": report, "passed": not mismatches,
                      "expect": expect, "expect_mismatches": mismatches}
-        all_passed = all_passed and entry["passed"]
         task_entries.append(entry)
         if verbose:
             print(f"[{idx}] {name}: {'PASS' if entry['passed'] else 'FAIL'}")
-    report = {
-        "config": config,
-        "seed": ctx.seed,
-        "versions": {
-            "gqms": __version__,
-            "numpy": np.__version__,
-            "scipy": scipy.__version__,
-            "python": platform.python_version(),
-        },
-        "tasks": task_entries,
-        "passed": all_passed,
-        "timestamps": {
-            "started_unix": started,
-            "finished_unix": time.time(),
-            "task_seconds": task_seconds,
-        },
-    }
+    all_passed = all(entry["passed"] for entry in task_entries)
+    versions = {"gqms": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
+                "python": platform.python_version()}
+    timestamps = {"started_unix": started, "finished_unix": time.time(),
+                  "task_seconds": task_seconds}
+    report = {"config": config, "seed": ctx.seed, "versions": versions, "tasks": task_entries,
+              "passed": all_passed, "timestamps": timestamps}
     with open(outdir / "report.json", "w", encoding="utf-8", newline="\n") as fh:
         fh.write(serialize.dumps(report) + "\n")
     return (0 if all_passed else 2), report
@@ -569,9 +569,7 @@ def _load_config(path):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(
-        prog="gqms",
-        description="Gaussian quantum Markov semigroup diagnostics at desk scale",
-    )
+        prog="gqms", description="Gaussian quantum Markov semigroup diagnostics at desk scale")
     sub = parser.add_subparsers(dest="command", required=True)
     p_run = sub.add_parser("run", help="run a scenario config")
     p_run.add_argument("--config", required=True)

@@ -1,10 +1,13 @@
 """Shared seeded samplers and references for the test suite."""
 
+import functools
+import inspect
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from gqms import diagnostics
+from gqms import cli, diagnostics, evolution
 from gqms import model as gm
 
 
@@ -164,3 +167,84 @@ def expm_states(A, v0, times):
     for dt in np.diff(times):
         states.append(scipy.linalg.expm(dt * dense) @ states[-1])
     return [state.reshape(np.shape(v0), order="F") for state in states]
+
+
+# The config schema in JSON Schema, checked by jsonschema: the reference for
+# `cli.schema_errors`.  UNKNOWN_KEY rejects every extra key, as `false` does,
+# but at the key's own JSON pointer.
+UNKNOWN_KEY = {"not": {}}
+# schema of a parameter by the type of its default; other defaults leave it untyped
+JSON_TYPES = {int: {"type": "integer"}, float: {"type": "number"}, tuple: {"type": "array"}}
+
+
+def _closed(required, properties):
+    """Schema of an object with the `required` keys and no key beyond `properties`."""
+    return {"type": "object", "required": required, "properties": properties,
+            "additionalProperties": UNKNOWN_KEY}
+
+
+def _signature_schema(fn, skip, keys, params):
+    """Closed schema of `keys` and of the parameters of `fn` after its first `skip`.
+
+    A parameter without a default is required; one named in `params` takes
+    that schema, any other the JSON_TYPES entry of its default's type.
+    """
+    signature = list(inspect.signature(fn).parameters.values())[skip:]
+    return _closed([p.name for p in signature if p.default is p.empty], {
+        **keys, **{p.name: params.get(p.name, JSON_TYPES.get(type(p.default), {}))
+                   for p in signature}})
+
+
+@functools.cache
+def reference_validators():
+    """jsonschema validators of the top-level shape, of the model by kind and
+    of a task by name, each closed to its function's signature."""
+    import jsonschema
+
+    config = _closed(["seed", "model", "tasks"], {
+        "seed": {"type": "integer", "minimum": 0},
+        "model": {"type": "object", "required": ["kind"],
+                  "properties": {"kind": {"enum": list(cli.MODELS)}}},
+        "space": _closed(["N_max"], {"N_max": {"type": "integer", "minimum": 1},
+                                     "interior_margin": {"type": "integer", "minimum": 0}}),
+        "tasks": {"type": "array", "minItems": 1,
+                  "items": {"type": "object", "required": ["name"],
+                            "properties": {"name": {"enum": list(cli.TASKS)}}}},
+    })
+    count = {"type": "integer", "minimum": 1}
+    nonempty = {"type": "array", "minItems": 1}
+    occupation = {"type": "array", "items": {"type": "integer", "minimum": 0}}
+    state = {"if": {"type": "string"}, "then": {"const": "vacuum"}, "else": occupation}
+    seeds_or_starts = {
+        "if": {"not": {"required": ["starts"], "properties": {"starts": nonempty}}},
+        "then": {"properties": {"n_seeds": {"minimum": 1}}}}
+    models = {kind: jsonschema.Draft202012Validator(
+        _signature_schema(fn, 0, {"kind": {}}, {"d": count, "n": count}))
+        for kind, fn in cli.MODELS.items()}
+    tasks = {name: jsonschema.Draft202012Validator({**seeds_or_starts, **_signature_schema(
+        fn, 2, {"name": {}, "expect": {"type": "object"}},
+        {"n_samples": {**count, "maximum": evolution.MAX_PRODUCTS // cli.SAMPLE_PRODUCTS},
+         "n_pairs": {**count,
+                     "maximum": evolution.MAX_PRODUCTS // cli.PAIR_PRODUCTS.get(name, 1)},
+         "n_seeds": {"type": "integer", "minimum": 0},
+         "times": {**nonempty, "items": {"type": "number", "minimum": 0}},
+         "t": {"type": "number", "exclusiveMinimum": 0}, "initial": state,
+         "initials": {**nonempty, "items": state}, "starts": {"type": "array", "items": state},
+         "observables": {"type": "array", "items": occupation},
+         "plots": {"type": "array", "items": {"enum": cli.PLOTS.get(name, [])}},
+         "shift_grid": {**nonempty, "items": {"type": "number"}}})})
+        for name, fn in cli.TASKS.items()}
+    return jsonschema.Draft202012Validator(config), models, tasks
+
+
+def reference_schema_pointers(config):
+    """The set of JSON pointers (path tuples) at which the reference refuses
+    `config`: the top-level shape, then, if it holds, the model and each task."""
+    validator, models, tasks = reference_validators()
+    errors = [tuple(e.absolute_path) for e in validator.iter_errors(config)]
+    if not errors:
+        errors = [("model", *e.absolute_path)
+                  for e in models[config["model"]["kind"]].iter_errors(config["model"])]
+        errors += [("tasks", i, *e.absolute_path) for i, task in enumerate(config["tasks"])
+                   for e in tasks[task["name"]].iter_errors(task)]
+    return set(errors)

@@ -426,7 +426,8 @@ def test_shipped_and_benchmark_configs_validate(workload):
         cli.validate_config(config)
 
 
-@pytest.mark.parametrize("error_type", ["IntegrationError", "LinAlgError", "MemoryError"])
+@pytest.mark.parametrize("error_type", ["IntegrationError", "LinAlgError", "MemoryError",
+                                        "ValueError"])
 def test_integration_error_is_a_failed_task(tmp_path, monkeypatch, error_type):
     if error_type == "IntegrationError":
         # at t = 1e6 the evolution would plan more than MAX_PRODUCTS products
@@ -439,6 +440,13 @@ def test_integration_error_is_a_failed_task(tmp_path, monkeypatch, error_type):
         monkeypatch.setattr(diagnostics, "sample_statistics", refuse)
         failing = {"name": "number-bound", "n_samples": 1000}
         message = "Unable to allocate"
+    elif error_type == "ValueError":
+        # a numerical ValueError raised inside a task, after the config validated
+        def refuse(*args, **kwargs):
+            raise ValueError("array must not contain infs or NaNs")
+        monkeypatch.setattr(diagnostics, "invariant_subspace_search", refuse)
+        failing = {"name": "invariant"}
+        message = "infs or NaNs"
     else:
         def no_convergence(*args, **kwargs):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -728,6 +736,14 @@ def test_boolean_model_entry_is_an_input_error(tmp_path, capsys, model, named):
     assert_model_entry_refused(tmp_path, capsys, model, named)
 
 
+def test_integral_floats_are_integers():
+    # JSON Schema's integer: 6.0 is one, as 6 is; each reaches its builder as an int
+    config = minimal_config(model={**minimal_config()["model"], "d": 1.0},
+                            space={"N_max": 6.0, "interior_margin": 2.0},
+                            tasks=[{"name": "invariant", "n_seeds": 1.0}])
+    assert cli.validate_config(config).space.D == 7
+
+
 def test_seeded_starts_may_be_zero_with_explicit_starts():
     cli.validate_config(minimal_config(
         tasks=[{"name": "invariant", "n_seeds": 0, "starts": ["vacuum"]},
@@ -789,7 +805,8 @@ def test_verbose_run_prints_each_task(tmp_path, capsys):
 
 
 # Runs every task in a fresh interpreter, then one density evolution; prints
-# whether scipy.linalg was loaded and the bytes of the evolved state.
+# which of scipy.linalg and jsonschema were loaded and the bytes of the
+# evolved state.
 FOOTPRINT = """
 import json, sys
 import numpy as np
@@ -800,7 +817,7 @@ for i, config in enumerate(configs):
 ctx = cli.RunContext(configs[0])
 vacuum = ctx.space.vacuum()
 result = evolution.evolve_density(ctx.lindbladian, np.outer(vacuum, vacuum.conj()), [0.0, 0.1])
-print(json.dumps({"loaded": "scipy.linalg" in sys.modules,
+print(json.dumps({"loaded": sorted({"scipy.linalg", "jsonschema"} & sys.modules.keys()),
                   "rho": result.states[-1].tobytes().hex()}))
 """
 
@@ -823,7 +840,7 @@ def test_scipy_linalg_never_loads(tmp_path):
                            str(tmp_path / "fresh")],
                           capture_output=True, text=True, env=env, check=True)
     fresh = json.loads(done.stdout.splitlines()[-1])
-    assert fresh["loaded"] is False
+    assert fresh["loaded"] == []
     # the same bytes in this process, with scipy.linalg loaded
     import scipy.linalg  # noqa: F401
     for i, config in enumerate(configs):

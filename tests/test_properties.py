@@ -1,16 +1,18 @@
 """Property tests: seeded (derandomized) hypothesis searches against references and invariants."""
 
+import copy
 import json
 
 import numpy as np
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from gqms import commutators, evolution, fock, generator, serialize
+from gqms import cli, commutators, evolution, fock, generator, serialize
 from gqms import model as gm
-from helpers import complex_gaussian, csr_bits, form_matrix_by_terms, haar_unitary, random_model
+from helpers import (complex_gaussian, csr_bits, form_matrix_by_terms, haar_unitary,
+                     random_model, reference_schema_pointers)
 
 # coefficient parts: zeros of both signs, subnormals, large and ordinary floats
 PARTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 1e300, -1.7e308]),
@@ -59,6 +61,15 @@ def test_generator_preserves_trace_and_hermiticity(seeded, N_max):
     assert abs(np.trace(image)) <= 1e-12 * np.abs(image).sum()
     assert np.array_equal(image, image.conj().T)
     assert np.abs(superop.apply(X.conj().T) - Y.conj().T).max() <= scale
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(seeded_models(), st.integers(2, 5))
+def test_action_oracle_matches_the_matrix_commutators(seeded, N_max):
+    # the bound the `support` task holds the oracle to
+    _, model = seeded
+    ops = generator.build_operators(model, fock.build_space(model.d, N_max))
+    assert commutators.validate_action_oracle(ops, commutators.adjoint_action(model)) <= 1e-9
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
@@ -132,3 +143,134 @@ FLOAT_ROWS = st.lists(st.lists(FLOATS, min_size=1, max_size=3)
 @given(FLOAT_ROWS | st.lists(FLOAT_ROWS, max_size=3))
 def test_dumps_of_float_rows_is_the_standard_encoding(rows):
     assert serialize.dumps(rows) == json.dumps(rows, sort_keys=True, indent=2)
+
+
+# A valid config of each model kind; together they hold every task, each
+# with every setting it takes
+CONFIG_MODELS = {
+    "gaussian": {"kind": "gaussian", "d": 1, "V": [[1.0]], "U": [[0.5]], "omega": [[0.2]]},
+    "two_boson": {"kind": "two_boson", "gamma_minus": [[1, 0], [0, 1]],
+                  "gamma_plus": [[0.5, 0], [0, 0.5]]},
+    "finite": {"kind": "finite", "n": 2, "c": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+}
+BOSONIC_TASKS = [
+    {"name": "kossakowski", "expect": {"eps0": 0.0}}, {"name": "minimality"},
+    {"name": "bogoliubov", "squeeze": 0.5}, {"name": "number-bound", "n_samples": 10},
+    {"name": "domain-comparison", "n_samples": 10},
+    {"name": "evolve", "initial": [1], "times": [0, 0.1], "observables": [[0], [1]]},
+    {"name": "support", "initial": "vacuum", "t": 0.1},
+    {"name": "improve", "initials": ["vacuum", [1]], "times": [0.05],
+     "plots": ["min-eig-vs-t", "support-rank-vs-t"]},
+    {"name": "invariant", "n_seeds": 2, "starts": ["vacuum", [2]]},
+    {"name": "sector", "n_samples": 10, "shift_grid": [0.0, 1.0],
+     "plots": ["numerical-range-scatter"]},
+]
+FINITE_TASKS = [{"name": "fd-probe", "n_pairs": 5}, {"name": "fd-derivative", "n_pairs": 5}]
+
+
+def valid_config(kind):
+    config = {"seed": 1, "model": copy.deepcopy(CONFIG_MODELS[kind]),
+              "tasks": copy.deepcopy(FINITE_TASKS if kind == "finite" else BOSONIC_TASKS)}
+    if kind != "finite":
+        config["space"] = {"N_max": 6, "interior_margin": 2}
+    return config
+
+
+def with_task(kind, index, **settings):
+    """A valid config of `kind` with its task `index` updated by `settings`
+    (a setting of None deleted)."""
+    config = valid_config(kind)
+    task = config["tasks"][index]
+    task.update(settings)
+    for key in [key for key, value in settings.items() if value is None]:
+        del task[key]
+    return config
+
+
+NAN, INF = float("nan"), float("inf")
+# wrong JSON types, booleans, integral and fractional floats, counts at and
+# past their bounds, negative and non-finite numbers, labels and occupations
+MUTANTS = st.sampled_from([
+    None, True, False, "x", "vacuum", "vac", "gaussian", "two_boson", "finite", "sector",
+    "invariant", "fd-probe", "min-eig-vs-t", "numerical-range-scatter", 0, 1, -1, 2, 6, 0.0,
+    -0.0, 1.0, 6.0, 0.5, -0.5, 2.7, NAN, INF, -INF, 10 ** 400, -10 ** 400, 1e300, 33333, 33334,
+    33333.0, 33334.0, 50000, 50001, 10 ** 12, [], [0], [1, 0], [-1], [True], [0.5], [2.0],
+    ["vacuum"], ["vac"], [[1], [-1]], [[0.5]], {}, {"eps0": 0.0}]).map(copy.deepcopy)
+# a task name or model kind in place of another, or a label of neither
+LABELS = st.sampled_from([*cli.TASKS, *cli.MODELS, "x"])
+KEYS = st.sampled_from([
+    "timez", "n_sample", "seed", "name", "kind", "model", "space", "tasks", "expect", "d", "n",
+    "V", "H", "N_max", "interior_margin", "dimension_cap", *sorted(
+        {key for params in cli.TASK_PARAMS.values() for key in params})])
+
+
+def locations(value, deep=True):
+    """(container, key) of every entry of a JSON value, at any depth if
+    `deep`; the entries of the model's fields (untyped matrices) are left out."""
+    entries = value.items() if isinstance(value, dict) else enumerate(value)
+    for key, entry in list(entries):
+        yield value, key
+        if isinstance(entry, (dict, list)) and deep:
+            yield from locations(entry, deep=key != "model")
+
+
+@st.composite
+def mutated_configs(draw):
+    """A valid config with one to three entries replaced, deleted or added,
+    most of them in a task, where a mutation is checked against the task's
+    fields."""
+    config = valid_config(draw(st.sampled_from(list(CONFIG_MODELS))))
+    for _ in range(draw(st.integers(1, 3))):
+        tasks = config.get("tasks")
+        roots = [config, config, *(tasks if isinstance(tasks, list) else ())]
+        roots = [root for root in roots if isinstance(root, dict) and root]
+        if not roots:
+            break
+        container, key = draw(st.sampled_from(list(locations(draw(st.sampled_from(roots))))))
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if key in ("name", "kind"):  # a label is replaced, so its fields are checked
+            container[key] = draw(LABELS)
+        elif action == "replace":
+            container[key] = draw(MUTANTS)
+        elif action == "delete":
+            del container[key]
+        elif isinstance(container, dict):
+            container[draw(KEYS)] = draw(MUTANTS)
+        else:
+            container.append(draw(MUTANTS))
+    return config
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=600)
+@given(mutated_configs())
+@example(valid_config("gaussian"))
+@example(valid_config("two_boson"))
+@example(valid_config("finite"))
+@example([])
+@example(with_task("gaussian", 1, name=None))
+@example({**valid_config("gaussian"), "space": {"N_max": 6.0, "interior_margin": 2.0}})
+@example({**valid_config("gaussian"), "seed": True})
+@example(with_task("gaussian", 3, n_samples=33333))
+@example(with_task("gaussian", 3, n_samples=33334))
+@example(with_task("gaussian", 9, n_samples=33334.0))
+@example(with_task("finite", 0, n_pairs=33334))
+@example(with_task("finite", 1, n_pairs=50001))
+@example(with_task("gaussian", 2, squeeze=10 ** 400))
+@example(with_task("gaussian", 2, squeeze=True))
+@example(with_task("gaussian", 5, times=[0, NAN]))
+@example(with_task("gaussian", 7, times=[-0.1]))
+@example(with_task("gaussian", 6, t=0))
+@example(with_task("gaussian", 6, t=NAN))
+@example({**valid_config("finite"), "tasks": []})
+@example(with_task("gaussian", 7, times=[], initials=[]))
+@example(with_task("gaussian", 9, shift_grid=[], plots=[]))
+@example(with_task("gaussian", 8, n_seeds=0))
+@example(with_task("gaussian", 8, n_seeds=0, starts=None))
+@example(with_task("gaussian", 8, n_seeds=0, starts=[]))
+@example(with_task("gaussian", 8, n_seeds=-1))
+@example(with_task("gaussian", 0, n_seeds=0))
+@example(with_task("gaussian", 7, initials=["vac", [1, -1], [True]], plots=["x"]))
+@example(with_task("gaussian", 5, observables=[[0.5], 3], timez=[0.1]))
+def test_schema_errors_are_at_the_reference_pointers(config):
+    assert {tuple(path) for path, _ in cli.schema_errors(config)} == \
+        reference_schema_pointers(config)

@@ -62,8 +62,9 @@ PIVOTS = {
     "min-eig-vs-t": ("min_interior_eig", "min_eig_psi", "{:.6e}"),
 }
 PLOTS = {"improve": list(PIVOTS), "sector": ["numerical-range-scatter"]}
-# the tasks of a finite model; the others need a bosonic model and its `space`
+# the tasks of a finite model; of the others, all but SPACELESS_TASKS need a `space`
 FINITE_TASKS = ("fd-probe", "fd-derivative")
+SPACELESS_TASKS = ("kossakowski", "minimality", "bogoliubov")
 # the tasks that evolve density states under the superoperator `lindbladian`
 DENSITY_TASKS = ("evolve", "support", "improve")
 # the times of the fd-probe task
@@ -230,7 +231,7 @@ def task_evolve(ctx, out, initial="vacuum",
                 times=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
                 observables=()):
     psi = ctx.state_vector(initial)
-    result = evolution.evolve_density(ctx.lindbladian, np.outer(psi, psi.conj()), times)
+    result = evolution.evolve_density(ctx.lindbladian, psi, times)
     stats, dim = result.stats, ctx.space.interior_dim()
     observables = [tuple(map(int, n)) for n in observables]
     diagonal = [ctx.space.index_of[n] for n in observables]
@@ -445,8 +446,10 @@ def _dependent_errors(ctx):
     """(path, message) of each schema-valid value that decoding or another value rules out."""
     config = ctx.config
     finite = ctx.kind == "finite"
-    if not finite and "space" not in config:
-        yield ["space"], "required for a bosonic model"
+    truncating = [task["name"] for task in config["tasks"]
+                  if task["name"] not in FINITE_TASKS + SPACELESS_TASKS]
+    if not finite and "space" not in config and truncating:
+        yield ["space"], f"required by the {truncating[0]} task"
     space = config.get("space")
     if space is not None and space.get("interior_margin", 2) > space["N_max"]:
         yield ["space", "interior_margin"], "exceeds N_max, leaving no interior"

@@ -232,7 +232,7 @@ def positivity_improving_probe(superop, psis, times, space):
     for idx, psi in enumerate(psis):
         psi = np.asarray(psi, dtype=complex).reshape(-1)
         psi = psi / np.linalg.norm(psi)
-        result = evolution.evolve_density(superop, np.outer(psi, psi.conj()), grid)
+        result = evolution.evolve_density(superop, psi, grid)
         for t in times:
             i = int(np.searchsorted(grid, t))
             rank, min_eig = evolution.support_rank(result.states[i], dim)

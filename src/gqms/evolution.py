@@ -4,8 +4,8 @@ The one integrator applies the exponential to the state by `_expm_action`,
 the truncated-Taylor method of Al-Mohy & Higham (SIAM J. Sci. Comput. 33,
 2011, Alg. 3.2), by products with the generator itself: the sparse G for
 a vector, and for a density matrix its Superoperator's `matvec`, the
-folded dissipator plus the drift's product with the state, mirrored into
-the lower triangle.  The shift mu = tr(A)/n and the exact 1-norm of
+folded dissipator plus the drift's product with the state, on the
+state's D(D+1)/2 stored entries.  The shift mu = tr(A)/n and the exact 1-norm of
 A - mu I are computed once per generator, without forming the shifted
 matrix (a Superoperator's in closed form, its cached `shift_and_norm`);
 an evolution then takes one step count and Taylor degree from the theta
@@ -42,13 +42,13 @@ TAYLOR_THETA = {
 TAYLOR_TOL = 2.0 ** -53
 TRACE_ABORT = 1e-4
 MAX_PRODUCTS = 10 ** 5  # matrix products one evolution may plan
-# D x D complex arrays an evolve_density holds beside its kept states (the
-# last of them the step's Taylor sum, the others at output times inside the
-# step the sums weighted by their offsets) while a product is taken: the
-# term it reads, mu times that term (then the weighted term), and two in
-# `Superoperator.matvec` (the drift's product and the folded rows, then the
-# output and the folded rows with their conjugates)
-DENSITY_COPIES = 4
+# D x D complex arrays an evolve_density holds while a product is taken,
+# beside the D x D states it has kept and the sums of the output times
+# inside the step, a state's stored entries counting as half of one: the
+# stored entries of the initial state, the step's Taylor sum, the term the
+# product reads and mu times it, and in `Superoperator.matvec` the unfolded
+# input, the product of the stored rows and the drift's product
+DENSITY_COPIES = 4.5
 # An interior eigenvalue counts towards the support rank above RANK_RTOL times the largest.
 RANK_RTOL = 1e-8
 
@@ -60,23 +60,20 @@ class IntegrationError(RuntimeError):
 @dataclass(frozen=True, eq=False)
 class EvolutionResult:
     """Output times, states (D x D density arrays or vectors) and, for a
-    density evolution, its trace error per output time and the smallest
-    eigenvalue of its initial state."""
+    density evolution, its trace error per output time."""
 
     times: np.ndarray
     states: list
     trace_err: np.ndarray | None = None
-    min_eig0: float | None = None
 
     @cached_property
     def stats(self):
         """A density evolution's trace_err and min_eig per output time ({} for
-        a vector one); min_eig at t = 0 is min_eig0, the others take one
-        eigvalsh each, on the first read."""
+        a vector one); min_eig at t = 0 is 0.0, that of the rank-one initial
+        state, the others one eigvalsh each, on the first read."""
         if self.trace_err is None:
             return {}
-        min_eig = [self.min_eig0] + [np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
-                                     for rho in self.states[1:]]
+        min_eig = [0.0] + [np.linalg.eigvalsh(rho).min() for rho in self.states[1:]]
         return {"trace_err": self.trace_err, "min_eig": np.array(min_eig)}
 
 
@@ -205,40 +202,38 @@ def propagators(A, times):
 def density_bytes(D, nnz, states):
     """Peak bytes of an `evolve_density` that keeps `states` states on a
     folded CSR of nnz entries: the CSR (20 B per entry, 4 B per row
-    pointer), the fold (two int64 vec indices per stored row) and
-    `states` + DENSITY_COPIES D x D complex arrays."""
+    pointer), the fold (two int64 vec indices per stored row) and the
+    larger count of D x D complex arrays: states - 1 + DENSITY_COPIES while
+    a product is taken, or 1.5 states at the end of a step that holds
+    every output time, each state kept beside the stored entries it was
+    unfolded from."""
     n = D * (D + 1) // 2
-    return 20 * nnz + 4 * (n + 1) + 16 * n + 16 * D * D * (states + DENSITY_COPIES)
+    arrays = max(states - 1 + DENSITY_COPIES, 1.5 * states)
+    return 20 * nnz + 4 * (n + 1) + 16 * n + int(16 * D * D * arrays)
 
 
-def evolve_density(superop, rho0, times):
-    """Integrate rho' = L*(rho) from a D x D density array rho0.
+def evolve_density(superop, psi0, times):
+    """Integrate rho' = L*(rho) from |psi0><psi0|, psi0 a unit vector (within 1e-10) of D entries.
 
-    rho0 must be Hermitian within 1e-10, of trace 1 and PSD within 1e-8;
-    it is Hermitized once, and each product is `Superoperator.matvec`.
-    Aborts with IntegrationError when the trace drifts by more than 1e-4.
-    The result holds trace_err per output time and min_eig0, the smallest
-    eigenvalue of the PSD check; its `stats` add min_eig per output time
-    when first read, so an evolution whose stats nobody reads makes no
-    eigensolve after the check.
+    The Taylor sums carry the state's stored entries (`Superoperator.fold`),
+    each product is `Superoperator.matvec`, and each output state is
+    unfolded once into an exactly Hermitian D x D array.  Aborts with
+    IntegrationError when the trace drifts by more than 1e-4.  The result
+    holds trace_err per output time; its `stats` add min_eig per output
+    time when first read, so an evolution whose stats nobody reads makes
+    no eigensolve.
     """
     times = _check_times(times)
     D = superop.dim
-    rho0 = np.asarray(rho0, dtype=complex).reshape(D, D)
-    if np.abs(rho0 - rho0.conj().T).max() > 1e-10:
-        raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho0) - 1.0) > 1e-8:
-        raise ValueError("density matrix trace differs from 1")
-    rho0 = 0.5 * (rho0 + rho0.conj().T)
-    min_eig0 = np.linalg.eigvalsh(rho0).min()
-    if min_eig0 < -1e-8:
-        raise ValueError("density matrix has a negative eigenvalue")
-    states = []
-    trace_err = np.zeros(times.size)
-    v0 = rho0.reshape(D * D, order="F")
-    del rho0  # v0 is its copy
-    for i, v in enumerate(_propagate(superop.matvec, superop.shift_and_norm, v0, times)):
-        rho = v.reshape(D, D, order="F")
+    psi0 = np.asarray(psi0, dtype=complex)
+    if psi0.shape != (D,) or not abs(np.linalg.norm(psi0) - 1.0) <= 1e-10:
+        raise ValueError(f"psi0 must be a unit vector of {D} entries")
+    rows, mirrors = superop.fold
+    u0 = np.outer(psi0, psi0.conj()).reshape(-1, order="F")[rows]
+    u0.imag[rows == mirrors] = 0.0  # |psi_k|^2, whatever a fused multiply-add left
+    states, trace_err = [], np.zeros(times.size)
+    evolved = _propagate(superop.matvec, superop.shift_and_norm, u0, times)
+    for i, rho in enumerate(map(superop.unfold, evolved)):
         trace_err[i] = abs(np.trace(rho) - 1.0)
         if trace_err[i] > TRACE_ABORT:
             raise IntegrationError(
@@ -246,14 +241,14 @@ def evolve_density(superop, rho0, times):
                 f"{TRACE_ABORT:g}; integration unstable"
             )
         states.append(rho)
-    return EvolutionResult(times, states, trace_err, min_eig0)
+    return EvolutionResult(times, states, trace_err)
 
 
 def evolve_vector(ops, psi0, times):
     """Apply the contraction semigroup e^{tG} to a unit vector (no stats)."""
     times = _check_times(times)
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(psi0) - 1.0) > 1e-10:
+    if not abs(np.linalg.norm(psi0) - 1.0) <= 1e-10:
         raise ValueError("psi0 must be a unit vector")
     G = ops.G.tocsr()
     states = list(_propagate(G.__matmul__, _shift_and_norm(G), psi0, times))
@@ -261,9 +256,9 @@ def evolve_vector(ops, psi0, times):
 
 
 def support_rank(rho, interior_dim):
-    """Eigen-rank (at RANK_RTOL) and smallest eigenvalue of the interior block of rho."""
-    sub = np.asarray(rho)[:interior_dim, :interior_dim]
-    w = np.linalg.eigvalsh(0.5 * (sub + sub.conj().T))
+    """Eigen-rank (at RANK_RTOL) and smallest eigenvalue of the interior block
+    of an exactly Hermitian rho (an `evolve_density` state)."""
+    w = np.linalg.eigvalsh(np.asarray(rho)[:interior_dim, :interior_dim])
     top = w.max()
     rank = int(np.sum(w > RANK_RTOL * top)) if top > 0 else 0
     return rank, float(w.min())

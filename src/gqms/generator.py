@@ -18,7 +18,8 @@ for Hermitian H.
 Vectorization is by column stacking, vec(A X B) = (B^T kron A) vec(X).
 The generator is a *-map, L(X†) = L(X)†, so only the D(D+1)/2 rows
 of the upper-triangle entries of the dissipator are assembled and
-stored; `Superoperator` unfolds the rest.  The stored rows are assembled
+stored, and a Hermitian state is carried by its D(D+1)/2 upper-triangle
+entries; `Superoperator` unfolds the rest.  The stored rows are assembled
 in blocks of at most ASSEMBLY_BLOCK triplets, bit-identical to one
 conversion of all of them.  Sparse entries are kept exactly as assembled
 (no drop thresholding); only exact zeros of the summed result are dropped.
@@ -73,12 +74,15 @@ class Superoperator:
     of (j, k) conjugated, with the columns b D + a and a D + b swapped.  So
     `matrix` holds only its D(D+1)/2 rows (j, k), j <= k, in increasing vec
     index k D + j; `trace` is the trace of the whole D^2 x D^2 dissipator.
+    A Hermitian H is carried by its entries at these vec indices, and
+    `pair_sums` [j] holds the column sums of |A_j| and |B_j| of pair j.
     """
 
     matrix: sp.spmatrix
     drift: sp.spmatrix
     trace: float
     dim: int
+    pair_sums: np.ndarray
 
     @cached_property
     def fold(self):
@@ -98,73 +102,67 @@ class Superoperator:
 
     @cached_property
     def shift_and_norm(self):
-        """mu = tr(A)/D^2 and the 1-norm of A - mu I, from the dissipator's column sums.
+        """mu = tr(A)/D^2 and the 1-norm of A - mu I, from the column sums of the pairs.
 
+        Column k D + j of |kron(conj A_j, B_j)| sums to `pair_sums` [j] at k
+        times at j, so the dissipator's sums are one (D x m)(m x D) product.
         The drift takes |j><k| to sum_i X_ij |i><k| + sum_l conj(X_lk) |j><l|:
-        column k D + j sums c_j + c_k + |g_j + conj(g_k) - mu|, with g the
+        column k D + j adds c_j + c_k + |g_j + conj(g_k) - mu|, with g the
         diagonal of X and c the column sums of |X| off it, so
-        mu = (2 D Re tr X + `trace`) / D^2.  A ladder pair moves both indices
-        of |j><k|, so on a Gaussian model no dissipator entry shares a
-        position with the drift and the norm is exact; where they share one
-        (the dense pairs of finite_dim) it is an upper bound.  The mirrors of
-        the stored rows are all but the rows (k, k), so their column sums
-        are those of the stored rows less those of the entries `own` of the
-        rows (k, k).
+        mu = (2 D Re tr X + `trace`) / D^2.  The 2d ladders have disjoint
+        supports and move both indices of |j><k|, so on a Gaussian model no
+        two pairs, nor a pair and the drift, share a position and the norm is
+        exact; where they share one (finite_dim's dense pairs) it is an upper bound.
         """
-        D, M, X = self.dim, self.matrix, self.drift
-        sums = np.zeros(D * D)  # column sums of |M|, D^2 of its entries at a time
-        for start in range(0, M.nnz, D * D):
-            part = slice(start, start + D * D)
-            sums += np.bincount(M.indices[part], np.abs(M.data[part]), minlength=D * D)
-        starts = M.indptr[self._diagonal_rows]
-        counts = M.indptr[self._diagonal_rows + 1] - starts
-        own = np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
-        mirrored = sums - np.bincount(M.indices[own], np.abs(M.data[own]), minlength=D * D)
+        D, sums, X = self.dim, self.pair_sums, self.drift
         off = np.repeat(np.arange(D), np.diff(X.indptr)) != X.indices
         c = np.bincount(X.indices[off], np.abs(X.data[off]), minlength=D)
         g = X.diagonal()
         mu = (2 * D * g.real.sum() + self.trace) / D ** 2
-        cols = sums.reshape(D, D)  # [k, j]: column k D + j
-        cols += mirrored.reshape(D, D).T
-        del mirrored
+        cols = sums[:, 0].T @ sums[:, 1]  # [k, j]: column k D + j
         cols += c[:, None] + c
         diagonal = g + g.conj()[:, None]
         diagonal -= mu
         cols += np.abs(diagonal)
         return mu, float(cols.max())
 
-    def matvec(self, v):
-        """vec A(H) of a Hermitian H = unvec(v), exactly Hermitian with a real diagonal.
+    def unfold(self, u):
+        """The D x D array (column-major) of the Hermitian matrix of stored entries u."""
+        (rows, mirrors), D = self.fold, self.dim
+        out = np.empty(D * D, dtype=complex)
+        out[mirrors] = u.conj()
+        out[rows] = u
+        return out.reshape(D, D, order="F")
 
-        The stored rows plus the drift's X H + (X H)† at their entries are
-        conjugated into their mirrors.  v in row-major order is H^T = conj H,
-        so Y = conj(X) times it is conj(X H), read from v in place, and the
-        drift's entry (j, k) is Y_kj + conj(Y_jk).  Iterates that are
-        Hermitian stay so exactly, which the Taylor sums need: an imaginary
-        diagonal, on which the drift acts as zero, would grow under the
-        dissipator alone.
+    def matvec(self, u):
+        """The stored entries of A(H), for the Hermitian H of stored entries u.
+
+        H is unfolded once; the stored rows of the dissipator take vec H,
+        and the drift's X H + (X H)† is added at their entries.  vec H in
+        row-major order is H^T = conj H, so Y = conj(X) times it is
+        conj(X H), and the drift's entry (j, k) is Y_kj + conj(Y_jk).  The
+        diagonal entries are made exactly real, which the Taylor sums need:
+        an imaginary diagonal, on which the drift acts as zero, would grow
+        under the dissipator alone.
         """
-        rows, mirrors = self.fold
-        D = self.dim
+        (rows, mirrors), D = self.fold, self.dim
+        v = self.unfold(u).reshape(-1, order="F")  # vec H, a view
         y = self.matrix @ v
         Y = (self._conj_drift @ v.reshape(D, D)).reshape(-1)  # row-major
+        del v
         y += Y[rows]
         mirrored = Y[mirrors]
         del Y
         y += np.conjugate(mirrored, out=mirrored)
-        del mirrored
         y.imag[self._diagonal_rows] = 0.0
-        out = np.empty(D * D, dtype=complex)
-        out[mirrors] = y.conj()
-        out[rows] = y
-        return out
+        return y
 
     def apply(self, X):
         """A(X) for any D x D matrix X, as A(H1) + i A(H2) with X = H1 + i H2."""
-        D, X = self.dim, np.asarray(X, dtype=complex)
-        re, im = (self.matvec(H.reshape(D * D, order="F"))
+        X, rows = np.asarray(X, dtype=complex), self.fold[0]
+        re, im = (self.unfold(self.matvec(H.reshape(-1, order="F")[rows]))
                   for H in (0.5 * (X + X.conj().T), -0.5j * (X - X.conj().T)))
-        return (re + 1j * im).reshape(D, D, order="F")
+        return re + 1j * im
 
     def toarray(self):
         """The dense D^2 x D^2 generator: the mirrored rows unfolded, plus
@@ -252,8 +250,9 @@ def gkls_superoperator(G, pairs, states=0):
     G and the pair entries may be sparse or dense; the pairs must give a
     Hermiticity-preserving map (Kraus pairs, a Hermitian Kossakowski
     matrix, or a set closed under A_j <-> B_j).  Only the pairs' sum is
-    assembled: the drift G is kept as a CSR beside it, and the
-    dissipator's trace is the real part of sum_j conj(tr A_j) tr B_j.
+    assembled: the drift G is kept as a CSR beside it, the dissipator's
+    trace is the real part of sum_j conj(tr A_j) tr B_j, and each pair's
+    column sums of |A_j| and |B_j| are kept for the 1-norm.
 
     kron(P, Q) puts P_ab Q_ij in vec row a D + i, stored as row
     a (a + 1) / 2 + i when i <= a.  The stored triplets are counted per
@@ -279,6 +278,8 @@ def gkls_superoperator(G, pairs, states=0):
     for A, B in pairs:
         P, Q = _triplets(A), _triplets(B)
         terms.append((P, Q, np.searchsorted(Q[0], P[0], side="right")))
+    pair_sums = np.array([[np.bincount(T[1], np.abs(T[2]), minlength=D) for T in (P, Q)]
+                          for P, Q, _ in terms]).reshape(-1, 2, D)
     per_row = sum((np.bincount(P[0], counts, minlength=D) for P, _, counts in terms),
                   np.zeros(D, np.int64))
     cum = np.concatenate(([0], np.cumsum(per_row, dtype=np.int64)))
@@ -321,7 +322,7 @@ def gkls_superoperator(G, pairs, states=0):
             del block  # before the next block's triplets are written
         M = sp.csr_matrix((data, indices, indptr), shape=(n, D * D))
     M.eliminate_zeros()
-    return Superoperator(matrix=M, drift=drift, trace=trace, dim=D)
+    return Superoperator(matrix=M, drift=drift, trace=trace, dim=D, pair_sums=pair_sums)
 
 
 def build_lindbladian(ops, states=0):

@@ -12,7 +12,7 @@ from gqms import cli, commutators, diagnostics, evolution, fock, generator
 from gqms import finite_dim as fd
 from gqms import model as gm
 from helpers import (
-    complex_gaussian, haar_unitary, pure, random_model, random_vu,
+    complex_gaussian, haar_unitary, random_model, random_vu,
     strictly_positive_model,
 )
 
@@ -98,8 +98,7 @@ def test_criterion_4_exact_damping_dynamics():
     ops = generator.build_operators(model, space)
     lind = generator.build_lindbladian(ops)
     times = np.round(np.linspace(0.0, 2.0, 11), 12)
-    rho0 = pure(space.basis_vector((1,)))
-    res = evolution.evolve_density(lind, rho0, times)
+    res = evolution.evolve_density(lind, space.basis_vector((1,)), times)
     pop_err = max(abs(res.states[i][1, 1].real - np.exp(-t))
                   for i, t in enumerate(times))
     vres = evolution.evolve_vector(ops, space.basis_vector((1,)), times)

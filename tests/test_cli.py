@@ -586,9 +586,9 @@ NAN, INF = float("nan"), float("inf")
     (None, {"N_max": 6}, [EVOLVE, {"name": "fd-probe"}], "/tasks/1/name"),
     (FINITE_QUBIT, None, [{"name": "fd-probe", "n_pairs": 5}, {"name": "kossakowski"}],
      "/tasks/1/name"),
-    (None, None, [{"name": "kossakowski"}], "/space"),
+    (None, None, [{"name": "kossakowski"}, EVOLVE], "/space"),
     ({"kind": "two_boson", "gamma_minus": [[1, 0], [0, 1]], "gamma_plus": [[1, 0], [0, 1]]},
-     None, [{"name": "kossakowski"}], "/space"),
+     None, [{"name": "kossakowski"}, {"name": "support"}], "/space"),
     (None, {"N_max": 2, "interior_margin": 3}, [EVOLVE, {"name": "sector"}],
      "/space/interior_margin"),
     (None, {"N_max": 6}, [{"name": "improve"}, {"name": "evolve", "times": [0.5, 1.0]}],
@@ -641,8 +641,8 @@ NAN, INF = float("nan"), float("inf")
 ])
 def test_dependent_value_fails_validate_and_runs_no_task(tmp_path, capsys, model, space,
                                                          tasks, pointer):
-    # a task that needs the other model kind, a bosonic model without its
-    # space, a range that a task or the space would refuse, a state outside
+    # a task that needs the other model kind, a task that truncates without
+    # a space, a range that a task or the space would refuse, a state outside
     # the truncated basis, a start state outside the interior, a model its
     # decoder refuses, a space above the dimension cap, a superoperator
     # above its byte budget and a task number that is NaN, infinite or beyond
@@ -659,6 +659,24 @@ def test_dependent_value_fails_validate_and_runs_no_task(tmp_path, capsys, model
                      "--output-dir", str(tmp_path / "out")]) == 1
     assert f"{pointer}:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_space_is_required_only_by_a_task_that_truncates(tmp_path, monkeypatch):
+    # kossakowski, minimality and bogoliubov read only the model: a strictly
+    # positive d = 50 model runs them with no `space` and builds none; each
+    # other bosonic task is refused at /space
+    d = 50
+    eye, zero = np.eye(d).tolist(), np.zeros((d, d)).tolist()
+    config = {"seed": 1, "model": {"kind": "gaussian", "d": d, "V": eye + zero, "U": zero + eye},
+              "tasks": [{"name": name} for name in cli.SPACELESS_TASKS]}
+    monkeypatch.setattr(fock, "build_space", lambda **kw: pytest.fail("a space was built"))
+    code, report = cli.run_scenario(config, tmp_path / "out")
+    assert code == 0 and report["tasks"][0]["report"]["strictly_positive"]
+    truncating = set(cli.TASKS) - set(cli.SPACELESS_TASKS) - set(cli.FINITE_TASKS)
+    assert len(truncating) == 7
+    for name in sorted(truncating):
+        with pytest.raises(ValueError, match=f"/space: required by the {name} task"):
+            cli.validate_config({**config, "tasks": [*config["tasks"], {"name": name}]})
 
 
 @pytest.mark.parametrize("model, task, key, limit", [
@@ -809,14 +827,12 @@ def test_verbose_run_prints_each_task(tmp_path, capsys):
 # evolved state.
 FOOTPRINT = """
 import json, sys
-import numpy as np
 from gqms import cli, evolution
 configs, out = json.loads(sys.argv[1]), sys.argv[2]
 for i, config in enumerate(configs):
     cli.run_scenario(config, f"{out}/{i}")
 ctx = cli.RunContext(configs[0])
-vacuum = ctx.space.vacuum()
-result = evolution.evolve_density(ctx.lindbladian, np.outer(vacuum, vacuum.conj()), [0.0, 0.1])
+result = evolution.evolve_density(ctx.lindbladian, ctx.space.vacuum(), [0.0, 0.1])
 print(json.dumps({"loaded": sorted({"scipy.linalg", "jsonschema"} & sys.modules.keys()),
                   "rho": result.states[-1].tobytes().hex()}))
 """
@@ -852,9 +868,7 @@ def test_scipy_linalg_never_loads(tmp_path):
                                 for text in (ours, theirs))
             assert ours == theirs
     ctx = cli.RunContext(configs[0])
-    vacuum = ctx.space.vacuum()
-    rho = evolution.evolve_density(ctx.lindbladian, np.outer(vacuum, vacuum.conj()),
-                                   [0.0, 0.1]).states[-1]
+    rho = evolution.evolve_density(ctx.lindbladian, ctx.space.vacuum(), [0.0, 0.1]).states[-1]
     assert rho.tobytes().hex() == fresh["rho"]
 
 

@@ -117,8 +117,8 @@ def test_probe_at_time_zero_is_rank_one():
 
 
 def test_probe_solves_the_initial_states_and_the_interior_blocks(monkeypatch):
-    # one full-D solve per initial state (its PSD check), then one interior
-    # solve per (psi, t): the evolved states' min_eig is never read
+    # one interior solve per (psi, t), and no full-D solve: the initial
+    # states take none, and the evolved states' min_eig is never read
     model, space, ops, K = heated_mode_setup()
     lind = generator.build_lindbladian(ops)
     shapes, eigvalsh = [], np.linalg.eigvalsh
@@ -127,7 +127,7 @@ def test_probe_solves_the_initial_states_and_the_interior_blocks(monkeypatch):
     reports = diagnostics.positivity_improving_probe(lind, psis, [0.05, 0.1, 0.2], space)
     dim = space.interior_dim()
     assert len(reports) == 6
-    assert shapes == ([(space.D, space.D)] + [(dim, dim)] * 3) * 2
+    assert shapes == [(dim, dim)] * 6
 
 
 def test_invariant_search_full_closure():

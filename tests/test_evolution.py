@@ -22,18 +22,25 @@ def damping_setup(N_max=6):
 
 def test_damping_population_decay_expm():
     space, ops, lind = damping_setup()
-    rho0 = pure(space.basis_vector((1,)))
     times = np.linspace(0.0, 2.0, 9)
-    res = evolution.evolve_density(lind, rho0, times)
+    res = evolution.evolve_density(lind, space.basis_vector((1,)), times)
     for i, t in enumerate(times):
         assert abs(res.states[i][1, 1].real - np.exp(-t)) <= 1e-10
 
 
 def test_initial_state_returned_exactly():
     space, ops, lind = damping_setup()
-    rho0 = pure(space.basis_vector((2,)))
-    res = evolution.evolve_density(lind, rho0, [0.0, 0.1])
-    np.testing.assert_allclose(res.states[0], rho0)
+    psi0 = space.basis_vector((2,))
+    res = evolution.evolve_density(lind, psi0, [0.0, 0.1])
+    assert np.array_equal(res.states[0], pure(psi0))
+
+
+def mixed_evolution(lind, rho0, times):
+    """The states from a mixed rho0, by linearity: the evolutions of its
+    eigenvectors summed with their eigenvalues as weights."""
+    weights, vectors = np.linalg.eigh(rho0)
+    runs = [evolution.evolve_density(lind, psi, times) for psi in vectors.T]
+    return [sum(w * res.states[i] for w, res in zip(weights, runs)) for i in range(len(times))]
 
 
 def test_mixed_state_flows_to_vacuum():
@@ -41,17 +48,19 @@ def test_mixed_state_flows_to_vacuum():
     dim = space.interior_dim()
     rho0 = np.zeros((space.D, space.D), dtype=complex)
     rho0[:dim, :dim] = np.eye(dim) / dim
-    res = evolution.evolve_density(lind, rho0, np.linspace(0.0, 4.0, 9))
-    weights = [s[0, 0].real for s in res.states]
+    times = np.linspace(0.0, 4.0, 9)
+    states = mixed_evolution(lind, rho0, times)
+    for ours, exact in zip(states, expm_states(kraus_form_lindbladian(ops), rho0, times)):
+        assert np.abs(ours - exact).max() <= 1e-12
+    weights = [s[0, 0].real for s in states]
     assert all(b >= a - 1e-12 for a, b in zip(weights, weights[1:]))
     assert weights[-1] > 0.9
 
 
 def test_positivity_drift_bounded():
     space, ops, lind = damping_setup()
-    rho0 = pure(
-        (space.basis_vector((0,)) + space.basis_vector((2,))) / np.sqrt(2))
-    res = evolution.evolve_density(lind, rho0, [0.0, 0.25, 0.5])
+    psi0 = (space.basis_vector((0,)) + space.basis_vector((2,))) / np.sqrt(2)
+    res = evolution.evolve_density(lind, psi0, [0.0, 0.25, 0.5])
     assert res.stats["min_eig"].min() >= -1e-8
     assert max(np.abs(rho - rho.conj().T).max() for rho in res.states) <= 1e-10
 
@@ -62,9 +71,8 @@ def test_semigroup_property():
     space = fock.build_space(1, 6)
     ops = generator.build_operators(model, space)
     lind = generator.build_lindbladian(ops)
-    rho0 = pure(space.vacuum())
-    direct = evolution.evolve_density(lind, rho0, [0.0, 0.3])
-    stepped = evolution.evolve_density(lind, rho0, [0.0, 0.1, 0.3])
+    direct = evolution.evolve_density(lind, space.vacuum(), [0.0, 0.3])
+    stepped = evolution.evolve_density(lind, space.vacuum(), [0.0, 0.1, 0.3])
     assert np.abs(direct.states[-1] - stepped.states[-1]).max() <= 1e-6
 
 
@@ -95,39 +103,36 @@ def test_vector_contraction_seeded():
 
 def test_times_validation():
     space, ops, lind = damping_setup()
-    rho0 = pure(space.vacuum())
+    psi0 = space.vacuum()
     with pytest.raises(ValueError):
-        evolution.evolve_density(lind, rho0, [0.1, 0.2])
+        evolution.evolve_density(lind, psi0, [0.1, 0.2])
     with pytest.raises(ValueError):
-        evolution.evolve_density(lind, rho0, [0.0, 0.2, 0.2])
-    with pytest.raises(ValueError):
-        evolution.evolve_vector(ops, 2.0 * space.vacuum(), [0.0, 1.0])
+        evolution.evolve_density(lind, psi0, [0.0, 0.2, 0.2])
+    for bad in (2.0 * space.vacuum(), np.full(space.D, np.nan)):
+        with pytest.raises(ValueError, match="unit vector"):
+            evolution.evolve_vector(ops, bad, [0.0, 1.0])
     for times in ([0.0, np.nan], [0.0, np.inf], [0.0, 1.0, np.inf], [-np.inf, 0.0]):
         with pytest.raises(ValueError, match="times must be finite"):
-            evolution.evolve_density(lind, rho0, times)
+            evolution.evolve_density(lind, psi0, times)
         with pytest.raises(ValueError, match="times must be finite"):
             evolution.evolve_vector(ops, space.vacuum(), times)
 
 
 def test_invalid_initial_state_rejected():
+    # a D x D density array is no initial state
     space, ops, lind = damping_setup()
-    bad = np.eye(space.D, dtype=complex)  # trace != 1
     with pytest.raises(ValueError):
-        evolution.evolve_density(lind, bad, [0.0, 0.1])
+        evolution.evolve_density(lind, pure(space.vacuum()), [0.0, 0.1])
 
 
-@pytest.mark.parametrize("entries, message", [
-    ({(0, 0): 1.0, (0, 1): 0.5}, "not Hermitian"),
-    ({(0, 0): 2.0}, "trace differs from 1"),
-    ({(0, 0): 1.5, (1, 1): -0.5}, "negative eigenvalue"),
-])
-def test_initial_state_refusal_names_its_fault(entries, message):
+@pytest.mark.parametrize("psi0", [
+    [1.0, 0.5] + [0.0] * 5, [np.nan] + [0.0] * 6, [1.0] + [0.0] * 7,
+], ids=["not-unit-norm", "nan", "wrong-length"])
+def test_initial_state_refusal_names_its_fault(psi0):
     space, ops, lind = damping_setup()
-    rho0 = np.zeros((space.D, space.D), dtype=complex)
-    for at, value in entries.items():
-        rho0[at] = value
-    with pytest.raises(ValueError, match=message):
-        evolution.evolve_density(lind, rho0, [0.0, 0.1])
+    assert space.D == 7
+    with pytest.raises(ValueError, match="psi0 must be a unit vector of 7 entries"):
+        evolution.evolve_density(lind, psi0, [0.0, 0.1])
 
 
 def test_trace_instability_aborts():
@@ -136,9 +141,8 @@ def test_trace_instability_aborts():
     broken = dataclasses.replace(
         lind, matrix=(lind.matrix + 0.5 * folded_identity(space.D)).tocsr(),
         trace=lind.trace + 0.5 * space.D ** 2)
-    rho0 = pure(space.vacuum())
     with pytest.raises(evolution.IntegrationError, match="at t=1 exceeds"):
-        evolution.evolve_density(broken, rho0, [0.0, 1.0, 2.0])
+        evolution.evolve_density(broken, space.vacuum(), [0.0, 1.0, 2.0])
 
 
 def seeded_lindbladian(seed, d, N_max):
@@ -151,10 +155,10 @@ def seeded_lindbladian(seed, d, N_max):
 def test_auto_matches_expm_small():
     space, ops, lind = seeded_lindbladian(32, 1, 6)
     assert space.D == 7
-    rho0 = pure(space.basis_vector((1,)))
+    psi0 = space.basis_vector((1,))
     times = [0.0, 0.1, 0.5, 1.0]
-    a = evolution.evolve_density(lind, rho0, times)
-    b = expm_states(kraus_form_lindbladian(ops), rho0, times)
+    a = evolution.evolve_density(lind, psi0, times)
+    b = expm_states(kraus_form_lindbladian(ops), pure(psi0), times)
     for sa, sb in zip(a.states, b):
         assert np.abs(sa - sb).max() <= 1e-12
     va = evolution.evolve_vector(ops, space.vacuum(), times)
@@ -171,30 +175,31 @@ def test_auto_matches_expm_and_rk4_on_a_mixed_state():
     rho0 = z @ z.conj().T
     rho0 /= np.trace(rho0)
     times = [0.0, 0.1, 0.3]
-    a = evolution.evolve_density(lind, rho0, times)
+    a = mixed_evolution(lind, rho0, times)
     b = expm_states(kraus_form_lindbladian(ops), rho0, times)
-    for sa, sb in zip(a.states, b):
+    for sa, sb in zip(a, b):
         assert np.abs(sa - sb).max() <= 1e-12
-    assert max(np.abs(rho - rho.conj().T).max() for rho in a.states) <= 1e-15
-    # min_eig at t = 0 is that of the PSD check, the bits of one eigvalsh of rho0
-    rho = a.states[0]
-    assert a.stats["min_eig"][0] == np.linalg.eigvalsh(0.5 * (rho + rho.conj().T)).min()
+    # each pure evolution of a complex eigenvector, and so their sum, is exactly Hermitian
+    assert all(np.array_equal(rho, rho.conj().T) for rho in a)
 
 
 def test_min_eig_is_solved_when_read(monkeypatch):
-    # the PSD check is the only eigensolve until stats are read; then one
-    # per later output time, the bits of an eigvalsh of the Hermitized state
+    # no eigensolve until stats are read; then one per later output time, of
+    # the exactly Hermitian state as it is, the bits of one of the
+    # Hermitized state.  At t = 0, min_eig is 0.0, what eigvalsh gives for
+    # the projector of every basis vector
     space, ops, lind = seeded_lindbladian(31, 2, 5)
-    rho0 = pure(space.vacuum())
     shapes, eigvalsh = [], np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
-    res = evolution.evolve_density(lind, rho0, [0.0, 0.05, 0.1, 0.2])
-    assert shapes == [(space.D, space.D)]
+    res = evolution.evolve_density(lind, space.vacuum(), [0.0, 0.05, 0.1, 0.2])
+    assert shapes == []
     min_eig = res.stats["min_eig"]
-    assert res.stats is res.stats and len(shapes) == 4
-    assert min_eig[0] == res.min_eig0 == eigvalsh(rho0).min()
-    for rho, value in zip(res.states, min_eig):
-        assert value == eigvalsh(0.5 * (rho + rho.conj().T)).min()
+    assert res.stats is res.stats and len(shapes) == 3
+    assert min_eig[0] == 0.0 and np.signbit(min_eig[0]) == 0
+    assert all(eigvalsh(pure(psi)).min() == 0.0 for psi in np.eye(space.D))
+    for rho, value in zip(res.states[1:], min_eig[1:]):
+        assert np.array_equal(rho, rho.conj().T)
+        assert value == eigvalsh(rho).min() == eigvalsh(0.5 * (rho + rho.conj().T)).min()
     assert evolution.evolve_vector(ops, space.vacuum(), [0.0, 0.1]).stats == {}
 
 
@@ -204,16 +209,15 @@ def test_evolution_cost_is_refused_before_the_first_product(monkeypatch):
 
     monkeypatch.setattr(evolution, "_expm_action", refuse)
     space, ops, lind = damping_setup()
-    rho0 = pure(space.vacuum())
     for t in (1e6, 1e308):
         with pytest.raises(evolution.IntegrationError, match="products"):
-            evolution.evolve_density(lind, rho0, [0.0, t])
+            evolution.evolve_density(lind, space.vacuum(), [0.0, t])
         with pytest.raises(evolution.IntegrationError, match="products"):
             evolution.evolve_vector(ops, space.vacuum(), [0.0, t])
     # an evolution plans m s products over its horizon: exactly MAX_PRODUCTS is admitted
     times = [0.0, 1.0, 3.0]
     for run, (_, norm) in (
-            (lambda: evolution.evolve_density(lind, rho0, times), lind.shift_and_norm),
+            (lambda: evolution.evolve_density(lind, space.vacuum(), times), lind.shift_and_norm),
             (lambda: evolution.evolve_vector(ops, space.vacuum(), times),
              evolution._shift_and_norm(ops.G))):
         m, s = evolution._taylor_plan(times[-1], norm)
@@ -276,9 +280,9 @@ def test_subnormal_horizon_takes_one_step():
     # t norm / theta_m rounds to 0 for the larger theta_m; the plan still takes a step
     space, ops, lind = damping_setup(N_max=2)
     assert evolution._taylor_plan(5e-324, lind.shift_and_norm[1]) == (1, 1.0)
-    rho0 = pure(space.basis_vector((1,)))
-    res = evolution.evolve_density(lind, rho0, [0.0, 5e-324])
-    assert np.abs(res.states[1] - rho0).max() <= 1e-300
+    psi0 = space.basis_vector((1,))
+    res = evolution.evolve_density(lind, psi0, [0.0, 5e-324])
+    assert np.abs(res.states[1] - pure(psi0)).max() <= 1e-300
     A = np.array([[0.0, 1.0], [-1.0, 0.0]])
     assert np.array_equal(evolution.propagators(A, [5e-324])[0], np.eye(2) + 5e-324 * A)
 
@@ -289,9 +293,9 @@ def test_zero_horizon_takes_no_product(monkeypatch):
 
     monkeypatch.setattr(evolution, "_expm_action", refuse)
     space, ops, lind = damping_setup()
-    rho0 = pure(space.basis_vector((1,)))
-    res = evolution.evolve_density(lind, rho0, [0.0])
-    assert len(res.states) == 1 and np.array_equal(res.states[0], rho0)
+    psi0 = space.basis_vector((1,))
+    res = evolution.evolve_density(lind, psi0, [0.0])
+    assert len(res.states) == 1 and np.array_equal(res.states[0], pure(psi0))
     assert res.stats["trace_err"].tolist() == [0.0]
     vec = evolution.evolve_vector(ops, space.vacuum(), [0.0])
     assert len(vec.states) == 1 and np.array_equal(vec.states[0], space.vacuum())
@@ -325,12 +329,12 @@ def test_output_times_cost_no_products(monkeypatch):
     grids = ([0.0, 0.3], [0.0, 0.1, 0.15, 0.3], [0.0, 0.05, h, 0.1, 2 * h, 0.25, 0.3])
     space, ops = scaled_operators(4, 3.0)
     lind = generator.build_lindbladian(ops)
-    rho0 = pure(space.basis_vector((1,)))
+    e1 = space.basis_vector((1,))
     vspace, vops = scaled_operators(6, 6.0)
     psi0 = vspace.basis_vector((2,))
     for norm, run, reference in (
-            (lind.shift_and_norm[1], lambda times: evolution.evolve_density(lind, rho0, times),
-             lambda times: expm_states(kraus_form_lindbladian(ops), rho0, times)),
+            (lind.shift_and_norm[1], lambda times: evolution.evolve_density(lind, e1, times),
+             lambda times: expm_states(kraus_form_lindbladian(ops), pure(e1), times)),
             (evolution._shift_and_norm(vops.G)[1],
              lambda times: evolution.evolve_vector(vops, psi0, times),
              lambda times: expm_states(vops.G, psi0, times))):
@@ -355,9 +359,9 @@ def test_auto_scaling_steps_match_expm():
     assert 1.0 * lind.shift_and_norm[1] > theta_max
     assert 4.0 * evolution._shift_and_norm(ops.G)[1] > theta_max
     times = [0.0, 1.0, 5.0]
-    rho0 = pure(space.basis_vector((1,)))
-    a = evolution.evolve_density(lind, rho0, times)
-    b = expm_states(kraus_form_lindbladian(ops), rho0, times)
+    psi0 = space.basis_vector((1,))
+    a = evolution.evolve_density(lind, psi0, times)
+    b = expm_states(kraus_form_lindbladian(ops), pure(psi0), times)
     for sa, sb in zip(a.states, b):
         assert np.abs(sa - sb).max() <= 1e-12
     va = evolution.evolve_vector(ops, space.basis_vector((2,)), times)
@@ -368,11 +372,10 @@ def test_auto_scaling_steps_match_expm():
 
 def test_auto_matches_scipy_expm_multiply():
     space, ops, lind = seeded_lindbladian(31, 2, 13)
-    rho0 = pure(space.vacuum())
     times = [0.0, 0.05, 0.1, 0.3]
-    res = evolution.evolve_density(lind, rho0, times)
+    res = evolution.evolve_density(lind, space.vacuum(), times)
     whole = kraus_form_lindbladian(ops)
-    v = rho0.reshape(-1, order="F")
+    v = pure(space.vacuum()).reshape(-1, order="F")
     for dt, state in zip(np.diff(times), res.states[1:]):
         v = scipy.sparse.linalg.expm_multiply(whole, v, start=0.0, stop=dt,
                                               num=2, endpoint=True)[-1]
@@ -400,7 +403,7 @@ def test_density_bytes_is_the_peak_of_an_evolution(monkeypatch):
         csr_bytes = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
         tracemalloc.start()
         try:
-            evolution.evolve_density(superop, pure(space.vacuum()), times)
+            evolution.evolve_density(superop, space.vacuum(), times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -451,8 +454,7 @@ def test_auto_never_builds_dense_exponential(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "expm", refuse)
     monkeypatch.setattr(scipy.sparse.linalg, "expm_multiply", refuse)
     space, ops, lind = seeded_lindbladian(33, 1, 6)
-    rho0 = pure(space.vacuum())
-    evolution.evolve_density(lind, rho0, [0.0, 0.1, 0.2])
+    evolution.evolve_density(lind, space.vacuum(), [0.0, 0.1, 0.2])
     evolution.evolve_vector(ops, space.vacuum(), [0.0, 0.1, 0.2])
     with pytest.raises(AssertionError):
         expm_states(ops.G, space.vacuum(), [0.0, 0.1])

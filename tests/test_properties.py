@@ -38,11 +38,30 @@ def test_form_matrix_is_the_sum_of_its_scaled_terms(form):
 
 
 @st.composite
-def seeded_models(draw):
-    """A seeded Gaussian model with d <= 2 and m = 1..2d + 1 Kraus rows, and its rng."""
+def seeded_models(draw, max_d=2):
+    """A seeded Gaussian model with d <= max_d and m = 1..2d + 1 Kraus rows, and its rng."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    d = draw(st.integers(1, 2))
+    d = draw(st.integers(1, max_d))
     return rng, random_model(rng, d, draw(st.integers(1, 2 * d + 1)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(seeded_models(max_d=3), st.integers(2, 5))
+def test_stored_half_product_matches_the_dense_generator(seeded, N_max):
+    # at d = 3 N_max stops at 4 (D = 35): the dense generator at N_max = 5 takes 157 MB
+    rng, model = seeded
+    space = fock.build_space(model.d, min(N_max, 4 if model.d == 3 else 5))
+    superop = generator.build_lindbladian(generator.build_operators(model, space))
+    D, rows = space.D, superop.fold[0]
+    dense = superop.toarray()
+    X = complex_gaussian(rng, (D, D))
+    H = X + X.conj().T
+    image = superop.unfold(superop.matvec(H.reshape(-1, order="F")[rows]))
+    expected = (dense @ H.reshape(-1, order="F")).reshape(D, D, order="F")
+    assert np.abs(image - expected).max() <= 1e-12 * np.abs(expected).max()
+    assert np.array_equal(image, image.conj().T) and not image.diagonal().imag.any()
+    expected = (dense @ X.reshape(-1, order="F")).reshape(D, D, order="F")
+    assert np.abs(superop.apply(X) - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)

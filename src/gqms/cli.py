@@ -72,9 +72,9 @@ FD_TIMES = (0.01, 0.1, 1.0)
 # Matrix products per item of a count setting; the items of one task may
 # take evolution.MAX_PRODUCTS in all.  A sample is applied to G0, N and G,
 # and a pair of fd-probe (fd-derivative) to the propagator of each of its
-# times (finite-difference steps).  An `invariant` seed's closure applies G
-# and every L_l to each of its at most interior_dim vectors (checked in
-# _dependent_errors).
+# times (finite-difference steps).  An `invariant` closure, of a seed or of
+# a start, applies G and every L_l to each of its at most interior_dim
+# vectors (checked in _dependent_errors).
 SAMPLE_PRODUCTS = 3
 PAIR_PRODUCTS = {"fd-probe": len(FD_TIMES), "fd-derivative": 2}
 
@@ -477,12 +477,14 @@ def _dependent_errors(ctx):
             elif at[0] == "starts" and sum(n) > ctx.space.N_max - ctx.space.interior_margin:
                 yield ["tasks", i, *at], "start vector has no interior component"
         if task["name"] == "invariant" and basis is not None:
-            n_seeds = _settings(task)["n_seeds"]
-            products = n_seeds * ctx.space.interior_dim() * (1 + len(ctx.action.kraus))
+            n_seeds, starts = _settings(task)["n_seeds"], len(task.get("starts", ()))
+            per_closure = ctx.space.interior_dim() * (1 + len(ctx.action.kraus))
+            products = (n_seeds + starts) * per_closure
             if products > evolution.MAX_PRODUCTS:
-                yield ["tasks", i, "n_seeds"], (
-                    f"{n_seeds} seed closures may take {products} matrix products "
-                    f"(limit {evolution.MAX_PRODUCTS})")
+                key = "n_seeds" if n_seeds * per_closure > evolution.MAX_PRODUCTS else "starts"
+                yield ["tasks", i, key], (
+                    f"{n_seeds} seed and {starts} start closures may take {products} "
+                    f"matrix products (limit {evolution.MAX_PRODUCTS})")
         times = task.get("times")
         if task["name"] == "evolve" and times is not None and (
                 times[0] != 0 or any(b <= a for a, b in zip(times, times[1:]))):

@@ -157,8 +157,9 @@ def _propagate(matvec, shift_and_norm, v0, times):
 
     One `_taylor_plan` covers the horizon T = times[-1]: s steps of length
     h = T/s, each an `_expm_action` that advances the running sum F and
-    returns the output times inside the step.  F becomes the state at T;
-    it is copied only at an output time on an earlier step end.  An
+    returns the output times inside the step; each is yielded and dropped
+    in turn, so only the caller keeps it.  F becomes the state at T; it is
+    copied only at an output time on an earlier step end.  An
     evolution that plans more than MAX_PRODUCTS products (m s), or NaN
     products (from a NaN norm), is refused before the first one.
     """
@@ -176,7 +177,9 @@ def _propagate(matvec, shift_and_norm, v0, times):
     for k in range(1, int(s) + 1):
         start, end = (k - 1) * h, T if k == s else k * h
         j = bisect.bisect_left(times, end, i)
-        yield from _expm_action(matvec, F, T, mu, m, s, [t - start for t in times[i:j]])
+        outs = _expm_action(matvec, F, T, mu, m, s, [t - start for t in times[i:j]])
+        while outs:
+            yield outs.pop(0)
         if times[j] == end:
             yield F if k == s else F.copy()
             j += 1
@@ -202,14 +205,15 @@ def propagators(A, times):
 def density_bytes(D, nnz, states):
     """Peak bytes of an `evolve_density` that keeps `states` states on a
     folded CSR of nnz entries: the CSR (20 B per entry, 4 B per row
-    pointer), the fold (two int64 vec indices per stored row) and the
-    larger count of D x D complex arrays: states - 1 + DENSITY_COPIES while
-    a product is taken, or 1.5 states at the end of a step that holds
-    every output time, each state kept beside the stored entries it was
-    unfolded from."""
+    pointer), the fold (two int64 vec indices per stored row) and
+    states - 1 + DENSITY_COPIES D x D complex arrays, the count while a
+    product is taken.  At the end of a step that holds every output time
+    it is only states + 1.5, since each output's stored entries are let go
+    once it is unfolded: the states, the initial state's stored entries,
+    and the last state's stored entries and their conjugate while it is
+    unfolded."""
     n = D * (D + 1) // 2
-    arrays = max(states - 1 + DENSITY_COPIES, 1.5 * states)
-    return 20 * nnz + 4 * (n + 1) + 16 * n + int(16 * D * D * arrays)
+    return 20 * nnz + 4 * (n + 1) + 16 * n + int(16 * D * D * (states - 1 + DENSITY_COPIES))
 
 
 def evolve_density(superop, psi0, times):

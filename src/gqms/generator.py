@@ -2,8 +2,9 @@
 
 Assembles sparse matrices for the Kraus operators L_l, the drift
 G = -iH - (1/2) sum_l L_l† L_l and its dissipative part G0 on a truncated
-Fock space, together with the vectorized generator of states (the
-Schrodinger picture)
+Fock space (G0 and H from their coefficient matrices over the ladders'
+table of products, each operator one CSR construction), together with
+the vectorized generator of states (the Schrodinger picture)
 
     rho -> G rho + rho G† + sum_l L_l rho L_l†;
 
@@ -178,29 +179,55 @@ class Superoperator:
         return dense
 
 
+def _hermitian_part(table, coefficients):
+    """0.5 (S + S†) at every position of `table` (`LadderOperators.products()`),
+    S = sum_{x,t} coefficients[x, t] T_x T_t summed entry by entry in table order."""
+    positions, pairs, slots, weights, mirror = table
+    terms = coefficients.ravel()[pairs] * weights
+    S = np.empty(positions.size, dtype=complex)
+    S.real = np.bincount(slots, terms.real, positions.size)
+    S.imag = np.bincount(slots, terms.imag, positions.size)
+    return 0.5 * (S + S[mirror].conj())
+
+
+def _csr(table, data, D):
+    """The D x D CSR of the nonzero `data` at the table's sorted positions."""
+    keep = data != 0
+    keys = table[0][keep]
+    indptr = np.searchsorted(keys, np.arange(D + 1) * D).astype(np.int32)
+    return sp.csr_matrix((data[keep], (keys % D).astype(np.int32), indptr), shape=(D, D))
+
+
 def build_operators(model, space):
     """Assemble L_l, G0 = -(1/2) sum L_l†L_l and G = -iH + G0 (H = i (G - G0) is not kept).
 
-    Each operator is a `commutators.form_matrix` form or a ladder times one:
-    L_l is the form of the l-th Kraus row of `commutators.adjoint_action`,
-    and H = (P + P†)/2 with P = sum_j a_j† X_j, X_j the form of mode j's
-    Hamiltonian row (zeta_j, Omega_j., kappa_j.).  So on the truncated space
-    H is exactly Hermitian, for every Omega the model admits, and G0 exactly
-    negative semidefinite; identities involving products of quadratic
-    operators hold on the interior subspace.
+    L_l is the `commutators.form_matrix` form of the l-th Kraus row of
+    `commutators.adjoint_action`.  G0 and H are quadratic in the ladders:
+    each is sum_{x,t} C[x, t] T_x T_t over the terms T of
+    (1, a_1..a_d, a_1†..a_d†) with a (2d+1) x (2d+1) coefficient matrix C,
+    realised over one table of products, `ladders.products()`.  G0 has
+    C0[x, t] = -(1/2) (kraus† kraus)[x†, t], so it holds the Kossakowski
+    matrix, and H is (P + P†)/2 with P = sum_j a_j† X_j, X_j the form of
+    mode j's Hamiltonian row (zeta_j, Omega_j., kappa_j.).  Both are taken
+    as their entrywise Hermitian parts, so on the truncated space H is
+    exactly Hermitian, for every Omega the model admits, and so is G0,
+    negative semidefinite as -(1/2) sum L_l†L_l; identities involving
+    products of quadratic operators hold on the interior subspace.  G and
+    G0 are one CSR construction each.
     """
     if model.d != space.d:
         raise ValueError(f"model has d={model.d}, space has d={space.d}")
     lad = fock.build_ladders(space)
-    rows = np.column_stack([model.zeta, model.Omega, model.kappa])
-    P = sum(adag @ form_matrix(row, lad) for adag, row in zip(lad.adag, rows))
-    H = 0.5 * (P + P.conj().T)
-    L = [form_matrix(row, lad) for row in adjoint_action(model).kraus]
-    G0 = -0.5 * sum(Lop.conj().T @ Lop for Lop in L)
-    G = (-1j) * H + G0
+    d, kraus = space.d, adjoint_action(model).kraus
+    adjoint = np.concatenate(([0], np.arange(d + 1, 2 * d + 1), np.arange(1, d + 1)))  # x†
+    hamiltonian = np.zeros((2 * d + 1, 2 * d + 1), dtype=complex)
+    hamiltonian[d + 1:] = np.column_stack([model.zeta, model.Omega, model.kappa])
+    table = lad.products()
+    G0 = _hermitian_part(table, -0.5 * (kraus.conj().T @ kraus)[adjoint])
+    G = -1j * _hermitian_part(table, hamiltonian) + G0
     return TruncatedOperators(
-        space=space, ladders=lad, G=G.tocsr(), G0=G0.tocsr(),
-        N=lad.N, L=tuple(L), model=model,
+        space=space, ladders=lad, G=_csr(table, G, space.D), G0=_csr(table, G0, space.D),
+        N=lad.N, L=tuple(form_matrix(row, lad) for row in kraus), model=model,
     )
 
 

@@ -2,12 +2,13 @@
 
 import functools
 import inspect
+import math
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from gqms import cli, diagnostics, evolution
+from gqms import cli, commutators, diagnostics, evolution, fock, generator
 from gqms import model as gm
 
 
@@ -92,6 +93,52 @@ def form_matrix_by_terms(coeffs, ladders):
     M = sum(terms[1:], terms[0])
     M.data += 0
     return M
+
+
+def ladders_by_basis_loop(space):
+    """The ladders by a loop over the basis and its index dict, a† as the
+    transpose of a: the reference for `fock.build_ladders`."""
+    D = space.D
+    a_ops = []
+    for j in range(space.d):
+        rows, cols, vals = [], [], []
+        for i, n in enumerate(space.basis):
+            if n[j] > 0:
+                lower = n[:j] + (n[j] - 1,) + n[j + 1:]
+                rows.append(space.index_of[lower])
+                cols.append(i)
+                vals.append(math.sqrt(n[j]))
+        a_ops.append(sp.csr_matrix(
+            (np.asarray(vals, dtype=complex), (rows, cols)), shape=(D, D)))
+    N = sp.diags(space.grades.astype(complex), format="csr")
+    return fock.LadderOperators(space=space, a=tuple(a_ops),
+                                adag=tuple(a.T.tocsr() for a in a_ops), N=N)
+
+
+def operators_by_sparse_algebra(model, space):
+    """(ops, pairs): L_l, G0 = -(1/2) sum L_l†L_l and G = -iH + G0 with
+    H = (P + P†)/2, P = sum_j a_j† X_j, by sparse products and sums of the
+    loop ladders' forms, and the Kossakowski pairs (s_q, B_q): the reference
+    for `generator.build_operators` and `TruncatedOperators.pairs`.
+
+    scipy's products leave the entries of a row in an order of their own,
+    so G and G0 are returned with sorted indices.
+    """
+    lad = ladders_by_basis_loop(space)
+    rows = np.column_stack([model.zeta, model.Omega, model.kappa])
+    P = sum(adag @ form_matrix_by_terms(row, lad) for adag, row in zip(lad.adag, rows))
+    H = 0.5 * (P + P.conj().T)
+    L = [form_matrix_by_terms(row, lad) for row in commutators.adjoint_action(model).kraus]
+    G0 = -0.5 * sum(Lop.conj().T @ Lop for Lop in L)
+    G = (-1j) * H + G0
+    ops = generator.TruncatedOperators(
+        space=space, ladders=lad, G=G.tocsr().sorted_indices(), G0=G0.tocsr().sorted_indices(),
+        N=lad.N, L=tuple(L), model=model)
+    K = gm.build_kossakowski(model.V, model.U).matrix
+    s = lad.a + lad.adag
+    pairs = [(s[q], form_matrix_by_terms(np.concatenate(([0], K[q])), lad))
+             for q in range(len(s)) if K[q].any()]
+    return ops, pairs
 
 
 def sample_statistics_by_rows(ops, seed, n_samples):

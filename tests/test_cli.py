@@ -638,6 +638,10 @@ NAN, INF = float("nan"), float("inf")
     (FINITE_QUBIT, None, [{"name": "fd-derivative", "n_pairs": 10 ** 12}], "/tasks/0/n_pairs"),
     (None, {"N_max": 6}, [{"name": "sector", "n_samples": 10 ** 12}], "/tasks/0/n_samples"),
     (None, {"N_max": 6}, [{"name": "invariant", "n_seeds": 10 ** 12}], "/tasks/0/n_seeds"),
+    # 300 start closures of 398 products each, and no seed
+    ({**minimal_config()["model"], "U": [[0.5]]}, {"N_max": 200},
+     [{"name": "kossakowski"}, {"name": "invariant", "n_seeds": 0, "starts": ["vacuum"] * 300}],
+     "/tasks/1/starts"),
 ])
 def test_dependent_value_fails_validate_and_runs_no_task(tmp_path, capsys, model, space,
                                                          tasks, pointer):
@@ -645,9 +649,10 @@ def test_dependent_value_fails_validate_and_runs_no_task(tmp_path, capsys, model
     # a space, a range that a task or the space would refuse, a state outside
     # the truncated basis, a start state outside the interior, a model its
     # decoder refuses, a space above the dimension cap, a superoperator
-    # above its byte budget and a task number that is NaN, infinite or beyond
-    # float range are schema errors: `run` stops before the first task
-    # writes its CSV
+    # above its byte budget, the closures of an invariant task's seeds and
+    # starts above their product budget and a task number that is NaN,
+    # infinite or beyond float range are schema errors: `run` stops before
+    # the first task writes its CSV
     config = {"seed": 1, "model": model or minimal_config()["model"], "tasks": tasks}
     if space is not None:
         config["space"] = space
@@ -658,6 +663,25 @@ def test_dependent_value_fails_validate_and_runs_no_task(tmp_path, capsys, model
     assert cli.main(["run", "--config", str(path),
                      "--output-dir", str(tmp_path / "out")]) == 1
     assert f"{pointer}:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+REFUSALS = json.loads((ROOT / "tests" / "refusals.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", REFUSALS, ids=[case["name"] for case in REFUSALS])
+def test_refusal_table_case(tmp_path, capsys, case):
+    # the table the CI console-script step runs through `gqms`
+    # (tests/refusals.py): each command exits with the case's code and
+    # names its pointer and message once, and `run` writes nothing
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(case["config"]))
+    for command in case["commands"]:
+        argv = [command, "--config", str(path)]
+        if command == "run":
+            argv += ["--output-dir", str(tmp_path / "out")]
+        assert cli.main(argv) == case["exit"]
+        assert capsys.readouterr().err.count(f"{case['pointer']}: {case['message']}") == 1
     assert not (tmp_path / "out").exists()
 
 

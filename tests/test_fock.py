@@ -37,6 +37,14 @@ def test_dimension_formula_matches_brute_force():
     assert fock.build_space(3, 4).D == 35
 
 
+def test_basis_index_inverts_the_basis():
+    # the closed-form index of each basis vector, from its suffix sums, is its position
+    for d, N_max in [(1, 5), (2, 4), (3, 4), (4, 3), (6, 2)]:
+        space = fock.build_space(d, N_max)
+        suffix = np.cumsum(space.occupations[:, ::-1], axis=1)[:, ::-1]
+        assert fock._basis_index(suffix, N_max).tolist() == list(range(space.D))
+
+
 def test_dimension_cap_guard():
     with pytest.raises(ValueError, match="exceeds cap"):
         fock.build_space(4, 20)

@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from gqms import cli, commutators, evolution, fock, generator, serialize
 from gqms import model as gm
 from helpers import (complex_gaussian, csr_bits, form_matrix_by_terms, haar_unitary,
-                     random_model, reference_schema_pointers)
+                     operators_by_sparse_algebra, random_model, reference_schema_pointers)
 
 # coefficient parts: zeros of both signs, subnormals, large and ordinary floats
 PARTS = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -2.5e-320, 1e300, -1.7e308]),
@@ -43,6 +43,40 @@ def seeded_models(draw, max_d=2):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     d = draw(st.integers(1, max_d))
     return rng, random_model(rng, d, draw(st.integers(1, 2 * d + 1)))
+
+
+@st.composite
+def truncated_models(draw):
+    """A seeded model of d = 1..3 modes and m = 1..2d+1 Kraus rows whose zeta
+    entries and Omega and kappa rows (with their columns) are each kept or
+    zeroed per mode, and a space with N_max = 1..6 and interior_margin 0..2."""
+    rng, model = draw(seeded_models(max_d=3))
+    d = model.d
+    kept = [np.array(draw(st.lists(st.booleans(), min_size=d, max_size=d))) for _ in range(3)]
+    zeta, Omega, kappa = (np.where(k, x, 0) if x.ndim == 1 else x * np.outer(k, k)
+                          for k, x in zip(kept, (model.zeta, model.Omega, model.kappa)))
+    model = gm.GaussianModel(d=d, Omega=Omega, kappa=kappa, zeta=zeta, V=model.V, U=model.U)
+    return model, fock.build_space(d, draw(st.integers(1, 6)), draw(st.integers(0, 2)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(truncated_models())
+def test_operators_by_index_arithmetic_match_the_sparse_algebra(truncated):
+    # the ladders and N are the loop's bit for bit; G, G0, the L_l and the
+    # Kossakowski pairs have the sparse algebra's stored positions, and
+    # values within 1e-15 of the operator's largest entry (G0 and H sum
+    # their products in another order than scipy's sparse products)
+    model, space = truncated
+    ops = generator.build_operators(model, space)
+    ref, ref_pairs = operators_by_sparse_algebra(model, space)
+    lad, ref_lad = ops.ladders, ref.ladders
+    for A, B in zip(lad.a + lad.adag + (lad.N,), ref_lad.a + ref_lad.adag + (ref_lad.N,)):
+        assert csr_bits(A) == csr_bits(B)
+    assert len(ops.L) == len(ref.L) and len(ops.pairs) == len(ref_pairs)
+    for A, B in [(ops.G, ref.G), (ops.G0, ref.G0), *zip(ops.L, ref.L),
+                 *[pair for pairs in zip(ops.pairs, ref_pairs) for pair in zip(*pairs)]]:
+        assert A.indptr.tolist() == B.indptr.tolist() and A.indices.tolist() == B.indices.tolist()
+        assert np.abs(A.data - B.data).max(initial=0) <= 1e-15 * np.abs(B.data).max(initial=0)
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)

@@ -80,12 +80,14 @@ PAIR_PRODUCTS = {"fd-probe": len(FD_TIMES), "fd-derivative": 2}
 
 
 class RunContext:
-    """The model, space and operator objects shared by the tasks, each decoded or built once."""
+    """The model, space and operator objects shared by the tasks, each decoded or built
+    once, and the run's last density evolution, kept for the tasks that read its state."""
 
     def __init__(self, config):
         self.config = config
         self.seed = int(config["seed"])
         self.kind = config["model"]["kind"]
+        self._evolution = None  # (occupation of its initial state, EvolutionResult)
 
     @cached_property
     def model(self):
@@ -111,9 +113,9 @@ class RunContext:
     def ops(self):
         return generator.build_operators(self.model, self.space)
 
-    @cached_property
+    @property
     def kossakowski(self):
-        return gm.build_kossakowski(self.model.V, self.model.U)
+        return self.model.kossakowski
 
     @cached_property
     def lindbladian(self):
@@ -129,8 +131,42 @@ class RunContext:
     def action(self):
         return commutators.adjoint_action(self.model)
 
+    def occupation(self, label):
+        """The occupation tuple of a state label: "vacuum" or a list of occupation numbers."""
+        return (0,) * self.space.d if label == "vacuum" else tuple(map(int, label))
+
     def state_vector(self, label):
-        return self.space.vacuum() if label == "vacuum" else self.space.basis_vector(label)
+        return self.space.basis_vector(self.occupation(label))
+
+    def density_evolution(self, label, times):
+        """The `evolution.evolve_density` of the state `label` under `lindbladian`
+        over the sorted distinct `times` with 0.
+
+        They are read from the kept evolution when it is of that state and its
+        grid holds them all; otherwise the kept one is dropped, so at most one
+        evolution is alive, and the new one is kept in its place.
+        """
+        grid = sorted({0.0, *map(float, times)})
+        n = self.occupation(label)
+        if self._evolution is not None and self._evolution[0] == n:
+            kept = self._evolution[1]
+            at = {t: i for i, t in enumerate(kept.times.tolist())}
+            if all(t in at for t in grid):
+                rows = [at[t] for t in grid]
+                return evolution.EvolutionResult(
+                    kept.times[rows], [kept.states[i] for i in rows], kept.trace_err[rows])
+            del kept
+        self._evolution = None  # before the new evolution keeps its states
+        result = evolution.evolve_density(self.lindbladian, self.space.basis_vector(n), grid)
+        self._evolution = (n, result)
+        return result
+
+    def task_done(self, index):
+        """Drop the kept evolution unless a density task after task `index` reads its state."""
+        if self._evolution is not None and self._evolution[0] not in {
+                self.occupation(label) for task in self.config["tasks"][index + 1:]
+                if task["name"] in DENSITY_TASKS for label in _initials(task)}:
+            self._evolution = None
 
 
 def _write_csv(path, header, rows):
@@ -230,8 +266,7 @@ def task_domain_comparison(ctx, out, n_samples=500):
 def task_evolve(ctx, out, initial="vacuum",
                 times=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
                 observables=()):
-    psi = ctx.state_vector(initial)
-    result = evolution.evolve_density(ctx.lindbladian, psi, times)
+    result = ctx.density_evolution(initial, times)
     stats, dim = result.stats, ctx.space.interior_dim()
     observables = [tuple(map(int, n)) for n in observables]
     diagonal = [ctx.space.index_of[n] for n in observables]
@@ -257,13 +292,14 @@ def task_evolve(ctx, out, initial="vacuum",
 def task_support(ctx, out, initial="vacuum", t=0.1):
     psi = ctx.state_vector(initial)
     span = commutators.support_span(ctx.ops, ctx.action, psi, t)
-    probes = diagnostics.positivity_improving_probe(ctx.lindbladian, [psi], [t], ctx.space)
     oracle = commutators.validate_action_oracle(ctx.ops, ctx.action)
+    probe, = diagnostics.support_reports(
+        ctx.density_evolution(initial, [t]), [t], ctx.space.interior_dim())
     report = {
         "t": t,
         "span_rank": span.rank,
-        "evolved_rank": probes[0].rank,
-        "match": bool(span.rank == probes[0].rank),
+        "evolved_rank": probe.rank,
+        "match": bool(span.rank == probe.rank),
         "oracle_error": float(oracle),
         "word_census": list(span.word_census),
     }
@@ -271,11 +307,12 @@ def task_support(ctx, out, initial="vacuum", t=0.1):
 
 
 def task_improve(ctx, out, initials=("vacuum",), times=(0.05, 0.1), plots=()):
-    psis = [ctx.state_vector(s) for s in initials]
-    reports = diagnostics.positivity_improving_probe(ctx.lindbladian, psis, times, ctx.space)
+    times, dim = sorted({float(t) for t in times}), ctx.space.interior_dim()
+    reports = [report for i, label in enumerate(initials) for report in
+               diagnostics.support_reports(ctx.density_evolution(label, times), times, dim, i)]
     rows = [serialize.jsonable(asdict(r)) for r in reports]
     report = {
-        "interior_dim": ctx.space.interior_dim(),
+        "interior_dim": dim,
         "reports": rows,
         "all_full": bool(all(r.full for r in reports)),
     }
@@ -340,6 +377,12 @@ def _settings(task):
         kind = type(settings[key])
         settings[key] = kind(task[key]) if kind in (int, float) else task[key]
     return settings
+
+
+def _initials(task):
+    """The labels of the states a task of DENSITY_TASKS evolves."""
+    settings = _settings(task)
+    return settings["initials"] if "initials" in settings else [settings["initial"]]
 
 
 def _rule(kind=None, low=None, high=None, strict=False, items=None, nonempty=False, names=None):
@@ -478,13 +521,19 @@ def _dependent_errors(ctx):
                 yield ["tasks", i, *at], "start vector has no interior component"
         if task["name"] == "invariant" and basis is not None:
             n_seeds, starts = _settings(task)["n_seeds"], len(task.get("starts", ()))
-            per_closure = ctx.space.interior_dim() * (1 + len(ctx.action.kraus))
+            dim, m = ctx.space.interior_dim(), len(ctx.action.kraus)
+            per_closure = dim * (1 + m)
             products = (n_seeds + starts) * per_closure
             if products > evolution.MAX_PRODUCTS:
                 key = "n_seeds" if n_seeds * per_closure > evolution.MAX_PRODUCTS else "starts"
                 yield ["tasks", i, key], (
                     f"{n_seeds} seed and {starts} start closures may take {products} "
                     f"matrix products (limit {evolution.MAX_PRODUCTS})")
+            nbytes = diagnostics.closure_bytes(dim, m)
+            if nbytes > generator.ASSEMBLY_MAX_BYTES:
+                yield ["space", "N_max"], (
+                    f"an invariant closure needs {nbytes} bytes at its peak at interior "
+                    f"dimension {dim} (limit {generator.ASSEMBLY_MAX_BYTES})")
         times = task.get("times")
         if task["name"] == "evolve" and times is not None and (
                 times[0] != 0 or any(b <= a for a, b in zip(times, times[1:]))):
@@ -539,6 +588,7 @@ def run_scenario(config, output_dir, verbose=False):
                 ValueError) as exc:
             report = None
             error = {"type": type(exc).__name__, "message": str(exc)}
+        ctx.task_done(idx)
         task_seconds[tag] = time.time() - t0
         expect = task.get("expect")
         if report is None:

@@ -215,9 +215,8 @@ def domain_comparison_constants(stats, K, n_samples):
 def positivity_improving_probe(superop, psis, times, space):
     """Evolve pure states (`evolve_density`) and report the interior eigen-rank at each time.
 
-    full is true when the interior block of the evolved state has full
-    eigen-rank at evolution.RANK_RTOL, the numerical signature of a
-    positivity-improving semigroup at that (psi, t).
+    Each normalized psi is evolved over the sorted distinct times with 0,
+    and its evolution is reduced by `support_reports`.
     """
     times = sorted(set(float(t) for t in times))
     if not times:
@@ -231,17 +230,34 @@ def positivity_improving_probe(superop, psis, times, space):
     reports = []
     for idx, psi in enumerate(psis):
         psi = np.asarray(psi, dtype=complex).reshape(-1)
-        psi = psi / np.linalg.norm(psi)
-        result = evolution.evolve_density(superop, psi, grid)
-        for t in times:
-            i = int(np.searchsorted(grid, t))
-            rank, min_eig = evolution.support_rank(result.states[i], dim)
-            reports.append(SupportReport(
-                t=t, rank=rank, min_interior_eig=min_eig,
-                full=bool(rank == dim), psi_index=idx,
-            ))
-        del result  # before the next evolution keeps its states
+        # the evolution is let go before the next one keeps its states
+        reports += support_reports(
+            evolution.evolve_density(superop, psi / np.linalg.norm(psi), grid), times, dim, idx)
     return reports
+
+
+def support_reports(result, times, interior_dim, psi_index=0):
+    """SupportReport rows of a density evolution (`evolve_density`) at each of
+    `times`, every one an output time of it.
+
+    full is true when the interior block of the evolved state has full
+    eigen-rank at evolution.RANK_RTOL, the numerical signature of a
+    positivity-improving semigroup at that (psi, t).
+    """
+    reports = []
+    for t in times:
+        rank, min_eig = evolution.support_rank(
+            result.states[int(np.searchsorted(result.times, t))], interior_dim)
+        reports.append(SupportReport(t=t, rank=rank, min_interior_eig=min_eig,
+                                     full=bool(rank == interior_dim), psi_index=psi_index))
+    return reports
+
+
+def closure_bytes(interior_dim, n_kraus):
+    """Bytes of the complex arrays an `invariant_subspace_search` holds at its
+    peak: the dense interior blocks of G and of n_kraus L_l, and the closure
+    basis with its returned copy, interior_dim^2 entries each."""
+    return 16 * interior_dim ** 2 * (n_kraus + 3)
 
 
 def invariant_subspace_search(ops, n_seeds, seed, starts=()):

@@ -10,13 +10,16 @@ A - mu I are computed once per generator, without forming the shifted
 matrix (a Superoperator's in closed form, its cached `shift_and_norm`);
 an evolution then takes one step count and Taylor degree from the theta
 table for its whole horizon, and reads every output time inside a step
-from that step's series (ibid., Sec. 5).  The same kernel gives the dense
-propagators e^{tA} of a small dense A (`propagators`) by evolving the
-identity: the theta table bounds the backward error of the approximant
-itself, so it serves a matrix as well as a vector.  The package takes no
-other exponential.  Trace is never renormalized: trace drift is recorded
-per output time, and the smallest eigenvalue taken per output time when
-read, as truncation/integration diagnostics.
+from that step's series (ibid., Sec. 5).  The first product, A v0, is
+taken once before the first step and serves as its first term; a start it
+leaves exactly zero is stationary and costs that one product.  The same
+kernel gives the dense propagators e^{tA} of a small dense A
+(`propagators`) by evolving the identity: the theta table bounds the
+backward error of the approximant itself, so it serves a matrix as well
+as a vector.  The package takes no other exponential.  Trace is never
+renormalized: trace drift is recorded per output time, and the smallest
+eigenvalue taken per output time when read, as truncation/integration
+diagnostics.
 """
 
 from __future__ import annotations
@@ -116,7 +119,7 @@ def _taylor_plan(dt, norm):
                key=lambda pair: pair[0] * pair[1])
 
 
-def _expm_action(matvec, F, T, mu, m, s, taus):
+def _expm_action(matvec, F, T, mu, m, s, taus, first):
     """One step of the `_taylor_plan(T, norm)` (m, s), given matvec(v) = A v
     and mu = tr(A)/n: F becomes e^{(T/s) A} F in place, and e^{tau A} F for
     each offset tau in taus, all in (0, T/s), is returned as a new array.
@@ -126,7 +129,9 @@ def _expm_action(matvec, F, T, mu, m, s, taus):
     (tau s/T)^j and is scaled by e^{tau mu}.  Terms stop once the infinity
     norms of the last two are at most TAYLOR_TOL times that of the step's
     sum.  Each term is made in the buffer its product returns; F is read by
-    the first product and written after it.
+    the first product and written after it.  When the list `first` holds
+    A F, taken already, it gives that up as the first term's buffer, so
+    no product is made for the term and the list no longer keeps it.
     """
     outs = [F.copy() for _ in taus]
     ratios = [tau * s / T for tau in taus]
@@ -134,7 +139,7 @@ def _expm_action(matvec, F, T, mu, m, s, taus):
     v = F
     c1 = np.abs(v).max()
     for j in range(m):
-        term = matvec(v)
+        term = first.pop() if first else matvec(v)
         term -= np.multiply(mu, v, out=shifted)
         term *= T / (s * (j + 1))
         v = term
@@ -161,7 +166,10 @@ def _propagate(matvec, shift_and_norm, v0, times):
     in turn, so only the caller keeps it.  F becomes the state at T; it is
     copied only at an output time on an earlier step end.  An
     evolution that plans more than MAX_PRODUCTS products (m s), or NaN
-    products (from a NaN norm), is refused before the first one.
+    products (from a NaN norm), is refused before the first one.  The
+    first product A v0 is taken before the first step, which reuses it as
+    its first term; when it is exactly zero, v0 is stationary, e^{tA} v0 =
+    v0, and each later output time is a copy of v0 with no further product.
     """
     times = times.tolist()  # Python floats: a huge T overflows to inf silently
     T = times[-1]
@@ -173,11 +181,16 @@ def _propagate(matvec, shift_and_norm, v0, times):
     yield v0
     if T == 0:  # times is [0]: no step to take
         return
+    first = [matvec(v0)] if m else []
+    if first and not first[0].any():
+        for _ in times[1:]:
+            yield v0.copy()
+        return
     h, i, F = T / s, 1, v0.copy()
     for k in range(1, int(s) + 1):
         start, end = (k - 1) * h, T if k == s else k * h
         j = bisect.bisect_left(times, end, i)
-        outs = _expm_action(matvec, F, T, mu, m, s, [t - start for t in times[i:j]])
+        outs = _expm_action(matvec, F, T, mu, m, s, [t - start for t in times[i:j]], first)
         while outs:
             yield outs.pop(0)
         if times[j] == end:

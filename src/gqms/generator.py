@@ -35,7 +35,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import evolution, fock
-from . import model as gm
 from .commutators import adjoint_action, form_matrix
 
 ASSEMBLY_MAX_BYTES = 2 ** 31  # peak of the assembly, and of an evolution (see gkls_superoperator)
@@ -59,7 +58,7 @@ class TruncatedOperators:
         """The Kossakowski pairs (s_q, B_q = sum_p K_qp s_p), one per nonzero row q
         of K, over the ladders s = (a_1..a_d, a_1†..a_d†); B_q is the form
         with coefficients (0, K_q)."""
-        K = gm.build_kossakowski(self.model.V, self.model.U).matrix
+        K = self.model.kossakowski.matrix
         s = self.ladders.a + self.ladders.adag
         return [(s[q], form_matrix(np.concatenate(([0], K[q])), self.ladders))
                 for q in range(len(s)) if K[q].any()]

@@ -20,6 +20,7 @@ positivity-improvement diagnostics implemented elsewhere in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -81,6 +82,11 @@ class GaussianModel:
     def m(self):
         """Number of Kraus operators."""
         return self.V.shape[0]
+
+    @cached_property
+    def kossakowski(self):
+        """The model's `build_kossakowski(V, U)`, built once."""
+        return build_kossakowski(self.V, self.U)
 
 
 def quadratic_free_model(d, V, U):

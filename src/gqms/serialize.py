@@ -12,15 +12,17 @@ json.dumps(jsonable(obj), sort_keys=True, indent=2), but it neither copies
 the object first nor runs the standard library's pure-Python per-token
 encoder, which `indent` selects on Python 3.10-3.12: a list of finite
 floats, or of non-empty lists of finite floats (the [re, im] pairs), is
-one str.join of their reprs per list, any other string, number, bool or
-None (NaN and Infinity too) is json.dumps's own text, and complex arrays
-go through `complex_to_pairs`.
+one str.join of their reprs per list, any other string (a dict key too),
+number, bool or None is written as the literal json.dumps writes (NaN and
+Infinity too), and complex arrays go through `complex_to_pairs`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -28,11 +30,9 @@ import numpy as np
 def complex_to_pairs(array):
     """Encode a complex vector or matrix as nested [re, im] pairs."""
     a = np.asarray(array, dtype=complex)
-    if a.ndim == 1:
-        return [[float(z.real), float(z.imag)] for z in a]
-    if a.ndim == 2:
-        return [[[float(z.real), float(z.imag)] for z in row] for row in a]
-    raise ValueError(f"unsupported ndim {a.ndim}")
+    if a.ndim not in (1, 2):
+        raise ValueError(f"unsupported ndim {a.ndim}")
+    return np.ascontiguousarray(a).view(float).reshape(*a.shape, 2).tolist()
 
 
 def is_number(x):
@@ -94,6 +94,31 @@ def _float_items(obj, inner):
     return None if "n" in text else text  # nan or inf, which json spells NaN or Infinity
 
 
+def _literal(obj):
+    """The JSON text json.dumps gives a str, bool, None, int or float (NaN,
+    Infinity, -Infinity for the non-finite ones); json.dumps's own for any
+    other obj, which raises its TypeError."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if obj != obj:
+            return "NaN"
+        if obj == math.inf:
+            return "Infinity"
+        if obj == -math.inf:
+            return "-Infinity"
+        return float.__repr__(obj)
+    return json.dumps(obj)
+
+
 def _encode(obj, indent, out):
     """Append the JSON text of obj, nested at the newline-plus-spaces `indent`, to out."""
     if isinstance(obj, (list, tuple)):
@@ -120,18 +145,18 @@ def _encode(obj, indent, out):
         head = "{" + inner
         for key, value in sorted(obj.items()):
             if isinstance(key, (int, float)) or key is None:  # made a string, as json does
-                key = json.dumps(key)
+                key = _literal(key)
             elif not isinstance(key, str):
                 raise TypeError(f"keys must be str, int, float, bool or None, "
                                 f"not {type(key).__name__}")
-            out.append(head + json.dumps(key) + ": ")
+            out.append(head + encode_basestring_ascii(key) + ": ")
             _encode(value, inner, out)
             head = "," + inner
         out.append(indent + "}")
     elif isinstance(obj, np.ndarray) and np.iscomplexobj(obj):
         _encode(complex_to_pairs(obj), indent, out)
-    else:  # a string, number, bool or None, or json's TypeError
-        out.append(json.dumps(obj))
+    else:
+        out.append(_literal(obj))
 
 
 def dumps(obj):

@@ -8,12 +8,14 @@ import re
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gqms import cli, diagnostics, evolution, fock, generator, serialize
+from gqms import model as gm
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -423,6 +425,85 @@ def test_shipped_and_benchmark_configs_validate(workload):
     else:
         configs = [config for _, config in workloads.build(workload, 1)]
     for config in configs:
+        cli.validate_config(config)
+
+
+@pytest.mark.parametrize("name, products", [
+    ("two_boson", [22]), ("damping_contrast", [81, 1]), ("closure", [21]), ("assembly", [14])])
+def test_density_tasks_evolve_each_state_once(tmp_path, monkeypatch, name, products):
+    # one evolve_density per distinct initial state of the density tasks, each
+    # taking its plan's products: two_boson's `improve` reads the `evolve`
+    # states, damping_contrast's evolves the stationary vacuum in one product
+    if name in ("closure", "assembly"):
+        (_, config), = workloads.build(name, 1)
+    else:
+        config = json.loads((SCENARIOS / f"{name}.json").read_text())
+    counts, real = [], generator.Superoperator.matvec
+
+    def counted(superop, u):
+        counts[-1] += 1
+        return real(superop, u)
+    evolve = evolution.evolve_density
+    monkeypatch.setattr(generator.Superoperator, "matvec", counted)
+    monkeypatch.setattr(evolution, "evolve_density",
+                        lambda *args: counts.append(0) or evolve(*args))
+    cli.run_scenario(config, tmp_path)
+    assert counts == products
+
+
+def test_a_kept_evolution_lives_only_until_its_last_reader(tmp_path, monkeypatch):
+    # the evolution of a state is kept while a later density task reads that
+    # state, and dropped before another evolution starts: at most one lives
+    kept, evolve = [], evolution.evolve_density
+
+    def tracked(*args):
+        assert all(ref() is None for ref in kept)
+        result = evolve(*args)
+        kept.append(weakref.ref(result))
+        return result
+    monkeypatch.setattr(evolution, "evolve_density", tracked)
+    alive = []
+    search = diagnostics.invariant_subspace_search
+    monkeypatch.setattr(diagnostics, "invariant_subspace_search", lambda *args, **kwargs: (
+        alive.append([ref() is not None for ref in kept]) or search(*args, **kwargs)))
+    model = {"kind": "gaussian", "d": 1, "V": [[1.0]], "U": [[0.5]]}
+    config = minimal_config(model=model, space={"N_max": 4}, tasks=[
+        {"name": "evolve", "times": [0, 0.1, 0.2]}, {"name": "invariant", "n_seeds": 1},
+        {"name": "improve", "initials": ["vacuum", [1], "vacuum"], "times": [0.2, 0.1]},
+        {"name": "invariant", "n_seeds": 1}, {"name": "support", "initial": [1], "t": 0.3},
+        {"name": "invariant", "n_seeds": 1}])
+    _, report = cli.run_scenario(config, tmp_path)
+    assert len(kept) == 4  # vacuum, [1], vacuum again, then [1] again for `support`
+    assert alive == [[True], [False, False, False], [False, False, False, False]]
+    rows = report["tasks"][2]["report"]["reports"]
+    assert [row["t"] for row in rows] == [0.1, 0.2] * 3
+    assert [row["psi_index"] for row in rows] == [0, 0, 1, 1, 2, 2]
+    # the vacuum's rows read from the `evolve` states and from its own evolution
+    assert [{**row, "psi_index": 0} for row in rows[4:]] == rows[:2]
+
+
+def test_the_model_builds_its_kossakowski_matrix_once(tmp_path, monkeypatch):
+    # the kossakowski task, the sampled bound and the Lindbladian's pairs all
+    # read the one matrix of the model; bogoliubov builds its transformed model's
+    calls = []
+    counting_calls(monkeypatch, gm, "build_kossakowski", calls)
+    config = minimal_config(tasks=[
+        {"name": "kossakowski"}, {"name": "number-bound", "n_samples": 5},
+        {"name": "improve"}, {"name": "bogoliubov"}])
+    code, _ = cli.run_scenario(config, tmp_path)
+    assert code == 2  # pure loss is not positivity improving
+    assert len(calls) == 2
+
+
+def test_invariant_task_memory_is_refused_at_validate(monkeypatch):
+    # dense interior blocks of G and each L_l, the basis and its copy
+    config = minimal_config(space={"N_max": 6}, tasks=[{"name": "invariant"}])
+    needed = diagnostics.closure_bytes(5, 1)
+    assert needed == 16 * 25 * 4
+    monkeypatch.setattr(generator, "ASSEMBLY_MAX_BYTES", needed)
+    cli.validate_config(config)
+    monkeypatch.setattr(generator, "ASSEMBLY_MAX_BYTES", needed - 1)
+    with pytest.raises(ValueError, match=f"/space/N_max: an invariant closure needs {needed} bytes"):
         cli.validate_config(config)
 
 

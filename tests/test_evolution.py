@@ -203,11 +203,28 @@ def test_min_eig_is_solved_when_read(monkeypatch):
     assert evolution.evolve_vector(ops, space.vacuum(), [0.0, 0.1]).stats == {}
 
 
-def test_evolution_cost_is_refused_before_the_first_product(monkeypatch):
+def refuse_products(monkeypatch):
+    """Make every product an evolution takes, in a step or before the first, raise."""
     def refuse(*args, **kwargs):
         raise AssertionError("a product was taken")
 
+    real = evolution._propagate
     monkeypatch.setattr(evolution, "_expm_action", refuse)
+    monkeypatch.setattr(evolution, "_propagate", lambda matvec, *args: real(refuse, *args))
+
+
+def counting_products(monkeypatch):
+    """The list that gets one entry per product any later evolution takes."""
+    products, real = [], evolution._propagate
+
+    def counting(matvec, *args):
+        return real(lambda v: products.append(None) or matvec(v), *args)
+    monkeypatch.setattr(evolution, "_propagate", counting)
+    return products
+
+
+def test_evolution_cost_is_refused_before_the_first_product(monkeypatch):
+    refuse_products(monkeypatch)
     space, ops, lind = damping_setup()
     for t in (1e6, 1e308):
         with pytest.raises(evolution.IntegrationError, match="products"):
@@ -251,10 +268,7 @@ def test_propagators_read_any_times_from_one_evolution(monkeypatch):
 
 
 def test_propagators_refuse_bad_times_and_plans_over_the_budget(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a product was taken")
-
-    monkeypatch.setattr(evolution, "_expm_action", refuse)
+    refuse_products(monkeypatch)
     A = np.array([[0.0, 1e6], [-1e6, 0.0]])
     for times, message in (([-0.1], "start at 0"), ([0.1, np.nan], "finite"),
                            ([np.inf], "finite")):
@@ -268,12 +282,9 @@ def test_propagators_refuse_bad_times_and_plans_over_the_budget(monkeypatch):
 
 def test_propagator_of_a_multiple_of_the_identity_takes_no_product(monkeypatch):
     # the shift takes all of A, so the plan has degree 0: one step, its scaling alone
-    matvecs = []
-    real = evolution._propagate
-    monkeypatch.setattr(evolution, "_propagate",
-                        lambda matvec, *args: real(lambda v: matvecs.append(1) or matvec(v), *args))
+    products = counting_products(monkeypatch)
     assert np.array_equal(evolution.propagators(3j * np.eye(2), [1.0])[0], np.exp(3j) * np.eye(2))
-    assert matvecs == []
+    assert products == []
 
 
 def test_subnormal_horizon_takes_one_step():
@@ -288,10 +299,7 @@ def test_subnormal_horizon_takes_one_step():
 
 
 def test_zero_horizon_takes_no_product(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("a product was taken")
-
-    monkeypatch.setattr(evolution, "_expm_action", refuse)
+    refuse_products(monkeypatch)
     space, ops, lind = damping_setup()
     psi0 = space.basis_vector((1,))
     res = evolution.evolve_density(lind, psi0, [0.0])
@@ -299,6 +307,59 @@ def test_zero_horizon_takes_no_product(monkeypatch):
     assert res.stats["trace_err"].tolist() == [0.0]
     vec = evolution.evolve_vector(ops, space.vacuum(), [0.0])
     assert len(vec.states) == 1 and np.array_equal(vec.states[0], space.vacuum())
+
+
+def test_stationary_start_takes_one_product(monkeypatch):
+    # pure loss leaves the vacuum fixed: L(|0><0|) = 0 and G|0> = 0 exactly,
+    # so the first product is zero and every output time is a copy of the start
+    products = counting_products(monkeypatch)
+    space, ops, lind = damping_setup()
+    times = [0.0, 0.05, 0.5, 3.0]
+    for run, start in ((lambda: evolution.evolve_density(lind, space.vacuum(), times),
+                        pure(space.vacuum())),
+                       (lambda: evolution.evolve_vector(ops, space.vacuum(), times),
+                        space.vacuum())):
+        products.clear()
+        res = run()
+        assert len(products) == 1
+        assert all(np.array_equal(state, start) for state in res.states)
+        assert len({id(state) for state in res.states}) == len(times)
+    assert res.stats == {} and evolution.evolve_density(
+        lind, space.vacuum(), times).trace_err.tolist() == [0.0] * len(times)
+    # a start that is not stationary steps as before
+    products.clear()
+    evolution.evolve_density(lind, space.basis_vector((1,)), times)
+    assert len(products) > 1
+
+
+def test_first_product_is_the_first_steps_first_term(monkeypatch):
+    # the product taken before the first step is that step's first term: the
+    # states are those of the steps taken one by one, bit for bit, and the
+    # evolution takes no more products than they do
+    space, ops, lind = seeded_lindbladian(32, 1, 6)
+    mu, norm = lind.shift_and_norm
+    T = 1.0
+    m, s = evolution._taylor_plan(T, norm)
+    assert s >= 2
+    rows, _ = lind.fold
+    u0 = pure(space.vacuum()).reshape(-1, order="F")[rows]
+    steps, F, h = [], u0.copy(), T / s
+    calls = []
+
+    def matvec(v):
+        calls.append(None)
+        return lind.matvec(v)
+    for k in range(int(s)):
+        outs = evolution._expm_action(matvec, F, T, mu, m, s, [0.5 * h], [])
+        steps += [outs[0], F.copy()]
+    stepwise = len(calls)
+    products = counting_products(monkeypatch)
+    times = np.concatenate(([0.0], np.arange(1, 2 * int(s) + 1) * 0.5 * h))
+    times[-1] = T
+    res = evolution.evolve_density(lind, space.vacuum(), times)
+    assert len(products) == stepwise
+    for rho, u in zip(res.states[1:], steps):
+        assert np.array_equal(rho, lind.unfold(u))
 
 
 def scaled_operators(N_max, scale):
@@ -311,16 +372,7 @@ def scaled_operators(N_max, scale):
 
 
 def test_output_times_cost_no_products(monkeypatch):
-    products = []
-    propagate = evolution._propagate
-
-    def counting(matvec, *args):
-        def counted(v):
-            products.append(None)
-            return matvec(v)
-        return propagate(counted, *args)
-
-    monkeypatch.setattr(evolution, "_propagate", counting)
+    products = counting_products(monkeypatch)
     # one horizon T = 0.3 planned as s = 3 steps of h = 0.3/3, a float just
     # below 0.1: outputs off the step ends, on them in floating point (h and
     # 2 h) and on one only in exact arithmetic (0.1, just after h)

@@ -127,9 +127,9 @@ class RunContext:
         grids = [{0, *s["times"]} if "times" in s else {0, s["t"]} for s in settings]
         return generator.build_lindbladian(self.ops, max(map(len, grids), default=0))
 
-    @cached_property
+    @property
     def action(self):
-        return commutators.adjoint_action(self.model)
+        return self.model.adjoint_action
 
     def occupation(self, label):
         """The occupation tuple of a state label: "vacuum" or a list of occupation numbers."""
@@ -154,7 +154,8 @@ class RunContext:
             if all(t in at for t in grid):
                 rows = [at[t] for t in grid]
                 return evolution.EvolutionResult(
-                    kept.times[rows], [kept.states[i] for i in rows], kept.trace_err[rows])
+                    kept.times[rows], [kept.states[i] for i in rows], kept.trace_err[rows],
+                    kept.ranks)
             del kept
         self._evolution = None  # before the new evolution keeps its states
         result = evolution.evolve_density(self.lindbladian, self.space.basis_vector(n), grid)
@@ -274,7 +275,7 @@ def task_evolve(ctx, out, initial="vacuum",
     _write_csv(csv_path, ["t", "trace_err", "min_eig", "support_rank"]
                + ["p" + "".join(map(str, n)) for n in observables],
                [[f"{t:.12g}", f"{err:.6e}", f"{eig:.6e}",
-                 str(evolution.support_rank(rho, dim)[0])]
+                 str(result.support_rank_at(t, dim)[0])]
                 + [f"{rho[k, k].real:.12g}" for k in diagonal]
                 for t, rho, err, eig in zip(result.times, result.states,
                                               stats["trace_err"], stats["min_eig"])])

@@ -12,6 +12,8 @@ interior columns of G0 and G and the interior part of N's diagonal.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +23,16 @@ from .commutators import krylov_closure
 
 # Columns per sampled block: bounds the working memory of every sampler.
 SAMPLE_BLOCK = 64
+# A sample pass draws its next block on a worker thread while it applies the
+# current one when a block has at least this many interior entries.  Handing
+# a block over costs a thread wake-up and GIL hand-backs, about 0.1 ms
+# whatever the block's size (a pass of n = 6 slowed 1.4 -> 3.2 ms over 16
+# blocks), while the draw it hides costs about 40 ns an entry (two standard
+# normals and the normalisation).  On 2 vCPUs, 500- and 1000-sample passes
+# broke even near 5,000 entries and gained from 7,680 (n = 120, -2 to -12 %)
+# through 18,304 (n = 286, -17 to -27 %); 2^13 entries, about 0.3 ms of
+# draws, keeps every pipelined pass clear of the break-even point.
+DRAW_AHEAD_ENTRIES = 2 ** 13
 # A slack below -BOUND_TOL is a violation of the number-operator bound.
 BOUND_TOL = 1e-10
 # Candidate graph-norm constants, in increasing order.
@@ -96,16 +108,25 @@ def sample_blocks(rng, count, dim, rows=None):
     from `rng`, is normalized, and is supported on the first `dim` rows
     (rows defaults to dim).  The stream is the one `count` successive
     per-vector draws consume, so the first k columns do not depend on
-    `count`.
+    `count`.  Besides the block last yielded, two draw-sized arrays are
+    live at a time: the draw and the samples, whose squared moduli reuse
+    the draw's memory, then the samples and the new block.
     """
     rows = dim if rows is None else rows
     for start in range(0, count, SAMPLE_BLOCK):
-        x = rng.standard_normal((min(SAMPLE_BLOCK, count - start), 2, dim))
-        z = (x[:, 0] + 1j * x[:, 1]).T
-        del x  # each draw temporary is freed before the next is allocated
-        block = np.zeros((rows, z.shape[1]), dtype=complex)
-        block[:dim] = z / np.linalg.norm(z, axis=0)
-        del z
+        b = min(SAMPLE_BLOCK, count - start)
+        x = rng.standard_normal((b, 2, dim))
+        z = np.empty((b, dim), dtype=complex)
+        z.real, z.imag = x[:, 0], x[:, 1]
+        # np.linalg.norm(z.T, axis=0), with its products in the draw's memory
+        s = np.conjugate(z, out=x.reshape(b, 2 * dim).view(complex))
+        np.multiply(s, z, out=s)
+        norm = np.sqrt(np.add.reduce(s.real, axis=1))
+        del x, s
+        z /= norm[:, None]
+        block = np.zeros((rows, b), dtype=complex)
+        block[:dim] = z.T
+        del z  # before the next draw is allocated
         yield block
 
 
@@ -136,7 +157,13 @@ def sample_statistics(ops, seed, n_samples):
     each of G0, N and G once per block: the interior columns of G0 and G,
     sliced once per pass, and N's diagonal (`fock.build_ladders` makes N
     diagonal), so nothing reads the zeros a sample has past the interior.
-    One image block is live at a time.  Each column's squared image norm
+    One image block is live at a time.  A pass of more than one block of
+    at least DRAW_AHEAD_ENTRIES interior entries draws each next sample
+    block on one worker thread (`_drawn_ahead`) while it applies the
+    current one, so one more sample block, and the draw arrays of
+    `sample_blocks`, can be live; the worker alone advances the pass's
+    generator, so the samples are those drawn in turn, and it is joined
+    before the pass returns or raises.  Each column's squared image norm
     is summed row by row over all the image's rows, and its form over the
     interior rows, so its statistics do not depend on the width of its
     block, and a pass holds the first columns of any longer pass.
@@ -150,29 +177,48 @@ def sample_statistics(ops, seed, n_samples):
     form = {name: np.empty(n_samples, dtype=complex if name == "G" else float)
             for name in maps}
     work = np.zeros(space.D * SAMPLE_BLOCK, dtype=complex)  # one reused temporary block
+    blocks = sample_blocks(np.random.default_rng(seed), n_samples, n)
+    if n_samples > SAMPLE_BLOCK and n * SAMPLE_BLOCK >= DRAW_AHEAD_ENTRIES:
+        blocks = _drawn_ahead(blocks)
     start = 0
-    for X in sample_blocks(np.random.default_rng(seed), n_samples, n):
-        b = X.shape[1]
-        for name, op in maps.items():
-            Y = op * X if name == "N" else op @ X
-            # a one-column reduction would sum pairwise, so reduce it beside a
-            # second column of finite leftovers (work starts zeroed)
-            T2 = work[:len(Y) * max(b, 2)].reshape(len(Y), max(b, 2))
-            T = T2[:, :b]
-            np.multiply(np.conjugate(Y, out=T), Y, out=T)
-            norm2[name][start:start + b] = np.sqrt(np.add.reduce(T2.real, axis=0)[:b]) ** 2
-            Y = Y[:n]
-            T = work[:n * b].reshape(n, b)
-            if name == "G0":  # -2 G0 xi
-                Y *= -2.0
-            elif name == "N":  # (2N + d) xi
-                Y *= 2.0
-                Y += np.multiply(d, X, out=T)
-            z = np.einsum("ij,ij->j", np.conjugate(X, out=T), Y)
-            del Y  # before the next operator's image is allocated
-            form[name][start:start + b] = z if name == "G" else np.real(z)
-        start += b
+    with closing(blocks):  # joins a draw-ahead worker, also when a product raises
+        for X in blocks:
+            b = X.shape[1]
+            for name, op in maps.items():
+                Y = op * X if name == "N" else op @ X
+                # a one-column reduction would sum pairwise, so reduce it beside a
+                # second column of finite leftovers (work starts zeroed)
+                T2 = work[:len(Y) * max(b, 2)].reshape(len(Y), max(b, 2))
+                T = T2[:, :b]
+                np.multiply(np.conjugate(Y, out=T), Y, out=T)
+                norm2[name][start:start + b] = np.sqrt(np.add.reduce(T2.real, axis=0)[:b]) ** 2
+                Y = Y[:n]
+                T = work[:n * b].reshape(n, b)
+                if name == "G0":  # -2 G0 xi
+                    Y *= -2.0
+                elif name == "N":  # (2N + d) xi
+                    Y *= 2.0
+                    Y += np.multiply(d, X, out=T)
+                z = np.einsum("ij,ij->j", np.conjugate(X, out=T), Y)
+                del Y  # before the next operator's image is allocated
+                form[name][start:start + b] = z if name == "G" else np.real(z)
+            start += b
     return SampleStatistics(form=form, norm2=norm2)
+
+
+def _drawn_ahead(blocks):
+    """Yield the items of the iterator `blocks`, each one taken from it on a
+    worker thread while the caller uses the one before.
+
+    Only the worker advances `blocks`, one item at a time and in order, so
+    the items are the ones `blocks` yields.  Closing this generator joins
+    the worker.
+    """
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        ahead = worker.submit(next, blocks, None)
+        while (block := ahead.result()) is not None:
+            ahead = worker.submit(next, blocks, None)
+            yield block
 
 
 def number_operator_bound(stats, K, n_samples):
@@ -246,8 +292,7 @@ def support_reports(result, times, interior_dim, psi_index=0):
     """
     reports = []
     for t in times:
-        rank, min_eig = evolution.support_rank(
-            result.states[int(np.searchsorted(result.times, t))], interior_dim)
+        rank, min_eig = result.support_rank_at(t, interior_dim)
         reports.append(SupportReport(t=t, rank=rank, min_interior_eig=min_eig,
                                      full=bool(rank == interior_dim), psi_index=psi_index))
     return reports

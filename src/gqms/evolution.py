@@ -25,7 +25,7 @@ diagnostics.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -68,6 +68,17 @@ class EvolutionResult:
     times: np.ndarray
     states: list
     trace_err: np.ndarray | None = None
+    # (t, interior_dim) -> `support_rank` of the state at t; a result that
+    # reads another's states shares its dict, so each state is ranked once
+    ranks: dict = field(default_factory=dict)
+
+    def support_rank_at(self, t, interior_dim):
+        """`support_rank` of the state at output time t, solved on the first read."""
+        key = (float(t), interior_dim)
+        if key not in self.ranks:
+            self.ranks[key] = support_rank(
+                self.states[int(np.searchsorted(self.times, t))], interior_dim)
+        return self.ranks[key]
 
     @cached_property
     def stats(self):

@@ -35,7 +35,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import evolution, fock
-from .commutators import adjoint_action, form_matrix
+from .commutators import form_matrix
 
 ASSEMBLY_MAX_BYTES = 2 ** 31  # peak of the assembly, and of an evolution (see gkls_superoperator)
 ASSEMBLY_BLOCK = 2 ** 17  # triplets written and made CSR at a time
@@ -200,8 +200,8 @@ def _csr(table, data, D):
 def build_operators(model, space):
     """Assemble L_l, G0 = -(1/2) sum L_l†L_l and G = -iH + G0 (H = i (G - G0) is not kept).
 
-    L_l is the `commutators.form_matrix` form of the l-th Kraus row of
-    `commutators.adjoint_action`.  G0 and H are quadratic in the ladders:
+    L_l is the `commutators.form_matrix` form of the l-th Kraus row of the
+    model's `adjoint_action`.  G0 and H are quadratic in the ladders:
     each is sum_{x,t} C[x, t] T_x T_t over the terms T of
     (1, a_1..a_d, a_1†..a_d†) with a (2d+1) x (2d+1) coefficient matrix C,
     realised over one table of products, `ladders.products()`.  G0 has
@@ -217,7 +217,7 @@ def build_operators(model, space):
     if model.d != space.d:
         raise ValueError(f"model has d={model.d}, space has d={space.d}")
     lad = fock.build_ladders(space)
-    d, kraus = space.d, adjoint_action(model).kraus
+    d, kraus = space.d, model.adjoint_action.kraus
     adjoint = np.concatenate(([0], np.arange(d + 1, 2 * d + 1), np.arange(1, d + 1)))  # x†
     hamiltonian = np.zeros((2 * d + 1, 2 * d + 1), dtype=complex)
     hamiltonian[d + 1:] = np.column_stack([model.zeta, model.Omega, model.kappa])

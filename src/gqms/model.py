@@ -88,6 +88,12 @@ class GaussianModel:
         """The model's `build_kossakowski(V, U)`, built once."""
         return build_kossakowski(self.V, self.U)
 
+    @cached_property
+    def adjoint_action(self):
+        """The model's `commutators.adjoint_action`, built once."""
+        from .commutators import adjoint_action  # commutators imports this module
+        return adjoint_action(self)
+
 
 def quadratic_free_model(d, V, U):
     """Model with zero Hamiltonian data, dissipator only."""

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gqms import cli, diagnostics, evolution, fock, generator, serialize
+from gqms import cli, commutators, diagnostics, evolution, fock, generator, serialize
 from gqms import model as gm
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -493,6 +493,29 @@ def test_the_model_builds_its_kossakowski_matrix_once(tmp_path, monkeypatch):
     code, _ = cli.run_scenario(config, tmp_path)
     assert code == 2  # pure loss is not positivity improving
     assert len(calls) == 2
+
+
+def test_the_model_builds_its_adjoint_action_once(tmp_path, monkeypatch):
+    # the operators' Kraus rows and the support task's word span and oracle
+    # read the one action of the model
+    built, real = [], commutators.AdjointActionMatrix
+    monkeypatch.setattr(commutators, "AdjointActionMatrix",
+                        lambda **fields: built.append(fields) or real(**fields))
+    config = minimal_config(tasks=[{"name": "number-bound", "n_samples": 5}, {"name": "support"}])
+    code, _ = cli.run_scenario(config, tmp_path)
+    assert code == 0
+    assert len(built) == 1
+
+
+# two_boson's `improve` reads the ranks of the `evolve` states it shares;
+# damping_contrast's tasks read different states
+@pytest.mark.parametrize("name, ranks", [("two_boson", 4), ("damping_contrast", 7)])
+def test_each_kept_state_is_ranked_once(tmp_path, monkeypatch, name, ranks):
+    calls = []
+    counting_calls(monkeypatch, evolution, "support_rank", calls)
+    code, _ = cli.run_scenario(json.loads((SCENARIOS / f"{name}.json").read_text()), tmp_path)
+    assert code == 0
+    assert len(calls) == ranks
 
 
 def test_invariant_task_memory_is_refused_at_validate(monkeypatch):

@@ -1,4 +1,8 @@
+import dataclasses
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -353,7 +357,10 @@ def test_sample_statistics_prefix_is_bit_equal(n):
         assert np.array_equal(values, longer[key][:n]), key
 
 
-@pytest.mark.parametrize("d, N_max", [(1, 8), (2, 6), (3, 6)])
+# at (3, 10) the interior holds 165 entries a column, so a pass of more than
+# one block draws ahead on a worker thread; n = 65 ends it with a one-column
+# block and n = 150 with a partial one
+@pytest.mark.parametrize("d, N_max", [(1, 8), (2, 6), (3, 6), (3, 10)])
 @pytest.mark.parametrize("n", [1, 65, 150])
 def test_interior_sample_pass_equals_the_whole_space_pass(d, N_max, n):
     # interior-sized blocks, sliced G0 and G and N's diagonal give the bits
@@ -364,6 +371,74 @@ def test_interior_sample_pass_equals_the_whole_space_pass(d, N_max, n):
     assert fast.keys() == reference.keys()
     for key, values in fast.items():
         assert np.array_equal(values, reference[key]), key
+
+
+def counting_threads(monkeypatch):
+    """The list of threads started from now on."""
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or start(thread))
+    return started
+
+
+# two_boson's pass (n = 15) and a one-block pass have nothing the handoff pays for
+@pytest.mark.parametrize("d, N_max, n_samples, threads", [
+    (2, 6, 500, 0), (3, 10, diagnostics.SAMPLE_BLOCK, 0), (3, 10, 150, 1)])
+def test_a_pass_draws_ahead_only_when_its_blocks_pay(monkeypatch, d, N_max, n_samples, threads):
+    ops = seeded_ops(48, d, N_max)
+    started = counting_threads(monkeypatch)
+    diagnostics.sample_statistics(ops, 1, n_samples)
+    assert len(started) == threads
+    assert not any(thread.is_alive() for thread in started)
+
+
+class FailingProduct:
+    """A sparse matrix whose slice's product with a block raises at the
+    `fail_at`-th block."""
+
+    def __init__(self, matrix, fail_at):
+        self.matrix, self.fail_at, self.products = matrix, fail_at, 0
+
+    def __getitem__(self, key):
+        return type(self)(self.matrix[key], self.fail_at)
+
+    def __matmul__(self, X):
+        self.products += 1
+        if self.products == self.fail_at:
+            raise MemoryError(f"block {self.fail_at}")
+        return self.matrix @ X
+
+
+def test_a_product_that_raises_mid_pass_leaves_no_worker(monkeypatch):
+    ops = seeded_ops(48, 3, 10)
+    failing = dataclasses.replace(ops, G=FailingProduct(ops.G, 2))
+    started = counting_threads(monkeypatch)
+    with pytest.raises(MemoryError, match="block 2"):
+        try:
+            diagnostics.sample_statistics(failing, 1, 200)
+        finally:
+            # read while the traceback, which holds the pass's frame, lives
+            alive = [thread.is_alive() for thread in started]
+    assert alive == [False]
+
+
+def test_concurrent_drawn_ahead_passes_keep_their_bits():
+    # eight passes on four threads, each with its own draw-ahead worker, under
+    # thread switches every microsecond: a block drawn out of turn, or one
+    # generator advanced by two threads, would move the bits
+    ops = seeded_ops(53, 3, 10)
+    reference = statistics(sample_statistics_by_rows(ops, 31, 150))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            passes = [pool.submit(diagnostics.sample_statistics, ops, 31, 150) for _ in range(8)]
+            results = [statistics(future.result(timeout=60)) for future in passes]
+    finally:
+        sys.setswitchinterval(interval)
+    for result in results:
+        for key, values in reference.items():
+            assert np.array_equal(result[key], values), key
 
 
 def test_sample_statistics_rejects_bad_counts():

@@ -28,6 +28,9 @@ conversion of all of them.  Sparse entries are kept exactly as assembled
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,6 +42,9 @@ from .commutators import form_matrix
 
 ASSEMBLY_MAX_BYTES = 2 ** 31  # peak of the assembly, and of an evolution (see gkls_superoperator)
 ASSEMBLY_BLOCK = 2 ** 17  # triplets written and made CSR at a time
+# .worker: the thread that takes the dissipator products of this thread's
+# `Superoperator.matvec` calls, inside a `Superoperator.dissipator_worker`
+_products = threading.local()
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,12 +149,17 @@ class Superoperator:
         conj(X H), and the drift's entry (j, k) is Y_kj + conj(Y_jk).  The
         diagonal entries are made exactly real, which the Taylor sums need:
         an imaginary diagonal, on which the drift acts as zero, would grow
-        under the dissipator alone.
+        under the dissipator alone.  Inside a `dissipator_worker` the
+        dissipator's product is taken on its worker thread while this one
+        takes the drift's; the gathers wait for both, so the same arrays
+        are alive at once and the sums are those of one thread, bit for bit.
         """
         (rows, mirrors), D = self.fold, self.dim
         v = self.unfold(u).reshape(-1, order="F")  # vec H, a view
-        y = self.matrix @ v
+        worker = getattr(_products, "worker", None)
+        dissipated = worker.submit(_product, self.matrix, [v]) if worker else None
         Y = (self._conj_drift @ v.reshape(D, D)).reshape(-1)  # row-major
+        y = dissipated.result() if dissipated else self.matrix @ v
         del v
         y += Y[rows]
         mirrored = Y[mirrors]
@@ -156,6 +167,21 @@ class Superoperator:
         y += np.conjugate(mirrored, out=mirrored)
         y.imag[self._diagonal_rows] = 0.0
         return y
+
+    @contextmanager
+    def dissipator_worker(self, start):
+        """While open, and when `start`, the `matvec` calls this thread makes
+        take the dissipator's product on one worker thread, which is joined
+        on exit, whether the block returns or raises."""
+        if not start:
+            yield
+            return
+        with ThreadPoolExecutor(max_workers=1) as worker:
+            _products.worker = worker
+            try:
+                yield
+            finally:
+                _products.worker = None
 
     def apply(self, X):
         """A(X) for any D x D matrix X, as A(H1) + i A(H2) with X = H1 + i H2."""
@@ -176,6 +202,12 @@ class Superoperator:
         dense += np.kron(I, X)
         dense += np.kron(X.conj(), I)
         return dense
+
+
+def _product(matrix, box):
+    """matrix @ box.pop(): the worker holds no reference to the vector once
+    the product is returned, so the caller's `del` frees it."""
+    return matrix @ box.pop()
 
 
 def _hermitian_part(table, coefficients):

@@ -3,6 +3,7 @@
 import functools
 import inspect
 import math
+import threading
 
 import numpy as np
 import scipy.linalg
@@ -68,6 +69,14 @@ def strictly_positive_model(rng, d, sv_range=(0.7, 1.3), quad_scale=0.2):
         zeta=quad_scale * complex_gaussian(rng, d),
         V=V, U=U,
     )
+
+
+def counting_threads(monkeypatch):
+    """The list of threads started from now on."""
+    started, start = [], threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda thread: started.append(thread) or start(thread))
+    return started
 
 
 def csr_bits(M):

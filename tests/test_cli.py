@@ -16,6 +16,7 @@ import pytest
 
 from gqms import cli, commutators, diagnostics, evolution, fock, generator, serialize
 from gqms import model as gm
+from helpers import counting_threads
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIOS = ROOT / "scenarios"
@@ -508,14 +509,33 @@ def test_the_model_builds_its_adjoint_action_once(tmp_path, monkeypatch):
 
 
 # two_boson's `improve` reads the ranks of the `evolve` states it shares;
-# damping_contrast's tasks read different states
+# damping_contrast's tasks read different states.  Each scenario's `evolve`
+# CSV ranks one initial state, read from its trace with no eigensolve
 @pytest.mark.parametrize("name, ranks", [("two_boson", 4), ("damping_contrast", 7)])
 def test_each_kept_state_is_ranked_once(tmp_path, monkeypatch, name, ranks):
-    calls = []
-    counting_calls(monkeypatch, evolution, "support_rank", calls)
+    solved, initial = [], []
+    counting_calls(monkeypatch, evolution, "support_rank", solved)
+    counting_calls(monkeypatch, evolution, "_initial_rank", initial)
     code, _ = cli.run_scenario(json.loads((SCENARIOS / f"{name}.json").read_text()), tmp_path)
     assert code == 0
-    assert len(calls) == ranks
+    assert len(solved) + len(initial) == ranks
+    assert len(initial) == 1
+
+
+def test_small_evolutions_start_no_thread(tmp_path, monkeypatch):
+    # the shipped scenarios (D = 28 and 9) and the closure workload (D = 105)
+    # evolve below TWO_CORE_ENTRIES and draw no sample pass ahead
+    configs = [json.loads(path.read_text()) for path in sorted(SCENARIOS.glob("*.json"))]
+    configs += [config for _, config in workloads.build("closure", 1)]
+    started = counting_threads(monkeypatch)
+    sizes, build = [], generator.build_lindbladian
+    monkeypatch.setattr(generator, "build_lindbladian", lambda *args, **kwargs: (
+        sizes.append(build(*args, **kwargs)) or sizes[-1]))
+    codes = [cli.run_scenario(config, tmp_path / str(i))[0] for i, config in enumerate(configs)]
+    assert codes == [0, 0, 2]  # closure/support is the workload's known failure
+    assert [superop.dim for superop in sizes] == [9, 28, 105]
+    assert max(superop.matrix.nnz for superop in sizes) < evolution.TWO_CORE_ENTRIES
+    assert started == []
 
 
 def test_invariant_task_memory_is_refused_at_validate(monkeypatch):

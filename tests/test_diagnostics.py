@@ -1,6 +1,5 @@
 import dataclasses
 import sys
-import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
@@ -10,7 +9,7 @@ import pytest
 
 from gqms import commutators, diagnostics, fock, generator
 from gqms import model as gm
-from helpers import sample_statistics_by_rows, strictly_positive_model
+from helpers import counting_threads, sample_statistics_by_rows, strictly_positive_model
 
 
 def heated_mode_setup(N_max=8):
@@ -371,14 +370,6 @@ def test_interior_sample_pass_equals_the_whole_space_pass(d, N_max, n):
     assert fast.keys() == reference.keys()
     for key, values in fast.items():
         assert np.array_equal(values, reference[key]), key
-
-
-def counting_threads(monkeypatch):
-    """The list of threads started from now on."""
-    started, start = [], threading.Thread.start
-    monkeypatch.setattr(threading.Thread, "start",
-                        lambda thread: started.append(thread) or start(thread))
-    return started
 
 
 # two_boson's pass (n = 15) and a one-block pass have nothing the handoff pays for

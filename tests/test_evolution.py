@@ -1,4 +1,5 @@
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,8 @@ import scipy.sparse.linalg
 
 from gqms import cli, evolution, fock, generator
 from gqms import model as gm
-from helpers import (complex_gaussian, expm_states, folded_identity, kraus_form_lindbladian,
-                     pure, strictly_positive_model)
+from helpers import (complex_gaussian, counting_threads, expm_states, folded_identity,
+                     kraus_form_lindbladian, pure, strictly_positive_model)
 
 
 def damping_setup(N_max=6):
@@ -440,26 +441,145 @@ def test_density_bytes_is_the_peak_of_an_evolution(monkeypatch):
     # states one byte below the figure `density_bytes` names, and the figure
     # is the CSR plus the traced peak of that evolution; over 0.3 the plan
     # takes two steps, and the grids after the first have no output time
-    # on the step end
+    # on the step end.  The grids are evolved again above the threshold
+    # lowered to the superoperator's entries, where the worker thread holds
+    # the dissipator's product while the caller takes the drift's
     space, ops, lind = seeded_lindbladian(31, 2, 13)
     assert evolution._taylor_plan(0.3, lind.shift_and_norm[1])[1] == 2
-    for times in (np.linspace(0.0, 0.1, 11), np.array([0.0, 0.05, 0.3]), np.array([0.0, 0.3])):
-        needed = evolution.density_bytes(space.D, lind.matrix.nnz, times.size)
-        if times.size == 11:
-            monkeypatch.setattr(generator, "ASSEMBLY_MAX_BYTES", needed - 1)
-            with pytest.raises(ValueError, match=f"keeping 11 states needs {needed} bytes"):
-                generator.build_lindbladian(ops, states=times.size)
-            monkeypatch.setattr(generator, "ASSEMBLY_MAX_BYTES", needed)
-        superop = generator.build_lindbladian(ops, states=times.size)
-        M = superop.matrix
-        csr_bytes = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
-        tracemalloc.start()
-        try:
-            evolution.evolve_density(superop, space.vacuum(), times)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert 0.9 * needed <= csr_bytes + peak <= 1.05 * needed
+    assert lind.matrix.nnz < evolution.TWO_CORE_ENTRIES
+    started = counting_threads(monkeypatch)
+    grids = (np.linspace(0.0, 0.1, 11), np.array([0.0, 0.05, 0.3]), np.array([0.0, 0.3]))
+    for threshold in (evolution.TWO_CORE_ENTRIES, lind.matrix.nnz):
+        monkeypatch.setattr(evolution, "TWO_CORE_ENTRIES", threshold)
+        for times in grids:
+            needed = evolution.density_bytes(space.D, lind.matrix.nnz, times.size)
+            if times.size == 11:
+                monkeypatch.setattr(generator, "ASSEMBLY_MAX_BYTES", needed - 1)
+                with pytest.raises(ValueError, match=f"keeping 11 states needs {needed} bytes"):
+                    generator.build_lindbladian(ops, states=times.size)
+                monkeypatch.setattr(generator, "ASSEMBLY_MAX_BYTES", needed)
+            superop = generator.build_lindbladian(ops, states=times.size)
+            M = superop.matrix
+            csr_bytes = M.data.nbytes + M.indices.nbytes + M.indptr.nbytes
+            tracemalloc.start()
+            try:
+                evolution.evolve_density(superop, space.vacuum(), times)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 0.9 * needed <= csr_bytes + peak <= 1.05 * needed
+    assert len(started) == len(grids)
+
+
+def test_two_core_products_keep_the_bits(monkeypatch):
+    # at d = 3, N_max = 8 the folded dissipator stores 260,928 entries, over
+    # TWO_CORE_ENTRIES: every product sends the dissipator's part to one
+    # worker thread, joined by the return.  With the threshold above the
+    # entries no thread starts, and the states, trace errors and product
+    # counts are the same, bit for bit
+    space, ops, lind = seeded_lindbladian(61, 3, 8)
+    assert lind.matrix.nnz >= evolution.TWO_CORE_ENTRIES
+    products, started = counting_products(monkeypatch), counting_threads(monkeypatch)
+    on_worker, product = [], generator._product
+    monkeypatch.setattr(generator, "_product", lambda *args: (
+        on_worker.append(threading.current_thread()) or product(*args)))
+    times = [0.0, 0.005, 0.01, 0.02]
+    runs = []
+    for threshold in (evolution.TWO_CORE_ENTRIES, lind.matrix.nnz + 1):
+        monkeypatch.setattr(evolution, "TWO_CORE_ENTRIES", threshold)
+        products.clear(), started.clear(), on_worker.clear()
+        res = evolution.evolve_density(lind, space.basis_vector((1, 0, 0)), times)
+        assert on_worker == started * len(products)
+        assert not any(thread.is_alive() for thread in started)
+        runs.append((len(started), len(products), res.trace_err.tobytes(),
+                     [rho.tobytes(order="F") for rho in res.states]))
+    (threads, count, *bits), (no_threads, same_count, *same_bits) = runs
+    assert (threads, no_threads) == (1, 0) and count == same_count > 1
+    assert bits == same_bits
+
+
+class FailingDissipator:
+    """A folded dissipator whose product raises at the `fail_at`-th call."""
+
+    def __init__(self, matrix, fail_at):
+        self.matrix, self.fail_at, self.products, self.nnz = matrix, fail_at, 0, matrix.nnz
+
+    def __matmul__(self, v):
+        self.products += 1
+        if self.products == self.fail_at:
+            raise MemoryError(f"product {self.fail_at}")
+        return self.matrix @ v
+
+
+def test_the_product_worker_is_joined_however_the_evolution_ends(monkeypatch):
+    # the worker forced on D = 7: it has stopped after a return, after a
+    # trace abort and after a dissipator product that raises on the worker
+    # mid-evolution, read while the raising call's traceback lives
+    monkeypatch.setattr(evolution, "TWO_CORE_ENTRIES", 0)
+    space, ops, lind = damping_setup()
+    unstable = dataclasses.replace(
+        lind, matrix=(lind.matrix + 0.5 * folded_identity(space.D)).tocsr(),
+        trace=lind.trace + 0.5 * space.D ** 2)
+    failing = dataclasses.replace(lind, matrix=FailingDissipator(lind.matrix, 3))
+    started = counting_threads(monkeypatch)
+    psi0 = space.basis_vector((1,))
+    evolution.evolve_density(lind, psi0, [0.0, 1.0, 2.0])
+    assert len(started) == 1 and not started[0].is_alive()
+    for superop, error, message in ((unstable, evolution.IntegrationError, "at t=1 exceeds"),
+                                    (failing, MemoryError, "product 3")):
+        started.clear()
+        with pytest.raises(error, match=message):
+            try:
+                evolution.evolve_density(superop, psi0, [0.0, 1.0, 2.0])
+            finally:
+                alive = [thread.is_alive() for thread in started]
+        assert alive == [False]
+    assert failing.matrix.products == 3
+
+
+@pytest.mark.parametrize("occupation, interior_dim", [
+    ((0, 0), 1), ((0, 0), 6), ((1, 0), 6), ((0, 3), 6), ((0, 3), 10), ((0, 5), 21)])
+def test_the_initial_state_is_ranked_without_an_eigensolve(monkeypatch, occupation, interior_dim):
+    # a basis-state start |n><n| gives, as eigvalsh does, (1, 0.0) inside the
+    # interior, (0, 0.0) outside it, and (1, 1.0) on a one-state interior;
+    # no eigensolve is made at t = 0, and later times still solve one
+    space, ops, lind = seeded_lindbladian(31, 2, 5)
+    res = evolution.evolve_density(lind, space.basis_vector(occupation), [0.0, 0.05])
+    expected = evolution.support_rank(res.states[0], interior_dim)
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    rank, min_eig = res.support_rank_at(0.0, interior_dim)
+    assert shapes == []
+    assert (rank, min_eig) == expected and type(rank) is int and type(min_eig) is float
+    assert np.signbit(min_eig) == np.signbit(expected[1])
+    inside = space.index_of[occupation] < interior_dim
+    assert expected == ((1, 1.0) if interior_dim == 1 else (int(inside), 0.0))
+    res.support_rank_at(0.05, interior_dim)
+    assert shapes == [(interior_dim, interior_dim)]
+
+
+def test_a_superposed_start_is_ranked_from_its_interior_weight():
+    # a superposition is still rank one: its interior rank is 1 and its
+    # smallest interior eigenvalue exactly 0, where eigvalsh leaves rounding;
+    # on a one-state interior it is the weight there
+    space, ops, lind = seeded_lindbladian(31, 2, 5)
+    psi = complex_gaussian(np.random.default_rng(5), space.D)
+    res = evolution.evolve_density(lind, psi / np.linalg.norm(psi), [0.0, 0.05])
+    for dim in (1, 6, space.D):
+        rank, min_eig = evolution.support_rank(res.states[0], dim)
+        assert res.support_rank_at(0, dim) == (rank, 0.0 if dim > 1 else min_eig)
+        assert rank == 1 and (abs(min_eig) <= 1e-15 if dim > 1 else min_eig > 0)
+
+
+def test_support_rank_at_refuses_a_time_off_the_grid():
+    space, ops, lind = damping_setup()
+    res = evolution.evolve_density(lind, space.basis_vector((1,)), [0.0, 0.01, 0.02])
+    for t in (0.015, 0.03, -0.01, np.nan):
+        with pytest.raises(ValueError, match=f"t = {t} is not an output time"):
+            res.support_rank_at(t, 3)
+    assert res.ranks == {}
+    assert res.support_rank_at(0.02, 3) == evolution.support_rank(res.states[2], 3)
+    assert list(res.ranks) == [(0.02, 3)]
 
 
 def test_shift_and_norm_matches_bincount_and_stays_below_half_the_csr():

@@ -13,7 +13,7 @@ interior columns of G0 and G and the interior part of N's diagonal.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -158,15 +158,16 @@ def sample_statistics(ops, seed, n_samples):
     sliced once per pass, and N's diagonal (`fock.build_ladders` makes N
     diagonal), so nothing reads the zeros a sample has past the interior.
     One image block is live at a time.  A pass of more than one block of
-    at least DRAW_AHEAD_ENTRIES interior entries draws each next sample
-    block on one worker thread (`_drawn_ahead`) while it applies the
-    current one, so one more sample block, and the draw arrays of
-    `sample_blocks`, can be live; the worker alone advances the pass's
-    generator, so the samples are those drawn in turn, and it is joined
-    before the pass returns or raises.  Each column's squared image norm
-    is summed row by row over all the image's rows, and its form over the
-    interior rows, so its statistics do not depend on the width of its
-    block, and a pass holds the first columns of any longer pass.
+    at least DRAW_AHEAD_ENTRIES interior entries opens one worker thread
+    around its block loop and passes it to `_drawn_ahead`, which draws
+    each next sample block there while the pass applies the current one,
+    so one more sample block, and the draw arrays of `sample_blocks`, can
+    be live; the worker alone advances the pass's generator, so the
+    samples are those drawn in turn, and it is joined before the pass
+    returns or raises.  Each column's squared image norm is summed row by
+    row over all the image's rows, and its form over the interior rows, so
+    its statistics do not depend on the width of its block, and a pass
+    holds the first columns of any longer pass.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
@@ -178,11 +179,10 @@ def sample_statistics(ops, seed, n_samples):
             for name in maps}
     work = np.zeros(space.D * SAMPLE_BLOCK, dtype=complex)  # one reused temporary block
     blocks = sample_blocks(np.random.default_rng(seed), n_samples, n)
-    if n_samples > SAMPLE_BLOCK and n * SAMPLE_BLOCK >= DRAW_AHEAD_ENTRIES:
-        blocks = _drawn_ahead(blocks)
+    draw_ahead = n_samples > SAMPLE_BLOCK and n * SAMPLE_BLOCK >= DRAW_AHEAD_ENTRIES
     start = 0
-    with closing(blocks):  # joins a draw-ahead worker, also when a product raises
-        for X in blocks:
+    with ThreadPoolExecutor(max_workers=1) if draw_ahead else nullcontext() as worker:
+        for X in _drawn_ahead(blocks, worker) if worker else blocks:
             b = X.shape[1]
             for name, op in maps.items():
                 Y = op * X if name == "N" else op @ X
@@ -206,19 +206,18 @@ def sample_statistics(ops, seed, n_samples):
     return SampleStatistics(form=form, norm2=norm2)
 
 
-def _drawn_ahead(blocks):
-    """Yield the items of the iterator `blocks`, each one taken from it on a
-    worker thread while the caller uses the one before.
+def _drawn_ahead(blocks, worker):
+    """Yield the items of the iterator `blocks`, each one taken from it on
+    the one-thread executor `worker` while the caller uses the one before.
 
     Only the worker advances `blocks`, one item at a time and in order, so
-    the items are the ones `blocks` yields.  Closing this generator joins
-    the worker.
+    the items are the ones `blocks` yields.  The caller owns the worker and
+    joins it; a draw still pending then finishes first.
     """
-    with ThreadPoolExecutor(max_workers=1) as worker:
+    ahead = worker.submit(next, blocks, None)
+    while (block := ahead.result()) is not None:
         ahead = worker.submit(next, blocks, None)
-        while (block := ahead.result()) is not None:
-            ahead = worker.submit(next, blocks, None)
-            yield block
+        yield block
 
 
 def number_operator_bound(stats, K, n_samples):

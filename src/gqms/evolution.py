@@ -25,8 +25,10 @@ diagnostics.
 from __future__ import annotations
 
 import bisect
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -53,14 +55,14 @@ MAX_PRODUCTS = 10 ** 5  # matrix products one evolution may plan
 # input, the product of the stored rows and the drift's product
 DENSITY_COPIES = 4.5
 # An evolve_density whose folded dissipator stores at least this many entries
-# takes each product's dissipator part on a worker thread while the caller
-# takes the drift's (`Superoperator.dissipator_worker`).  A handoff costs a
-# thread wake-up and GIL hand-backs per product, so on 2 vCPUs, evolving
-# the vacuum with the worker forced, D = 105 (66,911 entries) slowed by 5 to
-# 13 % and D = 120 at d = 2 (88,970) by 2 to 4 %, while 116,085 entries
-# (D = 136) gained 6 %, 128,184 (D = 120, d = 3) 7 to 17 %, 260,928
-# (D = 165) 17 to 21 % and 492,480 (D = 220) 20 %; 2^17 keeps the D = 105
-# closures and the shipped scenarios on one thread.
+# opens one worker thread, passes it to every `Superoperator.matvec`, which
+# takes the dissipator's part there while the caller takes the drift's, and
+# joins it on exit.  A handoff costs a thread wake-up and GIL hand-backs per
+# product, so on 2 vCPUs, evolving the vacuum with the worker forced, D = 105
+# (66,911 entries) slowed by 5 to 13 % and D = 120 at d = 2 (88,970) by 2 to
+# 4 %, while 116,085 entries (D = 136) gained 6 %, 128,184 (D = 120, d = 3)
+# 7 to 17 %, 260,928 (D = 165) 17 to 21 % and 492,480 (D = 220) 20 %; 2^17
+# keeps the D = 105 closures and the shipped scenarios on one thread.
 TWO_CORE_ENTRIES = 2 ** 17
 # An interior eigenvalue counts towards the support rank above RANK_RTOL times the largest.
 RANK_RTOL = 1e-8
@@ -266,15 +268,15 @@ def evolve_density(superop, psi0, times):
     The Taylor sums carry the state's stored entries (`Superoperator.fold`),
     each product is `Superoperator.matvec`, and each output state is
     unfolded once into an exactly Hermitian D x D array.  When the folded
-    dissipator stores at least TWO_CORE_ENTRIES entries, one worker thread
-    takes the dissipator's part of every product while this one takes the
-    drift's (`Superoperator.dissipator_worker`), with the same bits and
-    the same arrays alive at once; it is joined before the call returns
-    or raises.  Aborts with
-    IntegrationError when the trace drifts by more than 1e-4.  The result
-    holds trace_err per output time; its `stats` add min_eig per output
-    time when first read, so an evolution whose stats nobody reads makes
-    no eigensolve.
+    dissipator stores at least TWO_CORE_ENTRIES entries, this function
+    opens one worker thread and passes it to every product as `matvec`'s
+    `worker`, which takes the dissipator's part there while this thread
+    takes the drift's, with the same bits and the same arrays alive at
+    once; the worker is joined before the call returns or raises.  Aborts
+    with IntegrationError when the trace drifts by more than 1e-4.  The
+    result holds trace_err per output time; its `stats` add min_eig per
+    output time when first read, so an evolution whose stats nobody reads
+    makes no eigensolve.
     """
     times = _check_times(times)
     D = superop.dim
@@ -285,8 +287,10 @@ def evolve_density(superop, psi0, times):
     u0 = np.outer(psi0, psi0.conj()).reshape(-1, order="F")[rows]
     u0.imag[rows == mirrors] = 0.0  # |psi_k|^2, whatever a fused multiply-add left
     states, trace_err = [], np.zeros(times.size)
-    with superop.dissipator_worker(superop.matrix.nnz >= TWO_CORE_ENTRIES):
-        evolved = _propagate(superop.matvec, superop.shift_and_norm, u0, times)
+    two_core = superop.matrix.nnz >= TWO_CORE_ENTRIES
+    with ThreadPoolExecutor(max_workers=1) if two_core else nullcontext() as worker:
+        matvec = partial(superop.matvec, worker=worker)
+        evolved = _propagate(matvec, superop.shift_and_norm, u0, times)
         for i, rho in enumerate(map(superop.unfold, evolved)):
             trace_err[i] = abs(np.trace(rho) - 1.0)
             if trace_err[i] > TRACE_ABORT:

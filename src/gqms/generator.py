@@ -28,9 +28,6 @@ conversion of all of them.  Sparse entries are kept exactly as assembled
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,9 +39,6 @@ from .commutators import form_matrix
 
 ASSEMBLY_MAX_BYTES = 2 ** 31  # peak of the assembly, and of an evolution (see gkls_superoperator)
 ASSEMBLY_BLOCK = 2 ** 17  # triplets written and made CSR at a time
-# .worker: the thread that takes the dissipator products of this thread's
-# `Superoperator.matvec` calls, inside a `Superoperator.dissipator_worker`
-_products = threading.local()
 
 
 @dataclass(frozen=True, eq=False)
@@ -140,7 +134,7 @@ class Superoperator:
         out[rows] = u
         return out.reshape(D, D, order="F")
 
-    def matvec(self, u):
+    def matvec(self, u, worker=None):
         """The stored entries of A(H), for the Hermitian H of stored entries u.
 
         H is unfolded once; the stored rows of the dissipator take vec H,
@@ -149,14 +143,14 @@ class Superoperator:
         conj(X H), and the drift's entry (j, k) is Y_kj + conj(Y_jk).  The
         diagonal entries are made exactly real, which the Taylor sums need:
         an imaginary diagonal, on which the drift acts as zero, would grow
-        under the dissipator alone.  Inside a `dissipator_worker` the
-        dissipator's product is taken on its worker thread while this one
-        takes the drift's; the gathers wait for both, so the same arrays
-        are alive at once and the sums are those of one thread, bit for bit.
+        under the dissipator alone.  Given a `worker` (an executor the
+        caller opens and joins, as `evolution.evolve_density` does), the
+        dissipator's product is submitted to it while this thread takes
+        the drift's; the gathers wait for both, so the same arrays are
+        alive at once and the sums are those of one thread, bit for bit.
         """
         (rows, mirrors), D = self.fold, self.dim
         v = self.unfold(u).reshape(-1, order="F")  # vec H, a view
-        worker = getattr(_products, "worker", None)
         dissipated = worker.submit(_product, self.matrix, [v]) if worker else None
         Y = (self._conj_drift @ v.reshape(D, D)).reshape(-1)  # row-major
         y = dissipated.result() if dissipated else self.matrix @ v
@@ -167,21 +161,6 @@ class Superoperator:
         y += np.conjugate(mirrored, out=mirrored)
         y.imag[self._diagonal_rows] = 0.0
         return y
-
-    @contextmanager
-    def dissipator_worker(self, start):
-        """While open, and when `start`, the `matvec` calls this thread makes
-        take the dissipator's product on one worker thread, which is joined
-        on exit, whether the block returns or raises."""
-        if not start:
-            yield
-            return
-        with ThreadPoolExecutor(max_workers=1) as worker:
-            _products.worker = worker
-            try:
-                yield
-            finally:
-                _products.worker = None
 
     def apply(self, X):
         """A(X) for any D x D matrix X, as A(H1) + i A(H2) with X = H1 + i H2."""

@@ -441,9 +441,9 @@ def test_density_tasks_evolve_each_state_once(tmp_path, monkeypatch, name, produ
         config = json.loads((SCENARIOS / f"{name}.json").read_text())
     counts, real = [], generator.Superoperator.matvec
 
-    def counted(superop, u):
+    def counted(superop, u, worker=None):
         counts[-1] += 1
-        return real(superop, u)
+        return real(superop, u, worker)
     evolve = evolution.evolve_density
     monkeypatch.setattr(generator.Superoperator, "matvec", counted)
     monkeypatch.setattr(evolution, "evolve_density",

@@ -1,6 +1,8 @@
 import json
 import re
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +316,28 @@ def test_apply_non_hermitian_matches_dense_product():
     expected = (kraus_form_lindbladian(ops) @ X.reshape(D * D, order="F")
                 ).reshape(D, D, order="F")
     assert np.abs(superop.apply(X) - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+def test_matvec_takes_the_dissipator_product_on_a_given_worker(monkeypatch):
+    # d = 3, N_max = 8: the folded dissipator stores 260,928 entries.  Given a
+    # live one-thread executor, matvec submits the dissipator's product to
+    # its thread and returns the bits of the product taken on one thread
+    model = strictly_positive_model(np.random.default_rng(61), 3)
+    space = fock.build_space(3, 8)
+    superop = generator.build_lindbladian(generator.build_operators(model, space))
+    assert superop.matrix.nnz == 260_928
+    X = complex_gaussian(np.random.default_rng(62), (space.D, space.D))
+    u = (X + X.conj().T).reshape(-1, order="F")[superop.fold[0]]
+    on, product = [], generator._product
+    monkeypatch.setattr(generator, "_product", lambda *args: (
+        on.append(threading.current_thread()) or product(*args)))
+    alone = superop.matvec(u)
+    assert on == []
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        shared = superop.matvec(u, worker)
+        thread = worker.submit(threading.current_thread).result()
+    assert on == [thread] and thread is not threading.current_thread()
+    assert shared.tobytes() == alone.tobytes()
 
 
 def test_folded_shift_and_norm_match_dense():

@@ -16,10 +16,10 @@ _dependent_errors declare (every number in a task is finite), or a task
 of the other model kind is a schema error, reported before a task runs.
 The sampled tasks reduce the run seed's one sample pass, of their
 largest `n_samples`.  Each task writes its findings into report.json;
-tasks may carry an `expect` block whose key/value pairs replace the
-task's default assertion, so contrast scenarios can assert *failure* of
-a property and still exit 0; an expected number is compared within 1e-9
-when it or the report's value is a float, any other value for equality.
+tasks may carry an `expect` block whose key/value pairs replace the task's
+default assertion, so contrast scenarios can assert *failure* of a property
+and still exit 0; an expected number is compared within 1e-9 when it or the
+report's value is a float, any other value for equality (a bool is no number).
 A task raising IntegrationError, numpy's LinAlgError, a MemoryError (a
 refused allocation) or a ValueError fails with an "error" {type, message}.
 Exit codes: 0 all tasks passed, 2 some task failed, 1 input error (a
@@ -81,13 +81,13 @@ PAIR_PRODUCTS = {"fd-probe": len(FD_TIMES), "fd-derivative": 2}
 
 class RunContext:
     """The model, space and operator objects shared by the tasks, each decoded or built
-    once, and the run's last density evolution, kept for the tasks that read its state."""
+    once, and the run's last density evolution, lent whole to the tasks that read its state."""
 
     def __init__(self, config):
         self.config = config
         self.seed = int(config["seed"])
         self.kind = config["model"]["kind"]
-        self._evolution = None  # (occupation of its initial state, EvolutionResult)
+        self.kept = None  # (occupation of its initial state, EvolutionResult)
 
     @cached_property
     def model(self):
@@ -139,35 +139,18 @@ class RunContext:
         return self.space.basis_vector(self.occupation(label))
 
     def density_evolution(self, label, times):
-        """The `evolution.evolve_density` of the state `label` under `lindbladian`
-        over the sorted distinct `times` with 0.
-
-        They are read from the kept evolution when it is of that state and its
-        grid holds them all; otherwise the kept one is dropped, so at most one
-        evolution is alive, and the new one is kept in its place.
-        """
+        """The `evolution.evolve_density` of the state `label` under `lindbladian` over
+        the sorted distinct `times` with 0, to be read by output time: the kept evolution
+        itself when it is of that state and its grid holds them, else a new one kept in its
+        place, the kept one dropped first so at most one is alive (`run_scenario` drops it
+        also when a task outside DENSITY_TASKS starts and when the run ends)."""
         grid = sorted({0.0, *map(float, times)})
         n = self.occupation(label)
-        if self._evolution is not None and self._evolution[0] == n:
-            kept = self._evolution[1]
-            at = {t: i for i, t in enumerate(kept.times.tolist())}
-            if all(t in at for t in grid):
-                rows = [at[t] for t in grid]
-                return evolution.EvolutionResult(
-                    kept.times[rows], [kept.states[i] for i in rows], kept.trace_err[rows],
-                    kept.ranks)
-            del kept
-        self._evolution = None  # before the new evolution keeps its states
-        result = evolution.evolve_density(self.lindbladian, self.space.basis_vector(n), grid)
-        self._evolution = (n, result)
-        return result
-
-    def task_done(self, index):
-        """Drop the kept evolution unless a density task after task `index` reads its state."""
-        if self._evolution is not None and self._evolution[0] not in {
-                self.occupation(label) for task in self.config["tasks"][index + 1:]
-                if task["name"] in DENSITY_TASKS for label in _initials(task)}:
-            self._evolution = None
+        if not (self.kept and self.kept[0] == n and set(grid) <= set(self.kept[1].times.tolist())):
+            self.kept = None  # before the new evolution keeps its states
+            self.kept = n, evolution.evolve_density(
+                self.lindbladian, self.space.basis_vector(n), grid)
+        return self.kept[1]
 
 
 def _write_csv(path, header, rows):
@@ -267,22 +250,23 @@ def task_domain_comparison(ctx, out, n_samples=500):
 def task_evolve(ctx, out, initial="vacuum",
                 times=(0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0),
                 observables=()):
+    times, dim = [float(t) for t in times], ctx.space.interior_dim()
     result = ctx.density_evolution(initial, times)
-    stats, dim = result.stats, ctx.space.interior_dim()
+    rows = np.searchsorted(result.times, times)
+    trace_err = result.trace_err[rows]
     observables = [tuple(map(int, n)) for n in observables]
     diagonal = [ctx.space.index_of[n] for n in observables]
     csv_path = out("timeseries")
     _write_csv(csv_path, ["t", "trace_err", "min_eig", "support_rank"]
                + ["p" + "".join(map(str, n)) for n in observables],
-               [[f"{t:.12g}", f"{err:.6e}", f"{eig:.6e}",
+               [[f"{t:.12g}", f"{err:.6e}", f"{result.min_eig_at(t):.6e}",
                  str(result.support_rank_at(t, dim)[0])]
-                + [f"{rho[k, k].real:.12g}" for k in diagonal]
-                for t, rho, err, eig in zip(result.times, result.states,
-                                              stats["trace_err"], stats["min_eig"])])
-    max_trace = float(stats["trace_err"].max())
-    min_eig = float(stats["min_eig"].min())
+                + [f"{result.states[i][k, k].real:.12g}" for k in diagonal]
+                for t, i, err in zip(times, rows, trace_err)])
+    max_trace = float(trace_err.max())
+    min_eig = float(np.min([result.min_eig_at(t) for t in times]))
     report = {
-        "times": [float(t) for t in result.times],
+        "times": times,
         "max_trace_err": max_trace,
         "min_eig": min_eig,
         "csv": csv_path.name,
@@ -291,11 +275,10 @@ def task_evolve(ctx, out, initial="vacuum",
 
 
 def task_support(ctx, out, initial="vacuum", t=0.1):
-    psi = ctx.state_vector(initial)
-    span = commutators.support_span(ctx.ops, ctx.action, psi, t)
-    oracle = commutators.validate_action_oracle(ctx.ops, ctx.action)
     probe, = diagnostics.support_reports(
         ctx.density_evolution(initial, [t]), [t], ctx.space.interior_dim())
+    span = commutators.support_span(ctx.ops, ctx.action, ctx.state_vector(initial), t)
+    oracle = commutators.validate_action_oracle(ctx.ops, ctx.action)
     report = {
         "t": t,
         "span_rank": span.rank,
@@ -378,12 +361,6 @@ def _settings(task):
         kind = type(settings[key])
         settings[key] = kind(task[key]) if kind in (int, float) else task[key]
     return settings
-
-
-def _initials(task):
-    """The labels of the states a task of DENSITY_TASKS evolves."""
-    settings = _settings(task)
-    return settings["initials"] if "initials" in settings else [settings["initial"]]
 
 
 def _rule(kind=None, low=None, high=None, strict=False, items=None, nonempty=False, names=None):
@@ -557,12 +534,18 @@ def validate_config(config):
 
 
 def _check_expect(report, expect):
-    """Mismatches of `expect`: two numbers, one a float, agree within 1e-9, other pairs if equal."""
+    """Mismatches of `expect`: two numbers, one a float, agree within 1e-9, other pairs if
+    equal, where at any depth a bool equals only a bool and a number only a number."""
+    def typed(value):  # each value at any depth paired with whether it is a bool
+        if isinstance(value, dict):
+            return {key: typed(item) for key, item in value.items()}
+        return [*map(typed, value)] if isinstance(value, list) else (isinstance(value, bool), value)
+
     def match(have, wanted):
         pair = (have, wanted)
         if all(map(serialize.is_number, pair)) and any(isinstance(x, float) for x in pair):
             return abs(have - wanted) <= 1e-9
-        return have == wanted
+        return typed(have) == typed(wanted)
     return [{"key": key, "expected": wanted, "actual": report.get(key)}
             for key, wanted in expect.items() if not match(report.get(key), wanted)]
 
@@ -580,6 +563,8 @@ def run_scenario(config, output_dir, verbose=False):
     task_seconds = {}
     for idx, task in enumerate(config["tasks"]):
         name = task["name"]
+        if name not in DENSITY_TASKS:
+            ctx.kept = None  # an evolution is kept only across consecutive density tasks
         tag = f"{idx:02d}_{name}"
         t0 = time.time()
         try:
@@ -589,7 +574,6 @@ def run_scenario(config, output_dir, verbose=False):
                 ValueError) as exc:
             report = None
             error = {"type": type(exc).__name__, "message": str(exc)}
-        ctx.task_done(idx)
         task_seconds[tag] = time.time() - t0
         expect = task.get("expect")
         if report is None:
@@ -603,6 +587,7 @@ def run_scenario(config, output_dir, verbose=False):
         task_entries.append(entry)
         if verbose:
             print(f"[{idx}] {name}: {'PASS' if entry['passed'] else 'FAIL'}")
+    ctx.kept = None
     all_passed = all(entry["passed"] for entry in task_entries)
     versions = {"gqms": __version__, "numpy": np.__version__, "scipy": scipy.__version__,
                 "python": platform.python_version()}

@@ -28,7 +28,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import evolution
-from . import model as gm
 
 GS_DROP_RTOL = 1e-10
 
@@ -235,13 +234,13 @@ def support_span(ops, action, psi, t):
 def inversion_condition_number(model):
     """Condition number of the m x 2d Kraus coefficient matrix B† (inf when singular).
 
-    B = `model.kossakowski_factor(V, U)`: the rows of B† stack the
-    (alpha, beta) coefficients of the Kraus forms, and its Gram matrix is
-    the Kossakowski matrix B B†, so for a strictly positive Kossakowski
-    matrix with m = 2d it is invertible and the ladder operators can be
-    recovered as combinations of the L_l.
+    B = `model.kossakowski_factor(V, U)`: the rows of B† are the Kraus
+    coefficients `adjoint_action.kraus` without the constant, and its Gram
+    matrix is the Kossakowski matrix B B†, so for a strictly positive one
+    with m = 2d it is invertible and the ladder operators can be recovered
+    as combinations of the L_l.
     """
-    s = np.linalg.svd(gm.kossakowski_factor(model.V, model.U).conj().T, compute_uv=False)
+    s = np.linalg.svd(model.adjoint_action.kraus[:, 1:], compute_uv=False)
     if s.min() == 0.0:
         return float("inf")
     return float(s.max() / s.min())

@@ -28,7 +28,7 @@ import bisect
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -74,15 +74,21 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class EvolutionResult:
-    """Output times, states (D x D density arrays or vectors) and, for a
-    density evolution, its trace error per output time."""
+    """Output times, states (D x D density arrays or vectors) and, for a density evolution,
+    its trace error per output time; a state's rank and smallest eigenvalue are solved when read."""
 
     times: np.ndarray
     states: list
     trace_err: np.ndarray | None = None
-    # (t, interior_dim) -> `support_rank` of the state at t; a result that
-    # reads another's states shares its dict, so each state is ranked once
-    ranks: dict = field(default_factory=dict)
+    # (t, interior_dim) -> `support_rank_at`, (t, None) -> `min_eig_at`
+    ranks: dict = field(default_factory=dict, init=False)
+
+    def _row(self, t):
+        """The index of output time t; a t that is not one raises ValueError."""
+        i = int(np.searchsorted(self.times, t))
+        if i == self.times.size or self.times[i] != t:
+            raise ValueError(f"t = {t} is not an output time of this evolution")
+        return i
 
     def support_rank_at(self, t, interior_dim):
         """`support_rank` of the state at output time t, solved on the first read.
@@ -91,26 +97,21 @@ class EvolutionResult:
         |phi><phi| has the eigenvalues ||phi||^2 (its trace) and zeros: the
         rank is 1 when that trace is positive and 0 otherwise, and the
         minimum 0.0, or the trace when interior_dim is 1; no eigensolve is
-        made.  A t that is not an output time raises ValueError.
+        made.
         """
-        i = int(np.searchsorted(self.times, t))
-        if i == self.times.size or self.times[i] != t:
-            raise ValueError(f"t = {t} is not an output time of this evolution")
-        key = (float(t), interior_dim)
+        i, key = self._row(t), (float(t), interior_dim)
         if key not in self.ranks:
             self.ranks[key] = (_initial_rank(self.states[0], interior_dim) if i == 0
                                else support_rank(self.states[i], interior_dim))
         return self.ranks[key]
 
-    @cached_property
-    def stats(self):
-        """A density evolution's trace_err and min_eig per output time ({} for
-        a vector one); min_eig at t = 0 is 0.0, that of the rank-one initial
-        state, the others one eigvalsh each, on the first read."""
-        if self.trace_err is None:
-            return {}
-        min_eig = [0.0] + [np.linalg.eigvalsh(rho).min() for rho in self.states[1:]]
-        return {"trace_err": self.trace_err, "min_eig": np.array(min_eig)}
+    def min_eig_at(self, t):
+        """Smallest eigenvalue of the density state at output time t, solved on the
+        first read: 0.0 at t = 0, that of the rank-one initial state, else one eigvalsh."""
+        i, key = self._row(t), (float(t), None)
+        if key not in self.ranks:
+            self.ranks[key] = 0.0 if i == 0 else float(np.linalg.eigvalsh(self.states[i]).min())
+        return self.ranks[key]
 
 
 def _check_times(times):
@@ -274,9 +275,9 @@ def evolve_density(superop, psi0, times):
     takes the drift's, with the same bits and the same arrays alive at
     once; the worker is joined before the call returns or raises.  Aborts
     with IntegrationError when the trace drifts by more than 1e-4.  The
-    result holds trace_err per output time; its `stats` add min_eig per
-    output time when first read, so an evolution whose stats nobody reads
-    makes no eigensolve.
+    result holds trace_err per output time; its `min_eig_at` solves a time's
+    smallest eigenvalue when first read, so a time nobody reads costs no
+    eigensolve.
     """
     times = _check_times(times)
     D = superop.dim
@@ -303,7 +304,7 @@ def evolve_density(superop, psi0, times):
 
 
 def evolve_vector(ops, psi0, times):
-    """Apply the contraction semigroup e^{tG} to a unit vector (no stats)."""
+    """Apply the contraction semigroup e^{tG} to a unit vector (no trace_err)."""
     times = _check_times(times)
     psi0 = np.asarray(psi0, dtype=complex).reshape(-1)
     if not abs(np.linalg.norm(psi0) - 1.0) <= 1e-10:

@@ -91,7 +91,7 @@ class GaussianModel:
     @cached_property
     def adjoint_action(self):
         """The model's `commutators.adjoint_action`, built once."""
-        from .commutators import adjoint_action  # commutators imports this module
+        from .commutators import adjoint_action  # keeps scipy.sparse out of this module
         return adjoint_action(self)
 
 

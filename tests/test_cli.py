@@ -131,6 +131,22 @@ def test_expect_mismatch_fails_run(tmp_path):
     assert mism[0]["key"] == "strictly_positive"
 
 
+@pytest.mark.parametrize("expect", [
+    {"strictly_positive": 0}, {"strictly_positive": 0.0}, {"rank": True},
+    {"matrix": [[[True, False], [False, False]], [[False, False], [False, False]]]}])
+def test_expect_tells_a_bool_from_a_number(tmp_path, expect):
+    # for V = [[1]], U = [[0]]: strictly_positive is false, rank 1 and K = diag(1, 0)
+    config = minimal_config(tasks=[{"name": "kossakowski", "expect": expect}])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["run", "--config", str(path), "--output-dir", str(tmp_path / "out")]) == 2
+    task, = json.loads((tmp_path / "out" / "report.json").read_text())["tasks"]
+    (key, wanted), = expect.items()
+    assert task["passed"] is False
+    assert task["expect_mismatches"] == [
+        {"key": key, "expected": wanted, "actual": task["report"][key]}]
+
+
 def test_input_error_exit_code(tmp_path):
     config = minimal_config()
     config["model"] = {"kind": "finite", "n": 2,
@@ -452,15 +468,17 @@ def test_density_tasks_evolve_each_state_once(tmp_path, monkeypatch, name, produ
     assert counts == products
 
 
-def test_a_kept_evolution_lives_only_until_its_last_reader(tmp_path, monkeypatch):
-    # the evolution of a state is kept while a later density task reads that
-    # state, and dropped before another evolution starts: at most one lives
-    kept, evolve = [], evolution.evolve_density
+def test_a_kept_evolution_lives_only_across_consecutive_density_tasks(tmp_path, monkeypatch):
+    # the evolution of a state is kept while the density tasks run one after
+    # another, dropped when another task starts, and dropped before another
+    # evolution starts: at most one lives, and none beside an `invariant`
+    kept, starts, evolve = [], [], evolution.evolve_density
 
     def tracked(*args):
         assert all(ref() is None for ref in kept)
         result = evolve(*args)
         kept.append(weakref.ref(result))
+        starts.append(tuple(np.flatnonzero(args[1])))
         return result
     monkeypatch.setattr(evolution, "evolve_density", tracked)
     alive = []
@@ -474,13 +492,35 @@ def test_a_kept_evolution_lives_only_until_its_last_reader(tmp_path, monkeypatch
         {"name": "invariant", "n_seeds": 1}, {"name": "support", "initial": [1], "t": 0.3},
         {"name": "invariant", "n_seeds": 1}])
     _, report = cli.run_scenario(config, tmp_path)
-    assert len(kept) == 4  # vacuum, [1], vacuum again, then [1] again for `support`
-    assert alive == [[True], [False, False, False], [False, False, False, False]]
+    # vacuum for `evolve`; vacuum, [1] and vacuum again for `improve`; [1] for `support`
+    assert starts == [(0,), (0,), (1,), (0,), (1,)]
+    assert alive == [[False], [False] * 4, [False] * 5]
+    assert all(ref() is None for ref in kept)
     rows = report["tasks"][2]["report"]["reports"]
     assert [row["t"] for row in rows] == [0.1, 0.2] * 3
     assert [row["psi_index"] for row in rows] == [0, 0, 1, 1, 2, 2]
-    # the vacuum's rows read from the `evolve` states and from its own evolution
+    # the vacuum's two evolutions give the same rows
     assert [{**row, "psi_index": 0} for row in rows[4:]] == rows[:2]
+
+
+def test_evolve_reads_its_times_from_a_longer_kept_evolution(tmp_path, monkeypatch):
+    # `evolve` borrows the evolution `improve` kept and writes only its own
+    # times: one D x D eigensolve, that of t = 0.1 (t = 0 is read without one)
+    calls, evolve = [], evolution.evolve_density
+    monkeypatch.setattr(evolution, "evolve_density",
+                        lambda *args: calls.append(args) or evolve(*args))
+    shapes, eigvalsh = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    config = minimal_config(model={"kind": "gaussian", "d": 1, "V": [[1.0]], "U": [[0.5]]},
+                            tasks=[{"name": "improve", "times": [0.05, 0.1, 0.2]},
+                                   {"name": "evolve", "times": [0, 0.1]}])
+    code, report = cli.run_scenario(config, tmp_path)
+    assert code == 0 and len(calls) == 1
+    assert report["tasks"][1]["report"]["times"] == [0.0, 0.1]
+    lines = (tmp_path / "01_evolve_timeseries.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "0.1"]
+    D = cli.RunContext(config).space.D
+    assert shapes.count((D, D)) == 1
 
 
 def test_the_model_builds_its_kossakowski_matrix_once(tmp_path, monkeypatch):

@@ -62,7 +62,7 @@ def test_positivity_drift_bounded():
     space, ops, lind = damping_setup()
     psi0 = (space.basis_vector((0,)) + space.basis_vector((2,))) / np.sqrt(2)
     res = evolution.evolve_density(lind, psi0, [0.0, 0.25, 0.5])
-    assert res.stats["min_eig"].min() >= -1e-8
+    assert min(map(res.min_eig_at, res.times)) >= -1e-8
     assert max(np.abs(rho - rho.conj().T).max() for rho in res.states) <= 1e-10
 
 
@@ -185,8 +185,8 @@ def test_auto_matches_expm_and_rk4_on_a_mixed_state():
 
 
 def test_min_eig_is_solved_when_read(monkeypatch):
-    # no eigensolve until stats are read; then one per later output time, of
-    # the exactly Hermitian state as it is, the bits of one of the
+    # no eigensolve until a time is read; then one per later output time
+    # read, of the exactly Hermitian state as it is, the bits of one of the
     # Hermitized state.  At t = 0, min_eig is 0.0, what eigvalsh gives for
     # the projector of every basis vector
     space, ops, lind = seeded_lindbladian(31, 2, 5)
@@ -194,14 +194,18 @@ def test_min_eig_is_solved_when_read(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
     res = evolution.evolve_density(lind, space.vacuum(), [0.0, 0.05, 0.1, 0.2])
     assert shapes == []
-    min_eig = res.stats["min_eig"]
-    assert res.stats is res.stats and len(shapes) == 3
+    assert res.min_eig_at(0.1) == eigvalsh(res.states[2]).min() and len(shapes) == 1
+    shapes.clear()
+    min_eig = [res.min_eig_at(t) for t in res.times]
+    assert len(shapes) == 2  # 0.05 and 0.2; t = 0 and the read 0.1 solve nothing
     assert min_eig[0] == 0.0 and np.signbit(min_eig[0]) == 0
     assert all(eigvalsh(pure(psi)).min() == 0.0 for psi in np.eye(space.D))
     for rho, value in zip(res.states[1:], min_eig[1:]):
         assert np.array_equal(rho, rho.conj().T)
         assert value == eigvalsh(rho).min() == eigvalsh(0.5 * (rho + rho.conj().T)).min()
-    assert evolution.evolve_vector(ops, space.vacuum(), [0.0, 0.1]).stats == {}
+    shapes.clear()
+    assert [res.min_eig_at(t) for t in res.times] == min_eig and shapes == []
+    assert evolution.evolve_vector(ops, space.vacuum(), [0.0, 0.1]).trace_err is None
 
 
 def refuse_products(monkeypatch):
@@ -305,7 +309,7 @@ def test_zero_horizon_takes_no_product(monkeypatch):
     psi0 = space.basis_vector((1,))
     res = evolution.evolve_density(lind, psi0, [0.0])
     assert len(res.states) == 1 and np.array_equal(res.states[0], pure(psi0))
-    assert res.stats["trace_err"].tolist() == [0.0]
+    assert res.trace_err.tolist() == [0.0] and res.min_eig_at(0.0) == 0.0
     vec = evolution.evolve_vector(ops, space.vacuum(), [0.0])
     assert len(vec.states) == 1 and np.array_equal(vec.states[0], space.vacuum())
 
@@ -325,7 +329,7 @@ def test_stationary_start_takes_one_product(monkeypatch):
         assert len(products) == 1
         assert all(np.array_equal(state, start) for state in res.states)
         assert len({id(state) for state in res.states}) == len(times)
-    assert res.stats == {} and evolution.evolve_density(
+    assert res.trace_err is None and evolution.evolve_density(
         lind, space.vacuum(), times).trace_err.tolist() == [0.0] * len(times)
     # a start that is not stationary steps as before
     products.clear()
